@@ -52,8 +52,12 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-#: the plain two-level scheme: 3-point far, 6-point under three diameters
-BASELINE_QUADRATURE = QuadratureConfig(near_tiers=((3.0, 6),))
+#: point pairs per batch of the regular sweep.  A batch holds up to about
+#: 100 bytes of short-lived arrays per point pair, ~50 MB at this size.
+#: Larger batches fragment the heap: at 3e6 point pairs, peak RSS of a
+#: build-and-solve run on the three-shell subdivision-2 model was ~75 MB
+#: higher with the same live data.
+REGULAR_BATCH_POINT_PAIRS = 500_000
 
 
 @dataclass
@@ -70,9 +74,11 @@ class KernelBlock:
 
 def _thread_count() -> int:
     env = os.environ.get("SYMMBEM_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(os.cpu_count() or 1, 8)
+    if not env:
+        return min(os.cpu_count() or 1, 8)
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"SYMMBEM_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _rule_points(mesh: TriangleMesh, npts: int):
@@ -265,7 +271,7 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, ig, dmat, dsmat):
         for k, rule in enumerate(rules):
             (pts_t, wts_t, bary_t), (pts_s, wts_s, bary_s) = rule_data[rule]
             npoint = bary_t.shape[0] * bary_s.shape[0]
-            budget = max(256, int(3e6) // npoint)
+            budget = max(256, REGULAR_BATCH_POINT_PAIRS // npoint)
             ti, si = np.nonzero(tier == k)
             ti = ti + r0
             for s0 in range(0, len(ti), budget):

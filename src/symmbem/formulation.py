@@ -17,7 +17,7 @@ dv/dn)`` on the inner boundary, and the patch-tested rows receive
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

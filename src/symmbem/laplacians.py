@@ -1,4 +1,4 @@
-"""Sparse surface Laplacians (primal and dual) and deflated pseudo-inverse."""
+"""Sparse surface Laplacians (primal and dual)."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import krylov
 from .geometry import TriangleMesh
-from .spaces import GramMatrix, barycentric_refinement
+from .spaces import barycentric_refinement
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -68,33 +67,3 @@ def dual_laplacian(mesh: TriangleMesh) -> LaplacianMatrix:
     k_ref = _p1_stiffness(ref_vertices, ref_triangles)
     mat = (coeff.T @ k_ref @ coeff).tocsr()
     return LaplacianMatrix(((mat + mat.T) * 0.5).tocsr(), DUAL)
-
-
-def pinv_apply(
-    L: LaplacianMatrix | sp.spmatrix,
-    G: GramMatrix | sp.spmatrix,
-    rhs: np.ndarray,
-    tol: float = 1e-10,
-    maxit: int | None = None,
-) -> np.ndarray:
-    """Minimum-norm solve of the singular system L x = rhs.
-
-    The right-hand side is first projected against the kernel of L (the
-    constants) so the system is consistent; the returned solution is fixed
-    to zero G-weighted mean.  Solved matrix-free by conjugate gradients.
-    """
-    lmat = L.matrix if isinstance(L, LaplacianMatrix) else L
-    gmat = G.matrix if isinstance(G, GramMatrix) else G
-    rhs = np.asarray(rhs, dtype=float)
-    n = rhs.size
-    if maxit is None:
-        maxit = 10 * n
-    projected = rhs - rhs.sum() / n
-    x, report = krylov.conjugate_gradient(lambda v: lmat @ v, projected, tol=tol, maxit=maxit)
-    if not report.converged and np.linalg.norm(projected) > 0:
-        raise RuntimeError(
-            f"inner CG for the Laplacian solve did not reach {tol} in {maxit} iterations"
-        )
-    g_ones = np.asarray(gmat.sum(axis=1)).ravel()
-    x -= (g_ones @ x) / g_ones.sum()
-    return x

@@ -3,10 +3,12 @@ solves and Gram rescalings so its conditioning stops tracking mesh size.
 
 The preconditioned operator is ``P_defl M Z P Z M P_defl`` where M is the
 blockwise lumped inverse square root of the Gram matrices, P applies per
-interface an (regularized) inverse surface Laplacian on the vertex rows
-and the sparse dual-Laplacian sandwich on the cell rows, and ``P_defl``
-projects out the known constant-trace gauge directions.  Everything is
-matrix-free except the dense system blocks themselves.
+interface a regularized inverse surface Laplacian on the vertex rows and
+the sparse dual-Laplacian sandwich on the cell rows, and ``P_defl``
+projects out the known constant-trace gauge directions.  Both inverse
+Laplacians are exact solves with sparse LU factors computed once at
+:func:`build`, so P is one fixed symmetric positive definite map.
+Everything is matrix-free except the dense system blocks themselves.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from scipy.sparse.linalg import splu
 from . import krylov
 from .formulation import BlockSystem, unscale_solution
 from .geometry import TriangleMesh
-from .laplacians import dual_laplacian, pinv_apply, primal_laplace_beltrami
+from .laplacians import dual_laplacian, primal_laplace_beltrami
 from .spaces import gram_p1, lumped_inverse_sqrt, mixed_gram_dual, pyramid_space, gram_p0, patch_space
-
-PRIMAL_MODES = ("regularized", "pinv")
 
 
 @dataclass
@@ -35,7 +35,6 @@ class PrecondOperator:
     primal_solvers: list
     dual_solvers: list
     deflation: np.ndarray
-    inner_tol: float
 
     @property
     def size(self) -> int:
@@ -74,37 +73,27 @@ class PrecondOperator:
         return self.project(self.m_diag * y)
 
 
-def _primal_solver(mesh: TriangleMesh, mode: str, inner_tol: float):
-    """Inverse-Laplacian application on the vertex (pyramid) rows.
+def _primal_solver(mesh: TriangleMesh):
+    """Regularized inverse Laplacian on the vertex (pyramid) rows.
 
-    ``regularized`` shifts the constant mode to a finite O(1) eigenvalue
-    with a rank-one lumped-mass term, making the inverse well defined on
-    the whole space; the preconditioned operator's kernel then reduces to
-    the system's own gauge.  ``pinv`` is the literal deflated
-    pseudo-inverse (kept for comparison; it widens the kernel with
-    mesh-dependent directions and degrades solution recovery).
+    A rank-one lumped-mass term shifts the constant mode to a finite O(1)
+    eigenvalue, making ``L + (beta/total) m m^T`` invertible on the whole
+    space; the preconditioned operator's kernel then reduces to the
+    system's own gauge.  That inverse is applied exactly through the sparse
+    bordered matrix ``[[L, m], [m^T, -total/beta]]``, factored once here:
+    eliminating the border gives back the rank-one-shifted Laplacian.
     """
-    lap = primal_laplace_beltrami(mesh)
-    gram = gram_p1(pyramid_space(mesh))
-    if mode == "pinv":
-        def solver(rhs: np.ndarray) -> np.ndarray:
-            return pinv_apply(lap, gram, rhs, tol=inner_tol)
-
-        return solver
-
-    lumped = np.asarray(gram.matrix.sum(axis=1)).ravel()
+    lap = primal_laplace_beltrami(mesh).matrix
+    lumped = np.asarray(gram_p1(pyramid_space(mesh)).matrix.sum(axis=1)).ravel()
     total = lumped.sum()
     beta = 8.0 * np.pi / mesh.total_area  # constant-mode eigenvalue, O(1) scale
-    lmat = lap.matrix
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return lmat @ v + (beta / total) * (lumped @ v) * lumped
+    col = sp.csr_matrix(lumped[:, None])
+    bordered = sp.bmat([[lap, col], [col.T, [[-total / beta]]]], format="csc")
+    lu = splu(bordered)
+    n = mesh.num_vertices
 
     def solver(rhs: np.ndarray) -> np.ndarray:
-        x, report = krylov.conjugate_gradient(matvec, rhs, tol=inner_tol)
-        if not report.converged and np.linalg.norm(rhs) > 0:
-            raise RuntimeError("inner CG for the regularized Laplacian stalled")
-        return x
+        return lu.solve(np.append(rhs, 0.0))[:n]
 
     return solver
 
@@ -136,16 +125,10 @@ def _dual_solver(mesh: TriangleMesh):
     return solver
 
 
-def build(
-    system: BlockSystem,
-    meshes: list[TriangleMesh],
-    primal_mode: str = "regularized",
-    inner_tol: float = 1e-10,
-) -> PrecondOperator:
+def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     """Assemble the diagonal Gram factors, the per-interface Laplacian
-    applicators and the gauge deflation basis for a (rescaled) system."""
-    if primal_mode not in PRIMAL_MODES:
-        raise ValueError(f"primal_mode must be one of {PRIMAL_MODES}")
+    solvers (sparse factors computed here, once) and the gauge deflation
+    basis for a (rescaled) system."""
     layout = system.layout
     if len(meshes) != layout.num_interfaces:
         raise ValueError("one mesh per interface required")
@@ -158,7 +141,7 @@ def build(
         ps = layout.p_slice(i)
         if ps is not None:
             m_diag[ps] = lumped_inverse_sqrt(gram_p0(patch_space(mesh)))
-        primal_solvers.append(_primal_solver(mesh, primal_mode, inner_tol))
+        primal_solvers.append(_primal_solver(mesh))
         dual_solvers.append(_dual_solver(mesh) if ps is not None else None)
 
     # Deflation = the operator's actual kernel, pulled back through M: with
@@ -172,12 +155,7 @@ def build(
     deflation = (
         krylov.orthonormal_columns(basis) if basis else np.zeros((layout.total, 0))
     )
-    return PrecondOperator(system, m_diag, primal_solvers, dual_solvers, deflation, inner_tol)
-
-
-def apply(op: PrecondOperator, x: np.ndarray) -> np.ndarray:
-    """Deflected preconditioned operator product applied to a vector."""
-    return op.apply(x)
+    return PrecondOperator(system, m_diag, primal_solvers, dual_solvers, deflation)
 
 
 def recover_solution(op: PrecondOperator, y: np.ndarray, tol: float = 1e-8):
@@ -212,14 +190,12 @@ def solve(
     meshes: list[TriangleMesh],
     tol: float = 1e-8,
     maxit: int | None = None,
-    primal_mode: str = "regularized",
-    inner_tol: float = 1e-10,
 ):
     """Convenience pipeline: build the operator, run CG, recover the solution.
 
     Returns ``(x, report, residual)`` with x in unscaled physical variables.
     """
-    op = build(system, meshes, primal_mode=primal_mode, inner_tol=inner_tol)
+    op = build(system, meshes)
     rhs_p = op.preconditioned_rhs()
     y, report = krylov.conjugate_gradient(op.apply, rhs_p, tol=tol, maxit=maxit)
     x, residual = recover_solution(op, y, tol=tol)

@@ -3,6 +3,7 @@ import pytest
 
 from symmbem.bem_ops import (
     QuadratureConfig,
+    _thread_count,
     assemble_adjoint_double_layer,
     assemble_double_layer,
     assemble_hypersingular,
@@ -223,3 +224,12 @@ def test_threads_env_does_not_change_results(sphere2, monkeypatch):
     monkeypatch.setenv("SYMMBEM_THREADS", "4")
     four = assemble_single_layer(patch_space(sphere2), patch_space(sphere2)).matrix
     assert np.array_equal(one, four)
+
+
+def test_threads_env_must_be_positive_integer(monkeypatch):
+    monkeypatch.setenv("SYMMBEM_THREADS", " 3 ")
+    assert _thread_count() == 3
+    for value in ("abc", "0", "-3", "2.5"):
+        monkeypatch.setenv("SYMMBEM_THREADS", value)
+        with pytest.raises(ValueError, match="SYMMBEM_THREADS"):
+            _thread_count()

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from symmbem.geometry import TriangleMesh, make_icosphere
-from symmbem.laplacians import dual_laplacian, pinv_apply, primal_laplace_beltrami
+from symmbem.laplacians import dual_laplacian, primal_laplace_beltrami
 from symmbem.oracle import sphere_laplace_beltrami_eigenvalue
 from symmbem.spaces import gram_p1, mixed_gram_dual, pyramid_space
 
@@ -86,51 +86,3 @@ def test_dual_sphere_spectral_slope():
     fine = _dual_degree_errors(2)
     assert fine.max() < 0.08
     assert np.all(coarse >= 2.0 * fine)
-
-
-def test_pinv_constant_rhs_maps_to_zero():
-    mesh = make_icosphere(1, 1.0)
-    lap = primal_laplace_beltrami(mesh)
-    gram = gram_p1(pyramid_space(mesh))
-    out = pinv_apply(lap, gram, np.ones(mesh.num_vertices))
-    assert np.linalg.norm(out) < 1e-12
-
-
-def test_pinv_inverts_forward_application():
-    mesh = make_icosphere(2, 1.0)
-    lap = primal_laplace_beltrami(mesh)
-    gram = gram_p1(pyramid_space(mesh))
-    rng = np.random.default_rng(0)
-    x0 = rng.standard_normal(mesh.num_vertices)
-    x0 -= x0.mean()
-    rhs = lap.matrix @ x0
-    x = pinv_apply(lap, gram, rhs, tol=1e-12)
-    # compare after aligning the (G-weighted vs plain) mean conventions
-    g_ones = np.asarray(gram.matrix.sum(axis=1)).ravel()
-    x0_gauge = x0 - (g_ones @ x0) / g_ones.sum()
-    assert np.linalg.norm(x - x0_gauge) / np.linalg.norm(x0_gauge) < 1e-8
-
-
-def test_pinv_linearity():
-    mesh = make_icosphere(1, 1.0)
-    lap = primal_laplace_beltrami(mesh)
-    gram = gram_p1(pyramid_space(mesh))
-    rng = np.random.default_rng(1)
-    r1 = rng.standard_normal(mesh.num_vertices)
-    r2 = rng.standard_normal(mesh.num_vertices)
-    a, b = 1.7, -0.4
-    lhs = pinv_apply(lap, gram, a * r1 + b * r2, tol=1e-13)
-    rhs = a * pinv_apply(lap, gram, r1, tol=1e-13) + b * pinv_apply(lap, gram, r2, tol=1e-13)
-    assert np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300) < 1e-9
-
-
-def test_pinv_pseudo_inverse_identity():
-    mesh = make_icosphere(1, 1.0)
-    lap = primal_laplace_beltrami(mesh)
-    gram = gram_p1(pyramid_space(mesh))
-    rng = np.random.default_rng(2)
-    r = rng.standard_normal(mesh.num_vertices)
-    r -= r.mean()
-    once = pinv_apply(lap, gram, r, tol=1e-13)
-    again = pinv_apply(lap, gram, lap.matrix @ once, tol=1e-13)
-    assert np.linalg.norm(again - once) / np.linalg.norm(once) < 1e-8

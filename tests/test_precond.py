@@ -1,0 +1,79 @@
+import numpy as np
+import pytest
+
+from symmbem import precond
+from symmbem.formulation import (
+    BlockSystem,
+    DipoleSource,
+    assemble_rhs,
+    assemble_system,
+    conductivity_rescale,
+    system_layout,
+)
+from symmbem.geometry import NestedModel, make_icosphere
+from symmbem.laplacians import primal_laplace_beltrami
+from symmbem.oracle import SphereSpec, layered_sphere_potential
+from symmbem.spaces import gram_p1, pyramid_space
+
+RADII = (0.87, 0.92, 1.0)
+SIGMA = (1.0, 1.0 / 80.0, 1.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def shells1():
+    """Rescaled three-shell system at subdivision 1 with one dipole load."""
+    meshes = [make_icosphere(1, r) for r in RADII]
+    model = NestedModel(meshes, SIGMA)
+    dipole = DipoleSource([0.1, -0.2, 0.35], [0.6, 0.0, 0.8])
+    system = assemble_system(model)
+    system.rhs = assemble_rhs(model, [dipole])
+    return conductivity_rescale(system), meshes, dipole
+
+
+def test_primal_solver_matches_dense_regularized_solve():
+    mesh = make_icosphere(2, 1.0)
+    lap = primal_laplace_beltrami(mesh).matrix.toarray()
+    lumped = gram_p1(pyramid_space(mesh)).matrix.toarray().sum(axis=1)
+    beta = 8.0 * np.pi / mesh.total_area
+    dense = lap + (beta / lumped.sum()) * np.outer(lumped, lumped)
+    # the Laplacian solvers depend on the meshes and the layout only, so a
+    # zero system matrix stands in for the assembled one
+    layout = system_layout(NestedModel([mesh], (1.0, 0.0)))
+    system = BlockSystem(np.zeros((layout.total, layout.total)), layout, np.array([1.0, 0.0]))
+    op = precond.build(system, [mesh])
+    rhs = np.random.default_rng(0).standard_normal(mesh.num_vertices)
+    x = op.primal_solvers[0](rhs)
+    expected = np.linalg.solve(dense, rhs)
+    assert np.linalg.norm(x - expected) / np.linalg.norm(expected) < 1e-12
+
+
+def test_preconditioned_operator_is_symmetric(shells1):
+    system, meshes, _ = shells1
+    op = precond.build(system, meshes)
+    rng = np.random.default_rng(1)
+    x = op.project(rng.standard_normal(op.size))
+    y = op.project(rng.standard_normal(op.size))
+    ax, ay = op.apply(x), op.apply(y)
+    scale = np.linalg.norm(ax) * np.linalg.norm(y)
+    assert abs(y @ ax - x @ ay) / scale < 1e-13
+
+
+def test_solve_matches_layered_sphere_series(shells1):
+    system, meshes, dipole = shells1
+    x, report, residual = precond.solve(system, meshes)
+    assert report.converged
+    assert residual <= 1e-8
+    outer = meshes[-1]
+    v = x[system.layout.v_slice(len(meshes) - 1)]
+    ref = layered_sphere_potential(SphereSpec(RADII, SIGMA), dipole, outer.vertices)
+    v, ref = v - v.mean(), ref - ref.mean()
+    rdm = np.linalg.norm(v / np.linalg.norm(v) - ref / np.linalg.norm(ref))
+    mag = np.linalg.norm(v) / np.linalg.norm(ref)
+    assert rdm < 0.025
+    assert abs(mag - 1.0) < 0.2
+
+
+def test_build_rejects_wrong_mesh_count(shells1):
+    system, meshes, _ = shells1
+    with pytest.raises(ValueError, match="one mesh per interface"):
+        precond.build(system, meshes[:2])

@@ -13,7 +13,6 @@ from symmbem.spaces import (
     patch_space,
     pyramid_space,
 )
-from oracles import gauss01
 
 SINGLE = TriangleMesh(
     np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]), np.array([[0, 1, 2]])
@@ -165,7 +164,6 @@ def test_mixed_gram_dual_matches_refinement_quadrature():
     mesh = make_icosphere(0, 1.0)
     ref_vertices, ref_triangles, coeff = barycentric_refinement(mesh)
     coeff = coeff.toarray()
-    pts_b, wts = gauss01(1)  # placeholder, replaced by triangle rule below
     bary = np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]])
     w3 = np.full(3, 1.0 / 3.0)
     nc = mesh.num_triangles
