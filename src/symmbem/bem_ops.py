@@ -1,19 +1,33 @@
 """Galerkin assembly of the four Laplace boundary operators on surface pairs.
 
-All four operators share one quadrature sweep per surface pair: the pure
+All four operators share one quadrature pass per surface pair: the pure
 kernel integrals feed the single layer directly and the hypersingular
 operator through its integration-by-parts rewrite, while the kernel
 gradient feeds both double layers.  Touching triangle pairs (same surface)
 go through the regularizing transforms in :mod:`symmbem._quadrature`;
 disjoint pairs use plain tensor Gauss rules with a near-field upgrade.
+
+Both sweeps cut their triangle pairs into batches of at most
+``BATCH_POINT_PAIRS`` kernel evaluations, in an order fixed by the meshes
+alone, and evaluate every batch with the same pair kernel
+(:func:`_pair_kernel`).  The batches run on a pool of ``SYMMBEM_THREADS``
+threads; their results are added into the matrices on the calling thread
+in batch order, so the matrices are bitwise identical for any thread count.
+On a single surface each unordered triangle pair is integrated once and
+fills both orientations: the single layer is exactly symmetric and the
+adjoint double layer is the exact transpose of the double layer.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,12 +66,16 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-#: point pairs per batch of the regular sweep.  A batch holds up to about
-#: 100 bytes of short-lived arrays per point pair, ~50 MB at this size.
-#: Larger batches fragment the heap: at 3e6 point pairs, peak RSS of a
-#: build-and-solve run on the three-shell subdivision-2 model was ~75 MB
-#: higher with the same live data.
-REGULAR_BATCH_POINT_PAIRS = 500_000
+#: Kernel evaluations (point pairs) per batch, and so per worker at a time.
+#: Every batch holds as many triangle pairs as fit in this budget, at least
+#: one; the regular sweep also classifies its tiers in row blocks of at most
+#: this many triangle pairs.  Each worker thread evaluates its batch in two
+#: float64 workspaces of this length (1 MB each), allocated once and reused;
+#: the per-pair arrays of a 3-point batch (14k pairs) add about 10 MB.  At
+#: 2**18 the sphere subdivision-3 assembly peaked 37 MB higher for no
+#: measurable speed; much smaller batches pay numpy's per-call overhead on
+#: too little work (a 6x16 batch holds 14 pairs here).
+BATCH_POINT_PAIRS = 2**17
 
 
 @dataclass
@@ -81,13 +99,6 @@ def _thread_count() -> int:
     return int(env)
 
 
-def _rule_points(mesh: TriangleMesh, npts: int):
-    bary, w = quad.TRI_RULES[npts]
-    pts = np.einsum("qk,tkd->tqd", bary, mesh.corners)
-    wts = w[None, :] * mesh.areas[:, None]
-    return pts, wts, bary
-
-
 def curl_coefficient_matrices(mesh: TriangleMesh):
     """Sparse (n_cells x n_vertices) matrices of the per-cell surface-curl
     components of the vertex hat functions: curl of hat i on cell t is
@@ -107,6 +118,20 @@ def curl_coefficient_matrices(mesh: TriangleMesh):
     ]
 
 
+def _shared_vertex_counts(mesh: TriangleMesh) -> sp.csr_matrix:
+    """Sparse (n_cells x n_cells) count of the vertices two cells share.
+
+    Nonzero exactly for touching pairs: 3 on the diagonal, 2 for edge and 1
+    for vertex neighbours.
+    """
+    tri = mesh.triangles
+    nc, nv = mesh.num_triangles, mesh.num_vertices
+    vinc = sp.coo_matrix(
+        (np.ones(3 * nc), (tri.ravel(), np.repeat(np.arange(nc), 3))), shape=(nv, nc)
+    ).tocsr()
+    return (vinc.T @ vinc).tocsr()
+
+
 def _touching_pairs(mesh: TriangleMesh):
     """Classify same-surface triangle pairs that share vertices.
 
@@ -116,11 +141,7 @@ def _touching_pairs(mesh: TriangleMesh):
     first.
     """
     tri = mesh.triangles
-    nc, nv = mesh.num_triangles, mesh.num_vertices
-    vinc = sp.coo_matrix(
-        (np.ones(3 * nc), (tri.ravel(), np.repeat(np.arange(nc), 3))), shape=(nv, nc)
-    ).tocsr()
-    shared = (vinc.T @ vinc).tocoo()
+    shared = _shared_vertex_counts(mesh).tocoo()
     upper = shared.row < shared.col
     a = shared.row[upper]
     b = shared.col[upper]
@@ -159,32 +180,46 @@ def assemble_operators(
 ) -> dict[str, KernelBlock]:
     """Assemble the requested operator blocks between two surfaces in one sweep.
 
-    This is the shared-quadrature path: on a single surface the two double
-    layers are filled from identical point sets, so ``Dstar`` is the exact
-    transpose of ``D``.
+    This is the shared-quadrature path: on a single surface every unordered
+    triangle pair is integrated once for both orientations, so ``S`` is
+    exactly symmetric and ``Dstar`` is the exact transpose of ``D``.
     """
     cfg = quadrature or DEFAULT_QUADRATURE
     same = mesh_t is mesh_s
     need_ig = ("S" in which) or ("N" in which)
-    need_d = "D" in which
-    need_ds = "Dstar" in which
+    need_dl = ("D" in which) or ("Dstar" in which)
 
     nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
     nvt, nvs = mesh_t.num_vertices, mesh_s.num_vertices
     ig = np.zeros((nct, ncs)) if need_ig else None
-    dmat = np.zeros((nct, nvs)) if need_d else None
-    dsmat = np.zeros((nvt, ncs)) if need_ds else None
+    dmat = np.zeros((nct, nvs)) if need_dl else None
+    dsmat = np.zeros((nvt, ncs)) if need_dl and not same else None
 
-    excluded = _regular_sweep(mesh_t, mesh_s, cfg, same, ig, dmat, dsmat)
+    def accumulate(result):
+        """Add one batch into the matrices; ``mirror`` also fills (col, row)."""
+        rows, cols, vrows, vcols, mirror, s, d, ds = result
+        if ig is not None:
+            ig[rows, cols] += s
+            if mirror:
+                ig[cols, rows] += s
+        if d is None:
+            return
+        if mirror:  # pair (t, s)'s adjoint entries are pair (s, t)'s D entries
+            flat = np.concatenate([rows[:, None] * nvs + vcols, cols[:, None] * nvs + vrows])
+            np.add.at(dmat.reshape(-1), flat.ravel(), np.concatenate([d, ds]).ravel())
+        else:
+            np.add.at(dmat.reshape(-1), (rows[:, None] * nvs + vcols).ravel(), d.ravel())
+            np.add.at(dsmat.reshape(-1), (vrows * ncs + cols[:, None]).ravel(), ds.ravel())
+
+    workspace = _Workspace()
+    batches = _regular_sweep(mesh_t, mesh_s, cfg, same, need_dl, workspace)
     if same:
-        _singular_sweep(mesh_t, cfg, ig, dmat, dsmat, excluded)
+        batches = itertools.chain(batches, _singular_sweep(mesh_t, cfg, need_dl, workspace))
+    _run_batches(batches, accumulate)
 
     out: dict[str, KernelBlock] = {}
     if "S" in which:
-        s = ig.copy()
-        if same:
-            s = 0.5 * (s + s.T)
-        out["S"] = KernelBlock(s, Kind.PATCH, Kind.PATCH, target_index, source_index, "S")
+        out["S"] = KernelBlock(ig, Kind.PATCH, Kind.PATCH, target_index, source_index, "S")
     if "N" in which:
         ck_t = curl_coefficient_matrices(mesh_t)
         ck_s = ck_t if same else curl_coefficient_matrices(mesh_s)
@@ -195,183 +230,246 @@ def assemble_operators(
         if same:
             nmat = 0.5 * (nmat + nmat.T)
         out["N"] = KernelBlock(nmat, Kind.PYRAMID, Kind.PYRAMID, target_index, source_index, "N")
-    if need_d:
+    if same and "Dstar" in which:
+        dsmat = dmat.T.copy()
+    if "D" in which:
         out["D"] = KernelBlock(dmat, Kind.PATCH, Kind.PYRAMID, target_index, source_index, "D")
-    if need_ds:
+    if "Dstar" in which:
         out["Dstar"] = KernelBlock(
             dsmat, Kind.PYRAMID, Kind.PATCH, target_index, source_index, "Dstar"
         )
     return out
 
 
-def _regular_sweep(mesh_t, mesh_s, cfg, same, ig, dmat, dsmat):
-    """Tensor-Gauss sweep over disjoint triangle pairs (chunked, threaded).
+class _Workspace(threading.local):
+    """Two float64 buffers per thread, allocated at first use and reused by
+    every batch that thread evaluates."""
 
-    Returns the set of same-surface touching pairs (sparse bool) that were
-    excluded and must be handled by the singular sweep.
+    def __init__(self):
+        self.size = 0
+
+    def buffers(self, shape):
+        n = int(np.prod(shape))
+        if n > self.size:
+            self.a, self.b, self.size = np.empty(n), np.empty(n), n
+        return self.a[:n].reshape(shape), self.b[:n].reshape(shape)
+
+
+def _run_batches(batches, accumulate):
+    """Evaluate the batch callables on the thread pool and accumulate each
+    result on the calling thread, in batch order.
+
+    At most ``nthreads + 1`` batches are in flight, so the pending results
+    stay small; the order of the additions, and so every rounding, does not
+    depend on the thread count.
+    """
+    nthreads = _thread_count()
+    if nthreads == 1:
+        for batch in batches:
+            accumulate(batch())
+        return
+    with ThreadPoolExecutor(max_workers=nthreads) as pool:
+        pending = deque()
+        for batch in batches:
+            pending.append(pool.submit(batch))
+            if len(pending) > nthreads:
+                accumulate(pending.popleft().result())
+        while pending:
+            accumulate(pending.popleft().result())
+
+
+def _pair_kernel(r2, tmp, w, w9, scale, h_xy, h_yx):
+    """Galerkin integrals of ``1/(4 pi r)`` and of both double-layer kernels
+    for a batch of triangle pairs, from the squared distances of their
+    quadrature point pairs.
+
+    ``r2`` (points x pairs, pairs innermost so that every elementwise step
+    runs along long rows) is consumed; ``tmp`` is a workspace of the same
+    shape.  ``w`` holds the point-pair weights and ``w9`` the weights times
+    the products of the two points' barycentric coordinates, flattened over
+    (k, j), so that one small matmul gives the 3 x 3 moments
+    ``M[k, j] = sum w x_k y_j / r^3`` of every pair.  On flat triangles the
+    normal projection of ``x - y`` is a height over a plane: with ``h_xy[k]``
+    (3 x pairs) the height of corner k of the x-triangle over the
+    y-triangle's plane, ``(x - y) . n_y = sum_k x_k h_xy[k]``, and likewise
+    with ``h_yx``.  The
+    double layers are then ``D[j] = sum_k h_xy[k] M[k, j]`` and
+    ``Dstar[i] = sum_k h_yx[k] M[i, k]``.  ``scale`` is the per-pair
+    Jacobian over ``4 pi``.  Returns ``(S, D, Dstar)``; the last two are
+    ``None`` when no heights are given.
+    """
+    np.sqrt(r2, out=tmp)
+    np.divide(1.0, tmp, out=tmp)
+    s = (w @ tmp) * scale
+    if h_xy is None:
+        return s, None, None
+    np.divide(tmp, r2, out=r2)
+    m = (w9.T @ r2).reshape(3, 3, -1) * scale
+    d = (h_xy[:, None, :] * m).sum(axis=0)
+    ds = (m * h_yx[None, :, :]).sum(axis=1)
+    return s, d.T, ds.T
+
+
+def _component_major(a):
+    """Contiguous copy with the coordinate axis first and the cell (or pair)
+    axis last, so that per-pair arithmetic runs along long inner loops:
+    (cells, 3) -> (3, cells) and (cells, 3 corners, 3) -> (3, 3 corners, cells)."""
+    return np.ascontiguousarray(a.T)
+
+
+def _heights(rel, normals):
+    """Heights over the planes of the given normals, per corner and pair
+    (3 x pairs), of corners given relative to a point of that plane, from
+    component-major inputs (3, 3, pairs) and (3, pairs)."""
+    return (rel * normals[:, None, :]).sum(axis=0)
+
+
+@dataclass
+class _TensorRule:
+    """One tier's tensor rule on both meshes: component-major points
+    ``(3, q, n_cells)`` and the point-pair weight vectors of
+    :func:`_pair_kernel`."""
+
+    pts_t: np.ndarray
+    pts_s: np.ndarray
+    w: np.ndarray
+    w9: np.ndarray
+
+    @property
+    def shape(self):
+        return self.pts_t.shape[1], self.pts_s.shape[1]
+
+
+def _tensor_rule(mesh_t, mesh_s, rule) -> _TensorRule:
+    bary, wq = quad.TRI_RULES[rule]
+
+    def points(mesh):
+        return np.stack([bary @ mesh.corners[:, :, d].T for d in range(3)])
+
+    pts_t = points(mesh_t)
+    pts_s = pts_t if mesh_t is mesh_s else points(mesh_s)
+    wb = wq[:, None] * bary  # (q, 3)
+    w9 = (wb[:, None, :, None] * wb[None, :, None, :]).reshape(len(wq) ** 2, 9)
+    return _TensorRule(pts_t, pts_s, np.outer(wq, wq).ravel(), w9)
+
+
+def _regular_sweep(mesh_t, mesh_s, cfg, same, need_dl, workspace):
+    """Tensor-Gauss sweep over disjoint triangle pairs, as batch callables.
+
+    Tiers are classified in row blocks of at most ``BATCH_POINT_PAIRS``
+    triangle pairs; each tier's pairs in a block are cut into batches of at
+    most ``BATCH_POINT_PAIRS`` point pairs.  On a single surface only pairs
+    t < s that share no vertex are visited, and each fills both
+    orientations; the touching pairs are left to the singular sweep.
     """
     rules = [rule for _, rule in cfg.near_tiers] + [cfg.far_points]
     thresholds = np.array([t for t, _ in cfg.near_tiers])
-    rule_data = {}
-    for rule in rules:
-        if rule not in rule_data:
-            data_t = _rule_points(mesh_t, rule)
-            data_s = data_t if same else _rule_points(mesh_s, rule)
-            rule_data[rule] = (data_t, data_s)
-
-    touch = None
-    if same:
-        tri = mesh_t.triangles
-        nc, nv = mesh_t.num_triangles, mesh_t.num_vertices
-        vinc = sp.coo_matrix(
-            (np.ones(3 * nc), (tri.ravel(), np.repeat(np.arange(nc), 3))), shape=(nv, nc)
-        ).tocsr()
-        touch = ((vinc.T @ vinc) > 0).tocsr()
-
-    cent_t, cent_s = mesh_t.centroids, mesh_s.centroids
-    diam_t, diam_s = mesh_t.diameters, mesh_s.diameters
+    tensor = {rule: _tensor_rule(mesh_t, mesh_s, rule) for rule in rules}
+    corners_t = _component_major(mesh_t.corners)
+    corners_s = _component_major(mesh_s.corners)
+    nrm_t, nrm_s = _component_major(mesh_t.normals), _component_major(mesh_s.normals)
+    scale_t, area_s = mesh_t.areas / FOUR_PI, mesh_s.areas
     tri_t, tri_s = mesh_t.triangles, mesh_s.triangles
-    nrm_t, nrm_s = mesh_t.normals, mesh_s.normals
-    nvs, ncs = mesh_s.num_vertices, mesh_s.num_triangles
+    shared = _shared_vertex_counts(mesh_t) if same else None
 
-    chunk = max(1, min(mesh_t.num_triangles, int(4e6) // max(ncs, 1) + 1))
-    chunks = [
-        (r, min(r + chunk, mesh_t.num_triangles))
-        for r in range(0, mesh_t.num_triangles, chunk)
-    ]
+    def batch(tr, rows, cols):
+        qt, qs = tr.shape
+        r2, tmp = workspace.buffers((qt, qs, len(rows)))
+        x, y = np.take(tr.pts_t, rows, axis=2), np.take(tr.pts_s, cols, axis=2)
+        for k in range(3):
+            dst = r2 if k == 0 else tmp
+            np.subtract(x[k][:, None, :], y[k][None, :, :], out=dst)
+            np.multiply(dst, dst, out=dst)
+            if k:
+                np.add(r2, tmp, out=r2)
+        h_ts = h_st = None
+        if need_dl:
+            ct, cs = np.take(corners_t, rows, axis=2), np.take(corners_s, cols, axis=2)
+            h_ts = _heights(ct - cs[:, :1], np.take(nrm_s, cols, axis=1))
+            h_st = _heights(cs - ct[:, :1], np.take(nrm_t, rows, axis=1))
+        s, d, ds = _pair_kernel(
+            r2.reshape(qt * qs, -1), tmp.reshape(qt * qs, -1), tr.w, tr.w9,
+            scale_t[rows] * area_s[cols], h_ts, h_st,
+        )
+        return rows, cols, tri_t[rows], tri_s[cols], same, s, d, ds
 
-    def eval_pairs(rows, cols, pts_t, wts_t, pts_s, wts_s, bary_t, bary_s):
-        """Kernel sums for a flat batch of pairs; returns contribution arrays."""
-        X = pts_t[rows]
-        Y = pts_s[cols]
-        d = X[:, :, None, :] - Y[:, None, :, :]
-        r2 = np.einsum("bghd,bghd->bgh", d, d)
-        r = np.sqrt(r2)
-        invr = 1.0 / (FOUR_PI * r)
-        ww = wts_t[rows][:, :, None] * wts_s[cols][:, None, :]
-        out_ig = np.einsum("bgh,bgh->b", ww, invr)
-        out_d = out_ds = None
-        invr3 = invr / r2
-        if dmat is not None:
-            kd = np.einsum("bghd,bd->bgh", d, nrm_s[cols]) * invr3
-            out_d = np.einsum("bgh,bgh,hj->bj", ww, kd, bary_s)
-        if dsmat is not None:
-            ks = np.einsum("bghd,bd->bgh", d, nrm_t[rows]) * invr3
-            out_ds = -np.einsum("bgh,bgh,gi->bi", ww, ks, bary_t)
-        return out_ig, out_d, out_ds
-
-    def work(bounds):
-        r0, r1 = bounds
-        dist = np.linalg.norm(cent_t[r0:r1, None, :] - cent_s[None, :, :], axis=2)
-        ratio = dist / np.maximum(diam_t[r0:r1, None], diam_s[None, :])
-        tier = np.searchsorted(thresholds, ratio)  # == len(tiers) for far pairs
-        if touch is not None:
-            tier[touch[r0:r1].toarray().astype(bool)] = -1
-        results = []
+    nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
+    block = max(1, BATCH_POINT_PAIRS // ncs)
+    for r0 in range(0, nct, block):
+        r1 = min(r0 + block, nct)
+        dist = np.linalg.norm(mesh_t.centroids[r0:r1, None, :] - mesh_s.centroids[None], axis=2)
+        ratio = dist / np.maximum(mesh_t.diameters[r0:r1, None], mesh_s.diameters[None, :])
+        tier = np.searchsorted(thresholds, ratio)  # == len(thresholds) for far pairs
+        if same:
+            tier[np.arange(ncs)[None, :] <= np.arange(r0, r1)[:, None]] = -1
+            tier[shared[r0:r1].toarray() > 0] = -1
         for k, rule in enumerate(rules):
-            (pts_t, wts_t, bary_t), (pts_s, wts_s, bary_s) = rule_data[rule]
-            npoint = bary_t.shape[0] * bary_s.shape[0]
-            budget = max(256, REGULAR_BATCH_POINT_PAIRS // npoint)
+            tr = tensor[rule]
+            per = max(1, BATCH_POINT_PAIRS // len(tr.w))
             ti, si = np.nonzero(tier == k)
-            ti = ti + r0
-            for s0 in range(0, len(ti), budget):
-                rows = ti[s0 : s0 + budget]
-                cols = si[s0 : s0 + budget]
-                out_ig, out_d, out_ds = eval_pairs(
-                    rows, cols, pts_t, wts_t, pts_s, wts_s, bary_t, bary_s
-                )
-                results.append((rows, cols, out_ig, out_d, out_ds))
-        return results
-
-    nthreads = _thread_count()
-    if nthreads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            futures = [pool.submit(work, c) for c in chunks]
-            batches = [f.result() for f in futures]  # submission order: deterministic
-    else:
-        batches = [work(c) for c in chunks]
-
-    for results in batches:
-        for rows, cols, out_ig, out_d, out_ds in results:
-            if ig is not None:
-                ig[rows, cols] += out_ig
-            if out_d is not None:
-                flat = rows[:, None] * nvs + tri_s[cols]
-                np.add.at(dmat.reshape(-1), flat.ravel(), out_d.ravel())
-            if out_ds is not None:
-                flat = tri_t[rows] * ncs + cols[:, None]
-                np.add.at(dsmat.reshape(-1), flat.ravel(), out_ds.ravel())
-    return touch
+            ti += r0
+            for b0 in range(0, len(ti), per):
+                yield partial(batch, tr, ti[b0 : b0 + per], si[b0 : b0 + per])
 
 
-def _singular_sweep(mesh, cfg, ig, dmat, dsmat, touch):
-    """Regularized quadrature over touching same-surface pairs.
+def _singular_sweep(mesh, cfg, need_dl, workspace):
+    """Regularized quadrature over touching same-surface pairs, as batch
+    callables.
 
-    Each unordered pair is visited once and fills both orientations, so the
-    two double layers come from identical point sets (exact transposes).
+    Each unordered pair is visited once and fills both orientations.  The
+    transformed point pairs are relative to the shared vertex (first chart
+    vertex): ``x - v = bx @ (corners - v)``, one small matmul per component,
+    so the distances keep their relative accuracy as the points close in on
+    the singularity.
     """
     order = cfg.singular_order
     verts = mesh.vertices
     areas = mesh.areas
-    normals = mesh.normals
-    tri = mesh.triangles
-    nv, nc = mesh.num_vertices, mesh.num_triangles
+    nrm = _component_major(mesh.normals)
 
-    # coincident pairs: flat panels make both double-layer kernels vanish
-    bx, by, w = quad.sauter_schwab_rule(quad.COINCIDENT, order)
-    budget = max(1, int(2e6) // len(w))
-    for c0 in range(0, nc, budget):
-        cells = np.arange(c0, min(c0 + budget, nc))
-        corners = mesh.corners[cells]
-        X = np.einsum("mk,pkd->pmd", bx, corners)
-        Y = np.einsum("mk,pkd->pmd", by, corners)
-        r = np.linalg.norm(X - Y, axis=2)
-        vals = (4.0 * areas[cells] ** 2) * (w[None, :] / (FOUR_PI * r)).sum(axis=1)
-        if ig is not None:
-            ig[cells, cells] += vals
+    def batch(pmap, w, w9, ca, cb, pa, pb, coincident):
+        r2, tmp = workspace.buffers((len(pmap), len(pa)))
+        ea = _component_major(verts[ca] - verts[ca[:, :1]])
+        eb = _component_major(verts[cb] - verts[cb[:, :1]])
+        for k in range(3):
+            dst = r2 if k == 0 else tmp
+            np.matmul(pmap, np.concatenate([ea[k], eb[k]]), out=dst)
+            np.multiply(dst, dst, out=dst)
+            if k:
+                np.add(r2, tmp, out=r2)
+        h_ab = h_ba = None
+        if need_dl and not coincident:  # flat panels: no double layer on themselves
+            h_ab = _heights(ea, np.take(nrm, pb, axis=1))
+            h_ba = _heights(eb, np.take(nrm, pa, axis=1))
+        s, d, ds = _pair_kernel(r2, tmp, w, w9, areas[pa] * areas[pb] / np.pi, h_ab, h_ba)
+        return pa, pb, ca, cb, not coincident, s, d, ds
 
-    edge_pairs, (edge_ca, edge_cb), vertex_pairs, (vert_ca, vert_cb) = _touching_pairs(mesh)
-
-    for pairs, charts, category in (
-        (edge_pairs, (edge_ca, edge_cb), quad.EDGE),
-        (vertex_pairs, (vert_ca, vert_cb), quad.VERTEX),
-    ):
-        if len(pairs) == 0:
-            continue
+    def rule_of(category):
+        """The (points, 6) map from the stacked corner offsets of both
+        triangles to ``x - y``, and the weights of :func:`_pair_kernel`."""
         bx, by, w = quad.sauter_schwab_rule(category, order)
-        chart_a, chart_b = charts
-        budget = max(1, int(2e6) // len(w))
-        for p0 in range(0, len(pairs), budget):
-            pa = pairs[p0 : p0 + budget, 0]
-            pb = pairs[p0 : p0 + budget, 1]
-            ca = chart_a[p0 : p0 + budget]
-            cb = chart_b[p0 : p0 + budget]
-            corners_a = verts[ca]
-            corners_b = verts[cb]
-            X = np.einsum("mk,pkd->pmd", bx, corners_a)
-            Y = np.einsum("mk,pkd->pmd", by, corners_b)
-            d = X - Y
-            r2 = np.einsum("pmd,pmd->pm", d, d)
-            r = np.sqrt(r2)
-            invr = 1.0 / (FOUR_PI * r)
-            scale = 4.0 * areas[pa] * areas[pb]
-            if ig is not None:
-                v = scale * np.einsum("m,pm->p", w, invr)
-                ig[pa, pb] += v
-                ig[pb, pa] += v
-            if dmat is None and dsmat is None:
-                continue
-            invr3 = invr / r2
-            kd = np.einsum("pmd,pd->pm", d, normals[pb]) * invr3
-            ks = -np.einsum("pmd,pd->pm", d, normals[pa]) * invr3
-            vals_d = scale[:, None] * np.einsum("m,pm,mj->pj", w, kd, by)
-            vals_ds = scale[:, None] * np.einsum("m,pm,mi->pi", w, ks, bx)
-            if dmat is not None:
-                np.add.at(dmat.reshape(-1), (pa[:, None] * nv + cb).ravel(), vals_d.ravel())
-                np.add.at(dmat.reshape(-1), (pb[:, None] * nv + ca).ravel(), vals_ds.ravel())
-            if dsmat is not None:
-                np.add.at(dsmat.reshape(-1), (ca * nc + pb[:, None]).ravel(), vals_ds.ravel())
-                np.add.at(dsmat.reshape(-1), (cb * nc + pa[:, None]).ravel(), vals_d.ravel())
+        w9 = ((w[:, None] * bx)[:, :, None] * by[:, None, :]).reshape(len(w), 9)
+        return np.concatenate([bx, -by], axis=1), w, w9
+
+    tri = mesh.triangles
+    rule = rule_of(quad.COINCIDENT)
+    per = max(1, BATCH_POINT_PAIRS // len(rule[1]))
+    for c0 in range(0, mesh.num_triangles, per):
+        cells = np.arange(c0, min(c0 + per, mesh.num_triangles))
+        yield partial(batch, *rule, tri[cells], tri[cells], cells, cells, True)
+
+    edge_pairs, edge_charts, vertex_pairs, vertex_charts = _touching_pairs(mesh)
+    for pairs, (chart_a, chart_b), category in (
+        (edge_pairs, edge_charts, quad.EDGE),
+        (vertex_pairs, vertex_charts, quad.VERTEX),
+    ):
+        rule = rule_of(category)
+        per = max(1, BATCH_POINT_PAIRS // len(rule[1]))
+        for p0 in range(0, len(pairs), per):
+            sl = slice(p0, p0 + per)
+            yield partial(
+                batch, *rule, chart_a[sl], chart_b[sl], pairs[sl, 0], pairs[sl, 1], False
+            )
 
 
 def _check_kinds(space: FunctionSpace, kind: Kind, role: str, op: str):

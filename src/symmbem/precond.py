@@ -73,10 +73,11 @@ class PrecondOperator:
         return self.project(self.m_diag * y)
 
 
-def _primal_solver(mesh: TriangleMesh):
+def _primal_solver(mesh: TriangleMesh, lumped: np.ndarray):
     """Regularized inverse Laplacian on the vertex (pyramid) rows.
 
-    A rank-one lumped-mass term shifts the constant mode to a finite O(1)
+    ``lumped`` holds the row sums ``m`` of the pyramid Gram matrix.  A
+    rank-one lumped-mass term shifts the constant mode to a finite O(1)
     eigenvalue, making ``L + (beta/total) m m^T`` invertible on the whole
     space; the preconditioned operator's kernel then reduces to the
     system's own gauge.  That inverse is applied exactly through the sparse
@@ -84,7 +85,6 @@ def _primal_solver(mesh: TriangleMesh):
     eliminating the border gives back the rank-one-shifted Laplacian.
     """
     lap = primal_laplace_beltrami(mesh).matrix
-    lumped = np.asarray(gram_p1(pyramid_space(mesh)).matrix.sum(axis=1)).ravel()
     total = lumped.sum()
     beta = 8.0 * np.pi / mesh.total_area  # constant-mode eigenvalue, O(1) scale
     col = sp.csr_matrix(lumped[:, None])
@@ -137,11 +137,13 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     primal_solvers = []
     dual_solvers = []
     for i, mesh in enumerate(meshes):
-        m_diag[layout.v_slice(i)] = lumped_inverse_sqrt(gram_p1(pyramid_space(mesh)))
+        gram = gram_p1(pyramid_space(mesh))
+        m_diag[layout.v_slice(i)] = lumped_inverse_sqrt(gram)
         ps = layout.p_slice(i)
         if ps is not None:
             m_diag[ps] = lumped_inverse_sqrt(gram_p0(patch_space(mesh)))
-        primal_solvers.append(_primal_solver(mesh))
+        lumped = np.asarray(gram.matrix.sum(axis=1)).ravel()
+        primal_solvers.append(_primal_solver(mesh, lumped))
         dual_solvers.append(_dual_solver(mesh) if ps is not None else None)
 
     # Deflation = the operator's actual kernel, pulled back through M: with
@@ -194,9 +196,17 @@ def solve(
     """Convenience pipeline: build the operator, run CG, recover the solution.
 
     Returns ``(x, report, residual)`` with x in unscaled physical variables.
+    CG stops on the residual of the preconditioned system, which can sit a
+    small factor below the recovered residual of the assembled system.  When
+    a converged solve misses ``tol`` on the recovered residual, CG runs once
+    more with its tolerance tightened by twice the measured excess.
     """
     op = build(system, meshes)
     rhs_p = op.preconditioned_rhs()
     y, report = krylov.conjugate_gradient(op.apply, rhs_p, tol=tol, maxit=maxit)
     x, residual = recover_solution(op, y, tol=tol)
+    if report.converged and residual > tol:
+        cg_tol = 0.5 * tol * tol / residual
+        y, report = krylov.conjugate_gradient(op.apply, rhs_p, tol=cg_tol, maxit=maxit)
+        x, residual = recover_solution(op, y, tol=tol)
     return x, report, residual

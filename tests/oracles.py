@@ -5,6 +5,8 @@ integral over a flat triangle is analytic, the outer integral is adaptive
 (QUADPACK), and a Duffy-transformed rule validates the analytic formula.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate
 
@@ -77,3 +79,45 @@ def galerkin_single_layer_entry(corners_test, corners_trial, tol=1e-11):
     val, _ = integrate.dblquad(f, 0, 1, 0, lambda s: 1 - s, epsabs=tol, epsrel=tol)
     jac = np.linalg.norm(np.cross(ca[1] - ca[0], ca[2] - ca[0]))
     return val * jac / (4.0 * np.pi)
+
+
+def regular_pair_integrals(corners_t, corners_s, rule):
+    """Galerkin integrals of one disjoint triangle pair under the tensor
+    product of a barycentric ``(points, weights)`` rule with itself.
+
+    A plain double loop over the rule points with direct ``1/r`` and
+    ``n . grad(1/r)``, every sum taken exactly with ``math.fsum``.  Returns
+    ``(S, D, Dstar)``: S pairs the two patches with ``1/(4 pi r)``; ``D[j]``
+    pairs the target patch with the source hat of corner j under
+    ``n_s . (x - y) / (4 pi r^3)``; ``Dstar[i]`` pairs the target hat of
+    corner i with the source patch under ``-n_t . (x - y) / (4 pi r^3)``.
+    """
+    bary, wts = rule
+    ct, cs = np.asarray(corners_t, float), np.asarray(corners_s, float)
+
+    def frame(c):
+        cross = np.cross(c[1] - c[0], c[2] - c[0])
+        norm = float(np.linalg.norm(cross))
+        return 0.5 * norm, (cross / norm).tolist()
+
+    area_t, (nt0, nt1, nt2) = frame(ct)
+    area_s, (ns0, ns1, ns2) = frame(cs)
+    xs, ys = (bary @ ct).tolist(), (bary @ cs).tolist()
+    b, w = bary.tolist(), wts.tolist()
+    s_terms, d_terms, ds_terms = [], ([], [], []), ([], [], [])
+    for g, (x0, x1, x2) in enumerate(xs):
+        for h, (y0, y1, y2) in enumerate(ys):
+            d0, d1, d2 = x0 - y0, x1 - y1, x2 - y2
+            r = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+            weight = area_t * w[g] * area_s * w[h] / (4.0 * math.pi)
+            s_terms.append(weight / r)
+            kd = weight * (d0 * ns0 + d1 * ns1 + d2 * ns2) / r**3
+            ks = -weight * (d0 * nt0 + d1 * nt1 + d2 * nt2) / r**3
+            for k in range(3):
+                d_terms[k].append(kd * b[h][k])
+                ds_terms[k].append(ks * b[g][k])
+    return (
+        math.fsum(s_terms),
+        np.array([math.fsum(t) for t in d_terms]),
+        np.array([math.fsum(t) for t in ds_terms]),
+    )

@@ -1,7 +1,13 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from symmbem import _quadrature as quad
+from symmbem import bem_ops
 from symmbem.bem_ops import (
+    DEFAULT_QUADRATURE,
+    TAGS,
     QuadratureConfig,
     _thread_count,
     assemble_adjoint_double_layer,
@@ -20,9 +26,10 @@ from symmbem.oracle import (
     sphere_single_layer_eigenvalue,
 )
 from symmbem.spaces import Kind, gram_p0, patch_space, pyramid_space
-from oracles import galerkin_single_layer_entry
+from oracles import galerkin_single_layer_entry, regular_pair_integrals
 
 FOUR_PI = 4.0 * np.pi
+SHELL_RADII = (0.87, 0.92, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +40,11 @@ def sphere2():
 @pytest.fixture(scope="module")
 def sphere2_ops(sphere2):
     return assemble_operators(sphere2, sphere2)
+
+
+@pytest.fixture(scope="module")
+def shells1():
+    return [make_icosphere(1, r) for r in SHELL_RADII]
 
 
 @pytest.fixture(scope="module")
@@ -218,12 +230,131 @@ def test_kind_validation():
         assemble_hypersingular(patch_space(mesh), patch_space(mesh))
 
 
-def test_threads_env_does_not_change_results(sphere2, monkeypatch):
-    monkeypatch.setenv("SYMMBEM_THREADS", "1")
-    one = assemble_single_layer(patch_space(sphere2), patch_space(sphere2)).matrix
-    monkeypatch.setenv("SYMMBEM_THREADS", "4")
-    four = assemble_single_layer(patch_space(sphere2), patch_space(sphere2)).matrix
-    assert np.array_equal(one, four)
+def test_threads_env_does_not_change_results(shells1, monkeypatch):
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(bem_ops, "ThreadPoolExecutor", CountingPool)
+    inner, middle = shells1[:2]
+    for mesh_t, mesh_s in ((inner, inner), (inner, middle)):
+        blocks = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setenv("SYMMBEM_THREADS", str(threads))
+            submitted.clear()
+            blocks[threads] = assemble_operators(mesh_t, mesh_s)
+            if threads > 1:  # more batches than can be in flight: the pool runs
+                assert len(submitted) > threads + 1
+        for threads in (2, 3):
+            for tag in TAGS:
+                assert np.array_equal(blocks[1][tag].matrix, blocks[threads][tag].matrix), tag
+
+
+def test_batches_honour_the_point_pair_budget(shells1, monkeypatch):
+    shapes = []
+    buffers = bem_ops._Workspace.buffers
+
+    def spy(self, shape):
+        shapes.append(shape)
+        return buffers(self, shape)
+
+    monkeypatch.setattr(bem_ops._Workspace, "buffers", spy)
+    inner, middle = shells1[:2]
+    pairs = ((inner, inner), (inner, middle))
+    reference = [assemble_operators(*pair) for pair in pairs]
+    assert max(np.prod(s) for s in shapes) <= bem_ops.BATCH_POINT_PAIRS
+
+    # a budget of one 6x4 pair: every composite batch holds a single pair,
+    # and the regular sweep classifies its tiers in many row blocks
+    budget = len(quad.TRI_RULES["6x4"][1]) ** 2
+    monkeypatch.setattr(bem_ops, "BATCH_POINT_PAIRS", budget)
+    shapes.clear()
+    for pair, ref in zip(pairs, reference):
+        small = assemble_operators(*pair)
+        for tag in TAGS:
+            a, b = small[tag].matrix, ref[tag].matrix
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), tag
+    # workspace shapes are (points..., pairs)
+    assert all(np.prod(s) <= budget or s[-1] == 1 for s in shapes)
+    composite = [s for s in shapes if np.prod(s[:-1]) >= budget]
+    assert composite and all(s[-1] == 1 for s in composite)
+
+
+def _tier_rules(mesh_t, mesh_s):
+    """The tensor rule ``_regular_sweep`` applies to each triangle pair."""
+    cfg = DEFAULT_QUADRATURE
+    rules = [rule for _, rule in cfg.near_tiers] + [cfg.far_points]
+    dist = np.linalg.norm(mesh_t.centroids[:, None] - mesh_s.centroids[None], axis=2)
+    ratio = dist / np.maximum(mesh_t.diameters[:, None], mesh_s.diameters[None, :])
+    return np.array(rules, dtype=object)[np.searchsorted([t for t, _ in cfg.near_tiers], ratio)]
+
+
+def _merged(meshes):
+    """One mesh object holding several disjoint surfaces."""
+    offsets = np.cumsum([0] + [m.num_vertices for m in meshes[:-1]])
+    return TriangleMesh(
+        np.concatenate([m.vertices for m in meshes]),
+        np.concatenate([m.triangles + o for m, o in zip(meshes, offsets)]),
+    )
+
+
+@pytest.mark.parametrize("pair", ["self", "cross"])
+def test_regular_tiers_match_per_pair_double_loop(pair):
+    # Self: the inner two shells at subdivision 2 as one surface, so that
+    # every tier occurs among its own (mirror-filled) pairs; cross: the same
+    # two shells as two surfaces.  Each sampled S entry is one pair; each D
+    # and Dstar entry sums the pairs around its vertex, all of them regular,
+    # and is compared against the sum of the magnitudes of those pairs.
+    inner, middle = (make_icosphere(2, r) for r in SHELL_RADII[:2])
+    mesh_t, mesh_s = (_merged([inner, middle]),) * 2 if pair == "self" else (inner, middle)
+    same = mesh_t is mesh_s
+    ops = assemble_operators(mesh_t, mesh_s, which=("S", "D", "Dstar"))
+    rules = _tier_rules(mesh_t, mesh_s)
+    tri_t, tri_s = mesh_t.triangles, mesh_s.triangles
+    cache = {}
+
+    def oracle(t, s):
+        if (t, s) not in cache:
+            rule = quad.TRI_RULES[rules[t, s]]
+            cache[t, s] = regular_pair_integrals(mesh_t.corners[t], mesh_s.corners[s], rule)
+        return cache[t, s]
+
+    def regular(t, s):
+        return not (same and set(tri_t[t]) & set(tri_s[s]))
+
+    def check(value, terms):
+        assert abs(value - sum(terms)) <= 1e-13 * sum(abs(x) for x in terms)
+
+    def check_entries(t, s):
+        assert abs(ops["S"].matrix[t, s] - oracle(t, s)[0]) <= 1e-13 * oracle(t, s)[0]
+        checked = 0
+        for v in tri_s[s]:
+            cells = np.nonzero((tri_s == v).any(axis=1))[0]
+            if all(regular(t, c) for c in cells):
+                terms = [oracle(t, c)[1][list(tri_s[c]).index(v)] for c in cells]
+                check(ops["D"].matrix[t, v], terms)
+                checked += 1
+        for u in tri_t[t]:
+            cells = np.nonzero((tri_t == u).any(axis=1))[0]
+            if all(regular(c, s) for c in cells):
+                terms = [oracle(c, s)[2][list(tri_t[c]).index(u)] for c in cells]
+                check(ops["Dstar"].matrix[u, s], terms)
+                checked += 1
+        return checked
+
+    rng = np.random.default_rng(7)
+    for rule in ("6x16", "6x4", 6, 3):
+        candidates = np.argwhere(rules == rule)
+        candidates = [(t, s) for t, s in candidates if regular(t, s) and t != s]
+        assert candidates, rule
+        t, s = candidates[rng.integers(len(candidates))]
+        checked = check_entries(t, s)
+        if same:  # the mirrored orientation, filled from the same pair
+            checked += check_entries(s, t)
+        assert checked > 0, rule
 
 
 def test_threads_env_must_be_positive_integer(monkeypatch):
