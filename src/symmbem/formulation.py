@@ -21,12 +21,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 
 from . import bem_ops
 from .geometry import NestedModel, TriangleMesh
 from ._quadrature import TRI_RULES
 
 FOUR_PI = 4.0 * np.pi
+#: rows of Z scaled per step of the in-place conductivity rescale
+RESCALE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,12 @@ class ConductivityScaling:
 
 @dataclass
 class BlockSystem:
-    """Dense symmetric transmission matrix with layout and scaling record."""
+    """Dense symmetric transmission matrix with layout and scaling record.
+
+    ``matrix`` is a full, C-ordered N x N array that is kept exactly
+    symmetric; every product with it on the solve path goes through
+    :meth:`matvec`.
+    """
 
     matrix: np.ndarray
     layout: SystemLayout
@@ -139,6 +147,16 @@ class BlockSystem:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``Z @ x`` with one BLAS ``dsymv``, which reads one triangle of Z.
+
+        ``matrix.T`` is the Fortran-ordered view of the C-ordered array, so
+        BLAS receives it without a copy (the array itself would be copied
+        on every call).  ``dsymv`` trusts the unread triangle to mirror the
+        read one, which holds because Z is kept exactly symmetric.
+        """
+        return dsymv(1.0, self.matrix.T, x)
 
     def scale_vector(self) -> np.ndarray:
         """Diagonal of the applied scaling W (ones when unscaled)."""
@@ -238,13 +256,18 @@ def assemble_system(model: NestedModel, quadrature=None) -> BlockSystem:
     return BlockSystem(Z, layout, np.asarray(sigma, dtype=float))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over a last axis of length 3, broadcast over the rest."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def _source_field(sources, points):
     """Local potential v and its gradient for unit-conductivity free space."""
     v = np.zeros(points.shape[0])
     grad = np.zeros_like(points)
     for s in sources:
         d = points - s.position
-        dist2 = np.einsum("pd,pd->p", d, d)
+        dist2 = _dot(d, d)
         dist = np.sqrt(dist2)
         proj = d @ s.moment
         v += proj / (FOUR_PI * dist2 * dist)
@@ -259,31 +282,27 @@ def _point_surface_distance(point: np.ndarray, mesh: TriangleMesh) -> float:
     """Exact distance from a point to a triangle surface."""
     c = mesh.corners
     n = mesh.normals
-    d0 = point[None, :] - c[:, 0]
-    height = np.einsum("td,td->t", d0, n)
-    foot = point[None, :] - height[:, None] * n
+    d = point - c  # (triangle, corner, xyz)
+    height = _dot(d[:, 0], n)
     # barycentric test of the in-plane foot point
     v0 = c[:, 1] - c[:, 0]
     v1 = c[:, 2] - c[:, 0]
-    v2 = foot - c[:, 0]
-    d00 = np.einsum("td,td->t", v0, v0)
-    d01 = np.einsum("td,td->t", v0, v1)
-    d11 = np.einsum("td,td->t", v1, v1)
-    d20 = np.einsum("td,td->t", v2, v0)
-    d21 = np.einsum("td,td->t", v2, v1)
+    v2 = d[:, 0] - height[:, None] * n
+    d00 = _dot(v0, v0)
+    d01 = _dot(v0, v1)
+    d11 = _dot(v1, v1)
+    d20 = _dot(v2, v0)
+    d21 = _dot(v2, v1)
     denom = d00 * d11 - d01 * d01
     wb = (d11 * d20 - d01 * d21) / denom
     wc = (d00 * d21 - d01 * d20) / denom
     inside = (wb >= 0) & (wc >= 0) & (wb + wc <= 1)
     best = np.abs(height[inside]).min() if np.any(inside) else np.inf
-    # edge distances
-    for a_idx, b_idx in ((0, 1), (1, 2), (2, 0)):
-        a, b = c[:, a_idx], c[:, b_idx]
-        e = b - a
-        t = np.clip(np.einsum("td,td->t", point[None, :] - a, e) / np.einsum("td,td->t", e, e), 0, 1)
-        closest = a + t[:, None] * e
-        best = min(best, float(np.linalg.norm(point[None, :] - closest, axis=1).min()))
-    return float(best)
+    # edge distances, the edges (0, 1), (1, 2), (2, 0) of every triangle at once
+    e = c[:, [1, 2, 0]] - c
+    t = np.clip(_dot(d, e) / _dot(e, e), 0, 1)
+    gap = d - t[..., None] * e
+    return float(min(best, np.sqrt(_dot(gap, gap).min())))
 
 
 def assemble_rhs(model: NestedModel, sources, quadrature_points: int = 6) -> np.ndarray:
@@ -296,15 +315,13 @@ def assemble_rhs(model: NestedModel, sources, quadrature_points: int = 6) -> np.
     layout = system_layout(model)
     rhs = np.zeros(layout.total)
     bary, weights = TRI_RULES[quadrature_points]
+    h = min(np.mean(m.diameters) for m in model.surfaces)
 
     by_compartment: dict[int, list[DipoleSource]] = {}
     for s in sources:
         comp = model.compartment_of(s.position)
         if comp > model.num_interfaces:
             raise ValueError("source lies outside the outermost surface")
-        h = min(
-            np.mean(m.diameters) for m in model.surfaces
-        )
         for mesh in model.surfaces:
             if _point_surface_distance(s.position, mesh) <= 1e-6 * h:
                 raise ValueError("source lies on an interface")
@@ -317,22 +334,20 @@ def assemble_rhs(model: NestedModel, sources, quadrature_points: int = 6) -> np.
             if iface < 0 or iface >= model.num_interfaces:
                 continue
             mesh = model.surfaces[iface]
-            pts = np.einsum("qk,tkd->tqd", bary, mesh.corners).reshape(-1, 3)
+            pts = (bary @ mesh.corners).reshape(-1, 3)
             v, grad = _source_field(comp_sources, pts)
             v = v.reshape(mesh.num_triangles, -1)
-            dn = np.einsum(
-                "tqd,td->tq", grad.reshape(mesh.num_triangles, -1, 3), mesh.normals
-            )
+            dn = _dot(grad.reshape(mesh.num_triangles, -1, 3), mesh.normals[:, None, :])
             wts = weights[None, :] * mesh.areas[:, None]
             # pyramid-tested rows: +- (lambda, dv/dn)
-            contrib = np.einsum("tq,tq,qj->tj", wts, dn, bary)
+            contrib = (wts * dn) @ bary
             b = np.zeros(mesh.num_vertices)
             np.add.at(b, mesh.triangles.ravel(), contrib.ravel())
             rhs[layout.v_slice(iface)] += orient * b
             # patch-tested rows: -+ (pi, v) / sigma_s
             ps = layout.p_slice(iface)
             if ps is not None:
-                c = np.einsum("tq,tq->t", wts, v)
+                c = (wts * v).sum(axis=1)
                 rhs[ps] += -orient * c / sigma_s
 
     # Net dipole flux through every closed interface vanishes exactly; the
@@ -354,6 +369,11 @@ def conductivity_rescale(system: BlockSystem) -> BlockSystem:
     (1/sigma_in + 1/sigma_out)^-1/2, removing the conductivity content of
     the diagonal blocks.  The record allows exact back-substitution, so the
     solution of the rescaled system maps to the original one.
+
+    The matrix is scaled in place, ``RESCALE_ROWS`` rows at a time, by the
+    factor ``w_i w_j``; that factor is exactly symmetric, so Z stays exactly
+    symmetric.  Scaling and right-hand side are set on ``system``, which is
+    returned.
     """
     if system.scaling is not None:
         raise ValueError("system is already rescaled")
@@ -371,9 +391,13 @@ def conductivity_rescale(system: BlockSystem) -> BlockSystem:
     w = probe.scale_vector()
     if np.any(~np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("non-positive scale factor")
-    matrix = (w[:, None] * system.matrix) * w[None, :]
-    rhs = None if system.rhs is None else w * system.rhs
-    return BlockSystem(matrix, system.layout, sigma, rhs, scaling)
+    for r0 in range(0, system.size, RESCALE_ROWS):
+        rows = slice(r0, r0 + RESCALE_ROWS)
+        system.matrix[rows] *= w[rows, None] * w[None, :]
+    if system.rhs is not None:
+        system.rhs = w * system.rhs
+    system.scaling = scaling
+    return system
 
 
 def unscale_solution(system: BlockSystem, y: np.ndarray) -> np.ndarray:

@@ -8,7 +8,10 @@ the sparse dual-Laplacian sandwich on the cell rows, and ``P_defl``
 projects out the known constant-trace gauge directions.  Both inverse
 Laplacians are exact solves with sparse LU factors computed once at
 :func:`build`, so P is one fixed symmetric positive definite map.
-Everything is matrix-free except the dense system blocks themselves.
+Everything is matrix-free except the dense system matrix Z itself, and
+every product with Z is the symmetric one of
+:meth:`~symmbem.formulation.BlockSystem.matvec` (BLAS ``dsymv``, which
+reads one triangle of Z).
 """
 
 from __future__ import annotations
@@ -28,13 +31,19 @@ from .spaces import gram_p1, lumped_inverse_sqrt, mixed_gram_dual, pyramid_space
 
 @dataclass
 class PrecondOperator:
-    """Matrix-free preconditioned operator with its deflation projector."""
+    """Matrix-free preconditioned operator with its deflation projector.
+
+    ``kernel`` is the orthonormal basis of the deflated directions mapped
+    back through M, the exact kernel of the assembled system that
+    :func:`recover_solution` removes from the residual.
+    """
 
     system: BlockSystem
     m_diag: np.ndarray
     primal_solvers: list
     dual_solvers: list
     deflation: np.ndarray
+    kernel: np.ndarray
 
     @property
     def size(self) -> int:
@@ -58,18 +67,14 @@ class PrecondOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         y = self.project(np.asarray(x, dtype=float))
-        y = self.m_diag * y
-        y = self.system.matrix @ y
-        y = self.apply_p(y)
-        y = self.system.matrix @ y
-        y = self.m_diag * y
-        return self.project(y)
+        y = self.system.matvec(self.m_diag * y)
+        y = self.system.matvec(self.apply_p(y))
+        return self.project(self.m_diag * y)
 
     def preconditioned_rhs(self) -> np.ndarray:
         if self.system.rhs is None:
             raise ValueError("system has no right-hand side")
-        y = self.apply_p(self.system.rhs)
-        y = self.system.matrix @ y
+        y = self.system.matvec(self.apply_p(self.system.rhs))
         return self.project(self.m_diag * y)
 
 
@@ -127,8 +132,8 @@ def _dual_solver(mesh: TriangleMesh):
 
 def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     """Assemble the diagonal Gram factors, the per-interface Laplacian
-    solvers (sparse factors computed here, once) and the gauge deflation
-    basis for a (rescaled) system."""
+    solvers (sparse factors computed here, once), the gauge deflation
+    basis and the recovery kernel basis for a (rescaled) system."""
     layout = system.layout
     if len(meshes) != layout.num_interfaces:
         raise ValueError("one mesh per interface required")
@@ -154,10 +159,12 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     if system.conductivities[-1] == 0.0:
         gauge = sum(system.gauge_vectors())
         basis.append(gauge / system.scale_vector() / m_diag)
-    deflation = (
-        krylov.orthonormal_columns(basis) if basis else np.zeros((layout.total, 0))
-    )
-    return PrecondOperator(system, m_diag, primal_solvers, dual_solvers, deflation)
+    if basis:
+        deflation = krylov.orthonormal_columns(basis)
+        kernel = krylov.orthonormal_columns([m_diag * q for q in deflation.T])
+    else:
+        deflation = kernel = np.zeros((layout.total, 0))
+    return PrecondOperator(system, m_diag, primal_solvers, dual_solvers, deflation, kernel)
 
 
 def recover_solution(op: PrecondOperator, y: np.ndarray, tol: float = 1e-8):
@@ -173,11 +180,9 @@ def recover_solution(op: PrecondOperator, y: np.ndarray, tol: float = 1e-8):
     if system.rhs is None:
         raise ValueError("system has no right-hand side")
     x = op.m_diag * np.asarray(y, dtype=float)
-    r = system.matrix @ x - system.rhs
-    if op.deflation.shape[1]:
-        # no solution can reduce the load component along the exact kernel
-        kernel = krylov.orthonormal_columns([op.m_diag * q for q in op.deflation.T])
-        r = r - kernel @ (kernel.T @ r)
+    r = system.matvec(x) - system.rhs
+    # no solution can reduce the load component along the exact kernel
+    r = r - op.kernel @ (op.kernel.T @ r)
     residual = float(np.linalg.norm(r) / np.linalg.norm(system.rhs))
     if residual > 10.0 * tol:
         raise RuntimeError(

@@ -1,0 +1,148 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from symmbem._quadrature import TRI_RULES
+from symmbem.formulation import (
+    DipoleSource,
+    assemble_rhs,
+    assemble_system,
+    conductivity_rescale,
+    system_layout,
+)
+from symmbem.geometry import NestedModel, make_icosphere
+
+MODELS = {
+    "shells3-sub1": ((0.87, 0.92, 1.0), (1.0, 1.0 / 80.0, 1.0, 0.0), 1),
+    "sphere1-sub3": ((1.0,), (1.0, 0.0), 3),
+}
+
+
+def _model(name):
+    radii, sigma, subdivisions = MODELS[name]
+    return NestedModel([make_icosphere(subdivisions, r) for r in radii], sigma)
+
+
+@pytest.fixture(scope="module", params=sorted(MODELS))
+def assembled(request):
+    """Model, assembled system and a copy of its unscaled matrix."""
+    model = _model(request.param)
+    system = assemble_system(model)
+    return model, system, system.matrix.copy()
+
+
+@pytest.fixture(scope="module")
+def rescaled(assembled):
+    model, system, unscaled = assembled
+    system.rhs = assemble_rhs(model, [DipoleSource([0.1, -0.2, 0.35], [0.6, 0.0, 0.8])])
+    rhs = system.rhs.copy()
+    matrix = system.matrix
+    tracemalloc.start()
+    try:
+        out = conductivity_rescale(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, system, matrix, unscaled, rhs, peak
+
+
+def test_assembled_matrix_is_exactly_symmetric(assembled):
+    _, system, unscaled = assembled
+    assert system.matrix.flags.c_contiguous
+    assert np.array_equal(unscaled, unscaled.T)
+
+
+def test_rescale_keeps_exact_symmetry(rescaled):
+    out, *_ = rescaled
+    assert np.array_equal(out.matrix, out.matrix.T)
+
+
+def test_rescale_happens_in_place(rescaled):
+    out, system, matrix, unscaled, rhs, peak = rescaled
+    assert out is system and out.matrix is matrix
+    assert matrix.flags.c_contiguous and matrix.shape == (system.size, system.size)
+    assert peak < matrix.nbytes
+    w = out.scale_vector()
+    expected = (w[:, None] * unscaled) * w[None, :]
+    assert np.abs(out.matrix - expected).max() <= 1e-15 * np.abs(expected).max()
+    assert np.array_equal(out.rhs, w * rhs)
+    with pytest.raises(ValueError, match="already rescaled"):
+        conductivity_rescale(out)
+
+
+def test_matvec_is_the_symmetric_product_without_a_copy(rescaled):
+    system = rescaled[0]
+    x = np.random.default_rng(2).standard_normal(system.size)
+    expected = system.matrix @ x
+    system.matvec(x)  # first call outside the trace: BLAS set-up
+    tracemalloc.start()
+    try:
+        y = system.matvec(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.linalg.norm(y - expected) <= 1e-14 * np.linalg.norm(expected)
+    assert peak < system.matrix.nbytes / 4
+
+
+def _einsum_rhs(model, source, quadrature_points=6):
+    """Reference right-hand side: the same Galerkin sums, written as einsums."""
+    layout = system_layout(model)
+    rhs = np.zeros(layout.total)
+    bary, weights = TRI_RULES[quadrature_points]
+    comp = model.compartment_of(source.position)
+    sigma_s = model.conductivities[comp - 1]
+    for iface, orient in ((comp - 1, +1.0), (comp - 2, -1.0)):
+        if iface < 0 or iface >= model.num_interfaces:
+            continue
+        mesh = model.surfaces[iface]
+        pts = np.einsum("qk,tkd->tqd", bary, mesh.corners)
+        d = pts - source.position
+        dist = np.sqrt(np.einsum("tqd,tqd->tq", d, d))
+        proj = np.einsum("tqd,d->tq", d, source.moment)
+        v = proj / (4.0 * np.pi * dist**3)
+        grad = (
+            source.moment / (4.0 * np.pi * dist**3)[..., None]
+            - (3.0 * proj / (4.0 * np.pi * dist**5))[..., None] * d
+        )
+        dn = np.einsum("tqd,td->tq", grad, mesh.normals)
+        wts = weights[None, :] * mesh.areas[:, None]
+        b = np.zeros(mesh.num_vertices)
+        np.add.at(b, mesh.triangles.ravel(), np.einsum("tq,tq,qj->tj", wts, dn, bary).ravel())
+        rhs[layout.v_slice(iface)] += orient * b
+        ps = layout.p_slice(iface)
+        if ps is not None:
+            rhs[ps] += -orient * np.einsum("tq,tq->t", wts, v) / sigma_s
+    for iface, mesh in enumerate(model.surfaces):
+        sl = layout.v_slice(iface)
+        mass = np.zeros(mesh.num_vertices)
+        np.add.at(mass, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
+        rhs[sl] -= rhs[sl].sum() * mass / mass.sum()
+    return rhs
+
+
+# one source in each of the three compartments
+@pytest.mark.parametrize("position", [[0.1, -0.2, 0.35], [0.0, 0.0, 0.9], [0.5, 0.5, 0.55]])
+def test_rhs_matches_einsum_reference(position):
+    model = _model("shells3-sub1")
+    source = DipoleSource(position, [0.6, -0.3, 0.8])
+    expected = _einsum_rhs(model, source)
+    rhs = assemble_rhs(model, [source])
+    assert np.abs(rhs - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_rhs_rejects_sources_on_an_interface():
+    model = _model("shells3-sub1")
+    mesh = model.surfaces[1]
+    a, b, c = mesh.corners[7]
+    # on a vertex, an edge and a face, and a hair outside a vertex and an
+    # edge, where the point projects into no triangle
+    mid = 0.5 * (a + b)
+    near = [p * (1.0 + 1e-8 / np.linalg.norm(p)) for p in (a, mid)]
+    for point in (a, mid, (a + b + c) / 3.0, *near):
+        with pytest.raises(ValueError, match="on an interface"):
+            assemble_rhs(model, [DipoleSource(point, [0.0, 0.0, 1.0])])
+    # a hair inside the face is still a valid source
+    inside = (a + b + c) / 3.0 - 1e-3 * mesh.normals[7]
+    assert np.all(np.isfinite(assemble_rhs(model, [DipoleSource(inside, [0.0, 0.0, 1.0])])))

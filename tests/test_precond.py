@@ -58,6 +58,26 @@ def test_preconditioned_operator_is_symmetric(shells1):
     assert abs(y @ ax - x @ ay) / scale < 1e-13
 
 
+def test_apply_matches_dense_chain(shells1):
+    system, meshes, _ = shells1
+    op = precond.build(system, meshes)
+    x = np.random.default_rng(3).standard_normal(op.size)
+    deflate = np.eye(op.size) - op.deflation @ op.deflation.T
+    m = np.diag(op.m_diag)
+    z = system.matrix
+    expected = deflate @ (m @ (z @ op.apply_p(z @ (m @ (deflate @ x)))))
+    assert np.linalg.norm(op.apply(x) - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_recovery_kernel_is_the_assembled_kernel(shells1):
+    system, meshes, _ = shells1
+    op = precond.build(system, meshes)
+    k = op.kernel
+    assert k.shape == (op.size, 1)
+    assert np.allclose(k.T @ k, np.eye(1), atol=1e-15)
+    assert np.linalg.norm(system.matrix @ k) <= 1e-12 * np.linalg.norm(system.matrix)
+
+
 def test_solve_matches_layered_sphere_series(shells1):
     system, meshes, dipole = shells1
     x, report, residual = precond.solve(system, meshes)
