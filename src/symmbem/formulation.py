@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg.blas import dsymv
 
 from . import bem_ops
-from .geometry import NestedModel, TriangleMesh
+from .geometry import QUADRATURE_RULE, NestedModel, TriangleMesh
 from ._quadrature import TRI_RULES
 
 FOUR_PI = 4.0 * np.pi
@@ -278,10 +278,10 @@ def _source_field(sources, points):
     return v, grad
 
 
-def _point_surface_distance(point: np.ndarray, mesh: TriangleMesh) -> float:
-    """Exact distance from a point to a triangle surface."""
-    c = mesh.corners
-    n = mesh.normals
+def _point_surface_distance(point: np.ndarray, corners: np.ndarray, normals: np.ndarray) -> float:
+    """Exact distance from a point to a set of triangles (corners, unit normals)."""
+    c = corners
+    n = normals
     d = point - c  # (triangle, corner, xyz)
     height = _dot(d[:, 0], n)
     # barycentric test of the in-plane foot point
@@ -305,16 +305,32 @@ def _point_surface_distance(point: np.ndarray, mesh: TriangleMesh) -> float:
     return float(min(best, np.sqrt(_dot(gap, gap).min())))
 
 
-def assemble_rhs(model: NestedModel, sources, quadrature_points: int = 6) -> np.ndarray:
+def _on_surface(point: np.ndarray, mesh: TriangleMesh, eps: float) -> bool:
+    """Whether ``point`` lies within ``eps`` of the surface.
+
+    A point is never closer to a triangle than to the triangle's plane, so
+    only the triangles whose plane passes within ``2 eps`` take the exact
+    point-triangle test.  The factor 2 keeps rounding in the two tests from
+    changing the verdict of an exact test over all triangles.
+    """
+    height = _dot(point - mesh.corners[:, 0], mesh.normals)
+    near = np.abs(height) <= 2.0 * eps
+    if not near.any():
+        return False
+    return _point_surface_distance(point, mesh.corners[near], mesh.normals[near]) <= eps
+
+
+def assemble_rhs(model: NestedModel, sources) -> np.ndarray:
     """Galerkin right-hand side from dipole sources.
 
     Each source radiates its free-space field onto the interfaces bounding
-    its compartment; integrals use the tensor Gauss rule per triangle (the
-    integrand is analytic since sources are strictly interior).
+    its compartment; integrals use the Gauss rule of
+    ``TriangleMesh.quadrature_points`` per triangle (the integrand is
+    analytic since sources are strictly interior).
     """
     layout = system_layout(model)
     rhs = np.zeros(layout.total)
-    bary, weights = TRI_RULES[quadrature_points]
+    bary, weights = TRI_RULES[QUADRATURE_RULE]
     h = min(np.mean(m.diameters) for m in model.surfaces)
 
     by_compartment: dict[int, list[DipoleSource]] = {}
@@ -323,7 +339,7 @@ def assemble_rhs(model: NestedModel, sources, quadrature_points: int = 6) -> np.
         if comp > model.num_interfaces:
             raise ValueError("source lies outside the outermost surface")
         for mesh in model.surfaces:
-            if _point_surface_distance(s.position, mesh) <= 1e-6 * h:
+            if _on_surface(s.position, mesh, 1e-6 * h):
                 raise ValueError("source lies on an interface")
         by_compartment.setdefault(comp, []).append(s)
 
@@ -334,8 +350,7 @@ def assemble_rhs(model: NestedModel, sources, quadrature_points: int = 6) -> np.
             if iface < 0 or iface >= model.num_interfaces:
                 continue
             mesh = model.surfaces[iface]
-            pts = (bary @ mesh.corners).reshape(-1, 3)
-            v, grad = _source_field(comp_sources, pts)
+            v, grad = _source_field(comp_sources, mesh.quadrature_points)
             v = v.reshape(mesh.num_triangles, -1)
             dn = _dot(grad.reshape(mesh.num_triangles, -1, 3), mesh.normals[:, None, :])
             wts = weights[None, :] * mesh.areas[:, None]
@@ -356,8 +371,7 @@ def assemble_rhs(model: NestedModel, sources, quadrature_points: int = 6) -> np.
     # exact gauge null vector.
     for iface, mesh in enumerate(model.surfaces):
         sl = layout.v_slice(iface)
-        vertex_mass = np.zeros(mesh.num_vertices)
-        np.add.at(vertex_mass, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
+        vertex_mass = mesh.vertex_masses
         rhs[sl] -= rhs[sl].sum() * vertex_mass / vertex_mass.sum()
     return rhs
 

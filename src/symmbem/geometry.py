@@ -8,7 +8,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ._quadrature import TRI_RULES
+
 MAX_SUBDIVISIONS = 7
+#: the triangle rule (a key of ``TRI_RULES``) of ``TriangleMesh.quadrature_points``
+QUADRATURE_RULE = 6
 
 # Golden-ratio icosahedron with unit circumradius after normalisation.
 _PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -108,6 +112,40 @@ class TriangleMesh:
         halves = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         halves = np.sort(halves, axis=1)
         return np.unique(halves, axis=0)
+
+    @cached_property
+    def edge_cells(self) -> np.ndarray:
+        """The two triangles sharing each edge, in ``edges`` order, shape (n_edges, 2).
+
+        Raises ``ValueError`` unless every edge has exactly two triangles,
+        as on a closed manifold surface.
+        """
+        t = self.triangles
+        halves = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+        # sorting by this key orders the edges as the lexicographic ``edges``
+        keys = halves[:, 0] * self.num_vertices + halves[:, 1]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if len(keys) % 2 or np.any(keys[0::2] != keys[1::2]) or np.any(keys[1:-1:2] == keys[2::2]):
+            raise ValueError("edge_cells needs every edge shared by exactly two triangles")
+        owner = np.tile(np.arange(self.num_triangles), 3)
+        return owner[order].reshape(-1, 2)
+
+    @cached_property
+    def vertex_masses(self) -> np.ndarray:
+        """Lumped vertex masses: a third of the area of each incident triangle."""
+        return np.bincount(
+            self.triangles.ravel(),
+            weights=np.repeat(self.areas / 3.0, 3),
+            minlength=self.num_vertices,
+        )
+
+    @cached_property
+    def quadrature_points(self) -> np.ndarray:
+        """Points of the rule ``TRI_RULES[QUADRATURE_RULE]`` on every triangle,
+        triangle by triangle, shape (n_triangles * n_points, 3)."""
+        bary, _ = TRI_RULES[QUADRATURE_RULE]
+        return (bary @ self.corners).reshape(-1, 3)
 
     @cached_property
     def vertex_triangle_count(self) -> np.ndarray:

@@ -264,15 +264,3 @@ def orthonormal_columns(vectors) -> np.ndarray:
     keep = np.abs(np.diag(r)) > 1e-12 * max(np.abs(np.diag(r)).max(), 1e-300)
     return q[:, keep]
 
-
-def deflate(A, basis: np.ndarray):
-    """Symmetric deflation: x -> P A P x with P = I - Q Q^T."""
-    matvec = _as_matvec(A)
-    Q = basis
-
-    def deflated(x):
-        y = x - Q @ (Q.T @ x)
-        y = matvec(y)
-        return y - Q @ (Q.T @ y)
-
-    return deflated

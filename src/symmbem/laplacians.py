@@ -1,4 +1,8 @@
-"""Sparse surface Laplacians (primal and dual)."""
+"""Sparse surface Laplacians: the cotangent stiffness on the vertex (primal)
+functions and the two-point-flux stiffness on the cells (dual graph).
+
+Both are assembled on the primal mesh itself; neither needs a refinement.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import TriangleMesh
-from .spaces import barycentric_refinement
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -57,13 +60,25 @@ def primal_laplace_beltrami(mesh: TriangleMesh) -> LaplacianMatrix:
 
 
 def dual_laplacian(mesh: TriangleMesh) -> LaplacianMatrix:
-    """Stiffness of the cell-associated dual piecewise-linear functions.
+    """Two-point-flux stiffness of the cell (patch) functions.
 
-    Assembled on the transient barycentric refinement through the dual
-    coefficient matrix; the refinement is discarded afterwards.  Since the
-    dual functions partition unity, constants are in the kernel exactly.
+    ``K = sum_edges (l_e / d_mn) (e_m - e_n)(e_m - e_n)^T`` over the edges of
+    the mesh, with ``l_e`` the edge length and ``d_mn`` the distance between
+    the centroids of the two cells m and n sharing the edge: the finite-volume
+    Laplacian of the dual graph.  Against the patch Gram diag(areas) it
+    approximates the Laplace-Beltrami operator on the cells.  Constants are in
+    the kernel exactly up to rounding.
     """
-    ref_vertices, ref_triangles, coeff = barycentric_refinement(mesh)
-    k_ref = _p1_stiffness(ref_vertices, ref_triangles)
-    mat = (coeff.T @ k_ref @ coeff).tocsr()
-    return LaplacianMatrix(((mat + mat.T) * 0.5).tocsr(), DUAL)
+    edges = mesh.edges
+    cells = mesh.edge_cells
+    length = np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1)
+    centroids = mesh.centroids
+    dist = np.linalg.norm(centroids[cells[:, 1]] - centroids[cells[:, 0]], axis=1)
+    w = length / dist
+    m, n = cells[:, 0], cells[:, 1]
+    nc = mesh.num_triangles
+    mat = sp.coo_matrix(
+        (np.concatenate([w, w, -w, -w]), (np.concatenate([m, n, m, n]), np.concatenate([m, n, n, m]))),
+        shape=(nc, nc),
+    ).tocsr()
+    return LaplacianMatrix(mat, DUAL)

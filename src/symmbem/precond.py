@@ -1,15 +1,17 @@
 """Spectral preconditioner: sandwich the system between sparse Laplacian
-solves and Gram rescalings so its conditioning stops tracking mesh size.
+maps and Gram rescalings so its conditioning stops tracking mesh size.
 
 The preconditioned operator is ``P_defl M Z P Z M P_defl`` where M is the
 blockwise lumped inverse square root of the Gram matrices, P applies per
 interface a regularized inverse surface Laplacian on the vertex rows and
-the sparse dual-Laplacian sandwich on the cell rows, and ``P_defl``
-projects out the known constant-trace gauge directions.  Both inverse
-Laplacians are exact solves with sparse LU factors computed once at
-:func:`build`, so P is one fixed symmetric positive definite map.
-Everything is matrix-free except the dense system matrix Z itself, and
-every product with Z is the symmetric one of
+the two-point-flux cell Laplacian between inverse cell areas on the cell
+rows, and ``P_defl`` projects out the known constant-trace gauge
+directions.  Everything P needs lives on the primal mesh: no barycentric
+refinement and no dual matrix.  The vertex rows' inverse Laplacian is an
+exact solve with a sparse LU factor computed once at :func:`build`; the
+cell rows need no solve at all, so P is one fixed symmetric positive
+definite map.  Everything is matrix-free except the dense system matrix Z
+itself, and every product with Z is the symmetric one of
 :meth:`~symmbem.formulation.BlockSystem.matvec` (BLAS ``dsymv``, which
 reads one triangle of Z).
 """
@@ -20,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
 
 from . import krylov
 from .formulation import BlockSystem, unscale_solution
 from .geometry import TriangleMesh
 from .laplacians import dual_laplacian, primal_laplace_beltrami
-from .spaces import gram_p1, lumped_inverse_sqrt, mixed_gram_dual, pyramid_space, gram_p0, patch_space
+from .spaces import gram_p0, gram_p1, lumped_inverse_sqrt, patch_space, pyramid_space
 
 
 @dataclass
@@ -104,36 +107,38 @@ def _primal_solver(mesh: TriangleMesh, lumped: np.ndarray):
 
 
 def _dual_solver(mesh: TriangleMesh):
-    """Sparse dual sandwich on the cell (patch) rows.
+    """Two-point-flux map on the cell (patch) rows.
 
-    A patch-tested vector is converted to dual-function coefficients
-    through the transposed mixed Gram, run through the dual Laplacian, and
-    mapped back through the mixed Gram: ``G~^-1 (Lap~ + shift) G~^-T``.
-    With this pairing the constant field maps to the exact coefficient
-    vector of ones (dual partition of unity), so the area vector is the
-    sandwich's natural null direction; the rank-one shift then places that
-    mode at the high-frequency tail level of the composed operator instead
-    of zero, keeping the whole map symmetric positive definite.
+    With A = diag(cell areas), the exact patch Gram, a the area vector and
+    K the two-point-flux cell Laplacian of :func:`dual_laplacian`, the map
+    is ``A^-1 (K + (beta/total) a a^T) A^-1``.  A^-1 turns a patch-tested
+    vector into cell values; K annihilates the constant cell values, so the
+    area vector is its null direction, and the rank-one shift places that
+    mode at an O(1) eigenvalue, which keeps the map symmetric positive
+    definite.  Since ``A^-1 a = 1``, the shift term is ``beta/total`` times
+    the sum of the input, and one application is a sparse product with the
+    prescaled ``A^-1 K A^-1`` plus that sum.
     """
-    gmix = mixed_gram_dual(mesh).tocsc()
-    lap = dual_laplacian(mesh).matrix
-    masses = np.asarray(gmix.sum(axis=1)).ravel()  # dual-function masses
-    total = masses.sum()
-    beta = np.pi / mesh.total_area
-    lu = splu(gmix)
+    scaling = sp.diags(1.0 / mesh.areas)
+    scaled = (scaling @ dual_laplacian(mesh).matrix @ scaling).tocsr()
+    shift = np.pi / mesh.total_area**2  # beta/total with beta = pi/total_area
+    n = mesh.num_triangles
 
     def solver(rhs: np.ndarray) -> np.ndarray:
-        a = lu.solve(rhs, trans="T")
-        b = lap @ a + (beta / total) * (masses @ a) * masses
-        return lu.solve(b)
+        # ``shift * rhs.sum() + scaled @ rhs``, with the CSR kernel behind
+        # ``@`` called directly: at a few hundred cells scipy's dispatch
+        # around it costs more than the product itself
+        out = np.full(n, shift * rhs.sum())
+        csr_matvec(n, n, scaled.indptr, scaled.indices, scaled.data, rhs, out)
+        return out
 
     return solver
 
 
 def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     """Assemble the diagonal Gram factors, the per-interface Laplacian
-    solvers (sparse factors computed here, once), the gauge deflation
-    basis and the recovery kernel basis for a (rescaled) system."""
+    maps (the vertex rows' sparse factor computed here, once), the gauge
+    deflation basis and the recovery kernel basis for a (rescaled) system."""
     layout = system.layout
     if len(meshes) != layout.num_interfaces:
         raise ValueError("one mesh per interface required")

@@ -95,7 +95,7 @@ def lumped_inverse_sqrt(gram: GramMatrix) -> np.ndarray:
 
 
 def barycentric_refinement(mesh: TriangleMesh):
-    """Six-way barycentric refinement used transiently by dual-space assembly.
+    """Six-way barycentric refinement on which :func:`mixed_gram_dual` is assembled.
 
     Returns ``(ref_vertices, ref_triangles, coefficients)`` where
     ``coefficients`` is the sparse ``(n_ref_vertices, n_cells)`` matrix whose
@@ -176,6 +176,10 @@ def mixed_gram_dual(mesh: TriangleMesh) -> sp.csr_matrix:
     unequal area (up to 19% apart at one subdivision), and there the masses
     differ from the areas by up to 6%.  The barycentric refinement is built
     transiently and discarded.
+
+    No solver calls this: the preconditioner's cell rows use the patch Gram
+    diag(areas) and the two-point-flux Laplacian, which live on the primal
+    mesh.  It remains as a reference for the dual functions.
     """
     ref_vertices, ref_triangles, coeff = barycentric_refinement(mesh)
     ref = TriangleMesh(ref_vertices, ref_triangles)

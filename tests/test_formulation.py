@@ -6,6 +6,8 @@ import pytest
 from symmbem._quadrature import TRI_RULES
 from symmbem.formulation import (
     DipoleSource,
+    _on_surface,
+    _point_surface_distance,
     assemble_rhs,
     assemble_system,
     conductivity_rescale,
@@ -146,3 +148,26 @@ def test_rhs_rejects_sources_on_an_interface():
     # a hair inside the face is still a valid source
     inside = (a + b + c) / 3.0 - 1e-3 * mesh.normals[7]
     assert np.all(np.isfinite(assemble_rhs(model, [DipoleSource(inside, [0.0, 0.0, 1.0])])))
+
+
+def test_on_surface_matches_the_exact_scan_of_every_triangle():
+    mesh = make_icosphere(2, 1.0)
+    eps = 1e-6 * np.mean(mesh.diameters)
+    rng = np.random.default_rng(4)
+    # points on the faces, the edges and the vertices, moved off the
+    # surface by multiples of eps around the verdict's threshold
+    w = rng.dirichlet(np.ones(3), size=60)
+    w[20:40, 2] = 0.0
+    w[20:40] /= w[20:40].sum(axis=1, keepdims=True)
+    w[40:] = np.eye(3)[rng.integers(0, 3, 20)]
+    cells = rng.integers(0, mesh.num_triangles, 60)
+    on = np.einsum("pk,pkd->pd", w, mesh.corners[cells])
+    verdicts = []
+    for p, t in zip(on, cells):
+        for shift in (0.0, 0.5, 0.99, 1.01, 1.5, 2.5, 100.0):
+            for sign in (1.0, -1.0):
+                point = p + sign * shift * eps * mesh.normals[t]
+                exact = _point_surface_distance(point, mesh.corners, mesh.normals) <= eps
+                assert _on_surface(point, mesh, eps) == exact
+                verdicts.append(exact)
+    assert any(verdicts) and not all(verdicts)

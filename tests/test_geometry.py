@@ -86,6 +86,26 @@ def test_average_edge_length_decreases_with_refinement():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("subdiv", [0, 2])
+def test_edge_cells_are_the_two_cells_of_each_edge(subdiv):
+    mesh = make_icosphere(subdiv, 1.0)
+    cells = mesh.edge_cells
+    assert cells.shape == (len(mesh.edges), 2)
+    assert np.all(cells[:, 0] != cells[:, 1])
+    for k in range(2):
+        tri = mesh.triangles[cells[:, k]]
+        for j in range(2):
+            assert np.all((tri == mesh.edges[:, j, None]).any(axis=1))
+    # each cell borders exactly three edges
+    assert np.array_equal(np.bincount(cells.ravel()), np.full(mesh.num_triangles, 3))
+
+
+def test_edge_cells_rejects_an_open_mesh():
+    mesh = make_icosphere(1, 1.0)
+    with pytest.raises(ValueError, match="exactly two triangles"):
+        TriangleMesh(mesh.vertices, mesh.triangles[1:]).edge_cells
+
+
 def test_validate_clean_mesh():
     assert validate(make_icosphere(1, 1.0)) == []
 

@@ -5,10 +5,8 @@ from symmbem.krylov import (
     BreakdownError,
     ConditionEstimateError,
     conjugate_gradient,
-    deflate,
     estimate_condition,
     minres,
-    orthonormal_columns,
 )
 
 
@@ -119,15 +117,6 @@ def test_estimate_condition_raises_when_capped():
     A = m @ m.T + 1e-8 * np.eye(200)
     with pytest.raises(ConditionEstimateError):
         estimate_condition(A, maxit=4)
-
-
-def test_deflate_annihilates_basis():
-    rng = np.random.default_rng(0)
-    A = np.diag([1.0, 2.0, 3.0, 4.0])
-    q = orthonormal_columns([np.array([1.0, 1.0, 0.0, 0.0])])
-    op = deflate(A, q)
-    out = op(q[:, 0])
-    assert np.linalg.norm(out) < 1e-14
 
 
 def test_solvers_deterministic():

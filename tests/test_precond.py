@@ -11,7 +11,7 @@ from symmbem.formulation import (
     system_layout,
 )
 from symmbem.geometry import NestedModel, make_icosphere
-from symmbem.laplacians import primal_laplace_beltrami
+from symmbem.laplacians import dual_laplacian, primal_laplace_beltrami
 from symmbem.oracle import SphereSpec, layered_sphere_potential
 from symmbem.spaces import gram_p1, pyramid_space
 
@@ -45,6 +45,21 @@ def test_primal_solver_matches_dense_regularized_solve():
     x = op.primal_solvers[0](rhs)
     expected = np.linalg.solve(dense, rhs)
     assert np.linalg.norm(x - expected) / np.linalg.norm(expected) < 1e-12
+
+
+def test_dual_solver_matches_dense_two_point_flux_map():
+    mesh = make_icosphere(2, 1.0)
+    k = dual_laplacian(mesh).matrix.toarray()
+    a = mesh.areas
+    beta = np.pi / mesh.total_area
+    inv = np.diag(1.0 / a)
+    dense = inv @ (k + (beta / a.sum()) * np.outer(a, a)) @ inv
+    solver = precond._dual_solver(mesh)
+    columns = np.column_stack([solver(e) for e in np.eye(mesh.num_triangles)])
+    assert np.abs(columns - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert np.abs(columns - columns.T).max() <= 1e-13 * np.abs(dense).max()
+    vals = np.linalg.eigvalsh(0.5 * (columns + columns.T))
+    assert vals[0] > 1e-8 * vals[-1]
 
 
 def test_preconditioned_operator_is_symmetric(shells1):
@@ -97,3 +112,27 @@ def test_build_rejects_wrong_mesh_count(shells1):
     system, meshes, _ = shells1
     with pytest.raises(ValueError, match="one mesh per interface"):
         precond.build(system, meshes[:2])
+
+
+def test_solve_with_a_conducting_exterior_matches_layered_sphere_series():
+    # the one model with a cell block on the outermost surface: no gauge is
+    # deflated and the absolute potential is fixed by decay at infinity
+    sigma = (1.0, 1.0 / 80.0, 1.0, 0.5)
+    meshes = [make_icosphere(1, r) for r in RADII]
+    model = NestedModel(meshes, sigma)
+    dipole = DipoleSource([0.1, -0.2, 0.35], [0.6, 0.0, 0.8])
+    system = assemble_system(model)
+    system.rhs = assemble_rhs(model, [dipole])
+    system = conductivity_rescale(system)
+    op = precond.build(system, meshes)
+    assert op.dual_solvers[-1] is not None
+    assert op.deflation.shape == (op.size, 0)
+    x, report, residual = precond.solve(system, meshes)
+    assert report.converged
+    assert residual <= 1e-8
+    v = x[system.layout.v_slice(len(meshes) - 1)]
+    ref = layered_sphere_potential(SphereSpec(RADII, sigma), dipole, meshes[-1].vertices)
+    rdm = np.linalg.norm(v / np.linalg.norm(v) - ref / np.linalg.norm(ref))
+    mag = np.linalg.norm(v) / np.linalg.norm(ref)
+    assert rdm < 0.05
+    assert abs(mag - 1.0) < 0.2
