@@ -1,11 +1,14 @@
 """Galerkin assembly of the four Laplace boundary operators on surface pairs.
 
-All four operators share one quadrature pass per surface pair: the pure
-kernel integrals feed the single layer directly and the hypersingular
-operator through its integration-by-parts rewrite, while the kernel
-gradient feeds both double layers.  Touching triangle pairs (same surface)
-go through the regularizing transforms in :mod:`symmbem._quadrature`;
-disjoint pairs use plain tensor Gauss rules with a near-field upgrade.
+:func:`assemble_operators` is the one way into the operator blocks: it
+assembles the single layer ``S``, the double layer ``D``, its adjoint
+``Dstar`` and the hypersingular form ``N`` between two surfaces together.
+All four share one quadrature pass per surface pair: the pure kernel
+integrals feed the single layer directly and the hypersingular operator
+through its integration-by-parts rewrite, while the kernel gradient feeds
+both double layers.  Touching triangle pairs (same surface) go through the
+regularizing transforms in :mod:`symmbem._quadrature`; disjoint pairs use
+plain tensor Gauss rules with a near-field upgrade.
 
 Both sweeps cut their triangle pairs into batches of at most
 ``BATCH_POINT_PAIRS`` kernel evaluations, in an order fixed by the meshes
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import struct
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -34,17 +36,10 @@ import scipy.sparse as sp
 
 from . import _quadrature as quad
 from .geometry import TriangleMesh
-from .spaces import FunctionSpace, Kind
+from .spaces import Kind
 
 FOUR_PI = 4.0 * np.pi
 TAGS = ("S", "D", "Dstar", "N")
-
-_TAG_KINDS = {
-    "S": (Kind.PATCH, Kind.PATCH),
-    "D": (Kind.PATCH, Kind.PYRAMID),
-    "Dstar": (Kind.PYRAMID, Kind.PATCH),
-    "N": (Kind.PYRAMID, Kind.PYRAMID),
-}
 
 
 @dataclass(frozen=True)
@@ -85,9 +80,6 @@ class KernelBlock:
     matrix: np.ndarray
     row_kind: Kind
     col_kind: Kind
-    target: int
-    source: int
-    tag: str
 
 
 def _thread_count() -> int:
@@ -171,37 +163,46 @@ def _touching_pairs(mesh: TriangleMesh):
 
 
 def assemble_operators(
-    mesh_t: TriangleMesh,
-    mesh_s: TriangleMesh,
-    which=TAGS,
-    quadrature: QuadratureConfig | None = None,
-    target_index: int = 0,
-    source_index: int = 0,
+    mesh_t: TriangleMesh, mesh_s: TriangleMesh, quadrature: QuadratureConfig | None = None
 ) -> dict[str, KernelBlock]:
-    """Assemble the requested operator blocks between two surfaces in one sweep.
+    """Assemble the four operator blocks between two surfaces in one sweep.
 
-    This is the shared-quadrature path: on a single surface every unordered
-    triangle pair is integrated once for both orientations, so ``S`` is
-    exactly symmetric and ``Dstar`` is the exact transpose of ``D``.
+    Returns the blocks under the keys of ``TAGS``, rows on ``mesh_t`` and
+    columns on ``mesh_s``:
+
+    - ``S``, the single layer between patch spaces; symmetric positive
+      definite on a single surface.
+    - ``D``, the principal-value double layer, patch-tested with pyramid
+      trial functions.  On a flat panel its kernel vanishes, so a cell's
+      contribution to itself is zero and the trace jump is carried by the
+      other panels.
+    - ``Dstar``, the adjoint double layer (normal derivative at the
+      observation point), pyramid-tested with patch trial functions.
+    - ``N``, the hypersingular form between pyramid spaces, through
+      integration by parts: kernel integrals against the surface curls of
+      the hat functions.  Symmetric positive semi-definite on a single
+      surface with the constants in its kernel; the second-derivative
+      kernel is never evaluated.
+
+    On a single surface every unordered triangle pair is integrated once for
+    both orientations, so ``S`` is exactly symmetric and ``Dstar`` is the
+    exact transpose of ``D``.
     """
     cfg = quadrature or DEFAULT_QUADRATURE
     same = mesh_t is mesh_s
-    need_ig = ("S" in which) or ("N" in which)
-    need_dl = ("D" in which) or ("Dstar" in which)
 
     nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
     nvt, nvs = mesh_t.num_vertices, mesh_s.num_vertices
-    ig = np.zeros((nct, ncs)) if need_ig else None
-    dmat = np.zeros((nct, nvs)) if need_dl else None
-    dsmat = np.zeros((nvt, ncs)) if need_dl and not same else None
+    ig = np.zeros((nct, ncs))
+    dmat = np.zeros((nct, nvs))
+    dsmat = None if same else np.zeros((nvt, ncs))
 
     def accumulate(result):
         """Add one batch into the matrices; ``mirror`` also fills (col, row)."""
         rows, cols, vrows, vcols, mirror, s, d, ds = result
-        if ig is not None:
-            ig[rows, cols] += s
-            if mirror:
-                ig[cols, rows] += s
+        ig[rows, cols] += s
+        if mirror:
+            ig[cols, rows] += s
         if d is None:
             return
         if mirror:  # pair (t, s)'s adjoint entries are pair (s, t)'s D entries
@@ -212,33 +213,26 @@ def assemble_operators(
             np.add.at(dsmat.reshape(-1), (vrows * ncs + cols[:, None]).ravel(), ds.ravel())
 
     workspace = _Workspace()
-    batches = _regular_sweep(mesh_t, mesh_s, cfg, same, need_dl, workspace)
+    batches = _regular_sweep(mesh_t, mesh_s, cfg, same, workspace)
     if same:
-        batches = itertools.chain(batches, _singular_sweep(mesh_t, cfg, need_dl, workspace))
+        batches = itertools.chain(batches, _singular_sweep(mesh_t, cfg, workspace))
     _run_batches(batches, accumulate)
 
-    out: dict[str, KernelBlock] = {}
-    if "S" in which:
-        out["S"] = KernelBlock(ig, Kind.PATCH, Kind.PATCH, target_index, source_index, "S")
-    if "N" in which:
-        ck_t = curl_coefficient_matrices(mesh_t)
-        ck_s = ck_t if same else curl_coefficient_matrices(mesh_s)
-        nmat = np.zeros((nvt, nvs))
-        for k in range(3):
-            tmp = (ck_s[k].T @ ig.T).T  # (n_cells_t, n_verts_s) dense
-            nmat += ck_t[k].T @ tmp
-        if same:
-            nmat = 0.5 * (nmat + nmat.T)
-        out["N"] = KernelBlock(nmat, Kind.PYRAMID, Kind.PYRAMID, target_index, source_index, "N")
-    if same and "Dstar" in which:
+    ck_t = curl_coefficient_matrices(mesh_t)
+    ck_s = ck_t if same else curl_coefficient_matrices(mesh_s)
+    nmat = np.zeros((nvt, nvs))
+    for k in range(3):
+        tmp = (ck_s[k].T @ ig.T).T  # (n_cells_t, n_verts_s) dense
+        nmat += ck_t[k].T @ tmp
+    if same:
+        nmat = 0.5 * (nmat + nmat.T)
         dsmat = dmat.T.copy()
-    if "D" in which:
-        out["D"] = KernelBlock(dmat, Kind.PATCH, Kind.PYRAMID, target_index, source_index, "D")
-    if "Dstar" in which:
-        out["Dstar"] = KernelBlock(
-            dsmat, Kind.PYRAMID, Kind.PATCH, target_index, source_index, "Dstar"
-        )
-    return out
+    return {
+        "S": KernelBlock(ig, Kind.PATCH, Kind.PATCH),
+        "D": KernelBlock(dmat, Kind.PATCH, Kind.PYRAMID),
+        "Dstar": KernelBlock(dsmat, Kind.PYRAMID, Kind.PATCH),
+        "N": KernelBlock(nmat, Kind.PYRAMID, Kind.PYRAMID),
+    }
 
 
 class _Workspace(threading.local):
@@ -353,7 +347,7 @@ def _tensor_rule(mesh_t, mesh_s, rule) -> _TensorRule:
     return _TensorRule(pts_t, pts_s, np.outer(wq, wq).ravel(), w9)
 
 
-def _regular_sweep(mesh_t, mesh_s, cfg, same, need_dl, workspace):
+def _regular_sweep(mesh_t, mesh_s, cfg, same, workspace):
     """Tensor-Gauss sweep over disjoint triangle pairs, as batch callables.
 
     Tiers are classified in row blocks of at most ``BATCH_POINT_PAIRS``
@@ -382,11 +376,9 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, need_dl, workspace):
             np.multiply(dst, dst, out=dst)
             if k:
                 np.add(r2, tmp, out=r2)
-        h_ts = h_st = None
-        if need_dl:
-            ct, cs = np.take(corners_t, rows, axis=2), np.take(corners_s, cols, axis=2)
-            h_ts = _heights(ct - cs[:, :1], np.take(nrm_s, cols, axis=1))
-            h_st = _heights(cs - ct[:, :1], np.take(nrm_t, rows, axis=1))
+        ct, cs = np.take(corners_t, rows, axis=2), np.take(corners_s, cols, axis=2)
+        h_ts = _heights(ct - cs[:, :1], np.take(nrm_s, cols, axis=1))
+        h_st = _heights(cs - ct[:, :1], np.take(nrm_t, rows, axis=1))
         s, d, ds = _pair_kernel(
             r2.reshape(qt * qs, -1), tmp.reshape(qt * qs, -1), tr.w, tr.w9,
             scale_t[rows] * area_s[cols], h_ts, h_st,
@@ -412,7 +404,7 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, need_dl, workspace):
                 yield partial(batch, tr, ti[b0 : b0 + per], si[b0 : b0 + per])
 
 
-def _singular_sweep(mesh, cfg, need_dl, workspace):
+def _singular_sweep(mesh, cfg, workspace):
     """Regularized quadrature over touching same-surface pairs, as batch
     callables.
 
@@ -438,7 +430,7 @@ def _singular_sweep(mesh, cfg, need_dl, workspace):
             if k:
                 np.add(r2, tmp, out=r2)
         h_ab = h_ba = None
-        if need_dl and not coincident:  # flat panels: no double layer on themselves
+        if not coincident:  # flat panels: no double layer on themselves
             h_ab = _heights(ea, np.take(nrm, pb, axis=1))
             h_ba = _heights(eb, np.take(nrm, pa, axis=1))
         s, d, ds = _pair_kernel(r2, tmp, w, w9, areas[pa] * areas[pb] / np.pi, h_ab, h_ba)
@@ -470,91 +462,3 @@ def _singular_sweep(mesh, cfg, need_dl, workspace):
             yield partial(
                 batch, *rule, chart_a[sl], chart_b[sl], pairs[sl, 0], pairs[sl, 1], False
             )
-
-
-def _check_kinds(space: FunctionSpace, kind: Kind, role: str, op: str):
-    if space.kind is not kind:
-        raise ValueError(f"{op} expects a {kind.value} space as {role}")
-
-
-def assemble_single_layer(
-    target: FunctionSpace, source: FunctionSpace, quadrature=None, target_index=0, source_index=0
-) -> KernelBlock:
-    """Patch-tested weakly singular kernel integrals; SPD on a single surface."""
-    _check_kinds(target, Kind.PATCH, "target", "single layer")
-    _check_kinds(source, Kind.PATCH, "source", "single layer")
-    return assemble_operators(
-        target.mesh, source.mesh, ("S",), quadrature, target_index, source_index
-    )["S"]
-
-
-def assemble_double_layer(
-    target: FunctionSpace, source: FunctionSpace, quadrature=None, target_index=0, source_index=0
-) -> KernelBlock:
-    """Principal-value double layer, patch-tested with piecewise-linear trial.
-
-    On the shared surface the self-cell contribution is dropped: on a flat
-    panel the kernel is identically zero there, and the trace jump is
-    carried by the remaining panels (principal-value convention).
-    """
-    _check_kinds(target, Kind.PATCH, "target", "double layer")
-    _check_kinds(source, Kind.PYRAMID, "source", "double layer")
-    return assemble_operators(
-        target.mesh, source.mesh, ("D",), quadrature, target_index, source_index
-    )["D"]
-
-
-def assemble_adjoint_double_layer(
-    target: FunctionSpace, source: FunctionSpace, quadrature=None, target_index=0, source_index=0
-) -> KernelBlock:
-    """Adjoint double layer: normal derivative taken at the observation point."""
-    _check_kinds(target, Kind.PYRAMID, "target", "adjoint double layer")
-    _check_kinds(source, Kind.PATCH, "source", "adjoint double layer")
-    return assemble_operators(
-        target.mesh, source.mesh, ("Dstar",), quadrature, target_index, source_index
-    )["Dstar"]
-
-
-def assemble_hypersingular(
-    target: FunctionSpace, source: FunctionSpace, quadrature=None, target_index=0, source_index=0
-) -> KernelBlock:
-    """Hypersingular form via integration by parts: kernel integrals against
-    surface curls of the hat functions.  Symmetric PSD on a single surface
-    with constants in the kernel; the raw second-derivative kernel is never
-    evaluated."""
-    _check_kinds(target, Kind.PYRAMID, "target", "hypersingular")
-    _check_kinds(source, Kind.PYRAMID, "source", "hypersingular")
-    return assemble_operators(
-        target.mesh, source.mesh, ("N",), quadrature, target_index, source_index
-    )["N"]
-
-
-_HEADER = struct.Struct("<8siiii")
-
-
-def write_block(block: KernelBlock, path) -> None:
-    """Binary dump: 8-byte tag, int32 (target, source, rows, cols), row-major
-    little-endian float64 data."""
-    m = np.ascontiguousarray(block.matrix, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                block.tag.encode().ljust(8, b"\0"),
-                block.target,
-                block.source,
-                m.shape[0],
-                m.shape[1],
-            )
-        )
-        fh.write(m.tobytes())
-
-
-def read_block(path) -> KernelBlock:
-    with open(path, "rb") as fh:
-        tag_b, target, source, rows, cols = _HEADER.unpack(fh.read(_HEADER.size))
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8").reshape(rows, cols)
-    tag = tag_b.rstrip(b"\0").decode()
-    if tag not in _TAG_KINDS:
-        raise ValueError(f"unknown operator tag {tag!r} in {path}")
-    row_kind, col_kind = _TAG_KINDS[tag]
-    return KernelBlock(data.copy(), row_kind, col_kind, target, source, tag)

@@ -17,6 +17,7 @@ dv/dn)`` on the inner boundary, and the patch-tested rows receive
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,26 +45,6 @@ class DipoleSource:
         object.__setattr__(self, "moment", np.asarray(self.moment, dtype=float))
         if self.position.shape != (3,) or self.moment.shape != (3,):
             raise ValueError("position and moment must be 3-vectors")
-
-
-def read_sources(path) -> list[DipoleSource]:
-    """Sources file: one dipole per line, ``x y z qx qy qz``."""
-    sources = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        vals = [float(t) for t in line.split()]
-        if len(vals) != 6:
-            raise ValueError(f"expected 6 numbers per source line, got {len(vals)}")
-        sources.append(DipoleSource(vals[:3], vals[3:]))
-    return sources
-
-
-def write_sources(sources, path) -> None:
-    lines = [
-        " ".join(f"{v:.17g}" for v in [*s.position, *s.moment]) for s in sources
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -193,6 +174,31 @@ def _calibrate_rows(matrix: np.ndarray, triangles: np.ndarray, target_row_sums: 
     np.add.at(matrix, (np.arange(len(triangles))[:, None], triangles), defect[:, None])
 
 
+def _available_memory() -> int:
+    """Bytes of memory the process can get: the physical memory, lowered to
+    the cgroup v2 limit when that limit is readable."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        limit = Path("/sys/fs/cgroup/memory.max").read_text().strip()
+    except OSError:
+        return physical
+    return min(physical, int(limit)) if limit.isdecimal() else physical
+
+
+def _dense_bytes(model: NestedModel) -> int:
+    """Bytes of dense storage :func:`assemble_system` holds at once: the
+    N x N system matrix plus the four operator blocks of the largest
+    surface pair it assembles."""
+    n = system_layout(model).total
+    surfaces = model.surfaces
+    pairs = [(m, m) for m in surfaces] + list(zip(surfaces, surfaces[1:]))
+    blocks = max(
+        (t.num_triangles + t.num_vertices) * (s.num_triangles + s.num_vertices)
+        for t, s in pairs
+    )
+    return 8 * (n * n + blocks)
+
+
 def assemble_system(model: NestedModel, quadrature=None) -> BlockSystem:
     """Assemble the symmetric block matrix over all interface pairs.
 
@@ -200,8 +206,19 @@ def assemble_system(model: NestedModel, quadrature=None) -> BlockSystem:
     apart are identically zero.  All four operator blocks of a pair come
     from one shared quadrature sweep, and the double-layer blocks are
     calibrated to their exact constant-field row sums.
+
+    Raises ``MemoryError`` before allocating anything dense when
+    :func:`_dense_bytes` exceeds the memory the process can get: a system
+    matrix too large for memory would otherwise be allocated lazily and
+    the process killed part way through assembly.
     """
     layout = system_layout(model)
+    needed, available = _dense_bytes(model), _available_memory()
+    if needed > available:
+        raise MemoryError(
+            f"dense storage of {needed / 2**30:.2f} GiB for N = {layout.total} exceeds "
+            f"the {available / 2**30:.2f} GiB of memory available"
+        )
     sigma = model.conductivities
     n = model.num_interfaces
     Z = np.zeros((layout.total, layout.total))
@@ -212,10 +229,7 @@ def assemble_system(model: NestedModel, quadrature=None) -> BlockSystem:
         Z[rows, cols] += factor * mat
 
     for i in range(n):
-        ops = bem_ops.assemble_operators(
-            model.surfaces[i], model.surfaces[i], quadrature=quadrature,
-            target_index=i, source_index=i,
-        )
+        ops = bem_ops.assemble_operators(model.surfaces[i], model.surfaces[i], quadrature)
         mesh = model.surfaces[i]
         dii = ops["D"].matrix
         _calibrate_rows(dii, mesh.triangles, -0.5 * mesh.areas)
@@ -230,10 +244,7 @@ def assemble_system(model: NestedModel, quadrature=None) -> BlockSystem:
     for i in range(n - 1):
         j = i + 1
         s_btw = sigma[j]  # conductivity of the compartment between the surfaces
-        ops = bem_ops.assemble_operators(
-            model.surfaces[i], model.surfaces[j], quadrature=quadrature,
-            target_index=i, source_index=j,
-        )
+        ops = bem_ops.assemble_operators(model.surfaces[i], model.surfaces[j], quadrature)
         vi, pi = layout.v_slice(i), layout.p_slice(i)
         vj, pj = layout.v_slice(j), layout.p_slice(j)
         nij, sij = ops["N"].matrix, ops["S"].matrix

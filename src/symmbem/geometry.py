@@ -225,15 +225,6 @@ def make_icosphere(subdivisions: int, radius: float) -> TriangleMesh:
     return mesh
 
 
-def average_edge_length(mesh: TriangleMesh) -> float:
-    """Arithmetic mean of the unique edge lengths (open meshes allowed)."""
-    e = mesh.edges
-    if len(e) == 0:
-        raise ValueError("mesh has no edges")
-    lengths = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
-    return float(lengths.mean())
-
-
 def validate(mesh: TriangleMesh) -> list[MeshViolation]:
     """Check the closed-manifold invariants; violations are data, not errors.
 
@@ -422,23 +413,40 @@ def write_off(mesh: TriangleMesh, path) -> None:
 
 
 def read_off(path) -> TriangleMesh:
-    """ASCII OFF reader matching :func:`write_off`; skips blank/comment lines."""
-    tokens_iter = (
-        line.split()
-        for line in Path(path).read_text().splitlines()
+    """ASCII OFF reader matching :func:`write_off`; skips blank/comment lines.
+
+    A malformed file raises ``ValueError`` naming the file and the line.
+    """
+    rows = [
+        (number, line.split())
+        for number, line in enumerate(Path(path).read_text().splitlines(), start=1)
         if line.strip() and not line.lstrip().startswith("#")
-    )
-    rows = list(tokens_iter)
-    if not rows or rows[0] != ["OFF"]:
+    ]
+
+    def error(number, message):
+        return ValueError(f"{path}, line {number}: {message}")
+
+    def three(number, tokens, convert, what):
+        if len(tokens) != 3:
+            raise error(number, f"expected 3 {what}, got {len(tokens)}")
+        try:
+            return [convert(x) for x in tokens]
+        except ValueError:
+            raise error(number, f"expected 3 {what}, got {' '.join(tokens)!r}") from None
+
+    if not rows or rows[0][1] != ["OFF"]:
         raise ValueError(f"{path}: missing OFF header")
-    nv, nc, _ = (int(x) for x in rows[1])
+    if len(rows) < 2:
+        raise ValueError(f"{path}: truncated OFF file")
+    nv, nc, _ = three(*rows[1], int, "counts")
+    if nv < 0 or nc < 0:
+        raise error(rows[1][0], "negative count")
     if len(rows) < 2 + nv + nc:
         raise ValueError(f"{path}: truncated OFF file")
-    vertices = np.array([[float(x) for x in rows[2 + i]] for i in range(nv)])
-    tri_rows = rows[2 + nv : 2 + nv + nc]
+    vertices = np.array([three(*row, float, "coordinates") for row in rows[2 : 2 + nv]])
     triangles = np.empty((nc, 3), dtype=np.int64)
-    for i, r in enumerate(tri_rows):
-        if r[0] != "3":
-            raise ValueError(f"{path}: non-triangle face on line {i}")
-        triangles[i] = [int(r[1]), int(r[2]), int(r[3])]
+    for i, (number, tokens) in enumerate(rows[2 + nv : 2 + nv + nc]):
+        if tokens[0] != "3":
+            raise error(number, "non-triangle face")
+        triangles[i] = three(number, tokens[1:4], int, "vertex indices")
     return TriangleMesh(vertices, triangles)

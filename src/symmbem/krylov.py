@@ -1,8 +1,10 @@
-"""Iterative solvers and spectral estimation for symmetric operators.
+"""Iterative solvers for symmetric operators.
 
-All routines accept either a dense matrix or a callable ``x -> A @ x``.
-Dot products use numpy's sequential reductions, so iteration counts are
-reproducible run to run.
+CG also returns the extreme Ritz values of its Lanczos tridiagonal, an
+estimate of the operator's extreme eigenvalues.  All routines accept
+either a dense matrix or a callable ``x -> A @ x``.  Dot products use
+numpy's sequential reductions, so iteration counts are reproducible run
+to run.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ from scipy.linalg import eigh_tridiagonal
 
 class BreakdownError(RuntimeError):
     """Raised when CG meets nonpositive curvature: the operator is not PSD."""
-
-
-class ConditionEstimateError(RuntimeError):
-    """Raised when extreme Ritz values fail to settle within the iteration cap."""
 
 
 @dataclass
@@ -183,78 +181,6 @@ def minres(A, b, tol: float = 1e-8, maxit: int | None = None):
         beta = beta_new
 
     return x, SolveReport(it, history, converged)
-
-
-def estimate_condition(
-    A,
-    kernel_dim: int = 0,
-    n: int | None = None,
-    maxit: int = 300,
-    rtol: float = 1e-4,
-    seed: int = 0,
-):
-    """Extreme nonzero Ritz values of a symmetric PSD operator via Lanczos.
-
-    Uses full reorthogonalization so ghost eigenvalues cannot pollute the
-    estimate.  ``kernel_dim`` is the known (deflated) kernel dimension;
-    Ritz values below ``1e-10 * lambda_max`` are attributed to it and
-    discarded.  Returns ``(lambda_min_nonzero, lambda_max, cond)``.
-    """
-    matvec = _as_matvec(A)
-    if n is None:
-        if callable(A):
-            raise ValueError("n must be given for a callable operator")
-        n = np.asarray(A).shape[0]
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    cap = min(maxit, n)
-    V = np.empty((n, cap), dtype=float)
-    alphas: list[float] = []
-    offs: list[float] = []
-    prev = None
-    settled = False
-    for k in range(cap):
-        V[:, k] = v
-        w = matvec(v)
-        alpha = float(v @ w)
-        alphas.append(alpha)
-        w = w - alpha * v
-        if k > 0:
-            w = w - offs[-1] * V[:, k - 1]
-        # full reorthogonalization, applied twice
-        basis = V[:, : k + 1]
-        w -= basis @ (basis.T @ w)
-        w -= basis @ (basis.T @ w)
-        beta = float(np.linalg.norm(w))
-        if k == 0:
-            vals = np.array([alphas[0]])
-        else:
-            vals = eigh_tridiagonal(np.array(alphas), np.array(offs), eigvals_only=True)
-        lmax = float(vals[-1])
-        nonzero = vals[vals > max(lmax, 0.0) * 1e-10]
-        ext = (float(nonzero[0]), lmax) if len(nonzero) else None
-        if beta <= 1e-13 * max(abs(lmax), 1.0):
-            prev = ext  # invariant subspace: Ritz values are exact
-            settled = prev is not None
-            break
-        if ext is not None and prev is not None and k >= kernel_dim + 2:
-            dmin = abs(ext[0] - prev[0]) / max(abs(ext[0]), 1e-300)
-            dmax = abs(ext[1] - prev[1]) / max(abs(ext[1]), 1e-300)
-            if dmin < rtol and dmax < rtol:
-                prev = ext
-                settled = True
-                break
-        prev = ext
-        offs.append(beta)
-        v = w / beta
-    if not settled or prev is None:
-        raise ConditionEstimateError(
-            f"extreme Ritz values did not settle to {rtol} within {maxit} iterations"
-        )
-    lmin, lmax = prev
-    return lmin, lmax, lmax / lmin
 
 
 def orthonormal_columns(vectors) -> np.ndarray:

@@ -2,32 +2,16 @@
 functions and the two-point-flux stiffness on the cells (dual graph).
 
 Both are assembled on the primal mesh itself; neither needs a refinement.
+Both builders return the symmetric positive semi-definite scipy CSR matrix
+itself, with the constants in its kernel.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .geometry import TriangleMesh
-
-PRIMAL = "primal"
-DUAL = "dual"
-
-
-@dataclass(frozen=True)
-class LaplacianMatrix:
-    """Symmetric PSD stiffness matrix with the constants in its kernel."""
-
-    matrix: sp.csr_matrix
-    kind: str
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 def _p1_stiffness(vertices: np.ndarray, triangles: np.ndarray) -> sp.csr_matrix:
     """Piecewise-linear stiffness with cotangent weights.
@@ -54,12 +38,12 @@ def _p1_stiffness(vertices: np.ndarray, triangles: np.ndarray) -> sp.csr_matrix:
     return (mat + mat.T) * 0.5
 
 
-def primal_laplace_beltrami(mesh: TriangleMesh) -> LaplacianMatrix:
+def primal_laplace_beltrami(mesh: TriangleMesh) -> sp.csr_matrix:
     """Cotangent stiffness of the vertex hat functions on the surface."""
-    return LaplacianMatrix(_p1_stiffness(mesh.vertices, mesh.triangles), PRIMAL)
+    return _p1_stiffness(mesh.vertices, mesh.triangles)
 
 
-def dual_laplacian(mesh: TriangleMesh) -> LaplacianMatrix:
+def dual_laplacian(mesh: TriangleMesh) -> sp.csr_matrix:
     """Two-point-flux stiffness of the cell (patch) functions.
 
     ``K = sum_edges (l_e / d_mn) (e_m - e_n)(e_m - e_n)^T`` over the edges of
@@ -77,8 +61,7 @@ def dual_laplacian(mesh: TriangleMesh) -> LaplacianMatrix:
     w = length / dist
     m, n = cells[:, 0], cells[:, 1]
     nc = mesh.num_triangles
-    mat = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate([w, w, -w, -w]), (np.concatenate([m, n, m, n]), np.concatenate([m, n, n, m]))),
         shape=(nc, nc),
     ).tocsr()
-    return LaplacianMatrix(mat, DUAL)

@@ -341,7 +341,7 @@ def sphere_operator_eigenvalue(block: KernelBlock, mesh: TriangleMesh, l: int) -
             gram_p0(patch_space(mesh))
             if block.row_kind is Kind.PATCH
             else gram_p1(pyramid_space(mesh))
-        ).matrix
+        )
     elif block.row_kind is Kind.PATCH:
         gram = mixed_gram_p0_p1(mesh)
     else:
@@ -349,9 +349,9 @@ def sphere_operator_eigenvalue(block: KernelBlock, mesh: TriangleMesh, l: int) -
 
     # resolution guard: sampled modes must stay independent in the Gram
     g_col = (
-        gram_p1(pyramid_space(mesh)).matrix
+        gram_p1(pyramid_space(mesh))
         if block.col_kind is Kind.PYRAMID
-        else gram_p0(patch_space(mesh)).matrix
+        else gram_p0(patch_space(mesh))
     )
     mode_gram = cols @ (g_col @ cols.T)
     ev = np.linalg.eigvalsh(mode_gram)

@@ -92,7 +92,7 @@ def _primal_solver(mesh: TriangleMesh, lumped: np.ndarray):
     bordered matrix ``[[L, m], [m^T, -total/beta]]``, factored once here:
     eliminating the border gives back the rank-one-shifted Laplacian.
     """
-    lap = primal_laplace_beltrami(mesh).matrix
+    lap = primal_laplace_beltrami(mesh)
     total = lumped.sum()
     beta = 8.0 * np.pi / mesh.total_area  # constant-mode eigenvalue, O(1) scale
     col = sp.csr_matrix(lumped[:, None])
@@ -120,7 +120,7 @@ def _dual_solver(mesh: TriangleMesh):
     prescaled ``A^-1 K A^-1`` plus that sum.
     """
     scaling = sp.diags(1.0 / mesh.areas)
-    scaled = (scaling @ dual_laplacian(mesh).matrix @ scaling).tocsr()
+    scaled = (scaling @ dual_laplacian(mesh) @ scaling).tocsr()
     shift = np.pi / mesh.total_area**2  # beta/total with beta = pi/total_area
     n = mesh.num_triangles
 
@@ -152,7 +152,7 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
         ps = layout.p_slice(i)
         if ps is not None:
             m_diag[ps] = lumped_inverse_sqrt(gram_p0(patch_space(mesh)))
-        lumped = np.asarray(gram.matrix.sum(axis=1)).ravel()
+        lumped = np.asarray(gram.sum(axis=1)).ravel()
         primal_solvers.append(_primal_solver(mesh, lumped))
         dual_solvers.append(_dual_solver(mesh) if ps is not None else None)
 

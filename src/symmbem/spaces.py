@@ -1,4 +1,7 @@
-"""Piecewise-constant and piecewise-linear spaces, Gram matrices, dual Gram."""
+"""Piecewise-constant and piecewise-linear spaces, Gram matrices, dual Gram.
+
+The Gram builders return the scipy CSR matrix itself.
+"""
 
 from __future__ import annotations
 
@@ -21,12 +24,6 @@ class FunctionSpace:
     mesh: TriangleMesh
     kind: Kind
 
-    @property
-    def dof_count(self) -> int:
-        if self.kind is Kind.PATCH:
-            return self.mesh.num_triangles
-        return self.mesh.num_vertices
-
 
 def patch_space(mesh: TriangleMesh) -> FunctionSpace:
     return FunctionSpace(mesh, Kind.PATCH)
@@ -36,29 +33,17 @@ def pyramid_space(mesh: TriangleMesh) -> FunctionSpace:
     return FunctionSpace(mesh, Kind.PYRAMID)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Sparse symmetric matrix of L2 inner products of basis pairs."""
-
-    matrix: sp.csr_matrix
-    kind: Kind
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-
-def gram_p0(space: FunctionSpace) -> GramMatrix:
+def gram_p0(space: FunctionSpace) -> sp.csr_matrix:
     """Diagonal patch Gram: entry (n, n) is the area of triangle n."""
     if space.kind is not Kind.PATCH:
         raise ValueError("gram_p0 expects a patch space")
     areas = space.mesh.areas
     if np.any(areas <= 0):
         raise ValueError("mesh has a degenerate triangle")
-    return GramMatrix(sp.diags(areas).tocsr(), Kind.PATCH)
+    return sp.diags(areas).tocsr()
 
 
-def gram_p1(space: FunctionSpace) -> GramMatrix:
+def gram_p1(space: FunctionSpace) -> sp.csr_matrix:
     """Consistent pyramid mass matrix: per triangle A/6 diagonal, A/12 off."""
     if space.kind is not Kind.PYRAMID:
         raise ValueError("gram_p1 expects a pyramid space")
@@ -78,17 +63,16 @@ def gram_p1(space: FunctionSpace) -> GramMatrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
-    m = (m + m.T) * 0.5  # symmetrize exactly
-    return GramMatrix(m, Kind.PYRAMID)
+    return (m + m.T) * 0.5  # symmetrize exactly
 
 
-def lumped_inverse_sqrt(gram: GramMatrix) -> np.ndarray:
+def lumped_inverse_sqrt(gram: sp.spmatrix) -> np.ndarray:
     """Diagonal of the lumped inverse square root: (row sum of G) ** -1/2.
 
     Exact for the patch Gram (already diagonal); spectrally equivalent mass
     lumping for the pyramid Gram.
     """
-    row_sums = np.asarray(gram.matrix.sum(axis=1)).ravel()
+    row_sums = np.asarray(gram.sum(axis=1)).ravel()
     if np.any(row_sums <= 0):
         raise ValueError("non-positive Gram row sum")
     return 1.0 / np.sqrt(row_sums)

@@ -10,13 +10,7 @@ from symmbem.bem_ops import (
     TAGS,
     QuadratureConfig,
     _thread_count,
-    assemble_adjoint_double_layer,
-    assemble_double_layer,
-    assemble_hypersingular,
     assemble_operators,
-    assemble_single_layer,
-    read_block,
-    write_block,
 )
 from symmbem.geometry import TriangleMesh, make_icosphere
 from symmbem.oracle import (
@@ -25,7 +19,7 @@ from symmbem.oracle import (
     sphere_operator_eigenvalue,
     sphere_single_layer_eigenvalue,
 )
-from symmbem.spaces import Kind, gram_p0, patch_space, pyramid_space
+from symmbem.spaces import Kind
 from oracles import galerkin_single_layer_entry, regular_pair_integrals
 
 FOUR_PI = 4.0 * np.pi
@@ -66,12 +60,10 @@ def test_coincident_self_term_matches_adaptive_oracle():
         np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]), np.array([[0, 1, 2]])
     )
     reference = 0.07982144690425
-    high = assemble_single_layer(
-        patch_space(tri), patch_space(tri), QuadratureConfig(singular_order=12)
-    ).matrix[0, 0]
+    high = assemble_operators(tri, tri, QuadratureConfig(singular_order=12))["S"].matrix[0, 0]
     assert high > 0
     assert abs(high - reference) < 1e-8
-    default = assemble_single_layer(patch_space(tri), patch_space(tri)).matrix[0, 0]
+    default = assemble_operators(tri, tri)["S"].matrix[0, 0]
     assert abs(default - reference) / reference < 5e-4
 
 
@@ -81,7 +73,7 @@ def test_single_layer_far_field_limit():
     verts = np.concatenate([a, a * 0.8 + offset])
     mesh_t = TriangleMesh(verts[:3], np.array([[0, 1, 2]]))
     mesh_s = TriangleMesh(verts[3:], np.array([[0, 1, 2]]))
-    block = assemble_single_layer(patch_space(mesh_t), patch_space(mesh_s))
+    block = assemble_operators(mesh_t, mesh_s)["S"]
     r = np.linalg.norm(mesh_t.centroids[0] - mesh_s.centroids[0])
     expect = mesh_t.areas[0] * mesh_s.areas[0] / (FOUR_PI * r)
     assert abs(block.matrix[0, 0] - expect) / expect < 0.01
@@ -92,9 +84,7 @@ def test_single_layer_edge_pair_against_oracle():
         [[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.3, -0.8, 0.2]]
     )
     mesh = TriangleMesh(verts, np.array([[0, 1, 2], [1, 0, 3]]))
-    block = assemble_single_layer(
-        patch_space(mesh), patch_space(mesh), QuadratureConfig(singular_order=12)
-    )
+    block = assemble_operators(mesh, mesh, QuadratureConfig(singular_order=12))["S"]
     ref = galerkin_single_layer_entry(verts[[0, 1, 2]], verts[[1, 0, 3]])
     assert abs(block.matrix[0, 1] - ref) / abs(ref) < 1e-8
     assert abs(block.matrix[1, 0] - ref) / abs(ref) < 1e-8
@@ -128,7 +118,7 @@ def test_double_layer_far_field_limit():
     offset = np.array([40.0, 3.0, 5.0])
     mesh_t = TriangleMesh(a, np.array([[0, 1, 2]]))
     mesh_s = TriangleMesh(a * 0.8 + offset, np.array([[0, 1, 2]]))
-    block = assemble_double_layer(patch_space(mesh_t), pyramid_space(mesh_s))
+    block = assemble_operators(mesh_t, mesh_s)["D"]
     d = mesh_t.centroids[0] - mesh_s.centroids[0]
     r = np.linalg.norm(d)
     kernel = (d @ mesh_s.normals[0]) / (FOUR_PI * r**3)
@@ -149,19 +139,12 @@ def test_adjoint_double_layer_is_exact_transpose(sphere2_ops):
     assert np.abs(ds - d.T).max() <= 1e-13 * np.abs(d).max()
 
 
-def test_adjoint_double_layer_individual_op_matches_transpose(sphere2):
-    # the standalone operations run the same shared sweep
-    d = assemble_double_layer(patch_space(sphere2), pyramid_space(sphere2))
-    ds = assemble_adjoint_double_layer(pyramid_space(sphere2), patch_space(sphere2))
-    assert np.abs(ds.matrix - d.matrix.T).max() <= 1e-13 * np.abs(d.matrix).max()
-
-
 def test_adjoint_double_layer_far_field_limit():
     a = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]])
     offset = np.array([40.0, 3.0, 5.0])
     mesh_t = TriangleMesh(a, np.array([[0, 1, 2]]))
     mesh_s = TriangleMesh(a * 0.8 + offset, np.array([[0, 1, 2]]))
-    block = assemble_adjoint_double_layer(pyramid_space(mesh_t), patch_space(mesh_s))
+    block = assemble_operators(mesh_t, mesh_s)["Dstar"]
     d = mesh_t.centroids[0] - mesh_s.centroids[0]
     r = np.linalg.norm(d)
     kernel = -(d @ mesh_t.normals[0]) / (FOUR_PI * r**3)
@@ -203,31 +186,15 @@ def test_hypersingular_sphere_l1(sphere3, sphere3_ops):
 def test_cross_surface_blocks_finite_and_zero_free():
     inner = make_icosphere(1, 0.8)
     outer = make_icosphere(1, 1.3)
-    ops = assemble_operators(inner, outer, target_index=0, source_index=1)
+    ops = assemble_operators(inner, outer)
+    assert set(ops) == set(TAGS)
     for tag, block in ops.items():
         assert np.all(np.isfinite(block.matrix)), tag
-        assert block.target == 0 and block.source == 1
+        rows = inner.num_triangles if block.row_kind is Kind.PATCH else inner.num_vertices
+        cols = outer.num_triangles if block.col_kind is Kind.PATCH else outer.num_vertices
+        assert block.matrix.shape == (rows, cols), tag
     # smooth kernels: single-layer entries all strictly positive
     assert ops["S"].matrix.min() > 0
-
-
-def test_block_dump_roundtrip(tmp_path, sphere2_ops):
-    block = sphere2_ops["D"]
-    path = tmp_path / "block.bin"
-    write_block(block, path)
-    back = read_block(path)
-    assert back.tag == "D"
-    assert back.row_kind is Kind.PATCH and back.col_kind is Kind.PYRAMID
-    assert back.target == block.target and back.source == block.source
-    assert np.array_equal(back.matrix, block.matrix)
-
-
-def test_kind_validation():
-    mesh = make_icosphere(0, 1.0)
-    with pytest.raises(ValueError):
-        assemble_single_layer(pyramid_space(mesh), patch_space(mesh))
-    with pytest.raises(ValueError):
-        assemble_hypersingular(patch_space(mesh), patch_space(mesh))
 
 
 def test_threads_env_does_not_change_results(shells1, monkeypatch):
@@ -311,7 +278,7 @@ def test_regular_tiers_match_per_pair_double_loop(pair):
     inner, middle = (make_icosphere(2, r) for r in SHELL_RADII[:2])
     mesh_t, mesh_s = (_merged([inner, middle]),) * 2 if pair == "self" else (inner, middle)
     same = mesh_t is mesh_s
-    ops = assemble_operators(mesh_t, mesh_s, which=("S", "D", "Dstar"))
+    ops = assemble_operators(mesh_t, mesh_s)
     rules = _tier_rules(mesh_t, mesh_s)
     tri_t, tri_s = mesh_t.triangles, mesh_s.triangles
     cache = {}

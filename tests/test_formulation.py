@@ -1,8 +1,10 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from symmbem import bem_ops, formulation
 from symmbem._quadrature import TRI_RULES
 from symmbem.formulation import (
     DipoleSource,
@@ -171,3 +173,41 @@ def test_on_surface_matches_the_exact_scan_of_every_triangle():
                 assert _on_surface(point, mesh, eps) == exact
                 verdicts.append(exact)
     assert any(verdicts) and not all(verdicts)
+
+
+def test_assemble_system_refuses_dense_storage_beyond_memory(monkeypatch):
+    model = _model("shells3-sub1")
+    n = system_layout(model).total
+    needed = formulation._dense_bytes(model)
+    # Z and the four blocks of one surface pair, 80 cells and 42 vertices each
+    assert needed == 8 * (n * n + (80 + 42) ** 2)
+
+    def assembly_started(*args, **kwargs):
+        raise AssertionError("operator assembly started")
+
+    monkeypatch.setattr(formulation, "_available_memory", lambda: needed - 1)
+    monkeypatch.setattr(bem_ops, "assemble_operators", assembly_started)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=f"N = {n} exceeds"):
+            assemble_system(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 10  # nothing of size N x N was allocated
+    monkeypatch.undo()
+
+    small = NestedModel([make_icosphere(0, 1.0)], (1.0, 0.0))
+    monkeypatch.setattr(formulation, "_available_memory", lambda: formulation._dense_bytes(small))
+    assert assemble_system(small).size == 12
+
+
+def test_available_memory_is_physical_memory_lowered_to_the_cgroup_limit(tmp_path, monkeypatch):
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = tmp_path / "memory.max"
+    monkeypatch.setattr(formulation, "Path", lambda _: limit)
+    assert formulation._available_memory() == physical  # no readable limit
+    limit.write_text("max\n")
+    assert formulation._available_memory() == physical
+    limit.write_text(f"{2**20}\n")
+    assert formulation._available_memory() == 2**20

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from symmbem.geometry import (
     MAX_SUBDIVISIONS,
     NestedModel,
     TriangleMesh,
-    average_edge_length,
     make_icosphere,
     read_off,
     validate,
@@ -64,26 +65,6 @@ def test_signed_volume_positive_and_converging():
     r = 1.0
     vol = make_icosphere(3, r).signed_volume
     assert abs(vol - 4 * np.pi / 3) / (4 * np.pi / 3) < 0.02
-
-
-def test_average_edge_length_icosahedron():
-    # unit circumradius icosahedron edge: 4 / sqrt(10 + 2 sqrt(5))
-    exact = 4.0 / np.sqrt(10.0 + 2.0 * np.sqrt(5.0))
-    assert abs(exact - 1.0514622242382672) < 1e-12
-    mesh = make_icosphere(0, 1.0)
-    assert abs(average_edge_length(mesh) - exact) < 1e-12
-
-
-def test_average_edge_length_single_triangle_open_mesh():
-    mesh = TriangleMesh(
-        np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]), np.array([[0, 1, 2]])
-    )
-    assert abs(average_edge_length(mesh) - (1 + 1 + np.sqrt(2)) / 3) < 1e-15
-
-
-def test_average_edge_length_decreases_with_refinement():
-    vals = [average_edge_length(make_icosphere(s, 1.0)) for s in (0, 1, 2, 3)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 @pytest.mark.parametrize("subdiv", [0, 2])
@@ -148,6 +129,35 @@ def test_off_roundtrip_awkward_floats(tmp_path):
     path = tmp_path / "jitter.off"
     write_off(jittered, path)
     assert np.array_equal(read_off(path).vertices, verts)
+
+
+_TETRAHEDRON_OFF = [
+    "OFF",
+    "# a tetrahedron",
+    "4 4 0",
+    "0 0 0", "1 0 0", "0 1 0", "0 0 1",
+    "3 0 2 1", "3 0 1 3", "3 0 3 2", "3 1 2 3",
+]
+
+
+def test_read_off_names_the_file_and_line_of_a_malformed_row(tmp_path):
+    good = tmp_path / "good.off"
+    good.write_text("\n".join(_TETRAHEDRON_OFF) + "\n")
+    assert validate(read_off(good)) == []
+    # (1-based line, replacement, expected message); the comment line counts
+    cases = [
+        (3, "4 4", "expected 3 counts, got 2"),
+        (3, "4 -1 0", "negative count"),
+        (5, "1 0", "expected 3 coordinates, got 2"),
+        (9, "3 0 1", "expected 3 vertex indices, got 2"),
+    ]
+    for line, text, message in cases:
+        lines = list(_TETRAHEDRON_OFF)
+        lines[line - 1] = text
+        path = tmp_path / f"bad{line}.off"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: {message}")):
+            read_off(path)
 
 
 def test_winding_number_inside_outside():

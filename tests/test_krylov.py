@@ -3,9 +3,7 @@ import pytest
 
 from symmbem.krylov import (
     BreakdownError,
-    ConditionEstimateError,
     conjugate_gradient,
-    estimate_condition,
     minres,
 )
 
@@ -87,36 +85,6 @@ def test_minres_maxit_exhaustion_reports_not_converged():
     _, report = minres(A, rng.standard_normal(40), tol=1e-14, maxit=3)
     assert report.iterations == 3
     assert not report.converged
-
-
-def test_estimate_condition_diagonal():
-    lmin, lmax, cond = estimate_condition(np.diag([1.0, 10.0]))
-    assert abs(cond - 10.0) < 1e-10
-
-
-def test_estimate_condition_excludes_kernel():
-    lmin, lmax, cond = estimate_condition(np.diag([0.0, 1.0, 4.0]), kernel_dim=1)
-    assert abs(lmin - 1.0) < 1e-10
-    assert abs(cond - 4.0) < 1e-10
-
-
-def test_estimate_condition_matches_dense():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((120, 120))
-    A = m @ m.T + 5 * np.eye(120)
-    lmin, lmax, cond = estimate_condition(A, maxit=300)
-    vals = np.linalg.eigvalsh(A)
-    assert abs(lmax - vals[-1]) / vals[-1] < 1e-3
-    assert abs(lmin - vals[0]) / vals[0] < 2e-2
-    assert abs(cond - vals[-1] / vals[0]) / (vals[-1] / vals[0]) < 2e-2
-
-
-def test_estimate_condition_raises_when_capped():
-    rng = np.random.default_rng(11)
-    m = rng.standard_normal((200, 200))
-    A = m @ m.T + 1e-8 * np.eye(200)
-    with pytest.raises(ConditionEstimateError):
-        estimate_condition(A, maxit=4)
 
 
 def test_solvers_deterministic():

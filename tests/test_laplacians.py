@@ -12,20 +12,20 @@ def test_right_angle_edge_weight_vanishes():
     # unit square split along the diagonal: both opposite angles are 90 deg
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
     mesh = TriangleMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
-    lap = primal_laplace_beltrami(mesh).matrix.toarray()
+    lap = primal_laplace_beltrami(mesh).toarray()
     assert abs(lap[0, 2]) < 1e-14
 
 
 def test_primal_row_sums_vanish():
     mesh = make_icosphere(2, 1.0)
-    lap = primal_laplace_beltrami(mesh).matrix
+    lap = primal_laplace_beltrami(mesh)
     rows = np.asarray(lap.sum(axis=1)).ravel()
     assert np.abs(rows).max() < 1e-12
 
 
 def test_primal_symmetric_psd_with_constant_kernel():
     mesh = make_icosphere(1, 1.0)
-    lap = primal_laplace_beltrami(mesh).matrix.toarray()
+    lap = primal_laplace_beltrami(mesh).toarray()
     assert np.abs(lap - lap.T).max() == 0.0
     vals = np.linalg.eigvalsh(lap)
     assert vals[0] > -1e-12 * vals[-1]
@@ -34,8 +34,8 @@ def test_primal_symmetric_psd_with_constant_kernel():
 
 def test_primal_sphere_spectrum():
     mesh = make_icosphere(3, 1.0)
-    lap = primal_laplace_beltrami(mesh).matrix.toarray()
-    gram = gram_p1(pyramid_space(mesh)).matrix.toarray()
+    lap = primal_laplace_beltrami(mesh).toarray()
+    gram = gram_p1(pyramid_space(mesh)).toarray()
     vals = scipy.linalg.eigh(lap, gram, eigvals_only=True)
     lowest_nonzero = vals[1]
     expect = sphere_laplace_beltrami_eigenvalue(1)
@@ -44,14 +44,14 @@ def test_primal_sphere_spectrum():
 
 def test_dual_row_sums_vanish():
     mesh = make_icosphere(1, 1.0)
-    lap = dual_laplacian(mesh).matrix
+    lap = dual_laplacian(mesh)
     rows = np.asarray(lap.sum(axis=1)).ravel()
     assert np.abs(rows).max() < 1e-12 * np.abs(lap.data).max()
 
 
 def test_dual_psd():
     mesh = make_icosphere(2, 1.0)
-    lap = dual_laplacian(mesh).matrix.toarray()
+    lap = dual_laplacian(mesh).toarray()
     assert np.abs(lap - lap.T).max() == 0.0
     vals = np.linalg.eigvalsh(lap)
     assert vals[0] >= -1e-10 * vals[-1]
@@ -60,7 +60,7 @@ def test_dual_psd():
 def _dual_degree_errors(subdiv):
     """Worst relative error against l(l+1) of each degree block l = 1..4."""
     mesh = make_icosphere(subdiv, 1.0)
-    lap = dual_laplacian(mesh).matrix.toarray()
+    lap = dual_laplacian(mesh).toarray()
     # generalized eigenvalues against the patch Gram diag(areas)
     s = 1.0 / np.sqrt(mesh.areas)
     vals = np.sort(np.linalg.eigvalsh(s[:, None] * lap * s[None, :]))

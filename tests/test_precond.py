@@ -10,30 +10,42 @@ from symmbem.formulation import (
     conductivity_rescale,
     system_layout,
 )
-from symmbem.geometry import NestedModel, make_icosphere
+from symmbem.geometry import NestedModel, TriangleMesh, make_icosphere, read_off, write_off
 from symmbem.laplacians import dual_laplacian, primal_laplace_beltrami
 from symmbem.oracle import SphereSpec, layered_sphere_potential
 from symmbem.spaces import gram_p1, pyramid_space
 
 RADII = (0.87, 0.92, 1.0)
 SIGMA = (1.0, 1.0 / 80.0, 1.0, 0.0)
+DIPOLE = DipoleSource([0.1, -0.2, 0.35], [0.6, 0.0, 0.8])
+
+
+def _system(meshes, sigma=SIGMA):
+    """Rescaled system of the nested model on ``meshes``, loaded by ``DIPOLE``."""
+    model = NestedModel(meshes, sigma)
+    system = assemble_system(model)
+    system.rhs = assemble_rhs(model, [DIPOLE])
+    return conductivity_rescale(system)
+
+
+def _rdm_mag(v, ref):
+    """RDM and MAG of the mean-referenced potentials."""
+    v, ref = v - v.mean(), ref - ref.mean()
+    rdm = np.linalg.norm(v / np.linalg.norm(v) - ref / np.linalg.norm(ref))
+    return rdm, np.linalg.norm(v) / np.linalg.norm(ref)
 
 
 @pytest.fixture(scope="module")
 def shells1():
     """Rescaled three-shell system at subdivision 1 with one dipole load."""
     meshes = [make_icosphere(1, r) for r in RADII]
-    model = NestedModel(meshes, SIGMA)
-    dipole = DipoleSource([0.1, -0.2, 0.35], [0.6, 0.0, 0.8])
-    system = assemble_system(model)
-    system.rhs = assemble_rhs(model, [dipole])
-    return conductivity_rescale(system), meshes, dipole
+    return _system(meshes), meshes, DIPOLE
 
 
 def test_primal_solver_matches_dense_regularized_solve():
     mesh = make_icosphere(2, 1.0)
-    lap = primal_laplace_beltrami(mesh).matrix.toarray()
-    lumped = gram_p1(pyramid_space(mesh)).matrix.toarray().sum(axis=1)
+    lap = primal_laplace_beltrami(mesh).toarray()
+    lumped = gram_p1(pyramid_space(mesh)).toarray().sum(axis=1)
     beta = 8.0 * np.pi / mesh.total_area
     dense = lap + (beta / lumped.sum()) * np.outer(lumped, lumped)
     # the Laplacian solvers depend on the meshes and the layout only, so a
@@ -49,7 +61,7 @@ def test_primal_solver_matches_dense_regularized_solve():
 
 def test_dual_solver_matches_dense_two_point_flux_map():
     mesh = make_icosphere(2, 1.0)
-    k = dual_laplacian(mesh).matrix.toarray()
+    k = dual_laplacian(mesh).toarray()
     a = mesh.areas
     beta = np.pi / mesh.total_area
     inv = np.diag(1.0 / a)
@@ -101,11 +113,48 @@ def test_solve_matches_layered_sphere_series(shells1):
     outer = meshes[-1]
     v = x[system.layout.v_slice(len(meshes) - 1)]
     ref = layered_sphere_potential(SphereSpec(RADII, SIGMA), dipole, outer.vertices)
-    v, ref = v - v.mean(), ref - ref.mean()
-    rdm = np.linalg.norm(v / np.linalg.norm(v) - ref / np.linalg.norm(ref))
-    mag = np.linalg.norm(v) / np.linalg.norm(ref)
+    rdm, mag = _rdm_mag(v, ref)
     assert rdm < 0.025
     assert abs(mag - 1.0) < 0.2
+
+
+def test_refinement_improves_accuracy_at_a_flat_condition_number():
+    # the paper's claim: the error against the layered-sphere series falls
+    # under refinement while the preconditioned condition number stays put
+    rdm, mag_err, cond = [], [], []
+    for subdivisions in (1, 2):
+        meshes = [make_icosphere(subdivisions, r) for r in RADII]
+        system = _system(meshes)
+        x, report, residual = precond.solve(system, meshes)
+        assert report.converged and residual <= 1e-8
+        v = x[system.layout.v_slice(len(meshes) - 1)]
+        ref = layered_sphere_potential(SphereSpec(RADII, SIGMA), DIPOLE, meshes[-1].vertices)
+        r, m = _rdm_mag(v, ref)
+        rdm.append(r)
+        mag_err.append(abs(m - 1.0))
+        cond.append(report.ritz_max / report.ritz_min)
+    assert rdm[1] < rdm[0]
+    assert mag_err[1] < mag_err[0]
+    assert abs(cond[1] - cond[0]) < 0.1 * cond[0]
+
+
+def test_iterations_stay_flat_on_ellipsoidal_shells_read_from_off_files(tmp_path):
+    # the icosphere's nearly uniform cells are the easy case for the
+    # two-point flux on the cell rows; stretched shells have cells of
+    # unequal shape and size
+    axes = np.array([1.1, 1.0, 0.85])
+    iterations = []
+    for subdivisions in (1, 2):
+        meshes = []
+        for k, r in enumerate(RADII):
+            sphere = make_icosphere(subdivisions, r)
+            path = tmp_path / f"shell{k}-sub{subdivisions}.off"
+            write_off(TriangleMesh(sphere.vertices * axes, sphere.triangles), path)
+            meshes.append(read_off(path))
+        _, report, residual = precond.solve(_system(meshes), meshes)
+        assert report.converged and residual <= 1e-8
+        iterations.append(report.iterations)
+    assert iterations[1] <= 1.3 * iterations[0]
 
 
 def test_build_rejects_wrong_mesh_count(shells1):
@@ -119,11 +168,7 @@ def test_solve_with_a_conducting_exterior_matches_layered_sphere_series():
     # deflated and the absolute potential is fixed by decay at infinity
     sigma = (1.0, 1.0 / 80.0, 1.0, 0.5)
     meshes = [make_icosphere(1, r) for r in RADII]
-    model = NestedModel(meshes, sigma)
-    dipole = DipoleSource([0.1, -0.2, 0.35], [0.6, 0.0, 0.8])
-    system = assemble_system(model)
-    system.rhs = assemble_rhs(model, [dipole])
-    system = conductivity_rescale(system)
+    system = _system(meshes, sigma)
     op = precond.build(system, meshes)
     assert op.dual_solvers[-1] is not None
     assert op.deflation.shape == (op.size, 0)
@@ -131,7 +176,7 @@ def test_solve_with_a_conducting_exterior_matches_layered_sphere_series():
     assert report.converged
     assert residual <= 1e-8
     v = x[system.layout.v_slice(len(meshes) - 1)]
-    ref = layered_sphere_potential(SphereSpec(RADII, sigma), dipole, meshes[-1].vertices)
+    ref = layered_sphere_potential(SphereSpec(RADII, sigma), DIPOLE, meshes[-1].vertices)
     rdm = np.linalg.norm(v / np.linalg.norm(v) - ref / np.linalg.norm(ref))
     mag = np.linalg.norm(v) / np.linalg.norm(ref)
     assert rdm < 0.05

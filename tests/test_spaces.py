@@ -3,7 +3,6 @@ import pytest
 
 from symmbem.geometry import TriangleMesh, make_icosphere
 from symmbem.spaces import (
-    Kind,
     barycentric_refinement,
     gram_p0,
     gram_p1,
@@ -19,32 +18,26 @@ SINGLE = TriangleMesh(
 )
 
 
-def test_dof_counts():
-    mesh = make_icosphere(1, 1.0)
-    assert patch_space(mesh).dof_count == mesh.num_triangles
-    assert pyramid_space(mesh).dof_count == mesh.num_vertices
-
-
 def test_gram_p0_single_triangle():
-    g = gram_p0(patch_space(SINGLE)).matrix.toarray()
+    g = gram_p0(patch_space(SINGLE)).toarray()
     assert np.allclose(g, [[0.5]], atol=1e-15)
 
 
 def test_gram_p0_trace_is_total_area():
     mesh = make_icosphere(1, 1.0)
     g = gram_p0(patch_space(mesh))
-    assert abs(g.matrix.diagonal().sum() - mesh.total_area) < 1e-12
+    assert abs(g.diagonal().sum() - mesh.total_area) < 1e-12
 
 
 def test_gram_p0_equal_triangles():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
     mesh = TriangleMesh(verts, np.array([[0, 1, 2], [1, 3, 2]]))
-    d = gram_p0(patch_space(mesh)).matrix.diagonal()
+    d = gram_p0(patch_space(mesh)).diagonal()
     assert abs(d[0] - d[1]) < 1e-15
 
 
 def test_gram_p1_single_triangle():
-    g = gram_p1(pyramid_space(SINGLE)).matrix.toarray()
+    g = gram_p1(pyramid_space(SINGLE)).toarray()
     expect = np.full((3, 3), 1.0 / 24.0)
     np.fill_diagonal(expect, 1.0 / 12.0)
     assert np.allclose(g, expect, atol=1e-15)
@@ -52,14 +45,14 @@ def test_gram_p1_single_triangle():
 
 def test_gram_p1_partition_of_unity():
     mesh = make_icosphere(2, 1.0)
-    g = gram_p1(pyramid_space(mesh)).matrix
+    g = gram_p1(pyramid_space(mesh))
     ones = np.ones(mesh.num_vertices)
     assert abs(ones @ (g @ ones) - mesh.total_area) < 1e-12
 
 
 def test_gram_p1_spd_and_exactly_symmetric():
     mesh = make_icosphere(1, 1.0)
-    g = gram_p1(pyramid_space(mesh)).matrix
+    g = gram_p1(pyramid_space(mesh))
     assert (abs(g - g.T)).max() == 0.0
     vals = np.linalg.eigvalsh(g.toarray())
     assert vals[0] > 0
@@ -78,12 +71,10 @@ def test_lumped_inverse_sqrt_p1_single_triangle():
 
 def test_lumped_inverse_sqrt_rejects_nonpositive():
     bad = gram_p1(pyramid_space(SINGLE))
-    mat = bad.matrix.tolil()
+    mat = bad.tolil()
     mat[0, :] = 0.0
-    from symmbem.spaces import GramMatrix
-
     with pytest.raises(ValueError):
-        lumped_inverse_sqrt(GramMatrix(mat.tocsr(), Kind.PYRAMID))
+        lumped_inverse_sqrt(mat.tocsr())
 
 
 @pytest.mark.parametrize("subdiv", [1, 2, 3])
@@ -91,7 +82,7 @@ def test_lumping_spectrally_equivalent(subdiv):
     mesh = make_icosphere(subdiv, 1.0)
     g = gram_p1(pyramid_space(mesh))
     d = lumped_inverse_sqrt(g)
-    scaled = (d[:, None] * g.matrix.toarray()) * d[None, :]
+    scaled = (d[:, None] * g.toarray()) * d[None, :]
     rows = scaled.sum(axis=1)
     assert rows.min() > 0.5 and rows.max() < 2.0
     vals = np.linalg.eigvalsh(scaled)
