@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg.blas import dsymv
 
 from . import bem_ops
-from .geometry import QUADRATURE_RULE, NestedModel, TriangleMesh
+from .geometry import QUADRATURE_RULE, NestedModel, TriangleMesh, dot3, point_surface_distance
 from ._quadrature import TRI_RULES
 
 FOUR_PI = 4.0 * np.pi
@@ -135,8 +135,12 @@ class BlockSystem:
         ``matrix.T`` is the Fortran-ordered view of the C-ordered array, so
         BLAS receives it without a copy (the array itself would be copied
         on every call).  ``dsymv`` trusts the unread triangle to mirror the
-        read one, which holds because Z is kept exactly symmetric.
+        read one, which holds because Z is kept exactly symmetric.  A 2-D
+        ``x`` is a block of columns and takes one ``dgemm`` with the full
+        array, which streams Z once for the whole block.
         """
+        if x.ndim == 2:
+            return self.matrix @ x
         return dsymv(1.0, self.matrix.T, x)
 
     def scale_vector(self) -> np.ndarray:
@@ -267,18 +271,13 @@ def assemble_system(model: NestedModel, quadrature=None) -> BlockSystem:
     return BlockSystem(Z, layout, np.asarray(sigma, dtype=float))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product over a last axis of length 3, broadcast over the rest."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
 def _source_field(sources, points):
     """Local potential v and its gradient for unit-conductivity free space."""
     v = np.zeros(points.shape[0])
     grad = np.zeros_like(points)
     for s in sources:
         d = points - s.position
-        dist2 = _dot(d, d)
+        dist2 = dot3(d, d)
         dist = np.sqrt(dist2)
         proj = d @ s.moment
         v += proj / (FOUR_PI * dist2 * dist)
@@ -289,33 +288,6 @@ def _source_field(sources, points):
     return v, grad
 
 
-def _point_surface_distance(point: np.ndarray, corners: np.ndarray, normals: np.ndarray) -> float:
-    """Exact distance from a point to a set of triangles (corners, unit normals)."""
-    c = corners
-    n = normals
-    d = point - c  # (triangle, corner, xyz)
-    height = _dot(d[:, 0], n)
-    # barycentric test of the in-plane foot point
-    v0 = c[:, 1] - c[:, 0]
-    v1 = c[:, 2] - c[:, 0]
-    v2 = d[:, 0] - height[:, None] * n
-    d00 = _dot(v0, v0)
-    d01 = _dot(v0, v1)
-    d11 = _dot(v1, v1)
-    d20 = _dot(v2, v0)
-    d21 = _dot(v2, v1)
-    denom = d00 * d11 - d01 * d01
-    wb = (d11 * d20 - d01 * d21) / denom
-    wc = (d00 * d21 - d01 * d20) / denom
-    inside = (wb >= 0) & (wc >= 0) & (wb + wc <= 1)
-    best = np.abs(height[inside]).min() if np.any(inside) else np.inf
-    # edge distances, the edges (0, 1), (1, 2), (2, 0) of every triangle at once
-    e = c[:, [1, 2, 0]] - c
-    t = np.clip(_dot(d, e) / _dot(e, e), 0, 1)
-    gap = d - t[..., None] * e
-    return float(min(best, np.sqrt(_dot(gap, gap).min())))
-
-
 def _on_surface(point: np.ndarray, mesh: TriangleMesh, eps: float) -> bool:
     """Whether ``point`` lies within ``eps`` of the surface.
 
@@ -324,11 +296,11 @@ def _on_surface(point: np.ndarray, mesh: TriangleMesh, eps: float) -> bool:
     point-triangle test.  The factor 2 keeps rounding in the two tests from
     changing the verdict of an exact test over all triangles.
     """
-    height = _dot(point - mesh.corners[:, 0], mesh.normals)
+    height = dot3(point - mesh.corners[:, 0], mesh.normals)
     near = np.abs(height) <= 2.0 * eps
     if not near.any():
         return False
-    return _point_surface_distance(point, mesh.corners[near], mesh.normals[near]) <= eps
+    return point_surface_distance(point, mesh.corners[near], mesh.normals[near]) <= eps
 
 
 def assemble_rhs(model: NestedModel, sources) -> np.ndarray:
@@ -363,7 +335,7 @@ def assemble_rhs(model: NestedModel, sources) -> np.ndarray:
             mesh = model.surfaces[iface]
             v, grad = _source_field(comp_sources, mesh.quadrature_points)
             v = v.reshape(mesh.num_triangles, -1)
-            dn = _dot(grad.reshape(mesh.num_triangles, -1, 3), mesh.normals[:, None, :])
+            dn = dot3(grad.reshape(mesh.num_triangles, -1, 3), mesh.normals[:, None, :])
             wts = weights[None, :] * mesh.areas[:, None]
             # pyramid-tested rows: +- (lambda, dv/dn)
             contrib = (wts * dn) @ bary

@@ -168,6 +168,31 @@ class TriangleMesh:
         radius = float(np.linalg.norm(self.vertices - center, axis=1).max())
         return center, radius
 
+    @cached_property
+    def inscribed_radius(self) -> float:
+        """Radius of a ball inside the surface around the bounding sphere's
+        centre: the exact distance from that centre to the surface, or 0
+        when the centre does not lie inside."""
+        center = self.bounding_sphere[0]
+        if abs(winding_number(self, center)[0] - 1.0) >= 0.5:
+            return 0.0
+        return point_surface_distance(center, self.corners, self.normals)
+
+    def contains(self, point: np.ndarray) -> bool:
+        """Whether ``point`` lies inside the closed surface.
+
+        Points inside the inscribed ball are inside and points outside the
+        bounding sphere are outside; only the points between the two take
+        the winding-number pass over all triangles.
+        """
+        center, radius = self.bounding_sphere
+        distance = np.linalg.norm(point - center)
+        if distance < self.inscribed_radius:
+            return True
+        if distance > radius:
+            return False
+        return abs(winding_number(self, point)[0] - 1.0) < 0.5
+
 
 @dataclass(frozen=True)
 class MeshViolation:
@@ -293,6 +318,11 @@ def _connected_components(mesh: TriangleMesh) -> int:
     return int(connected_components(adj, directed=False, return_labels=False))
 
 
+def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over a last axis of length 3, broadcast over the rest."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def winding_number(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
     """Generalized winding number of each point: ~1 inside, ~0 outside."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -317,6 +347,33 @@ def winding_number(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
         )
         omega += 2.0 * np.arctan2(num, den).sum(axis=1)
     return omega / (4.0 * np.pi)
+
+
+def point_surface_distance(point: np.ndarray, corners: np.ndarray, normals: np.ndarray) -> float:
+    """Exact distance from a point to a set of triangles (corners, unit normals)."""
+    c = corners
+    n = normals
+    d = point - c  # (triangle, corner, xyz)
+    height = dot3(d[:, 0], n)
+    # barycentric test of the in-plane foot point
+    v0 = c[:, 1] - c[:, 0]
+    v1 = c[:, 2] - c[:, 0]
+    v2 = d[:, 0] - height[:, None] * n
+    d00 = dot3(v0, v0)
+    d01 = dot3(v0, v1)
+    d11 = dot3(v1, v1)
+    d20 = dot3(v2, v0)
+    d21 = dot3(v2, v1)
+    denom = d00 * d11 - d01 * d01
+    wb = (d11 * d20 - d01 * d21) / denom
+    wc = (d00 * d21 - d01 * d20) / denom
+    inside = (wb >= 0) & (wc >= 0) & (wb + wc <= 1)
+    best = np.abs(height[inside]).min() if np.any(inside) else np.inf
+    # edge distances, the edges (0, 1), (1, 2), (2, 0) of every triangle at once
+    e = c[:, [1, 2, 0]] - c
+    t = np.clip(dot3(d, e) / dot3(e, e), 0, 1)
+    gap = d - t[..., None] * e
+    return float(min(best, np.sqrt(dot3(gap, gap).min())))
 
 
 @dataclass
@@ -397,7 +454,7 @@ class NestedModel:
         """
         point = np.asarray(point, dtype=float)
         for k, surf in enumerate(self.surfaces):
-            if abs(winding_number(surf, point[None])[0] - 1.0) < 0.5:
+            if surf.contains(point):
                 return k + 1
         return self.num_interfaces + 1
 

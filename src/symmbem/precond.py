@@ -1,28 +1,40 @@
-"""Spectral preconditioner: sandwich the system between sparse Laplacian
-maps and Gram rescalings so its conditioning stops tracking mesh size.
+"""Spectral preconditioner with a coarse space: sandwich the system between
+sparse Laplacian maps and Gram rescalings so its conditioning stops
+tracking mesh size, and deflate the few low modes that stay small.
 
-The preconditioned operator is ``P_defl M Z P Z M P_defl`` where M is the
+The spectral operator is ``A = P_g M Z P Z M P_g`` where M is the
 blockwise lumped inverse square root of the Gram matrices, P applies per
 interface a regularized inverse surface Laplacian on the vertex rows and
 the two-point-flux cell Laplacian between inverse cell areas on the cell
-rows, and ``P_defl`` projects out the known constant-trace gauge
-directions.  Everything P needs lives on the primal mesh: no barycentric
-refinement and no dual matrix.  The vertex rows' inverse Laplacian is an
-exact solve with a sparse LU factor computed once at :func:`build`; the
-cell rows need no solve at all, so P is one fixed symmetric positive
-definite map.  Everything is matrix-free except the dense system matrix Z
-itself, and every product with Z is the symmetric one of
+rows, and ``P_g`` projects out the known constant-trace gauge directions.
+Everything P needs lives on the primal mesh: no barycentric refinement and
+no dual matrix.  The vertex rows' inverse Laplacian is an exact solve with
+a sparse LU factor computed once at :func:`build`; the cell rows need no
+solve at all, so P is one fixed symmetric positive definite map.
+
+A keeps its condition number flat under refinement, but a thin resistive
+layer (the skull) leaves a cluster of small eigenvalues at low spherical
+degree.  CG therefore runs on the deflated operator ``P_D A`` with
+``P_D = I - A W (W^T A W)^-1 W^T`` (Nicolaides 1987; Saad, Yeung, Erhel
+and Guyomarc'h 2000), where the coarse space W holds per surface the
+lowest surface-Laplacian eigenmodes.  W is stored A-orthonormal
+(``W^T A W = I``) beside ``U = A W``, so ``P_D A x = A x - U U^T x`` and
+the right-hand side is ``P_D c = c - U W^T c``; :func:`recover_solution`
+adds back the coarse component ``W (W^T c - U^T y)``.  Everything is
+matrix-free except the dense system matrix Z itself, and every product
+with Z on the solve path is the symmetric one of
 :meth:`~symmbem.formulation.BlockSystem.matvec` (BLAS ``dsymv``, which
 reads one triangle of Z).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.linalg import eigh
+from scipy.sparse._sparsetools import csr_matvecs
 from scipy.sparse.linalg import splu
 
 from . import krylov
@@ -31,14 +43,26 @@ from .geometry import TriangleMesh
 from .laplacians import dual_laplacian, primal_laplace_beltrami
 from .spaces import gram_p0, gram_p1, lumped_inverse_sqrt, patch_space, pyramid_space
 
+#: surface-Laplacian eigenmodes per surface in the coarse space: spherical
+#: degrees 0-4 on a sphere, a complete degree cluster
+COARSE_MODES = 25
+#: block size and steps of the inverse iteration for the surface modes
+MODE_BLOCK = 40
+MODE_STEPS = 10
+#: coarse columns, or rows, per block product while the coarse space is built
+COARSE_CHUNK = 32
+
 
 @dataclass
 class PrecondOperator:
-    """Matrix-free preconditioned operator with its deflation projector.
+    """Matrix-free deflated preconditioned operator ``P_D A``.
 
-    ``kernel`` is the orthonormal basis of the deflated directions mapped
-    back through M, the exact kernel of the assembled system that
-    :func:`recover_solution` removes from the residual.
+    ``deflation`` is the orthonormal gauge basis that ``P_g`` projects
+    out.  ``kernel`` is that basis mapped back through M, the exact kernel
+    of the assembled system that :func:`recover_solution` removes from the
+    residual.  ``coarse`` is the A-orthonormal coarse basis W and
+    ``coarse_image`` is ``U = A W``; with empty coarse arrays the operator
+    is the spectral one, A.
     """
 
     system: BlockSystem
@@ -47,6 +71,10 @@ class PrecondOperator:
     dual_solvers: list
     deflation: np.ndarray
     kernel: np.ndarray
+    coarse: np.ndarray
+    coarse_image: np.ndarray
+    # c with the right-hand side array it was formed from
+    _load: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -57,7 +85,8 @@ class PrecondOperator:
         return x - q @ (q.T @ x)
 
     def apply_p(self, x: np.ndarray) -> np.ndarray:
-        """Blockwise application of the sparse (inverse-)Laplacian factors."""
+        """Blockwise application of the sparse (inverse-)Laplacian factors
+        to a vector or to a block of columns."""
         out = np.empty_like(x)
         layout = self.system.layout
         for i in range(layout.num_interfaces):
@@ -68,31 +97,54 @@ class PrecondOperator:
                 out[ps] = self.dual_solvers[i](x[ps])
         return out
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        y = self.project(np.asarray(x, dtype=float))
-        y = self.system.matvec(self.m_diag * y)
+    def apply_spectral(self, x: np.ndarray) -> np.ndarray:
+        """``A x``, for a vector or a block of columns."""
+        m = self.m_diag if x.ndim == 1 else self.m_diag[:, None]
+        y = self.system.matvec(m * self.project(x))
         y = self.system.matvec(self.apply_p(y))
-        return self.project(self.m_diag * y)
+        return self.project(m * y)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``P_D A x = A x - U U^T x``."""
+        x = np.asarray(x, dtype=float)
+        y = self.apply_spectral(x)
+        y -= self.coarse_image @ (x @ self.coarse_image)
+        return y
+
+    def spectral_rhs(self) -> np.ndarray:
+        """``c = P_g M Z P b``, the right-hand side of ``A y = c``.
+
+        :meth:`preconditioned_rhs` and :func:`recover_solution` both need
+        c, so it is formed once per right-hand side array and kept; the
+        returned array is shared and must not be modified.
+        """
+        rhs = self.system.rhs
+        if rhs is None:
+            raise ValueError("system has no right-hand side")
+        if self._load is None or self._load[0] is not rhs:
+            y = self.system.matvec(self.apply_p(rhs))
+            self._load = (rhs, self.project(self.m_diag * y))
+        return self._load[1]
 
     def preconditioned_rhs(self) -> np.ndarray:
-        if self.system.rhs is None:
-            raise ValueError("system has no right-hand side")
-        y = self.system.matvec(self.apply_p(self.system.rhs))
-        return self.project(self.m_diag * y)
+        """``P_D c = c - U W^T c``, the right-hand side CG solves with."""
+        c = self.spectral_rhs()
+        return c - self.coarse_image @ (c @ self.coarse)
 
 
-def _primal_solver(mesh: TriangleMesh, lumped: np.ndarray):
+def _primal_solver(mesh: TriangleMesh, lap: sp.csr_matrix, lumped: np.ndarray):
     """Regularized inverse Laplacian on the vertex (pyramid) rows.
 
-    ``lumped`` holds the row sums ``m`` of the pyramid Gram matrix.  A
-    rank-one lumped-mass term shifts the constant mode to a finite O(1)
-    eigenvalue, making ``L + (beta/total) m m^T`` invertible on the whole
-    space; the preconditioned operator's kernel then reduces to the
-    system's own gauge.  That inverse is applied exactly through the sparse
-    bordered matrix ``[[L, m], [m^T, -total/beta]]``, factored once here:
-    eliminating the border gives back the rank-one-shifted Laplacian.
+    ``lap`` is the cotangent Laplacian L and ``lumped`` holds the row sums
+    ``m`` of the pyramid Gram matrix.  A rank-one lumped-mass term shifts
+    the constant mode to a finite O(1) eigenvalue, making
+    ``L + (beta/total) m m^T`` invertible on the whole space; the
+    preconditioned operator's kernel then reduces to the system's own
+    gauge.  That inverse is applied exactly through the sparse bordered
+    matrix ``[[L, m], [m^T, -total/beta]]``, factored once here:
+    eliminating the border gives back the rank-one-shifted Laplacian.  The
+    solver takes a vector or a block of columns.
     """
-    lap = primal_laplace_beltrami(mesh)
     total = lumped.sum()
     beta = 8.0 * np.pi / mesh.total_area  # constant-mode eigenvalue, O(1) scale
     col = sp.csr_matrix(lumped[:, None])
@@ -101,7 +153,9 @@ def _primal_solver(mesh: TriangleMesh, lumped: np.ndarray):
     n = mesh.num_vertices
 
     def solver(rhs: np.ndarray) -> np.ndarray:
-        return lu.solve(np.append(rhs, 0.0))[:n]
+        padded = np.zeros((n + 1,) + rhs.shape[1:])
+        padded[:n] = rhs
+        return lu.solve(padded)[:n]
 
     return solver
 
@@ -117,7 +171,8 @@ def _dual_solver(mesh: TriangleMesh):
     mode at an O(1) eigenvalue, which keeps the map symmetric positive
     definite.  Since ``A^-1 a = 1``, the shift term is ``beta/total`` times
     the sum of the input, and one application is a sparse product with the
-    prescaled ``A^-1 K A^-1`` plus that sum.
+    prescaled ``A^-1 K A^-1`` plus that sum.  The solver takes a vector or
+    a block of columns.
     """
     scaling = sp.diags(1.0 / mesh.areas)
     scaled = (scaling @ dual_laplacian(mesh) @ scaling).tocsr()
@@ -125,20 +180,93 @@ def _dual_solver(mesh: TriangleMesh):
     n = mesh.num_triangles
 
     def solver(rhs: np.ndarray) -> np.ndarray:
-        # ``shift * rhs.sum() + scaled @ rhs``, with the CSR kernel behind
-        # ``@`` called directly: at a few hundred cells scipy's dispatch
-        # around it costs more than the product itself
-        out = np.full(n, shift * rhs.sum())
-        csr_matvec(n, n, scaled.indptr, scaled.indices, scaled.data, rhs, out)
+        # ``shift * rhs.sum(axis=0) + scaled @ rhs``, with the CSR kernel
+        # behind ``@`` called directly: at a few hundred cells scipy's
+        # dispatch around it costs more than the product itself
+        out = np.empty(rhs.shape)
+        out[:] = shift * rhs.sum(axis=0)
+        columns = rhs.shape[1] if rhs.ndim == 2 else 1
+        csr_matvecs(n, n, columns, scaled.indptr, scaled.indices, scaled.data,
+                    np.ascontiguousarray(rhs).ravel(), out.ravel())
         return out
 
     return solver
 
 
+def _surface_modes(mesh: TriangleMesh, lap: sp.csr_matrix, gram: sp.csr_matrix) -> np.ndarray:
+    """The ``COARSE_MODES`` lowest eigenvectors of (L, G) on the vertices,
+    in ascending order of eigenvalue, the constant mode first.
+
+    Block inverse iteration with ``(L - sigma G)^-1 G``, sigma below the
+    zero eigenvalue so that the shifted matrix is positive definite and
+    factored once, then one Rayleigh-Ritz step.  A block of
+    ``MODE_BLOCK`` columns keeps whole degenerate clusters of the
+    spectrum, as on the symmetric icosphere, and each step shrinks the
+    error of the lowest ``COARSE_MODES`` by the ratio of the shifted
+    eigenvalues ``COARSE_MODES`` and ``MODE_BLOCK + 1``, about 1/2 on a
+    sphere.  The start block is fixed, so every build returns the same
+    vectors bit for bit.
+    """
+    n = mesh.num_vertices
+    sigma = -4.0 * np.pi / mesh.total_area  # -1/R^2 on a sphere of radius R
+    shifted = splu((lap - sigma * gram).tocsc())
+    x = np.random.default_rng(0).standard_normal((n, min(MODE_BLOCK, n)))
+    for _ in range(MODE_STEPS):
+        x, _ = np.linalg.qr(shifted.solve(gram @ x))
+    _, ritz = eigh(x.T @ (lap @ x), x.T @ (gram @ x))
+    return x @ ritz[:, : min(COARSE_MODES, n - 1)]
+
+
+def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.ndarray]:
+    """The A-orthonormal coarse basis W and ``U = A W``.
+
+    Each surface's vertex rows take its eigenmodes, its cell rows (when
+    kept) the mean of each cell's three corners.  The columns are pulled
+    back through ``1/m_diag`` and the gauge projector.  When the gauge is
+    deflated, the constants of all vertex blocks span it, so the outermost
+    vertex block drops its constant mode.  ``A W`` costs two block
+    products with Z per ``COARSE_CHUNK`` columns.  ``E = W^T A W`` is
+    factored by eigendecomposition with a curvature cut-off: directions
+    with eigenvalue at most 1e-12 of the largest are dropped, as
+    :func:`krylov.orthonormal_columns` drops dependent columns.
+    """
+    layout = op.system.layout
+    last = layout.num_interfaces - 1
+    blocks = []
+    for i, (mesh, phi) in enumerate(zip(meshes, modes)):
+        drop = 1 if i == last and op.deflation.shape[1] else 0
+        blocks.append((layout.v_slice(i), phi[:, drop:]))
+        ps = layout.p_slice(i)
+        if ps is not None:
+            blocks.append((ps, phi[mesh.triangles].mean(axis=1)))
+    w = np.zeros((layout.total, sum(phi.shape[1] for _, phi in blocks)))
+    col = 0
+    for rows, phi in blocks:
+        w[rows, col : col + phi.shape[1]] = phi / op.m_diag[rows, None]
+        col += phi.shape[1]
+
+    # W and A W stay the only N x T arrays: everything else is a chunk
+    aw = np.empty_like(w)
+    for c0 in range(0, w.shape[1], COARSE_CHUNK):
+        cols = slice(c0, c0 + COARSE_CHUNK)
+        w[:, cols] = op.project(w[:, cols])
+        aw[:, cols] = op.apply_spectral(w[:, cols])
+    vals, vecs = eigh(w.T @ aw)
+    keep = vals > 1e-12 * vals[-1]
+    scale = vecs[:, keep] / np.sqrt(vals[keep])
+    k = scale.shape[1]
+    for r0 in range(0, len(w), COARSE_CHUNK):
+        rows = slice(r0, r0 + COARSE_CHUNK)
+        w[rows, :k] = w[rows] @ scale
+        aw[rows, :k] = aw[rows] @ scale
+    return np.ascontiguousarray(w[:, :k]), np.ascontiguousarray(aw[:, :k])
+
+
 def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     """Assemble the diagonal Gram factors, the per-interface Laplacian
     maps (the vertex rows' sparse factor computed here, once), the gauge
-    deflation basis and the recovery kernel basis for a (rescaled) system."""
+    deflation basis, the recovery kernel basis and the coarse space for a
+    (rescaled) system."""
     layout = system.layout
     if len(meshes) != layout.num_interfaces:
         raise ValueError("one mesh per interface required")
@@ -146,45 +274,51 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     m_diag = np.empty(layout.total)
     primal_solvers = []
     dual_solvers = []
+    modes = []
     for i, mesh in enumerate(meshes):
         gram = gram_p1(pyramid_space(mesh))
         m_diag[layout.v_slice(i)] = lumped_inverse_sqrt(gram)
         ps = layout.p_slice(i)
         if ps is not None:
             m_diag[ps] = lumped_inverse_sqrt(gram_p0(patch_space(mesh)))
+        lap = primal_laplace_beltrami(mesh)
         lumped = np.asarray(gram.sum(axis=1)).ravel()
-        primal_solvers.append(_primal_solver(mesh, lumped))
+        primal_solvers.append(_primal_solver(mesh, lap, lumped))
         dual_solvers.append(_dual_solver(mesh) if ps is not None else None)
+        modes.append(_surface_modes(mesh, lap, gram))
 
     # Deflation = the operator's actual kernel, pulled back through M: with
     # an insulating exterior the system annihilates a simultaneous constant
     # shift of all traces (the potential gauge); with a conducting exterior
     # the decay condition at infinity fixes the gauge and nothing is deflated.
-    basis = []
     if system.conductivities[-1] == 0.0:
         gauge = sum(system.gauge_vectors())
-        basis.append(gauge / system.scale_vector() / m_diag)
-    if basis:
-        deflation = krylov.orthonormal_columns(basis)
+        deflation = krylov.orthonormal_columns([gauge / system.scale_vector() / m_diag])
         kernel = krylov.orthonormal_columns([m_diag * q for q in deflation.T])
     else:
         deflation = kernel = np.zeros((layout.total, 0))
-    return PrecondOperator(system, m_diag, primal_solvers, dual_solvers, deflation, kernel)
+    empty = np.zeros((layout.total, 0))
+    op = PrecondOperator(system, m_diag, primal_solvers, dual_solvers, deflation, kernel,
+                         empty, empty)
+    op.coarse, op.coarse_image = _coarse_space(op, meshes, modes)
+    return op
 
 
 def recover_solution(op: PrecondOperator, y: np.ndarray, tol: float = 1e-8):
-    """Map a preconditioned solution back to physical unknowns.
+    """Map a solution of the deflated system back to physical unknowns.
 
-    The Gram factor undoes M and the conductivity scaling is undone last;
-    the deflated gauge directions stay at the value the minimum-norm Krylov
-    iterate assigned them (a pure additive constant, fixed downstream).
-    Returns ``(x, relative_residual)`` of the assembled (rescaled) system,
-    with the residual measured orthogonally to the deflated directions.
+    The coarse component ``W (W^T c - U^T y)`` is added first, which turns
+    a solution of ``P_D A y = P_D c`` into one of ``A y = c``.  The Gram
+    factor undoes M and the conductivity scaling is undone last; the
+    gauge directions stay at the value the minimum-norm Krylov iterate
+    assigned them (a pure additive constant, fixed downstream).  Returns
+    ``(x, relative_residual)`` of the assembled (rescaled) system, with the
+    residual measured orthogonally to the gauge kernel.
     """
     system = op.system
-    if system.rhs is None:
-        raise ValueError("system has no right-hand side")
-    x = op.m_diag * np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)
+    y = y + op.coarse @ (op.spectral_rhs() @ op.coarse - y @ op.coarse_image)
+    x = op.m_diag * y
     r = system.matvec(x) - system.rhs
     # no solution can reduce the load component along the exact kernel
     r = r - op.kernel @ (op.kernel.T @ r)

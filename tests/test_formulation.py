@@ -9,13 +9,12 @@ from symmbem._quadrature import TRI_RULES
 from symmbem.formulation import (
     DipoleSource,
     _on_surface,
-    _point_surface_distance,
     assemble_rhs,
     assemble_system,
     conductivity_rescale,
     system_layout,
 )
-from symmbem.geometry import NestedModel, make_icosphere
+from symmbem.geometry import NestedModel, make_icosphere, point_surface_distance
 
 MODELS = {
     "shells3-sub1": ((0.87, 0.92, 1.0), (1.0, 1.0 / 80.0, 1.0, 0.0), 1),
@@ -169,7 +168,7 @@ def test_on_surface_matches_the_exact_scan_of_every_triangle():
         for shift in (0.0, 0.5, 0.99, 1.01, 1.5, 2.5, 100.0):
             for sign in (1.0, -1.0):
                 point = p + sign * shift * eps * mesh.normals[t]
-                exact = _point_surface_distance(point, mesh.corners, mesh.normals) <= eps
+                exact = point_surface_distance(point, mesh.corners, mesh.normals) <= eps
                 assert _on_surface(point, mesh, eps) == exact
                 verdicts.append(exact)
     assert any(verdicts) and not all(verdicts)

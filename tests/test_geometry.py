@@ -10,6 +10,7 @@ from symmbem.geometry import (
     NestedModel,
     TriangleMesh,
     make_icosphere,
+    point_surface_distance,
     read_off,
     validate,
     winding_number,
@@ -196,3 +197,50 @@ def test_compartment_lookup():
     assert model.compartment_of(np.array([0, 0, 0.84])) == 2
     assert model.compartment_of(np.array([0, 0, 0.94])) == 3
     assert model.compartment_of(np.array([0, 0, 2.0])) == 4
+
+
+def _winding_verdict(mesh, points):
+    return np.abs(winding_number(mesh, points) - 1.0) < 0.5
+
+
+@pytest.mark.parametrize("axes", [(1.0, 1.0, 1.0), (1.1, 1.0, 0.85), (1.6, 0.7, 0.5)])
+def test_contains_matches_the_winding_number(axes):
+    sphere = make_icosphere(2, 0.9)
+    mesh = TriangleMesh(sphere.vertices * np.array(axes), sphere.triangles)
+    rng = np.random.default_rng(7)
+    directions = rng.standard_normal((40, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    on_surface = 0.9 * directions * np.array(axes)
+    scaled = np.concatenate([f * on_surface for f in (0.0, 0.3, 0.8, 0.97, 1.03, 1.2, 2.5)])
+    # just inside and just outside the faceted surface, at cell centroids
+    # and at points near the corners
+    near = np.concatenate([mesh.centroids, 0.9 * mesh.corners[:, 0] + 0.1 * mesh.centroids])
+    normals = np.concatenate([mesh.normals, mesh.normals])
+    points = np.concatenate([scaled, near - 1e-6 * normals, near + 1e-6 * normals])
+    verdicts = [mesh.contains(p) for p in points]
+    assert verdicts == list(_winding_verdict(mesh, points))
+    assert not any(verdicts[-len(near):]) and all(verdicts[-2 * len(near):-len(near)])
+
+
+def test_inscribed_radius_is_the_exact_distance_to_the_surface():
+    mesh = make_icosphere(2, 1.0)
+    center, radius = mesh.bounding_sphere[0], mesh.inscribed_radius
+    assert radius == point_surface_distance(center, mesh.corners, mesh.normals)
+    # on the icosphere the nearest points are the in-plane feet of the cells
+    plane_distance = np.abs(np.einsum("ij,ij->i", mesh.corners[:, 0] - center, mesh.normals))
+    assert abs(radius - plane_distance.min()) <= 1e-15
+    assert 0.95 < radius < 1.0
+
+
+def test_inscribed_radius_is_0_when_the_vertex_mean_lies_outside():
+    # two disjoint spheres as one surface: the vertex mean lies between them
+    left = make_icosphere(1, 0.5)
+    right = TriangleMesh(left.vertices + np.array([3.0, 0.0, 0.0]), left.triangles)
+    both = TriangleMesh(
+        np.concatenate([left.vertices, right.vertices]),
+        np.concatenate([left.triangles, right.triangles + left.num_vertices]),
+    )
+    assert both.inscribed_radius == 0.0
+    points = np.array([[1.5, 0.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.1, 0.0], [1.5, 2.0, 0.0]])
+    assert [both.contains(p) for p in points] == list(_winding_verdict(both, points))
+    assert [both.contains(p) for p in points] == [False, True, True, False]

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from symmbem import precond
+from symmbem import krylov, precond
 from symmbem.formulation import (
     BlockSystem,
     DipoleSource,
@@ -35,11 +37,37 @@ def _rdm_mag(v, ref):
     return rdm, np.linalg.norm(v) / np.linalg.norm(ref)
 
 
+def _spectral_only(op):
+    """``op`` with an empty coarse space: the spectral operator A alone."""
+    empty = op.coarse[:, :0]
+    return dataclasses.replace(op, coarse=empty, coarse_image=empty)
+
+
+def _iterations(op):
+    """Outer CG iterations on ``op`` for its system's load."""
+    _, report = krylov.conjugate_gradient(op.apply, op.preconditioned_rhs())
+    assert report.converged
+    return report.iterations
+
+
+def _shells(subdivisions, axes=(1.0, 1.0, 1.0)):
+    """The three shells at ``subdivisions``, scaled by ``axes``."""
+    spheres = [make_icosphere(subdivisions, r) for r in RADII]
+    return [TriangleMesh(m.vertices * np.array(axes), m.triangles) for m in spheres]
+
+
 @pytest.fixture(scope="module")
 def shells1():
     """Rescaled three-shell system at subdivision 1 with one dipole load."""
     meshes = [make_icosphere(1, r) for r in RADII]
     return _system(meshes), meshes, DIPOLE
+
+
+@pytest.fixture
+def spectral_only(monkeypatch):
+    """``precond.build`` without its coarse space, for ``precond.solve``."""
+    build = precond.build
+    monkeypatch.setattr(precond, "build", lambda system, meshes: _spectral_only(build(system, meshes)))
 
 
 def test_primal_solver_matches_dense_regularized_solve():
@@ -92,8 +120,74 @@ def test_apply_matches_dense_chain(shells1):
     deflate = np.eye(op.size) - op.deflation @ op.deflation.T
     m = np.diag(op.m_diag)
     z = system.matrix
-    expected = deflate @ (m @ (z @ op.apply_p(z @ (m @ (deflate @ x)))))
+    u = op.coarse_image
+    expected = deflate @ (m @ (z @ op.apply_p(z @ (m @ (deflate @ x))))) - u @ (u.T @ x)
     assert np.linalg.norm(op.apply(x) - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_apply_annihilates_the_a_orthonormal_coarse_space(shells1):
+    system, meshes, _ = shells1
+    op = precond.build(system, meshes)
+    # 25 modes per block, the outer vertex block without its constant
+    assert op.coarse.shape == (op.size, 3 * 25 - 1 + 2 * 25)
+    # the vector path of the solve against the block path of the build;
+    # W^T A W = I holds to rounding times the condition number of E, 1e4
+    aw = np.column_stack([op.apply_spectral(w) for w in op.coarse.T])
+    assert np.abs(op.coarse.T @ aw - np.eye(op.coarse.shape[1])).max() <= 1e-10
+    assert np.linalg.norm(aw - op.coarse_image) <= 1e-13 * np.linalg.norm(aw)
+    deflated = np.column_stack([op.apply(w) for w in op.coarse.T])
+    assert np.linalg.norm(deflated) <= 1e-13 * np.linalg.norm(aw)
+    assert np.abs(op.deflation.T @ op.coarse).max() <= 1e-14 * np.abs(op.coarse).max()
+
+
+def test_deflated_solution_matches_the_spectral_only_solution(shells1):
+    system, meshes, _ = shells1
+    op = precond.build(system, meshes)
+    solutions = []
+    for o in (op, _spectral_only(op)):
+        y, report = krylov.conjugate_gradient(o.apply, o.preconditioned_rhs(), tol=1e-11)
+        assert report.converged
+        x, residual = precond.recover_solution(o, y, tol=1e-11)
+        assert residual <= 1e-10
+        solutions.append(x)
+    deflated, spectral = solutions
+    assert np.linalg.norm(deflated - spectral) <= 1e-9 * np.linalg.norm(spectral)
+
+
+def test_build_on_a_zero_system_gives_an_empty_coarse_space():
+    # no curvature in any coarse direction: the cut-off drops them all
+    meshes = [make_icosphere(1, r) for r in RADII]
+    layout = system_layout(NestedModel(meshes, SIGMA))
+    system = BlockSystem(np.zeros((layout.total, layout.total)), layout, np.array(SIGMA))
+    op = precond.build(system, meshes)
+    assert op.coarse.shape == op.coarse_image.shape == (layout.total, 0)
+
+
+def test_coarse_space_is_bitwise_equal_across_builds_and_thread_counts(monkeypatch):
+    builds = []
+    for threads in ("1", "2", "2"):
+        monkeypatch.setenv("SYMMBEM_THREADS", threads)
+        meshes = [make_icosphere(1, r) for r in RADII]
+        op = precond.build(_system(meshes), meshes)
+        builds.append((op.coarse, op.coarse_image))
+    for coarse, image in builds[1:]:
+        assert np.array_equal(coarse, builds[0][0])
+        assert np.array_equal(image, builds[0][1])
+
+
+@pytest.mark.parametrize("axes", [(1.0, 1.0, 1.0), (1.1, 1.0, 0.85)], ids=["spheres", "ellipsoid"])
+def test_deflation_cuts_iterations_at_subdivision_2(axes):
+    meshes = _shells(2, axes)
+    op = precond.build(_system(meshes), meshes)
+    assert _iterations(op) <= 0.7 * _iterations(_spectral_only(op))
+
+
+def test_deflated_iterations_stay_flat_from_subdivision_2_to_3():
+    iterations = []
+    for subdivisions in (2, 3):
+        meshes = _shells(subdivisions)
+        iterations.append(_iterations(precond.build(_system(meshes), meshes)))
+    assert iterations[1] < 1.3 * iterations[0]
 
 
 def test_recovery_kernel_is_the_assembled_kernel(shells1):
@@ -118,9 +212,9 @@ def test_solve_matches_layered_sphere_series(shells1):
     assert abs(mag - 1.0) < 0.2
 
 
-def test_refinement_improves_accuracy_at_a_flat_condition_number():
+def test_refinement_improves_accuracy_at_a_flat_condition_number(spectral_only):
     # the paper's claim: the error against the layered-sphere series falls
-    # under refinement while the preconditioned condition number stays put
+    # under refinement while the spectral condition number stays put
     rdm, mag_err, cond = [], [], []
     for subdivisions in (1, 2):
         meshes = [make_icosphere(subdivisions, r) for r in RADII]
@@ -138,7 +232,7 @@ def test_refinement_improves_accuracy_at_a_flat_condition_number():
     assert abs(cond[1] - cond[0]) < 0.1 * cond[0]
 
 
-def test_iterations_stay_flat_on_ellipsoidal_shells_read_from_off_files(tmp_path):
+def test_iterations_stay_flat_on_ellipsoidal_shells_read_from_off_files(tmp_path, spectral_only):
     # the icosphere's nearly uniform cells are the easy case for the
     # two-point flux on the cell rows; stretched shells have cells of
     # unequal shape and size
@@ -172,6 +266,24 @@ def test_solve_with_a_conducting_exterior_matches_layered_sphere_series():
     op = precond.build(system, meshes)
     assert op.dual_solvers[-1] is not None
     assert op.deflation.shape == (op.size, 0)
+    x, report, residual = precond.solve(system, meshes)
+    assert report.converged
+    assert residual <= 1e-8
+    v = x[system.layout.v_slice(len(meshes) - 1)]
+    ref = layered_sphere_potential(SphereSpec(RADII, sigma), DIPOLE, meshes[-1].vertices)
+    rdm = np.linalg.norm(v / np.linalg.norm(v) - ref / np.linalg.norm(ref))
+    mag = np.linalg.norm(v) / np.linalg.norm(ref)
+    assert rdm < 0.05
+    assert abs(mag - 1.0) < 0.2
+
+
+def test_solve_with_a_poorly_conducting_exterior_matches_layered_sphere_series():
+    # sigma_ext = 0.1 left the spectral operator's recovered residual at
+    # 1.5e-7 even after the rerun of CG; the coarse space removes the small
+    # eigenvalues behind it
+    sigma = (1.0, 1.0 / 80.0, 1.0, 0.1)
+    meshes = [make_icosphere(1, r) for r in RADII]
+    system = _system(meshes, sigma)
     x, report, residual = precond.solve(system, meshes)
     assert report.converged
     assert residual <= 1e-8
