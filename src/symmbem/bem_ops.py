@@ -65,12 +65,18 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 #: Every batch holds as many triangle pairs as fit in this budget, at least
 #: one; the regular sweep also classifies its tiers in row blocks of at most
 #: this many triangle pairs.  Each worker thread evaluates its batch in two
-#: float64 workspaces of this length (1 MB each), allocated once and reused;
-#: the per-pair arrays of a 3-point batch (14k pairs) add about 10 MB.  At
-#: 2**18 the sphere subdivision-3 assembly peaked 37 MB higher for no
+#: float64 workspaces of this length (1 MB each), allocated once and reused.
+#: At 2**18 the sphere subdivision-3 assembly peaked 37 MB higher for no
 #: measurable speed; much smaller batches pay numpy's per-call overhead on
 #: too little work (a 6x16 batch holds 14 pairs here).
 BATCH_POINT_PAIRS = 2**17
+#: A regular-sweep triangle pair counts as at least this many point pairs
+#: against the budget, because its per-pair arrays (corners, heights and
+#: the three kernel results) cost memory whatever its rule.  On the sphere
+#: at subdivision 3, a 3-point batch filled by point pairs alone held
+#: 14 563 pairs and allocated 7.9 MB beyond the workspaces; the cap of
+#: 3 640 pairs brings it to 2.0 MB, next to 2.5 MB for a full 6-point batch.
+MIN_PAIR_POINTS = 36
 
 
 @dataclass
@@ -352,7 +358,8 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, workspace):
 
     Tiers are classified in row blocks of at most ``BATCH_POINT_PAIRS``
     triangle pairs; each tier's pairs in a block are cut into batches of at
-    most ``BATCH_POINT_PAIRS`` point pairs.  On a single surface only pairs
+    most ``BATCH_POINT_PAIRS`` point pairs, a pair counting as at least
+    ``MIN_PAIR_POINTS`` of them.  On a single surface only pairs
     t < s that share no vertex are visited, and each fills both
     orientations; the touching pairs are left to the singular sweep.
     """
@@ -397,7 +404,7 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, workspace):
             tier[shared[r0:r1].toarray() > 0] = -1
         for k, rule in enumerate(rules):
             tr = tensor[rule]
-            per = max(1, BATCH_POINT_PAIRS // len(tr.w))
+            per = max(1, BATCH_POINT_PAIRS // max(len(tr.w), MIN_PAIR_POINTS))
             ti, si = np.nonzero(tier == k)
             ti += r0
             for b0 in range(0, len(ti), per):

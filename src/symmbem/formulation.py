@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import dsymv
 
 from . import bem_ops
 from .geometry import QUADRATURE_RULE, NestedModel, TriangleMesh, dot3, point_surface_distance
 from ._quadrature import TRI_RULES
+from .krylov import symmetric_matvec
 
 FOUR_PI = 4.0 * np.pi
 #: rows of Z scaled per step of the in-place conductivity rescale
@@ -130,18 +130,10 @@ class BlockSystem:
         return self.matrix.shape[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``Z @ x`` with one BLAS ``dsymv``, which reads one triangle of Z.
-
-        ``matrix.T`` is the Fortran-ordered view of the C-ordered array, so
-        BLAS receives it without a copy (the array itself would be copied
-        on every call).  ``dsymv`` trusts the unread triangle to mirror the
-        read one, which holds because Z is kept exactly symmetric.  A 2-D
-        ``x`` is a block of columns and takes one ``dgemm`` with the full
-        array, which streams Z once for the whole block.
-        """
-        if x.ndim == 2:
-            return self.matrix @ x
-        return dsymv(1.0, self.matrix.T, x)
+        """``Z @ x`` by :func:`~symmbem.krylov.symmetric_matvec`: one BLAS
+        ``dsymv`` for a vector, which reads one triangle of Z, or one
+        ``dgemm`` for a block of columns.  Z is kept exactly symmetric."""
+        return symmetric_matvec(self.matrix, x)
 
     def scale_vector(self) -> np.ndarray:
         """Diagonal of the applied scaling W (ones when unscaled)."""

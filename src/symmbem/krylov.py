@@ -2,17 +2,20 @@
 
 CG also returns the extreme Ritz values of its Lanczos tridiagonal, an
 estimate of the operator's extreme eigenvalues.  All routines accept
-either a dense matrix or a callable ``x -> A @ x``.  Dot products use
-numpy's sequential reductions, so iteration counts are reproducible run
-to run.
+either a dense symmetric matrix or a callable ``x -> A @ x``; a dense
+matrix is multiplied with :func:`symmetric_matvec`, which reads one
+triangle of it.  Dot products use numpy's sequential reductions, so
+iteration counts are reproducible run to run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import dsymv
 
 
 class BreakdownError(RuntimeError):
@@ -30,15 +33,27 @@ class SolveReport:
     ritz_max: float | None = None
 
 
+def symmetric_matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` for a C-ordered symmetric float64 array.
+
+    A vector takes one BLAS ``dsymv`` on ``matrix.T``, the Fortran-ordered
+    view of the array, so BLAS receives it without a copy (the array
+    itself would be copied on every call).  ``dsymv`` reads one triangle
+    and trusts the other to mirror it, so the array must be exactly
+    symmetric.  A 2-D ``x`` is a block of columns and takes one ``dgemm``
+    with the full array, which streams it once for the whole block.
+    """
+    if x.ndim == 2:
+        return matrix @ x
+    return dsymv(1.0, matrix.T, x)
+
+
 def _as_matvec(A):
+    """A callable as given; a dense array, which must be symmetric (only one
+    triangle is read), as :func:`symmetric_matvec`."""
     if callable(A):
         return A
-    M = np.asarray(A)
-
-    def matvec(x):
-        return M @ x
-
-    return matvec
+    return partial(symmetric_matvec, np.ascontiguousarray(A, dtype=float))
 
 
 def conjugate_gradient(A, b, tol: float = 1e-8, maxit: int | None = None):

@@ -18,13 +18,19 @@ degree.  CG therefore runs on the deflated operator ``P_D A`` with
 ``P_D = I - A W (W^T A W)^-1 W^T`` (Nicolaides 1987; Saad, Yeung, Erhel
 and Guyomarc'h 2000), where the coarse space W holds per surface the
 lowest surface-Laplacian eigenmodes.  W is stored A-orthonormal
-(``W^T A W = I``) beside ``U = A W``, so ``P_D A x = A x - U U^T x`` and
-the right-hand side is ``P_D c = c - U W^T c``; :func:`recover_solution`
-adds back the coarse component ``W (W^T c - U^T y)``.  Everything is
-matrix-free except the dense system matrix Z itself, and every product
-with Z on the solve path is the symmetric one of
-:meth:`~symmbem.formulation.BlockSystem.matvec` (BLAS ``dsymv``, which
-reads one triangle of Z).
+(``W^T A W = I``) beside ``U = A W``, so ``P_D A = A - U U^T`` and the
+right-hand side is ``P_D c = c - U W^T c``; :func:`recover_solution`
+adds back the coarse component ``W (W^T c - U^T y)``.
+
+Many right-hand sides share one head model, so :func:`build` forms
+``P_D A`` once, as one dense, exactly symmetric N x N array.  That costs
+about N^3 flops plus the sparse Laplacian maps on N columns (about 0.1 s
+at N = 1126 on one BLAS thread) and N^2 doubles beside Z; :func:`build`
+raises ``MemoryError`` before allocating when Z and the formed operator
+exceed the memory available.  Each CG step is then one BLAS ``dsymv``
+(:func:`~symmbem.krylov.symmetric_matvec`, which reads one triangle),
+where applying the factors one by one would take two products with Z,
+the sparse Laplacian maps, the gauge projections and the coarse products.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from scipy.linalg import eigh
 from scipy.sparse._sparsetools import csr_matvecs
 from scipy.sparse.linalg import splu
 
-from . import krylov
+from . import formulation, krylov
 from .formulation import BlockSystem, unscale_solution
 from .geometry import TriangleMesh
 from .laplacians import dual_laplacian, primal_laplace_beltrami
@@ -49,20 +55,22 @@ COARSE_MODES = 25
 #: block size and steps of the inverse iteration for the surface modes
 MODE_BLOCK = 40
 MODE_STEPS = 10
-#: coarse columns, or rows, per block product while the coarse space is built
-COARSE_CHUNK = 32
+#: columns, or rows, per block product while the operator and its coarse
+#: space are formed
+CHUNK = 64
 
 
 @dataclass
 class PrecondOperator:
-    """Matrix-free deflated preconditioned operator ``P_D A``.
+    """The deflated preconditioned operator ``P_D A``, formed once.
 
+    ``matrix`` is ``P_D A`` as a dense, exactly symmetric N x N array.
     ``deflation`` is the orthonormal gauge basis that ``P_g`` projects
     out.  ``kernel`` is that basis mapped back through M, the exact kernel
     of the assembled system that :func:`recover_solution` removes from the
     residual.  ``coarse`` is the A-orthonormal coarse basis W and
-    ``coarse_image`` is ``U = A W``; with empty coarse arrays the operator
-    is the spectral one, A.
+    ``coarse_image`` is ``U = A W``, so the spectral operator A is
+    ``matrix + U U^T``; with empty coarse arrays ``matrix`` is A itself.
     """
 
     system: BlockSystem
@@ -73,6 +81,7 @@ class PrecondOperator:
     kernel: np.ndarray
     coarse: np.ndarray
     coarse_image: np.ndarray
+    matrix: np.ndarray
     # c with the right-hand side array it was formed from
     _load: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -97,19 +106,10 @@ class PrecondOperator:
                 out[ps] = self.dual_solvers[i](x[ps])
         return out
 
-    def apply_spectral(self, x: np.ndarray) -> np.ndarray:
-        """``A x``, for a vector or a block of columns."""
-        m = self.m_diag if x.ndim == 1 else self.m_diag[:, None]
-        y = self.system.matvec(m * self.project(x))
-        y = self.system.matvec(self.apply_p(y))
-        return self.project(m * y)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``P_D A x = A x - U U^T x``."""
-        x = np.asarray(x, dtype=float)
-        y = self.apply_spectral(x)
-        y -= self.coarse_image @ (x @ self.coarse_image)
-        return y
+        """``P_D A x``: one BLAS ``dsymv`` for a vector, one ``dgemm`` for a
+        block of columns."""
+        return krylov.symmetric_matvec(self.matrix, np.asarray(x, dtype=float))
 
     def spectral_rhs(self) -> np.ndarray:
         """``c = P_g M Z P b``, the right-hand side of ``A y = c``.
@@ -217,18 +217,66 @@ def _surface_modes(mesh: TriangleMesh, lap: sp.csr_matrix, gram: sp.csr_matrix) 
     return x @ ritz[:, : min(COARSE_MODES, n - 1)]
 
 
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the lower triangle of the square array ``a`` onto its upper
+    triangle, in row chunks, so that ``a`` is exactly symmetric."""
+    n = len(a)
+    for r0 in range(0, n, CHUNK):
+        r1 = min(r0 + CHUNK, n)
+        a[:r0, r0:r1] = a[r0:r1, :r0].T
+        d = a[r0:r1, r0:r1]
+        d[:] = np.tril(d) + np.tril(d, -1).T
+
+
+def _subtract_symmetric(a: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """``a -= left @ right.T`` for an update that is symmetric in exact
+    arithmetic: formed on the lower triangle in row chunks, then mirrored."""
+    for r0 in range(0, len(a), CHUNK):
+        r1 = min(r0 + CHUNK, len(a))
+        a[r0:r1, :r1] -= left[r0:r1] @ right[:r1].T
+    _mirror_lower(a)
+
+
+def _form_spectral(op: PrecondOperator) -> None:
+    """Form the spectral operator ``A = P_g M Z P Z M P_g`` in ``op.matrix``.
+
+    ``B = M Z P Z M`` is symmetric, so only its lower triangle is computed,
+    in chunks of rows.  Z is symmetric, so a chunk of columns of ``Z M``
+    is a scaled chunk of rows of Z; with ``Y = P (Z M)[:, rows]`` the
+    chunk is ``B[rows, :r1] = (Y^T @ Z[:r1].T) * m[:r1]``, and the chunks
+    add up to half of one N x N x N product.  The gauge projections enter
+    as the rank-2 correction ``P_g B P_g = B - Q R^T - R Q^T`` with
+    ``R = B Q - Q (Q^T B Q) / 2``.
+    """
+    z, m, a = op.system.matrix, op.m_diag, op.matrix
+    n = len(m)
+    for r0 in range(0, n, CHUNK):
+        r1 = min(r0 + CHUNK, n)
+        y = op.apply_p(z[r0:r1].T * m[r0:r1])
+        block = a[r0:r1, :r1]
+        np.matmul(y.T, z[:r1].T, out=block)
+        block *= m[:r1]
+    _mirror_lower(a)
+    q = op.deflation
+    if q.shape[1]:
+        v = a @ q
+        r = v - 0.5 * q @ (q.T @ v)
+        _subtract_symmetric(a, np.hstack([q, r]), np.hstack([r, q]))
+
+
 def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.ndarray]:
-    """The A-orthonormal coarse basis W and ``U = A W``.
+    """The A-orthonormal coarse basis W and ``U = A W``, with ``op.matrix``
+    holding A.
 
     Each surface's vertex rows take its eigenmodes, its cell rows (when
     kept) the mean of each cell's three corners.  The columns are pulled
     back through ``1/m_diag`` and the gauge projector.  When the gauge is
     deflated, the constants of all vertex blocks span it, so the outermost
-    vertex block drops its constant mode.  ``A W`` costs two block
-    products with Z per ``COARSE_CHUNK`` columns.  ``E = W^T A W`` is
-    factored by eigendecomposition with a curvature cut-off: directions
-    with eigenvalue at most 1e-12 of the largest are dropped, as
-    :func:`krylov.orthonormal_columns` drops dependent columns.
+    vertex block drops its constant mode.  ``A W`` is one block product
+    with the formed A.  ``E = W^T A W`` is factored by eigendecomposition
+    with a curvature cut-off: directions with eigenvalue at most 1e-12 of
+    the largest are dropped, as :func:`krylov.orthonormal_columns` drops
+    dependent columns.
     """
     layout = op.system.layout
     last = layout.num_interfaces - 1
@@ -246,17 +294,16 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
         col += phi.shape[1]
 
     # W and A W stay the only N x T arrays: everything else is a chunk
-    aw = np.empty_like(w)
-    for c0 in range(0, w.shape[1], COARSE_CHUNK):
-        cols = slice(c0, c0 + COARSE_CHUNK)
+    for c0 in range(0, w.shape[1], CHUNK):
+        cols = slice(c0, c0 + CHUNK)
         w[:, cols] = op.project(w[:, cols])
-        aw[:, cols] = op.apply_spectral(w[:, cols])
+    aw = op.apply(w)
     vals, vecs = eigh(w.T @ aw)
     keep = vals > 1e-12 * vals[-1]
     scale = vecs[:, keep] / np.sqrt(vals[keep])
     k = scale.shape[1]
-    for r0 in range(0, len(w), COARSE_CHUNK):
-        rows = slice(r0, r0 + COARSE_CHUNK)
+    for r0 in range(0, len(w), CHUNK):
+        rows = slice(r0, r0 + CHUNK)
         w[rows, :k] = w[rows] @ scale
         aw[rows, :k] = aw[rows] @ scale
     return np.ascontiguousarray(w[:, :k]), np.ascontiguousarray(aw[:, :k])
@@ -266,12 +313,23 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     """Assemble the diagonal Gram factors, the per-interface Laplacian
     maps (the vertex rows' sparse factor computed here, once), the gauge
     deflation basis, the recovery kernel basis and the coarse space for a
-    (rescaled) system."""
+    (rescaled) system, and form ``P_D A``.
+
+    Raises ``MemoryError`` before allocating anything when Z and the
+    formed operator together exceed the memory the process can get.
+    """
     layout = system.layout
     if len(meshes) != layout.num_interfaces:
         raise ValueError("one mesh per interface required")
+    n = layout.total
+    needed, available = 2 * 8 * n * n, formulation._available_memory()
+    if needed > available:
+        raise MemoryError(
+            f"the system matrix and the formed operator need {needed / 2**30:.2f} GiB for "
+            f"N = {n}, over the {available / 2**30:.2f} GiB of memory available"
+        )
 
-    m_diag = np.empty(layout.total)
+    m_diag = np.empty(n)
     primal_solvers = []
     dual_solvers = []
     modes = []
@@ -296,11 +354,13 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
         deflation = krylov.orthonormal_columns([gauge / system.scale_vector() / m_diag])
         kernel = krylov.orthonormal_columns([m_diag * q for q in deflation.T])
     else:
-        deflation = kernel = np.zeros((layout.total, 0))
-    empty = np.zeros((layout.total, 0))
+        deflation = kernel = np.zeros((n, 0))
+    empty = np.zeros((n, 0))
     op = PrecondOperator(system, m_diag, primal_solvers, dual_solvers, deflation, kernel,
-                         empty, empty)
+                         empty, empty, np.empty((n, n)))
+    _form_spectral(op)
     op.coarse, op.coarse_image = _coarse_space(op, meshes, modes)
+    _subtract_symmetric(op.matrix, op.coarse_image, op.coarse_image)
     return op
 
 

@@ -220,7 +220,9 @@ def test_threads_env_does_not_change_results(shells1, monkeypatch):
                 assert np.array_equal(blocks[1][tag].matrix, blocks[threads][tag].matrix), tag
 
 
-def test_batches_honour_the_point_pair_budget(shells1, monkeypatch):
+@pytest.fixture
+def workspace_shapes(monkeypatch):
+    """The shape of every batch workspace requested while the test runs."""
     shapes = []
     buffers = bem_ops._Workspace.buffers
 
@@ -229,6 +231,11 @@ def test_batches_honour_the_point_pair_budget(shells1, monkeypatch):
         return buffers(self, shape)
 
     monkeypatch.setattr(bem_ops._Workspace, "buffers", spy)
+    return shapes
+
+
+def test_batches_honour_the_point_pair_budget(shells1, monkeypatch, workspace_shapes):
+    shapes = workspace_shapes
     inner, middle = shells1[:2]
     pairs = ((inner, inner), (inner, middle))
     reference = [assemble_operators(*pair) for pair in pairs]
@@ -248,6 +255,26 @@ def test_batches_honour_the_point_pair_budget(shells1, monkeypatch):
     assert all(np.prod(s) <= budget or s[-1] == 1 for s in shapes)
     composite = [s for s in shapes if np.prod(s[:-1]) >= budget]
     assert composite and all(s[-1] == 1 for s in composite)
+
+
+def test_regular_batches_honour_the_triangle_pair_cap(sphere2, monkeypatch, workspace_shapes):
+    # a budget small enough for the far-field 3-point tier to reach the
+    # cap; point pairs alone would let each of its batches hold four times
+    # as many triangle pairs
+    reference = assemble_operators(sphere2, sphere2)
+    workspace_shapes.clear()
+    budget = 2**12
+    monkeypatch.setattr(bem_ops, "BATCH_POINT_PAIRS", budget)
+    small = assemble_operators(sphere2, sphere2)
+    for tag in TAGS:
+        a, b = small[tag].matrix, reference[tag].matrix
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), tag
+    # regular-sweep workspaces are (points of t, points of s, triangle pairs)
+    regular = [s for s in workspace_shapes if len(s) == 3]
+    caps = [max(1, budget // max(qt * qs, bem_ops.MIN_PAIR_POINTS)) for qt, qs, _ in regular]
+    assert all(s[-1] <= cap for s, cap in zip(regular, caps))
+    far = [s[-1] for s in regular if s[:2] == (3, 3)]
+    assert max(far) == budget // bem_ops.MIN_PAIR_POINTS
 
 
 def _tier_rules(mesh_t, mesh_s):

@@ -5,6 +5,7 @@ from symmbem.krylov import (
     BreakdownError,
     conjugate_gradient,
     minres,
+    symmetric_matvec,
 )
 
 
@@ -96,3 +97,29 @@ def test_solvers_deterministic():
     x2, r2 = conjugate_gradient(A, b, tol=1e-10)
     assert np.array_equal(x1, x2)
     assert r1.iterations == r2.iterations
+
+
+def _symmetric(a):
+    """``a`` with its lower triangle mirrored onto the upper, exactly symmetric."""
+    return np.tril(a) + np.tril(a, -1).T
+
+
+@pytest.mark.parametrize("solver", [conjugate_gradient, minres])
+def test_dense_array_takes_the_symmetric_product(solver):
+    # eigenvalues of modulus 1 to 2, both signs for MINRES: well conditioned,
+    # so both paths converge to the same solution well below 1e-12
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    d = np.linspace(1.0, 2.0, 60)
+    if solver is minres:
+        d[::2] *= -1.0
+    a = _symmetric((q * d) @ q.T)
+    b = rng.standard_normal(60)
+    x, report = solver(a, b, tol=1e-14)
+    x_call, report_call = solver(lambda v: a @ v, b, tol=1e-14)
+    assert report.converged and report_call.converged
+    assert np.linalg.norm(x - x_call) <= 1e-12 * np.linalg.norm(x_call)
+    # only one triangle of the array is read
+    v = rng.standard_normal(60)
+    assert np.array_equal(symmetric_matvec(np.tril(a), v), symmetric_matvec(a, v))
+    assert np.linalg.norm(symmetric_matvec(a, v) - a @ v) <= 1e-14 * np.linalg.norm(a @ v)

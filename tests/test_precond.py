@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from symmbem import krylov, precond
+from symmbem import formulation, krylov, precond
 from symmbem.formulation import (
     BlockSystem,
     DipoleSource,
@@ -38,9 +39,11 @@ def _rdm_mag(v, ref):
 
 
 def _spectral_only(op):
-    """``op`` with an empty coarse space: the spectral operator A alone."""
+    """``op`` with an empty coarse space: the spectral operator A alone,
+    ``P_D A + U U^T``."""
+    u = op.coarse_image
     empty = op.coarse[:, :0]
-    return dataclasses.replace(op, coarse=empty, coarse_image=empty)
+    return dataclasses.replace(op, coarse=empty, coarse_image=empty, matrix=op.matrix + u @ u.T)
 
 
 def _iterations(op):
@@ -123,6 +126,48 @@ def test_apply_matches_dense_chain(shells1):
     u = op.coarse_image
     expected = deflate @ (m @ (z @ op.apply_p(z @ (m @ (deflate @ x))))) - u @ (u.T @ x)
     assert np.linalg.norm(op.apply(x) - expected) <= 1e-13 * np.linalg.norm(expected)
+    block = op.apply(np.column_stack([x, -x]))
+    assert np.linalg.norm(block[:, 0] - expected) <= 1e-13 * np.linalg.norm(expected)
+    assert np.array_equal(block[:, 1], -block[:, 0])
+
+
+def test_apply_is_one_symmetric_product(shells1, monkeypatch):
+    system, meshes, _ = shells1
+    op = precond.build(system, meshes)
+    assert np.array_equal(op.matrix, op.matrix.T)
+    calls = []
+    dsymv = krylov.dsymv
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dsymv(*args, **kwargs)
+
+    def unexpected(*args):
+        raise AssertionError("a Laplacian map ran inside apply")
+
+    monkeypatch.setattr(krylov, "dsymv", counted)
+    op.primal_solvers[:] = [unexpected] * len(op.primal_solvers)
+    op.dual_solvers[:] = [unexpected] * len(op.dual_solvers)
+    x = np.random.default_rng(4).standard_normal(op.size)
+    y = op.apply(x)
+    assert len(calls) == 1
+    assert np.linalg.norm(y - op.matrix @ x) <= 1e-14 * np.linalg.norm(y)
+
+
+def test_build_refuses_the_formed_operator_beyond_memory(shells1, monkeypatch):
+    system, meshes, _ = shells1
+    n = system.size
+    monkeypatch.setattr(formulation, "_available_memory", lambda: 2 * 8 * n * n - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=f"N = {n}, over"):
+            precond.build(system, meshes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 10  # nothing of size N x N was allocated
+    monkeypatch.setattr(formulation, "_available_memory", lambda: 2 * 8 * n * n)
+    assert precond.build(system, meshes).matrix.shape == (n, n)
 
 
 def test_apply_annihilates_the_a_orthonormal_coarse_space(shells1):
@@ -132,7 +177,8 @@ def test_apply_annihilates_the_a_orthonormal_coarse_space(shells1):
     assert op.coarse.shape == (op.size, 3 * 25 - 1 + 2 * 25)
     # the vector path of the solve against the block path of the build;
     # W^T A W = I holds to rounding times the condition number of E, 1e4
-    aw = np.column_stack([op.apply_spectral(w) for w in op.coarse.T])
+    spectral = _spectral_only(op)
+    aw = np.column_stack([spectral.apply(w) for w in op.coarse.T])
     assert np.abs(op.coarse.T @ aw - np.eye(op.coarse.shape[1])).max() <= 1e-10
     assert np.linalg.norm(aw - op.coarse_image) <= 1e-13 * np.linalg.norm(aw)
     deflated = np.column_stack([op.apply(w) for w in op.coarse.T])
@@ -169,10 +215,10 @@ def test_coarse_space_is_bitwise_equal_across_builds_and_thread_counts(monkeypat
         monkeypatch.setenv("SYMMBEM_THREADS", threads)
         meshes = [make_icosphere(1, r) for r in RADII]
         op = precond.build(_system(meshes), meshes)
-        builds.append((op.coarse, op.coarse_image))
-    for coarse, image in builds[1:]:
-        assert np.array_equal(coarse, builds[0][0])
-        assert np.array_equal(image, builds[0][1])
+        builds.append((op.coarse, op.coarse_image, op.matrix))
+    for arrays in builds[1:]:
+        for a, b in zip(arrays, builds[0]):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("axes", [(1.0, 1.0, 1.0), (1.1, 1.0, 0.85)], ids=["spheres", "ellipsoid"])
