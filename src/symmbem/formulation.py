@@ -101,29 +101,21 @@ def system_layout(model: NestedModel) -> SystemLayout:
     )
 
 
-@dataclass(frozen=True)
-class ConductivityScaling:
-    """Symmetric diagonal block scaling factors; stored so solutions can be
-    mapped back to unscaled variables."""
-
-    v_factors: tuple
-    p_factors: tuple
-
-
 @dataclass
 class BlockSystem:
     """Dense symmetric transmission matrix with layout and scaling record.
 
     ``matrix`` is a full, C-ordered N x N array that is kept exactly
     symmetric; every product with it on the solve path goes through
-    :meth:`matvec`.
+    :meth:`matvec`.  ``scale`` is the diagonal of the conductivity scaling
+    applied to it, one factor per unknown, or None while unscaled.
     """
 
     matrix: np.ndarray
     layout: SystemLayout
     conductivities: np.ndarray
     rhs: np.ndarray | None = None
-    scaling: ConductivityScaling | None = None
+    scale: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -136,15 +128,9 @@ class BlockSystem:
         return symmetric_matvec(self.matrix, x)
 
     def scale_vector(self) -> np.ndarray:
-        """Diagonal of the applied scaling W (ones when unscaled)."""
-        w = np.ones(self.layout.total)
-        if self.scaling is not None:
-            for i in range(self.layout.num_interfaces):
-                w[self.layout.v_slice(i)] = self.scaling.v_factors[i]
-                ps = self.layout.p_slice(i)
-                if ps is not None:
-                    w[ps] = self.scaling.p_factors[i]
-        return w
+        """Diagonal of the applied scaling W: the stored ``scale``, or ones
+        when unscaled."""
+        return np.ones(self.layout.total) if self.scale is None else self.scale
 
     def gauge_vectors(self) -> list[np.ndarray]:
         """Per-interface constant-trace directions (in current variables)."""
@@ -195,7 +181,7 @@ def _dense_bytes(model: NestedModel) -> int:
     return 8 * (n * n + blocks)
 
 
-def assemble_system(model: NestedModel, quadrature=None) -> BlockSystem:
+def assemble_system(model: NestedModel) -> BlockSystem:
     """Assemble the symmetric block matrix over all interface pairs.
 
     Only neighbouring interfaces couple; blocks for surface pairs further
@@ -225,7 +211,7 @@ def assemble_system(model: NestedModel, quadrature=None) -> BlockSystem:
         Z[rows, cols] += factor * mat
 
     for i in range(n):
-        ops = bem_ops.assemble_operators(model.surfaces[i], model.surfaces[i], quadrature)
+        ops = bem_ops.assemble_operators(model.surfaces[i], model.surfaces[i])
         mesh = model.surfaces[i]
         dii = ops["D"].matrix
         _calibrate_rows(dii, mesh.triangles, -0.5 * mesh.areas)
@@ -240,7 +226,7 @@ def assemble_system(model: NestedModel, quadrature=None) -> BlockSystem:
     for i in range(n - 1):
         j = i + 1
         s_btw = sigma[j]  # conductivity of the compartment between the surfaces
-        ops = bem_ops.assemble_operators(model.surfaces[i], model.surfaces[j], quadrature)
+        ops = bem_ops.assemble_operators(model.surfaces[i], model.surfaces[j])
         vi, pi = layout.v_slice(i), layout.p_slice(i)
         vj, pj = layout.v_slice(j), layout.p_slice(j)
         nij, sij = ops["N"].matrix, ops["S"].matrix
@@ -364,20 +350,17 @@ def conductivity_rescale(system: BlockSystem) -> BlockSystem:
     symmetric.  Scaling and right-hand side are set on ``system``, which is
     returned.
     """
-    if system.scaling is not None:
+    if system.scale is not None:
         raise ValueError("system is already rescaled")
     sigma = system.conductivities
-    v_factors, p_factors = [], []
-    for i in range(system.layout.num_interfaces):
+    layout = system.layout
+    w = np.empty(layout.total)
+    for i in range(layout.num_interfaces):
         s_in, s_out = sigma[i], sigma[i + 1]
-        v_factors.append(1.0 / np.sqrt(s_in + s_out))
-        if system.layout.p_kept[i]:
-            p_factors.append(1.0 / np.sqrt(1.0 / s_in + 1.0 / s_out))
-        else:
-            p_factors.append(np.nan)
-    scaling = ConductivityScaling(tuple(v_factors), tuple(p_factors))
-    probe = BlockSystem(system.matrix, system.layout, sigma, None, scaling)
-    w = probe.scale_vector()
+        w[layout.v_slice(i)] = 1.0 / np.sqrt(s_in + s_out)
+        ps = layout.p_slice(i)
+        if ps is not None:
+            w[ps] = 1.0 / np.sqrt(1.0 / s_in + 1.0 / s_out)
     if np.any(~np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("non-positive scale factor")
     for r0 in range(0, system.size, RESCALE_ROWS):
@@ -385,12 +368,12 @@ def conductivity_rescale(system: BlockSystem) -> BlockSystem:
         system.matrix[rows] *= w[rows, None] * w[None, :]
     if system.rhs is not None:
         system.rhs = w * system.rhs
-    system.scaling = scaling
+    system.scale = w
     return system
 
 
 def unscale_solution(system: BlockSystem, y: np.ndarray) -> np.ndarray:
     """Map a solution of the rescaled system back to original variables."""
-    if system.scaling is None:
+    if system.scale is None:
         return np.asarray(y, dtype=float).copy()
-    return system.scale_vector() * y
+    return system.scale * y

@@ -3,34 +3,42 @@ sparse Laplacian maps and Gram rescalings so its conditioning stops
 tracking mesh size, and deflate the few low modes that stay small.
 
 The spectral operator is ``A = P_g M Z P Z M P_g`` where M is the
-blockwise lumped inverse square root of the Gram matrices, P applies per
-interface a regularized inverse surface Laplacian on the vertex rows and
-the two-point-flux cell Laplacian between inverse cell areas on the cell
-rows, and ``P_g`` projects out the known constant-trace gauge directions.
-Everything P needs lives on the primal mesh: no barycentric refinement and
-no dual matrix.  The vertex rows' inverse Laplacian is an exact solve with
-a sparse LU factor computed once at :func:`build`; the cell rows need no
-solve at all, so P is one fixed symmetric positive definite map.
+blockwise lumped inverse square root of the Gram matrices (the vertex
+masses on the vertex rows, the cell areas on the cell rows), P applies
+per interface a regularized inverse surface Laplacian on the vertex rows
+and the two-point-flux cell Laplacian between inverse cell areas on the
+cell rows, and ``P_g`` projects out the known constant-trace gauge
+directions.  Everything P needs lives on the primal mesh: no barycentric
+refinement and no dual matrix.  The vertex rows' inverse Laplacian is an
+exact solve with one sparse LU factor per surface, computed once at
+:func:`build`; the cell rows need no solve at all, so P is one fixed
+symmetric positive definite map.
 
 A keeps its condition number flat under refinement, but a thin resistive
 layer (the skull) leaves a cluster of small eigenvalues at low spherical
 degree.  CG therefore runs on the deflated operator ``P_D A`` with
 ``P_D = I - A W (W^T A W)^-1 W^T`` (Nicolaides 1987; Saad, Yeung, Erhel
 and Guyomarc'h 2000), where the coarse space W holds per surface the
-lowest surface-Laplacian eigenmodes.  W is stored A-orthonormal
-(``W^T A W = I``) beside ``U = A W``, so ``P_D A = A - U U^T`` and the
-right-hand side is ``P_D c = c - U W^T c``; :func:`recover_solution`
-adds back the coarse component ``W (W^T c - U^T y)``.
+lowest surface-Laplacian eigenmodes.  Deflation needs only their span,
+and inverse iteration with the same LU factor that P uses gives it.  W is
+stored A-orthonormal (``W^T A W = I``) beside ``U = A W``, so
+``P_D A = A - U U^T`` and the right-hand side is ``P_D c = c - U W^T c``;
+:func:`recover_solution` adds back the coarse component
+``W (W^T c - U^T y)``.
 
 Many right-hand sides share one head model, so :func:`build` forms
-``P_D A`` once, as one dense, exactly symmetric N x N array.  That costs
-about N^3 flops plus the sparse Laplacian maps on N columns (about 0.1 s
-at N = 1126 on one BLAS thread) and N^2 doubles beside Z; :func:`build`
-raises ``MemoryError`` before allocating when Z and the formed operator
-exceed the memory available.  Each CG step is then one BLAS ``dsymv``
-(:func:`~symmbem.krylov.symmetric_matvec`, which reads one triangle),
-where applying the factors one by one would take two products with Z,
-the sparse Laplacian maps, the gauge projections and the coarse products.
+``P_D A`` once, as one dense, exactly symmetric N x N array.  It is
+formed on its lower triangle: half of ``M Z P Z M`` by block products,
+then the gauge and coarse corrections as in-place BLAS rank updates
+(``dsyr2k``, ``dsyrk``) of that triangle, and one mirror at the end.
+That costs about N^3 flops plus the sparse Laplacian maps on N columns
+(about 0.1 s at N = 1126 on one BLAS thread) and N^2 doubles beside Z;
+:func:`build` raises ``MemoryError`` before allocating when Z and the
+formed operator exceed the memory available.  Each CG step is then one
+BLAS ``dsymv`` (:func:`~symmbem.krylov.symmetric_matvec`, which reads one
+triangle), where applying the factors one by one would take two products
+with Z, the sparse Laplacian maps, the gauge projections and the coarse
+products.
 """
 
 from __future__ import annotations
@@ -40,14 +48,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
-from scipy.sparse._sparsetools import csr_matvecs
+from scipy.linalg.blas import dsymm, dsyr2k, dsyrk
 from scipy.sparse.linalg import splu
 
 from . import formulation, krylov
 from .formulation import BlockSystem, unscale_solution
 from .geometry import TriangleMesh
 from .laplacians import dual_laplacian, primal_laplace_beltrami
-from .spaces import gram_p0, gram_p1, lumped_inverse_sqrt, patch_space, pyramid_space
+from .spaces import gram_p1, pyramid_space
 
 #: surface-Laplacian eigenmodes per surface in the coarse space: spherical
 #: degrees 0-4 on a sphere, a complete degree cluster
@@ -132,12 +140,13 @@ class PrecondOperator:
         return c - self.coarse_image @ (c @ self.coarse)
 
 
-def _primal_solver(mesh: TriangleMesh, lap: sp.csr_matrix, lumped: np.ndarray):
+def _primal_solver(mesh: TriangleMesh, lap: sp.csr_matrix):
     """Regularized inverse Laplacian on the vertex (pyramid) rows.
 
-    ``lap`` is the cotangent Laplacian L and ``lumped`` holds the row sums
-    ``m`` of the pyramid Gram matrix.  A rank-one lumped-mass term shifts
-    the constant mode to a finite O(1) eigenvalue, making
+    ``lap`` is the cotangent Laplacian L and m holds the mesh's vertex
+    masses, the row sums of the pyramid Gram matrix.  A rank-one
+    lumped-mass term shifts the constant mode to a finite O(1) eigenvalue,
+    making
     ``L + (beta/total) m m^T`` invertible on the whole space; the
     preconditioned operator's kernel then reduces to the system's own
     gauge.  That inverse is applied exactly through the sparse bordered
@@ -145,9 +154,10 @@ def _primal_solver(mesh: TriangleMesh, lap: sp.csr_matrix, lumped: np.ndarray):
     eliminating the border gives back the rank-one-shifted Laplacian.  The
     solver takes a vector or a block of columns.
     """
-    total = lumped.sum()
+    masses = mesh.vertex_masses
+    total = masses.sum()
     beta = 8.0 * np.pi / mesh.total_area  # constant-mode eigenvalue, O(1) scale
-    col = sp.csr_matrix(lumped[:, None])
+    col = sp.csr_matrix(masses[:, None])
     bordered = sp.bmat([[lap, col], [col.T, [[-total / beta]]]], format="csc")
     lu = splu(bordered)
     n = mesh.num_vertices
@@ -177,44 +187,40 @@ def _dual_solver(mesh: TriangleMesh):
     scaling = sp.diags(1.0 / mesh.areas)
     scaled = (scaling @ dual_laplacian(mesh) @ scaling).tocsr()
     shift = np.pi / mesh.total_area**2  # beta/total with beta = pi/total_area
-    n = mesh.num_triangles
-
-    def solver(rhs: np.ndarray) -> np.ndarray:
-        # ``shift * rhs.sum(axis=0) + scaled @ rhs``, with the CSR kernel
-        # behind ``@`` called directly: at a few hundred cells scipy's
-        # dispatch around it costs more than the product itself
-        out = np.empty(rhs.shape)
-        out[:] = shift * rhs.sum(axis=0)
-        columns = rhs.shape[1] if rhs.ndim == 2 else 1
-        csr_matvecs(n, n, columns, scaled.indptr, scaled.indices, scaled.data,
-                    np.ascontiguousarray(rhs).ravel(), out.ravel())
-        return out
-
-    return solver
+    return lambda rhs: scaled @ rhs + shift * rhs.sum(axis=0)
 
 
-def _surface_modes(mesh: TriangleMesh, lap: sp.csr_matrix, gram: sp.csr_matrix) -> np.ndarray:
+def _surface_modes(solver, lap: sp.csr_matrix, gram: sp.csr_matrix) -> np.ndarray:
     """The ``COARSE_MODES`` lowest eigenvectors of (L, G) on the vertices,
     in ascending order of eigenvalue, the constant mode first.
 
-    Block inverse iteration with ``(L - sigma G)^-1 G``, sigma below the
-    zero eigenvalue so that the shifted matrix is positive definite and
-    factored once, then one Rayleigh-Ritz step.  A block of
-    ``MODE_BLOCK`` columns keeps whole degenerate clusters of the
-    spectrum, as on the symmetric icosphere, and each step shrinks the
-    error of the lowest ``COARSE_MODES`` by the ratio of the shifted
-    eigenvalues ``COARSE_MODES`` and ``MODE_BLOCK + 1``, about 1/2 on a
-    sphere.  The start block is fixed, so every build returns the same
-    vectors bit for bit.
+    Block inverse iteration with the surface's own primal ``solver``, the
+    bordered LU of ``L + (beta/total) m m^T`` with ``m = G 1``, then one
+    Rayleigh-Ritz step on (L, G).  Every other eigenvector of (L, G) is
+    G-orthogonal to the constant, so ``m^T`` annihilates it and the
+    shifted pencil has the same eigenvectors; only the constant's
+    eigenvalue is lifted from 0 to beta (2/R^2 on a sphere of radius R).
+    The Rayleigh-Ritz step on the unshifted pencil puts the constant
+    first again.  A block of ``MODE_BLOCK`` columns keeps whole degenerate
+    clusters of the spectrum, as on the symmetric icosphere, and each step
+    shrinks the error of the lowest ``COARSE_MODES`` by the eigenvalue
+    ratio lambda_25 / lambda_41, 20/42 on a sphere (degrees 4 and 6).  The
+    start block is fixed, so every build returns the same vectors bit for
+    bit.
     """
-    n = mesh.num_vertices
-    sigma = -4.0 * np.pi / mesh.total_area  # -1/R^2 on a sphere of radius R
-    shifted = splu((lap - sigma * gram).tocsc())
+    n = lap.shape[0]
     x = np.random.default_rng(0).standard_normal((n, min(MODE_BLOCK, n)))
     for _ in range(MODE_STEPS):
-        x, _ = np.linalg.qr(shifted.solve(gram @ x))
+        x, _ = np.linalg.qr(solver(gram @ x))
     _, ritz = eigh(x.T @ (lap @ x), x.T @ (gram @ x))
     return x @ ritz[:, : min(COARSE_MODES, n - 1)]
+
+
+def _lower_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for the symmetric array ``a`` stored on its lower
+    triangle: one BLAS ``dsymm`` on the Fortran views ``a.T`` and ``x.T``,
+    which copies neither, and returns a C-ordered array."""
+    return dsymm(1.0, a.T, x.T, side=1, lower=0).T
 
 
 def _mirror_lower(a: np.ndarray) -> None:
@@ -228,17 +234,9 @@ def _mirror_lower(a: np.ndarray) -> None:
         d[:] = np.tril(d) + np.tril(d, -1).T
 
 
-def _subtract_symmetric(a: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
-    """``a -= left @ right.T`` for an update that is symmetric in exact
-    arithmetic: formed on the lower triangle in row chunks, then mirrored."""
-    for r0 in range(0, len(a), CHUNK):
-        r1 = min(r0 + CHUNK, len(a))
-        a[r0:r1, :r1] -= left[r0:r1] @ right[:r1].T
-    _mirror_lower(a)
-
-
 def _form_spectral(op: PrecondOperator) -> None:
-    """Form the spectral operator ``A = P_g M Z P Z M P_g`` in ``op.matrix``.
+    """Form the lower triangle of the spectral operator
+    ``A = P_g M Z P Z M P_g`` in ``op.matrix``.
 
     ``B = M Z P Z M`` is symmetric, so only its lower triangle is computed,
     in chunks of rows.  Z is symmetric, so a chunk of columns of ``Z M``
@@ -246,7 +244,10 @@ def _form_spectral(op: PrecondOperator) -> None:
     chunk is ``B[rows, :r1] = (Y^T @ Z[:r1].T) * m[:r1]``, and the chunks
     add up to half of one N x N x N product.  The gauge projections enter
     as the rank-2 correction ``P_g B P_g = B - Q R^T - R Q^T`` with
-    ``R = B Q - Q (Q^T B Q) / 2``.
+    ``R = B Q - Q (Q^T B Q) / 2``: one ``dsyr2k`` on the Fortran view
+    ``op.matrix.T``, whose upper triangle is the lower triangle of the
+    array, in place and without a copy.  The upper triangle is left
+    unset.
     """
     z, m, a = op.system.matrix, op.m_diag, op.matrix
     n = len(m)
@@ -256,12 +257,11 @@ def _form_spectral(op: PrecondOperator) -> None:
         block = a[r0:r1, :r1]
         np.matmul(y.T, z[:r1].T, out=block)
         block *= m[:r1]
-    _mirror_lower(a)
     q = op.deflation
     if q.shape[1]:
-        v = a @ q
+        v = _lower_product(a, q)
         r = v - 0.5 * q @ (q.T @ v)
-        _subtract_symmetric(a, np.hstack([q, r]), np.hstack([r, q]))
+        dsyr2k(-1.0, q.T, r.T, beta=1.0, c=a.T, trans=1, lower=0, overwrite_c=1)
 
 
 def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.ndarray]:
@@ -272,11 +272,11 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
     kept) the mean of each cell's three corners.  The columns are pulled
     back through ``1/m_diag`` and the gauge projector.  When the gauge is
     deflated, the constants of all vertex blocks span it, so the outermost
-    vertex block drops its constant mode.  ``A W`` is one block product
-    with the formed A.  ``E = W^T A W`` is factored by eigendecomposition
-    with a curvature cut-off: directions with eigenvalue at most 1e-12 of
-    the largest are dropped, as :func:`krylov.orthonormal_columns` drops
-    dependent columns.
+    vertex block drops its constant mode.  ``A W`` is one ``dsymm`` with
+    the lower triangle of the formed A.  ``E = W^T A W`` is factored by
+    eigendecomposition with a curvature cut-off: directions with
+    eigenvalue at most 1e-12 of the largest are dropped, as
+    :func:`krylov.orthonormal_columns` drops dependent columns.
     """
     layout = op.system.layout
     last = layout.num_interfaces - 1
@@ -297,7 +297,7 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
     for c0 in range(0, w.shape[1], CHUNK):
         cols = slice(c0, c0 + CHUNK)
         w[:, cols] = op.project(w[:, cols])
-    aw = op.apply(w)
+    aw = _lower_product(op.matrix, w)
     vals, vecs = eigh(w.T @ aw)
     keep = vals > 1e-12 * vals[-1]
     scale = vecs[:, keep] / np.sqrt(vals[keep])
@@ -311,9 +311,16 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
 
 def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     """Assemble the diagonal Gram factors, the per-interface Laplacian
-    maps (the vertex rows' sparse factor computed here, once), the gauge
-    deflation basis, the recovery kernel basis and the coarse space for a
-    (rescaled) system, and form ``P_D A``.
+    maps, the gauge deflation basis, the recovery kernel basis and the
+    coarse space for a (rescaled) system, and form ``P_D A``.
+
+    Each surface takes one sparse factorization, the bordered LU of its
+    regularized Laplacian: the vertex rows of P apply it, and the inverse
+    iteration for its coarse modes runs with it.  The operator is formed
+    on its lower triangle; the coarse correction ``- U U^T`` is one
+    in-place ``dsyrk`` on that triangle, which is then mirrored once.  W
+    and ``A W`` are the only N x T arrays the build holds beside the
+    operator.
 
     Raises ``MemoryError`` before allocating anything when Z and the
     formed operator together exceed the memory the process can get.
@@ -335,15 +342,14 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     modes = []
     for i, mesh in enumerate(meshes):
         gram = gram_p1(pyramid_space(mesh))
-        m_diag[layout.v_slice(i)] = lumped_inverse_sqrt(gram)
+        m_diag[layout.v_slice(i)] = mesh.vertex_masses**-0.5
         ps = layout.p_slice(i)
         if ps is not None:
-            m_diag[ps] = lumped_inverse_sqrt(gram_p0(patch_space(mesh)))
+            m_diag[ps] = mesh.areas**-0.5
         lap = primal_laplace_beltrami(mesh)
-        lumped = np.asarray(gram.sum(axis=1)).ravel()
-        primal_solvers.append(_primal_solver(mesh, lap, lumped))
+        primal_solvers.append(_primal_solver(mesh, lap))
         dual_solvers.append(_dual_solver(mesh) if ps is not None else None)
-        modes.append(_surface_modes(mesh, lap, gram))
+        modes.append(_surface_modes(primal_solvers[i], lap, gram))
 
     # Deflation = the operator's actual kernel, pulled back through M: with
     # an insulating exterior the system annihilates a simultaneous constant
@@ -360,7 +366,10 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
                          empty, empty, np.empty((n, n)))
     _form_spectral(op)
     op.coarse, op.coarse_image = _coarse_space(op, meshes, modes)
-    _subtract_symmetric(op.matrix, op.coarse_image, op.coarse_image)
+    if op.coarse.shape[1]:
+        u = op.coarse_image
+        dsyrk(-1.0, u.T, beta=1.0, c=op.matrix.T, trans=1, lower=0, overwrite_c=1)
+    _mirror_lower(op.matrix)
     return op
 
 

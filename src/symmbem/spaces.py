@@ -66,18 +66,6 @@ def gram_p1(space: FunctionSpace) -> sp.csr_matrix:
     return (m + m.T) * 0.5  # symmetrize exactly
 
 
-def lumped_inverse_sqrt(gram: sp.spmatrix) -> np.ndarray:
-    """Diagonal of the lumped inverse square root: (row sum of G) ** -1/2.
-
-    Exact for the patch Gram (already diagonal); spectrally equivalent mass
-    lumping for the pyramid Gram.
-    """
-    row_sums = np.asarray(gram.sum(axis=1)).ravel()
-    if np.any(row_sums <= 0):
-        raise ValueError("non-positive Gram row sum")
-    return 1.0 / np.sqrt(row_sums)
-
-
 def barycentric_refinement(mesh: TriangleMesh):
     """Six-way barycentric refinement on which :func:`mixed_gram_dual` is assembled.
 

@@ -53,10 +53,25 @@ def _iterations(op):
     return report.iterations
 
 
-def _shells(subdivisions, axes=(1.0, 1.0, 1.0)):
-    """The three shells at ``subdivisions``, scaled by ``axes``."""
+def _shells(subdivisions, axes=(1.0, 1.0, 1.0), jitter=0.0):
+    """The three shells at ``subdivisions``, scaled by ``axes``.
+
+    With ``jitter``, every vertex first moves tangentially by ``jitter``
+    times the mean edge length in a fixed random direction, the same
+    direction and relative step on all three shells, which grades the cell
+    sizes and makes some cells obtuse.
+    """
+    unit = make_icosphere(subdivisions, 1.0)
+    shift = np.zeros_like(unit.vertices)
+    if jitter:
+        v = unit.vertices  # on the unit sphere: the vertex normals
+        h = np.linalg.norm(v[unit.edges[:, 0]] - v[unit.edges[:, 1]], axis=1).mean()
+        d = np.random.default_rng(2).standard_normal(v.shape)
+        d -= (d * v).sum(axis=1)[:, None] * v
+        shift = jitter * h * d / np.linalg.norm(d, axis=1)[:, None]
     spheres = [make_icosphere(subdivisions, r) for r in RADII]
-    return [TriangleMesh(m.vertices * np.array(axes), m.triangles) for m in spheres]
+    return [TriangleMesh((m.vertices + r * shift) * np.array(axes), m.triangles)
+            for m, r in zip(spheres, RADII)]
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +185,37 @@ def test_build_refuses_the_formed_operator_beyond_memory(shells1, monkeypatch):
     assert precond.build(system, meshes).matrix.shape == (n, n)
 
 
+def test_build_factors_each_surface_once(shells1, monkeypatch):
+    # the coarse modes come from the same bordered LU that P applies
+    system, meshes, _ = shells1
+    shapes = []
+    splu = precond.splu
+
+    def counted(matrix):
+        shapes.append(matrix.shape)
+        return splu(matrix)
+
+    monkeypatch.setattr(precond, "splu", counted)
+    precond.build(system, meshes)
+    assert shapes == [(m.num_vertices + 1, m.num_vertices + 1) for m in meshes]
+
+
+def test_build_holds_the_operator_and_its_coarse_arrays_at_most():
+    # the operator is updated in place; W and A W are the only N x T arrays
+    meshes = _shells(2)
+    system = _system(meshes)
+    precond.build(system, meshes)  # first call outside the trace: caches, BLAS set-up
+    tracemalloc.start()
+    try:
+        op = precond.build(system, meshes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, t = op.size, op.coarse.shape[1]
+    assert t > 0
+    assert peak <= 8 * n * n + 3 * 8 * n * t
+
+
 def test_apply_annihilates_the_a_orthonormal_coarse_space(shells1):
     system, meshes, _ = shells1
     op = precond.build(system, meshes)
@@ -221,9 +267,17 @@ def test_coarse_space_is_bitwise_equal_across_builds_and_thread_counts(monkeypat
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("axes", [(1.0, 1.0, 1.0), (1.1, 1.0, 0.85)], ids=["spheres", "ellipsoid"])
-def test_deflation_cuts_iterations_at_subdivision_2(axes):
-    meshes = _shells(2, axes)
+@pytest.mark.parametrize(
+    "axes, jitter",
+    [((1.0, 1.0, 1.0), 0.0), ((1.1, 1.0, 0.85), 0.0), ((1.1, 1.0, 0.85), 0.25)],
+    ids=["spheres", "ellipsoid", "jittered-ellipsoid"],
+)
+def test_deflation_cuts_iterations_at_subdivision_2(axes, jitter):
+    meshes = _shells(2, axes, jitter)
+    if jitter:
+        # graded and obtuse cells, where the icosphere's are nearly uniform
+        areas = meshes[0].areas
+        assert areas.max() > 7.0 * areas.min()
     op = precond.build(_system(meshes), meshes)
     assert _iterations(op) <= 0.7 * _iterations(_spectral_only(op))
 

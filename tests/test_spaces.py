@@ -6,7 +6,6 @@ from symmbem.spaces import (
     barycentric_refinement,
     gram_p0,
     gram_p1,
-    lumped_inverse_sqrt,
     mixed_gram_dual,
     mixed_gram_p0_p1,
     patch_space,
@@ -58,30 +57,19 @@ def test_gram_p1_spd_and_exactly_symmetric():
     assert vals[0] > 0
 
 
-def test_lumped_inverse_sqrt_p0():
-    d = lumped_inverse_sqrt(gram_p0(patch_space(SINGLE)))
-    assert np.allclose(d, [np.sqrt(2.0)])
-
-
-def test_lumped_inverse_sqrt_p1_single_triangle():
-    d = lumped_inverse_sqrt(gram_p1(pyramid_space(SINGLE)))
-    # row sum 1/12 + 2/24 = 1/6 per vertex
-    assert np.allclose(d, np.sqrt(6.0) * np.ones(3))
-
-
-def test_lumped_inverse_sqrt_rejects_nonpositive():
-    bad = gram_p1(pyramid_space(SINGLE))
-    mat = bad.tolil()
-    mat[0, :] = 0.0
-    with pytest.raises(ValueError):
-        lumped_inverse_sqrt(mat.tocsr())
+@pytest.mark.parametrize("subdiv", [None, 1, 2, 3], ids=["single", "sub1", "sub2", "sub3"])
+def test_gram_p1_row_sums_are_the_vertex_masses(subdiv):
+    # the lumped masses the preconditioner reads from the mesh
+    mesh = SINGLE if subdiv is None else make_icosphere(subdiv, 1.0)
+    rows = np.asarray(gram_p1(pyramid_space(mesh)).sum(axis=1)).ravel()
+    assert np.abs(rows - mesh.vertex_masses).max() <= 1e-15
 
 
 @pytest.mark.parametrize("subdiv", [1, 2, 3])
 def test_lumping_spectrally_equivalent(subdiv):
     mesh = make_icosphere(subdiv, 1.0)
     g = gram_p1(pyramid_space(mesh))
-    d = lumped_inverse_sqrt(g)
+    d = mesh.vertex_masses**-0.5
     scaled = (d[:, None] * g.toarray()) * d[None, :]
     rows = scaled.sum(axis=1)
     assert rows.min() > 0.5 and rows.max() < 2.0
