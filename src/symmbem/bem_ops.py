@@ -101,12 +101,7 @@ def curl_coefficient_matrices(mesh: TriangleMesh):
     """Sparse (n_cells x n_vertices) matrices of the per-cell surface-curl
     components of the vertex hat functions: curl of hat i on cell t is
     ``-e_i / (2 A_t)`` with ``e_i`` the opposite edge vector."""
-    c = mesh.corners
-    e = np.empty_like(c)
-    e[:, 0] = c[:, 2] - c[:, 1]
-    e[:, 1] = c[:, 0] - c[:, 2]
-    e[:, 2] = c[:, 1] - c[:, 0]
-    curls = -e / (2.0 * mesh.areas)[:, None, None]
+    curls = -mesh.opposite_edges / (2.0 * mesh.areas)[:, None, None]
     nc, nv = mesh.num_triangles, mesh.num_vertices
     rows = np.repeat(np.arange(nc), 3)
     cols = mesh.triangles.ravel()
@@ -114,20 +109,6 @@ def curl_coefficient_matrices(mesh: TriangleMesh):
         sp.coo_matrix((curls[:, :, k].ravel(), (rows, cols)), shape=(nc, nv)).tocsr()
         for k in range(3)
     ]
-
-
-def _shared_vertex_counts(mesh: TriangleMesh) -> sp.csr_matrix:
-    """Sparse (n_cells x n_cells) count of the vertices two cells share.
-
-    Nonzero exactly for touching pairs: 3 on the diagonal, 2 for edge and 1
-    for vertex neighbours.
-    """
-    tri = mesh.triangles
-    nc, nv = mesh.num_triangles, mesh.num_vertices
-    vinc = sp.coo_matrix(
-        (np.ones(3 * nc), (tri.ravel(), np.repeat(np.arange(nc), 3))), shape=(nv, nc)
-    ).tocsr()
-    return (vinc.T @ vinc).tocsr()
 
 
 def _touching_pairs(mesh: TriangleMesh):
@@ -139,7 +120,7 @@ def _touching_pairs(mesh: TriangleMesh):
     first.
     """
     tri = mesh.triangles
-    shared = _shared_vertex_counts(mesh).tocoo()
+    shared = mesh.shared_vertex_counts.tocoo()
     upper = shared.row < shared.col
     a = shared.row[upper]
     b = shared.col[upper]
@@ -168,9 +149,7 @@ def _touching_pairs(mesh: TriangleMesh):
     return edge_pairs, edge_charts, vertex_pairs, vertex_charts
 
 
-def assemble_operators(
-    mesh_t: TriangleMesh, mesh_s: TriangleMesh, quadrature: QuadratureConfig | None = None
-) -> dict[str, KernelBlock]:
+def assemble_operators(mesh_t: TriangleMesh, mesh_s: TriangleMesh) -> dict[str, KernelBlock]:
     """Assemble the four operator blocks between two surfaces in one sweep.
 
     Returns the blocks under the keys of ``TAGS``, rows on ``mesh_t`` and
@@ -192,9 +171,10 @@ def assemble_operators(
 
     On a single surface every unordered triangle pair is integrated once for
     both orientations, so ``S`` is exactly symmetric and ``Dstar`` is the
-    exact transpose of ``D``.
+    exact transpose of ``D``, returned as the view ``D.T``.  The quadrature
+    is ``DEFAULT_QUADRATURE``, read at call time.
     """
-    cfg = quadrature or DEFAULT_QUADRATURE
+    cfg = DEFAULT_QUADRATURE
     same = mesh_t is mesh_s
 
     nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
@@ -232,7 +212,7 @@ def assemble_operators(
         nmat += ck_t[k].T @ tmp
     if same:
         nmat = 0.5 * (nmat + nmat.T)
-        dsmat = dmat.T.copy()
+        dsmat = dmat.T
     return {
         "S": KernelBlock(ig, Kind.PATCH, Kind.PATCH),
         "D": KernelBlock(dmat, Kind.PATCH, Kind.PYRAMID),
@@ -371,7 +351,7 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, workspace):
     nrm_t, nrm_s = _component_major(mesh_t.normals), _component_major(mesh_s.normals)
     scale_t, area_s = mesh_t.areas / FOUR_PI, mesh_s.areas
     tri_t, tri_s = mesh_t.triangles, mesh_s.triangles
-    shared = _shared_vertex_counts(mesh_t) if same else None
+    shared = mesh_t.shared_vertex_counts if same else None
 
     def batch(tr, rows, cols):
         qt, qs = tr.shape

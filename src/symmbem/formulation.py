@@ -158,13 +158,16 @@ def _calibrate_rows(matrix: np.ndarray, triangles: np.ndarray, target_row_sums: 
 
 def _available_memory() -> int:
     """Bytes of memory the process can get: the physical memory, lowered to
-    the cgroup v2 limit when that limit is readable."""
+    the cgroup v2 limit, or where that cannot be read the cgroup v1 limit.
+    Unlimited reads ``max`` in v2 and a number beyond any memory in v1."""
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    try:
-        limit = Path("/sys/fs/cgroup/memory.max").read_text().strip()
-    except OSError:
-        return physical
-    return min(physical, int(limit)) if limit.isdecimal() else physical
+    for path in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
+        try:
+            limit = Path(path).read_text().strip()
+        except OSError:
+            continue
+        return min(physical, int(limit)) if limit.isdecimal() else physical
+    return physical
 
 
 def _dense_bytes(model: NestedModel) -> int:

@@ -1,4 +1,12 @@
-"""Triangle meshes, canonical sphere meshes, nesting checks and OFF I/O."""
+"""Triangle meshes, canonical sphere meshes, nesting checks and OFF I/O.
+
+A ``TriangleMesh`` derives its connectivity once, from one half-edge
+census (``TriangleMesh._half_edges``): the edge list, the two cells of
+each edge, the three edges of each cell and the manifold and orientation
+checks of :func:`validate` all read it.  The edge vectors opposite each
+corner (``opposite_edges``) and the shared-vertex counts of the triangle
+pairs are likewise derived once and cached on the mesh.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +15,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._quadrature import TRI_RULES
 
@@ -92,26 +101,41 @@ class TriangleMesh:
         return self.corners.mean(axis=1)
 
     @cached_property
+    def opposite_edges(self) -> np.ndarray:
+        """Edge vector opposite each corner, ``e_k = c_{k-1} - c_{k+1}``,
+        shape (n_triangles, 3, 3)."""
+        c = self.corners
+        return c[:, [2, 0, 1]] - c[:, [1, 2, 0]]
+
+    @cached_property
     def diameters(self) -> np.ndarray:
         """Longest edge per triangle."""
-        c = self.corners
-        e = np.stack(
-            [
-                np.linalg.norm(c[:, 1] - c[:, 0], axis=1),
-                np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
-                np.linalg.norm(c[:, 0] - c[:, 2], axis=1),
-            ],
-            axis=1,
-        )
-        return e.max(axis=1)
+        return np.linalg.norm(self.opposite_edges, axis=2).max(axis=1)
+
+    @cached_property
+    def _half_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The half-edge census that every edge query reads.
+
+        Returns ``(directed, order, ids, starts)``: ``directed[k * n_c + c]``
+        is the half-edge ``(t[c, k], t[c, k + 1])`` of triangle c, ``order``
+        sorts the half-edges stably by the key ``min * n_v + max`` of their
+        undirected edge, ``ids`` holds, in that order, the index in ``edges``
+        of each half-edge's undirected edge, and ``starts`` the position in
+        that order of each edge's first half-edge.
+        """
+        t = self.triangles
+        directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        keys = directed.min(axis=1) * self.num_vertices + directed.max(axis=1)
+        order = np.argsort(keys, kind="stable")
+        first = np.diff(keys[order], prepend=-1) != 0
+        return directed, order, np.cumsum(first) - 1, np.flatnonzero(first)
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """Unique undirected edges as sorted index pairs, shape (n_edges, 2)."""
-        t = self.triangles
-        halves = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        halves = np.sort(halves, axis=1)
-        return np.unique(halves, axis=0)
+        """Unique undirected edges as sorted index pairs, in lexicographic
+        order, shape (n_edges, 2)."""
+        directed, order, _, starts = self._half_edges
+        return np.sort(directed[order[starts]], axis=1)
 
     @cached_property
     def edge_cells(self) -> np.ndarray:
@@ -120,16 +144,31 @@ class TriangleMesh:
         Raises ``ValueError`` unless every edge has exactly two triangles,
         as on a closed manifold surface.
         """
-        t = self.triangles
-        halves = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
-        # sorting by this key orders the edges as the lexicographic ``edges``
-        keys = halves[:, 0] * self.num_vertices + halves[:, 1]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        if len(keys) % 2 or np.any(keys[0::2] != keys[1::2]) or np.any(keys[1:-1:2] == keys[2::2]):
+        _, order, ids, _ = self._half_edges
+        if np.any(np.bincount(ids) != 2):
             raise ValueError("edge_cells needs every edge shared by exactly two triangles")
-        owner = np.tile(np.arange(self.num_triangles), 3)
-        return owner[order].reshape(-1, 2)
+        return (order % self.num_triangles).reshape(-1, 2)
+
+    @cached_property
+    def cell_edges(self) -> np.ndarray:
+        """Index in ``edges`` of the edge ``(t[c, k], t[c, k + 1])`` of every
+        triangle c, shape (n_triangles, 3)."""
+        _, order, ids, _ = self._half_edges
+        per_half = np.empty_like(ids)
+        per_half[order] = ids
+        return np.ascontiguousarray(per_half.reshape(3, -1).T)
+
+    @cached_property
+    def shared_vertex_counts(self) -> sp.csr_matrix:
+        """Sparse (n_triangles x n_triangles) count of the vertices two
+        triangles share: 3 on the diagonal, 2 for edge and 1 for vertex
+        neighbours, and no entry for triangles that do not touch."""
+        nc = self.num_triangles
+        incidence = sp.coo_matrix(
+            (np.ones(3 * nc), (self.triangles.ravel(), np.repeat(np.arange(nc), 3))),
+            shape=(self.num_vertices, nc),
+        ).tocsr()
+        return (incidence.T @ incidence).tocsr()
 
     @cached_property
     def vertex_masses(self) -> np.ndarray:
@@ -264,40 +303,24 @@ def validate(mesh: TriangleMesh) -> list[MeshViolation]:
             MeshViolation("degenerate-triangle", (int(t),), "triangle has zero area")
         )
 
-    # Directed edge census: each undirected edge must appear exactly twice,
-    # once per direction, for a closed consistently oriented surface.
-    t = mesh.triangles
-    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    owner = np.tile(np.arange(len(t)), 3)
-    keys = np.minimum(directed[:, 0], directed[:, 1]) * (mesh.num_vertices + 1) + np.maximum(
-        directed[:, 0], directed[:, 1]
-    )
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    boundaries = np.nonzero(np.diff(keys_sorted))[0] + 1
-    groups = np.split(order, boundaries)
-    for g in groups:
-        i, j = int(directed[g[0], 0]), int(directed[g[0], 1])
-        edge = (min(i, j), max(i, j))
-        if len(g) != 2:
-            violations.append(
-                MeshViolation(
-                    "open-edge" if len(g) == 1 else "non-manifold-edge",
-                    edge,
-                    f"edge shared by {len(g)} triangle(s), expected 2",
-                )
-            )
+    # From the half-edge census: each undirected edge must appear exactly
+    # twice, once per direction, for a closed consistently oriented surface.
+    directed, order, ids, starts = mesh._half_edges
+    counts = np.bincount(ids)
+    first, second = order[starts], order[starts + (counts > 1)]
+    flipped = (counts == 2) & (directed[first, 0] == directed[second, 0])
+    for e in np.flatnonzero((counts != 2) | flipped):
+        edge = (int(mesh.edges[e, 0]), int(mesh.edges[e, 1]))
+        if counts[e] != 2:
+            kind = "open-edge" if counts[e] == 1 else "non-manifold-edge"
+            message = f"edge shared by {counts[e]} triangle(s), expected 2"
         else:
-            d0, d1 = directed[g[0]], directed[g[1]]
-            if d0[0] == d1[0]:  # same direction twice -> inconsistent orientation
-                violations.append(
-                    MeshViolation(
-                        "orientation",
-                        edge,
-                        "edge traversed twice in the same direction by triangles "
-                        f"{int(owner[g[0]])} and {int(owner[g[1]])}",
-                    )
-                )
+            kind = "orientation"
+            message = (
+                "edge traversed twice in the same direction by triangles "
+                f"{first[e] % mesh.num_triangles} and {second[e] % mesh.num_triangles}"
+            )
+        violations.append(MeshViolation(kind, edge, message))
 
     if _connected_components(mesh) > 1:
         violations.append(
@@ -307,14 +330,13 @@ def validate(mesh: TriangleMesh) -> list[MeshViolation]:
 
 
 def _connected_components(mesh: TriangleMesh) -> int:
-    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
     e = mesh.edges
     if len(e) == 0:
         return 0
     n = mesh.num_vertices
-    adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+    adj = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
     return int(connected_components(adj, directed=False, return_labels=False))
 
 

@@ -13,34 +13,25 @@ import scipy.sparse as sp
 
 from .geometry import TriangleMesh
 
-def _p1_stiffness(vertices: np.ndarray, triangles: np.ndarray) -> sp.csr_matrix:
-    """Piecewise-linear stiffness with cotangent weights.
+
+def primal_laplace_beltrami(mesh: TriangleMesh) -> sp.csr_matrix:
+    """Cotangent stiffness of the vertex hat functions on the surface.
 
     Element matrix: K[i, j] = (e_i . e_j) / (4 A) with e_i the edge opposite
     vertex i, equivalent to -(cot a + cot b)/2 off-diagonal accumulation.
     """
-    corners = vertices[triangles]
-    e = np.empty_like(corners)
-    e[:, 0] = corners[:, 2] - corners[:, 1]
-    e[:, 1] = corners[:, 0] - corners[:, 2]
-    e[:, 2] = corners[:, 1] - corners[:, 0]
-    area = 0.5 * np.linalg.norm(
-        np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]), axis=1
-    )
+    area = mesh.areas
     if np.any(area <= 0):
         raise ValueError("degenerate triangle")
+    e = mesh.opposite_edges
     local = np.einsum("tid,tjd->tij", e, e) / (4.0 * area)[:, None, None]
-    nt = len(triangles)
-    n = len(vertices)
-    rows = np.broadcast_to(triangles[:, :, None], (nt, 3, 3)).ravel()
-    cols = np.broadcast_to(triangles[:, None, :], (nt, 3, 3)).ravel()
+    t = mesh.triangles
+    shape = (len(t), 3, 3)
+    rows = np.broadcast_to(t[:, :, None], shape).ravel()
+    cols = np.broadcast_to(t[:, None, :], shape).ravel()
+    n = mesh.num_vertices
     mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     return (mat + mat.T) * 0.5
-
-
-def primal_laplace_beltrami(mesh: TriangleMesh) -> sp.csr_matrix:
-    """Cotangent stiffness of the vertex hat functions on the surface."""
-    return _p1_stiffness(mesh.vertices, mesh.triangles)
 
 
 def dual_laplacian(mesh: TriangleMesh) -> sp.csr_matrix:

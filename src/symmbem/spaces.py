@@ -76,59 +76,30 @@ def barycentric_refinement(mesh: TriangleMesh):
     of its edges, 1/valence at its primal vertices.  Rows sum to one: at
     every refinement node the dual functions sum to one, so they partition
     unity.
+
+    The refinement nodes are the primal vertices, then the edge midpoints
+    in ``mesh.edges`` order, then the cell barycenters.  Each cell finds
+    its three midpoints through ``mesh.cell_edges``; both come from the
+    mesh's half-edge census, so no edge lookup is built here.
     """
-    nv = mesh.num_vertices
-    nc = mesh.num_triangles
-    t = mesh.triangles
+    v, t, e = mesh.vertices, mesh.triangles, mesh.edges
+    nv, nc, ne = len(v), len(t), len(e)
+    mid = nv + mesh.cell_edges  # midpoint of the edge (t[c, k], t[c, k + 1])
+    ref_vertices = np.concatenate([v, 0.5 * (v[e[:, 0]] + v[e[:, 1]]), mesh.centroids])
+    b = nv + ne + np.arange(nc)  # barycenter of cell c
+    # cell c splits into (t_k, m_k, b) and (m_k, t_{k+1}, b) for k = 0, 1, 2
+    ref_triangles = np.stack(
+        [np.stack([t, mid], axis=2).reshape(nc, 6),
+         np.stack([mid, t[:, [1, 2, 0]]], axis=2).reshape(nc, 6),
+         np.repeat(b[:, None], 6, axis=1)],
+        axis=2,
+    ).reshape(6 * nc, 3)
 
-    edges = mesh.edges
-    edge_index = {(int(a), int(b)): k for k, (a, b) in enumerate(edges)}
-    ne = len(edges)
-
-    mid = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    bary = mesh.centroids
-    ref_vertices = np.concatenate([mesh.vertices, mid, bary])
-
-    def eid(a, b):
-        return edge_index[(a, b) if a < b else (b, a)]
-
-    ref_triangles = np.empty((6 * nc, 3), dtype=np.int64)
-    for c in range(nc):
-        v0, v1, v2 = (int(x) for x in t[c])
-        m01 = nv + eid(v0, v1)
-        m12 = nv + eid(v1, v2)
-        m20 = nv + eid(v2, v0)
-        b = nv + ne + c
-        ref_triangles[6 * c : 6 * c + 6] = [
-            (v0, m01, b),
-            (m01, v1, b),
-            (v1, m12, b),
-            (m12, v2, b),
-            (v2, m20, b),
-            (m20, v0, b),
-        ]
-
-    valence = mesh.vertex_triangle_count.astype(float)
-    rows, cols, vals = [], [], []
-    # primal vertices: 1/valence for each incident cell
-    rows.append(t.ravel())
-    cols.append(np.repeat(np.arange(nc), 3))
-    vals.append(1.0 / valence[t.ravel()])
-    # edge midpoints: 1/2 for each of the (exactly two) incident cells
-    edge_rows, edge_cols = [], []
-    for c in range(nc):
-        v0, v1, v2 = (int(x) for x in t[c])
-        for a, b in ((v0, v1), (v1, v2), (v2, v0)):
-            edge_rows.append(nv + eid(a, b))
-            edge_cols.append(c)
-    rows.append(np.array(edge_rows))
-    cols.append(np.array(edge_cols))
-    vals.append(np.full(len(edge_rows), 0.5))
-    # barycenters: 1 for the owning cell
-    rows.append(nv + ne + np.arange(nc))
-    cols.append(np.arange(nc))
-    vals.append(np.ones(nc))
-
+    cells = np.repeat(np.arange(nc), 3)
+    rows = [t.ravel(), mid.ravel(), b]
+    cols = [cells, cells, np.arange(nc)]
+    # 1/valence at primal vertices, 1/2 at edge midpoints, 1 at barycenters
+    vals = [1.0 / mesh.vertex_triangle_count[t.ravel()], np.full(3 * nc, 0.5), np.ones(nc)]
     coefficients = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(len(ref_vertices), nc),

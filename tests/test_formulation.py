@@ -203,10 +203,16 @@ def test_assemble_system_refuses_dense_storage_beyond_memory(monkeypatch):
 
 def test_available_memory_is_physical_memory_lowered_to_the_cgroup_limit(tmp_path, monkeypatch):
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    limit = tmp_path / "memory.max"
-    monkeypatch.setattr(formulation, "Path", lambda _: limit)
+    # both cgroup files are read from tmp_path, under their own names
+    monkeypatch.setattr(formulation, "Path", lambda path: tmp_path / os.path.basename(path))
+    v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
     assert formulation._available_memory() == physical  # no readable limit
-    limit.write_text("max\n")
-    assert formulation._available_memory() == physical
-    limit.write_text(f"{2**20}\n")
+    v1.write_text(f"{2**21}\n")
+    assert formulation._available_memory() == 2**21  # v1 read when v2 is unreadable
+    v2.write_text("max\n")
+    assert formulation._available_memory() == physical  # v2 takes precedence
+    v2.write_text(f"{2**20}\n")
     assert formulation._available_memory() == 2**20
+    v2.unlink()
+    v1.write_text("9223372036854771712\n")  # v1 "unlimited"
+    assert formulation._available_memory() == physical

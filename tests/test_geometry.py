@@ -80,6 +80,12 @@ def test_edge_cells_are_the_two_cells_of_each_edge(subdiv):
             assert np.all((tri == mesh.edges[:, j, None]).any(axis=1))
     # each cell borders exactly three edges
     assert np.array_equal(np.bincount(cells.ravel()), np.full(mesh.num_triangles, 3))
+    # cell_edges names the edge (t[c, k], t[c, k + 1]) of every cell
+    t = mesh.triangles
+    ids = mesh.cell_edges
+    assert ids.shape == (mesh.num_triangles, 3)
+    assert np.array_equal(mesh.edges[ids], np.sort(np.stack([t, t[:, [1, 2, 0]]], axis=2), axis=2))
+    assert np.array_equal(np.bincount(ids.ravel()), np.full(len(mesh.edges), 2))
 
 
 def test_edge_cells_rejects_an_open_mesh():
@@ -111,6 +117,52 @@ def test_validate_missing_triangle():
     removed = set(map(int, mesh.triangles[0]))
     for v in open_edges:
         assert set(v.subject) <= removed
+
+
+def _edge_violations_by_loop(mesh):
+    """(kind, subject, message) of each edge violation, from a dict census
+    filled half-edge by half-edge in the order (0, 1), (1, 2), (2, 0)."""
+    halves = {}
+    for k in range(3):
+        for c, tri in enumerate(mesh.triangles.tolist()):
+            i, j = tri[k], tri[(k + 1) % 3]
+            halves.setdefault((min(i, j), max(i, j)), []).append((c, i))
+    found = []
+    for edge, h in sorted(halves.items()):
+        if len(h) != 2:
+            kind = "open-edge" if len(h) == 1 else "non-manifold-edge"
+            found.append((kind, edge, f"edge shared by {len(h)} triangle(s), expected 2"))
+        elif h[0][1] == h[1][1]:
+            message = f"edge traversed twice in the same direction by triangles {h[0][0]} and {h[1][0]}"
+            found.append(("orientation", edge, message))
+    return found
+
+
+@pytest.mark.parametrize("defect", ["none", "flipped", "missing", "duplicated"])
+def test_validate_matches_a_per_edge_loop(defect):
+    mesh = make_icosphere(2, 1.0)
+    tri = mesh.triangles.copy()
+    if defect == "flipped":
+        tri[[7, 100]] = tri[[7, 100], ::-1]
+    elif defect == "missing":
+        tri = tri[1:]
+    elif defect == "duplicated":
+        tri = np.concatenate([tri, tri[5:6]])
+    bad = TriangleMesh(mesh.vertices, tri)
+    found = [(v.kind, v.subject, v.message) for v in validate(bad)]
+    assert found == _edge_violations_by_loop(bad)
+    assert (found == []) == (defect == "none")
+
+
+def test_validate_duplicated_triangle():
+    mesh = make_icosphere(1, 1.0)
+    bad = TriangleMesh(mesh.vertices, np.concatenate([mesh.triangles, mesh.triangles[5:6]]))
+    violations = validate(bad)
+    assert [v.kind for v in violations] == ["non-manifold-edge"] * 3
+    assert {v.subject for v in violations} == {
+        tuple(sorted(map(int, pair))) for pair in mesh.triangles[5, [[0, 1], [1, 2], [2, 0]]]
+    }
+    assert all("shared by 3 triangle(s)" in v.message for v in violations)
 
 
 def test_off_roundtrip_exact(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
+from symmbem.bem_ops import curl_coefficient_matrices
 from symmbem.geometry import TriangleMesh, make_icosphere
 from symmbem.laplacians import dual_laplacian, primal_laplace_beltrami
 from symmbem.oracle import sphere_laplace_beltrami_eigenvalue
@@ -40,6 +42,16 @@ def test_primal_sphere_spectrum():
     lowest_nonzero = vals[1]
     expect = sphere_laplace_beltrami_eigenvalue(1)
     assert abs(lowest_nonzero - expect) / expect < 0.02
+
+
+def test_primal_is_the_curl_gram_of_the_hat_functions():
+    # grad and curl of a hat differ by a quarter turn in the cell plane, so
+    # sum_k C_k^T diag(A) C_k is the stiffness matrix as well
+    mesh = make_icosphere(2, 1.0)
+    curls = curl_coefficient_matrices(mesh)
+    gram = sum(c.T @ sp.diags(mesh.areas) @ c for c in curls).toarray()
+    lap = primal_laplace_beltrami(mesh).toarray()
+    assert np.abs(gram - lap).max() <= 1e-14 * np.abs(lap).max()
 
 
 def test_dual_row_sums_vanish():

@@ -160,6 +160,24 @@ def test_mixed_gram_dual_matches_refinement_quadrature():
     assert np.abs(g - g_ref).max() < 1e-13
 
 
+@pytest.mark.parametrize("subdiv", [0, 2])
+def test_barycentric_refinement_matches_a_per_cell_loop(subdiv):
+    # reference: look every cell edge up in a dict of the mesh edges
+    mesh = make_icosphere(subdiv, 1.0)
+    nv, ne = mesh.num_vertices, len(mesh.edges)
+    edge_index = {tuple(e): k for k, e in enumerate(mesh.edges.tolist())}
+    expect, mid_rows = [], []
+    for c, (v0, v1, v2) in enumerate(mesh.triangles.tolist()):
+        m = [nv + edge_index[tuple(sorted(p))] for p in ((v0, v1), (v1, v2), (v2, v0))]
+        b = nv + ne + c
+        expect += [(v0, m[0], b), (m[0], v1, b), (v1, m[1], b), (m[1], v2, b), (v2, m[2], b), (m[2], v0, b)]
+        mid_rows.append(m)
+    _, ref_triangles, coeff = barycentric_refinement(mesh)
+    assert np.array_equal(ref_triangles, np.array(expect))
+    cells = np.repeat(np.arange(mesh.num_triangles), 3)
+    assert np.all(coeff[np.ravel(mid_rows), cells] == 0.5)
+
+
 def test_mixed_gram_p0_p1_row_sums():
     mesh = make_icosphere(1, 1.0)
     g = mixed_gram_p0_p1(mesh)
