@@ -99,6 +99,33 @@ def _simplex_bary(x1, x2):
     return np.stack([1.0 - x1, x1 - x2, x2], axis=-1)
 
 
+def _gauss_radial01(n: int):
+    """Gauss nodes and weights on [0, 1] for the weight u: Golub-Welsch on
+    the recurrence of the Jacobi polynomials ``P_k^(0,1)``."""
+    k = np.arange(n)
+    diag = 1.0 / ((2 * k + 1) * (2 * k + 3))
+    k = k[1:]
+    off = np.sqrt(k * (k + 1.0)) / (2 * k + 1)
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (x + 1.0), 0.5 * vec[0] ** 2
+
+
+@lru_cache(maxsize=None)
+def collapsed_rule(n: int):
+    """Collapsed Gauss product rule on the triangle (Stroud's conical
+    product), as ``(bary, weights)`` like the entries of ``TRI_RULES``.
+
+    The unit square maps to the reference simplex by ``(x1, x2) = (u, u v)``
+    with Jacobian u: n Gauss points in u for the weight u times n
+    Gauss-Legendre points in v.  The n**2 points lie inside the triangle
+    and integrate polynomials of degree ``2 n - 1`` exactly.
+    """
+    r, wr = _gauss_radial01(n)
+    g, gw = gauss01(n)
+    u, v = (x.ravel() for x in np.meshgrid(r, g, indexing="ij"))
+    return _simplex_bary(u, u * v), 2.0 * np.outer(wr, gw).ravel()
+
+
 def _coincident_maps(xi, e1, e2, e3):
     w = xi**3 * e1**2 * e2
     m = []

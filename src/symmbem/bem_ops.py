@@ -8,7 +8,12 @@ integrals feed the single layer directly and the hypersingular operator
 through its integration-by-parts rewrite, while the kernel gradient feeds
 both double layers.  Touching triangle pairs (same surface) go through the
 regularizing transforms in :mod:`symmbem._quadrature`; disjoint pairs use
-plain tensor Gauss rules with a near-field upgrade.
+tensor Gauss rules chosen by their distance, except the nearly touching
+ones (``CLOSED_FORM_TIER``): for those, the inner integrals over the column
+triangle of ``1/r``, of the hat-weighted double-layer kernel and of the
+kernel gradient are taken in closed form (Wilton et al. 1984; de Munck
+1992) at the points of a collapsed Gauss rule on the row triangle, one
+pass of :func:`_panel_integrals` per batch.
 
 Both sweeps cut their triangle pairs into batches of at most
 ``BATCH_POINT_PAIRS`` kernel evaluations, in an order fixed by the meshes
@@ -47,11 +52,18 @@ class QuadratureConfig:
     """Quadrature selection per triangle pair.
 
     Touching pairs use the regularizing transforms at ``singular_order``
-    points per dimension.  Disjoint pairs pick a tensor rule by the ratio of
+    points per dimension.  Disjoint pairs pick a tier by the ratio of
     centroid distance to the larger element diameter: the first tier whose
     threshold exceeds the ratio wins, the ``far_points`` rule covers the
-    rest.  The composite tiers keep nearly touching pairs (thin conductor
-    gaps under one element diameter) as accurate as the far field.
+    rest.  Each tier names a key of ``TRI_RULES`` whose tensor product with
+    itself integrates the pair, except the tier named ``CLOSED_FORM_TIER``
+    (``"6x16"``, under 0.9 diameters): its pairs, across thin conductor
+    gaps, integrate the inner triangle in closed form under an
+    ``OUTER_ORDER`` x ``OUTER_ORDER`` collapsed Gauss rule on the row
+    triangle.  The tier keeps the name, and ``TRI_RULES`` the rule, of the
+    composite tensor rule it replaced, so that the pair census reads the
+    same tiers.  The near tiers keep nearly touching pairs as accurate as
+    the far field.
     """
 
     far_points: int | str = 3
@@ -68,7 +80,7 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 #: float64 workspaces of this length (1 MB each), allocated once and reused.
 #: At 2**18 the sphere subdivision-3 assembly peaked 37 MB higher for no
 #: measurable speed; much smaller batches pay numpy's per-call overhead on
-#: too little work (a 6x16 batch holds 14 pairs here).
+#: too little work (a closed-form batch holds 32 pairs here).
 BATCH_POINT_PAIRS = 2**17
 #: A regular-sweep triangle pair counts as at least this many point pairs
 #: against the budget, because its per-pair arrays (corners, heights and
@@ -77,6 +89,16 @@ BATCH_POINT_PAIRS = 2**17
 #: 14 563 pairs and allocated 7.9 MB beyond the workspaces; the cap of
 #: 3 640 pairs brings it to 2.0 MB, next to 2.5 MB for a full 6-point batch.
 MIN_PAIR_POINTS = 36
+#: The near tier whose inner triangle is integrated in closed form
+#: (:func:`_panel_integrals`) under the ``OUTER_ORDER`` x ``OUTER_ORDER``
+#: collapsed Gauss rule (``quad.collapsed_rule``) on the row triangle.  A
+#: closed-form pair counts as the square of its outer rule's points against
+#: ``BATCH_POINT_PAIRS``.  On the 0.87/0.92 shells at subdivision 2, the 64
+#: outer points of order 8 beat the 96 x 96 composite tensor rule on every
+#: pair of the tier in all three integrals; the 36 of order 6 lost to it on
+#: 31-48% of the pairs, where it was most accurate.
+CLOSED_FORM_TIER = "6x16"
+OUTER_ORDER = 8
 
 
 @dataclass
@@ -305,6 +327,99 @@ def _heights(rel, normals):
 
 
 @dataclass
+class _Panels:
+    """Constants of the closed-form inner integrals (:func:`_panel_integrals`)
+    per cell of one mesh, component-major with the cell axis last.
+
+    Edge k of a cell is the edge opposite corner k, from corner k + 1 to
+    corner k + 2, with length ``lengths[k]``.  ``dirs`` (3 components x 7 x
+    cells) stacks the unit tangents of the three edges, their in-plane
+    outward normals ``m_k = t_k x n`` and the unit normal n; ``origins``
+    (7 x cells) holds each direction dotted with a corner on its line or
+    plane (the start of edge k, and corner 0 for n), so that one product
+    with a point x gives, relative to the projection of x, the offsets
+    along each edge, the distances to the edge lines and the height of x.
+    """
+
+    dirs: np.ndarray
+    origins: np.ndarray
+    lengths: np.ndarray
+    gram: np.ndarray  # (3, 3, cells): m_j . m_k
+    areas: np.ndarray
+
+    @classmethod
+    def of(cls, mesh):
+        edges = mesh.opposite_edges  # (cells, 3 edges, 3 components)
+        lengths = np.linalg.norm(edges, axis=2)
+        tangents = edges / lengths[:, :, None]
+        normals = mesh.normals[:, None, :]
+        edge_normals = np.cross(tangents, normals)
+        dirs = np.concatenate([tangents, edge_normals, normals], axis=1)
+        starts = mesh.corners[:, [1, 2, 0, 1, 2, 0, 0]]
+        return cls(
+            _component_major(dirs),
+            np.ascontiguousarray((dirs * starts).sum(axis=2).T),
+            np.ascontiguousarray(lengths.T),
+            np.ascontiguousarray(np.einsum("cjd,ckd->jkc", edge_normals, edge_normals)),
+            mesh.areas,
+        )
+
+    def take(self, cells):
+        return _Panels(*(np.take(a, cells, axis=-1) for a in vars(self).values()))
+
+
+def _panel_integrals(x, nx, pan, out=None):
+    """Integrals over flat triangles, in closed form, at points off them.
+
+    ``x`` (3, q, P) holds q points for each of the P cells in ``pan`` and
+    ``nx`` (3, P) a unit normal per cell at those points; ``out`` is an
+    optional pair of workspaces of shape (7, q, P).  With h the height of
+    x over the plane, ``p_k`` its distance to the line of edge k (positive
+    inside), ``s-``/``s+`` the edge's ends relative to the foot of that
+    distance and ``R0 = sqrt(p_k^2 + h^2)``, the edge terms are
+    ``f_k = asinh(s+/R0) - asinh(s-/R0)`` and the signed solid angle is
+    ``W = 2 atan2(2 A h, R_0 R_1 R_2 + sum_k R_k (r_{k+1} . r_{k+2}))``
+    (van Oosterom and Strackee 1983), with ``r_k`` the corners relative
+    to x.  Returns, each of shape (q, P) or (3, q, P):
+
+    - ``s = int_T 1/r = sum_k p_k f_k - h W`` (Wilton et al. 1984);
+    - ``w = int_T h/r^3 = W``;
+    - ``d[j] = int_T phi_j h/r^3 = (p_j W + h m_j . sum_k m_k f_k) L_j / 2A``
+      for the hat ``phi_j`` of corner j (de Munck 1992), so that
+      ``sum_j d[j] = W``;
+    - ``ds = -n_x . int_T (x - y)/r^3 = -n_x . sum_k m_k f_k - (n . n_x) W``.
+
+    ``R0`` is floored at ``eps`` times the edge length, below the rounding
+    of p and h, so that points on an edge line away from the edge stay
+    finite.
+    """
+    shape = (7,) + x.shape[1:]
+    rel, tmp = out if out is not None else (np.empty(shape), np.empty(shape))
+    np.multiply(x[0][None], pan.dirs[0][:, None, :], out=rel)
+    for c in (1, 2):
+        np.multiply(x[c][None], pan.dirs[c][:, None, :], out=tmp)
+        np.add(rel, tmp, out=rel)
+    np.subtract(pan.origins[:, None, :], rel, out=rel)
+    sm, p, h = rel[:3], rel[3:6], -rel[6]
+    lengths = pan.lengths[:, None, :]
+    sp = sm + lengths
+    r0 = np.sqrt(p * p + h * h)
+    np.maximum(r0, np.finfo(float).eps * lengths, out=r0)
+    f = np.arcsinh(sp / r0) - np.arcsinh(sm / r0)
+    r0 *= r0
+    corner = np.sqrt(sm * sm + r0)[[2, 0, 1]]  # |c_k - x|: corner k starts edge k - 1
+    den = corner[0] * corner[1] * corner[2] + (corner * (sm * sp + r0)).sum(axis=0)
+    area2 = 2.0 * pan.areas
+    w = 2.0 * np.arctan2(area2 * h, den)
+    s = (p * f).sum(axis=0) - h * w
+    gf = (pan.gram[:, :, None, :] * f[None]).sum(axis=1)
+    d = (p * w + h * gf) * (lengths / area2)
+    mn = (pan.dirs[:, 3:6] * nx[:, None, :]).sum(axis=0)
+    ds = -(mn[:, None, :] * f).sum(axis=0) - (pan.dirs[:, 6] * nx).sum(axis=0) * w
+    return s, w, d, ds
+
+
+@dataclass
 class _TensorRule:
     """One tier's tensor rule on both meshes: component-major points
     ``(3, q, n_cells)`` and the point-pair weight vectors of
@@ -320,38 +435,45 @@ class _TensorRule:
         return self.pts_t.shape[1], self.pts_s.shape[1]
 
 
+def _rule_points(mesh, bary):
+    """Points of a barycentric rule on every cell, component-major
+    ``(3, q, n_cells)``."""
+    return np.stack([bary @ mesh.corners[:, :, d].T for d in range(3)])
+
+
 def _tensor_rule(mesh_t, mesh_s, rule) -> _TensorRule:
     bary, wq = quad.TRI_RULES[rule]
-
-    def points(mesh):
-        return np.stack([bary @ mesh.corners[:, :, d].T for d in range(3)])
-
-    pts_t = points(mesh_t)
-    pts_s = pts_t if mesh_t is mesh_s else points(mesh_s)
+    pts_t = _rule_points(mesh_t, bary)
+    pts_s = pts_t if mesh_t is mesh_s else _rule_points(mesh_s, bary)
     wb = wq[:, None] * bary  # (q, 3)
     w9 = (wb[:, None, :, None] * wb[None, :, None, :]).reshape(len(wq) ** 2, 9)
     return _TensorRule(pts_t, pts_s, np.outer(wq, wq).ravel(), w9)
 
 
 def _regular_sweep(mesh_t, mesh_s, cfg, same, workspace):
-    """Tensor-Gauss sweep over disjoint triangle pairs, as batch callables.
+    """Sweep over disjoint triangle pairs, as batch callables.
 
     Tiers are classified in row blocks of at most ``BATCH_POINT_PAIRS``
     triangle pairs; each tier's pairs in a block are cut into batches of at
     most ``BATCH_POINT_PAIRS`` point pairs, a pair counting as at least
-    ``MIN_PAIR_POINTS`` of them.  On a single surface only pairs
-    t < s that share no vertex are visited, and each fills both
+    ``MIN_PAIR_POINTS`` of them.  The ``CLOSED_FORM_TIER`` pairs integrate
+    the inner triangle in closed form under the outer rule of ``OUTER_ORDER``
+    on the row triangle, and count as the tensor product of that rule with
+    itself; the other tiers use tensor rules.  On a single surface only
+    pairs t < s that share no vertex are visited, and each fills both
     orientations; the touching pairs are left to the singular sweep.
     """
     rules = [rule for _, rule in cfg.near_tiers] + [cfg.far_points]
     thresholds = np.array([t for t, _ in cfg.near_tiers])
-    tensor = {rule: _tensor_rule(mesh_t, mesh_s, rule) for rule in rules}
+    tensor = {r: _tensor_rule(mesh_t, mesh_s, r) for r in rules if r != CLOSED_FORM_TIER}
     corners_t = _component_major(mesh_t.corners)
     corners_s = _component_major(mesh_s.corners)
     nrm_t, nrm_s = _component_major(mesh_t.normals), _component_major(mesh_s.normals)
     scale_t, area_s = mesh_t.areas / FOUR_PI, mesh_s.areas
     tri_t, tri_s = mesh_t.triangles, mesh_s.triangles
     shared = mesh_t.shared_vertex_counts if same else None
+    outer_bary, outer_w = quad.collapsed_rule(OUTER_ORDER)
+    closed = {}  # outer points on mesh_t and panels of mesh_s, built at first use
 
     def batch(tr, rows, cols):
         qt, qs = tr.shape
@@ -372,6 +494,18 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, workspace):
         )
         return rows, cols, tri_t[rows], tri_s[cols], same, s, d, ds
 
+    def closed_batch(rows, cols):
+        x = np.take(closed["points"], rows, axis=2)
+        s, _, d, ds = _panel_integrals(
+            x, np.take(nrm_t, rows, axis=1), closed["panels"].take(cols),
+            workspace.buffers((7,) + x.shape[1:]),
+        )
+        scale = scale_t[rows]
+        s = (outer_w @ s) * scale
+        d = np.matmul(outer_w, d) * scale
+        ds = ((outer_w[:, None] * outer_bary).T @ ds) * scale
+        return rows, cols, tri_t[rows], tri_s[cols], same, s, d.T, ds.T
+
     nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
     block = max(1, BATCH_POINT_PAIRS // ncs)
     for r0 in range(0, nct, block):
@@ -383,12 +517,19 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, workspace):
             tier[np.arange(ncs)[None, :] <= np.arange(r0, r1)[:, None]] = -1
             tier[shared[r0:r1].toarray() > 0] = -1
         for k, rule in enumerate(rules):
-            tr = tensor[rule]
-            per = max(1, BATCH_POINT_PAIRS // max(len(tr.w), MIN_PAIR_POINTS))
             ti, si = np.nonzero(tier == k)
             ti += r0
+            if rule == CLOSED_FORM_TIER:
+                if len(ti) and not closed:
+                    closed["points"] = _rule_points(mesh_t, outer_bary)
+                    closed["panels"] = _Panels.of(mesh_s)
+                per = max(1, BATCH_POINT_PAIRS // len(outer_w) ** 2)
+                make = closed_batch
+            else:
+                per = max(1, BATCH_POINT_PAIRS // max(len(tensor[rule].w), MIN_PAIR_POINTS))
+                make = partial(batch, tensor[rule])
             for b0 in range(0, len(ti), per):
-                yield partial(batch, tr, ti[b0 : b0 + per], si[b0 : b0 + per])
+                yield partial(make, ti[b0 : b0 + per], si[b0 : b0 + per])
 
 
 def _singular_sweep(mesh, cfg, workspace):

@@ -121,3 +121,75 @@ def regular_pair_integrals(corners_t, corners_s, rule):
         np.array([math.fsum(t) for t in d_terms]),
         np.array([math.fsum(t) for t in ds_terms]),
     )
+
+
+def _closest_point(x, v):
+    """Point of the triangle with corners ``v`` nearest to ``x``."""
+    n = np.cross(v[1] - v[0], v[2] - v[0])
+    n = n / np.linalg.norm(n)
+    rho = x - np.dot(x - v[0], n) * n
+    inside = all(
+        np.dot(np.cross(v[(i + 1) % 3] - v[i], rho - v[i]), n) >= 0 for i in range(3)
+    )
+    if inside:
+        return rho
+    best = None
+    for i in range(3):
+        a, b = v[i], v[(i + 1) % 3]
+        t = np.clip(np.dot(x - a, b - a) / np.dot(b - a, b - a), 0.0, 1.0)
+        c = a + t * (b - a)
+        if best is None or np.linalg.norm(x - c) < np.linalg.norm(x - best):
+            best = c
+    return best
+
+
+def duffy_triangle_kernels(points, corners, n1d=40):
+    """Integrals over a flat triangle of ``h/|x - y|^3`` times the hat
+    function of each corner (h the height of x over the plane) and of
+    ``(x - y)/|x - y|^3``, at each of the points x (m, 3), by
+    Duffy-collapsed tensor rules on the three triangles fanned out from the
+    triangle's point nearest x.
+
+    Returns ``(double_layer (m, 3), gradient (m, 3))``.  The fan centre
+    lies in the triangle, so no part has a negative area and no part
+    reaches closer to x than the triangle itself.
+    """
+    x = np.asarray(points, float).reshape(-1, 3)
+    v = [np.asarray(c, float) for c in corners]
+    g, gw = gauss01(n1d)
+    u, vq = (a.ravel()[None, :, None] for a in np.meshgrid(g, g, indexing="ij"))
+    w2 = np.outer(gw, gw).ravel()[None, :]
+    n = np.cross(v[1] - v[0], v[2] - v[0])
+    area2 = np.linalg.norm(n)
+    n = n / area2
+    h = (x - v[0]) @ n
+    hub = np.array([_closest_point(p, v) for p in x])[:, None, :]
+    double_layer, gradient = np.zeros((len(x), 3)), np.zeros((len(x), 3))
+    for i in range(3):
+        a, b = v[i], v[(i + 1) % 3]
+        e1 = a - hub
+        part2 = np.cross(e1, b - a) @ n  # (m, 1): zero where the hub is on this edge
+        y = hub + u * (e1 + vq * (b - a))
+        d = x[:, None, :] - y
+        wgt = w2 * u[..., 0] * part2 / np.linalg.norm(d, axis=2) ** 3
+        gradient += np.einsum("mq,mqc->mc", wgt, d)
+        hats = [np.cross(v[(j + 1) % 3] - y, v[(j + 2) % 3] - y) @ n / area2 for j in range(3)]
+        double_layer += h[:, None] * np.stack([(hat * wgt).sum(axis=1) for hat in hats], axis=1)
+    return double_layer, gradient
+
+
+def pair_double_layer_reference(corners_t, corners_s, n_outer=24, n1d=24):
+    """Galerkin double-layer integrals of one disjoint triangle pair, with
+    the conventions of :func:`regular_pair_integrals`: the inner integrals
+    by :func:`duffy_triangle_kernels` and the outer one by an
+    ``n_outer x n_outer`` collapsed Gauss-Legendre product rule on the
+    target triangle.  Returns ``(D (3,), Dstar (3,))``."""
+    ct, cs = np.asarray(corners_t, float), np.asarray(corners_s, float)
+    g, gw = gauss01(n_outer)
+    a, b = (x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
+    bary = np.stack([1.0 - a, a - a * b, a * b], axis=1)
+    nt = np.cross(ct[1] - ct[0], ct[2] - ct[0])
+    area2 = np.linalg.norm(nt)
+    weight = np.outer(gw, gw).ravel() * a * area2 / (4.0 * np.pi)
+    dl, grad = duffy_triangle_kernels(bary @ ct, cs, n1d)
+    return weight @ dl, -(weight * (grad @ nt) / area2) @ bary

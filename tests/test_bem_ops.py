@@ -20,7 +20,13 @@ from symmbem.oracle import (
     sphere_single_layer_eigenvalue,
 )
 from symmbem.spaces import Kind
-from oracles import galerkin_single_layer_entry, regular_pair_integrals
+from oracles import (
+    duffy_triangle_kernels,
+    galerkin_single_layer_entry,
+    pair_double_layer_reference,
+    regular_pair_integrals,
+    triangle_potential,
+)
 
 FOUR_PI = 4.0 * np.pi
 SHELL_RADII = (0.87, 0.92, 1.0)
@@ -204,6 +210,58 @@ def test_cross_surface_blocks_finite_and_zero_free():
     assert ops["S"].matrix.min() > 0
 
 
+PANEL = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.2, 0.9, 0]])  # in the plane z = 0
+PANEL_POINTS = {
+    "off_the_plane": np.random.default_rng(3).normal(size=(12, 3)),
+    "in_the_plane": np.array([[0.9, 0.8, 0], [0.5, -0.3, 0], [-0.4, 0.6, 0], [3.0, 2.0, 0]]),
+    "on_edge_lines": np.concatenate(
+        [PANEL[i] + t * (PANEL[(i + 1) % 3] - PANEL[i]) for i in range(3) for t in (-0.5, 1.7)]
+    ).reshape(-1, 3),
+    "above_vertices": np.concatenate([PANEL + [0, 0, z] for z in (0.3, -0.05)]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("where", PANEL_POINTS)
+def test_panel_integrals_match_independent_references(where):
+    points = PANEL_POINTS[where]
+    nx = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    panels = bem_ops._Panels.of(_single_cell(PANEL))
+    s, w, d, ds = bem_ops._panel_integrals(points.T[:, :, None], nx[:, None], panels)
+    s, w, d, ds = s[:, 0], w[:, 0], d[:, :, 0].T, ds[:, 0]
+    assert all(np.isfinite(a).all() for a in (s, w, d, ds))
+    potential = np.array([triangle_potential(x, PANEL) for x in points])
+    double_layer, gradient = duffy_triangle_kernels(points, PANEL, n1d=60)
+    assert np.abs(s - potential).max() <= 1e-13 * np.abs(potential).max()
+    scale = max(np.abs(double_layer).max(), np.abs(gradient).max())
+    assert np.abs(d - double_layer).max() <= 1e-13 * scale
+    assert np.abs(ds + gradient @ nx).max() <= 1e-13 * scale
+    assert np.abs(d.sum(axis=1) - w).max() <= 1e-15 * max(np.abs(w).max(), 1.0)
+    if where in ("in_the_plane", "on_edge_lines"):
+        assert np.abs(w).max() == 0.0 and np.abs(d).max() == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solid_angles_of_a_closed_surface(sphere2):
+    panels = bem_ops._Panels.of(sphere2)
+    nc = sphere2.num_triangles
+    for point, total in (([0.1, -0.2, 0.3], -FOUR_PI), ([1.2, 0.4, -0.1], 0.0)):
+        x = np.broadcast_to(np.array(point)[:, None, None], (3, 1, nc))
+        _, w, _, _ = bem_ops._panel_integrals(x, np.zeros((3, nc)), panels)
+        assert abs(w.sum() - total) <= 1e-12
+
+
+def test_cross_pair_double_layer_row_sums():
+    # Before calibration, the double layer of a closed surface seen from the
+    # surface inside it sums to minus the row areas.  On the nearly touching
+    # 0.87/0.92 shells the 6x16 tensor rule left a defect of 5.96e-5 of the
+    # largest area; the closed-form tier leaves 3.7e-5, which is the
+    # defect of the coarser tiers.
+    inner, middle = (make_icosphere(2, r) for r in SHELL_RADII[:2])
+    rows = assemble_operators(inner, middle)["D"].matrix.sum(axis=1)
+    assert np.abs(rows + inner.areas).max() < 4.0e-5 * inner.areas.max()
+
+
 def test_threads_env_does_not_change_results(shells1, monkeypatch):
     submitted = []
 
@@ -247,9 +305,15 @@ def test_batches_honour_the_point_pair_budget(shells1, monkeypatch, workspace_sh
     pairs = ((inner, inner), (inner, middle))
     reference = [assemble_operators(*pair) for pair in pairs]
     assert max(np.prod(s) for s in shapes) <= bem_ops.BATCH_POINT_PAIRS
+    # closed-form workspaces are (7, outer points, pairs), and a pair counts
+    # as the outer rule squared against the budget
+    q = len(quad.collapsed_rule(bem_ops.OUTER_ORDER)[1])
+    closed = [s for s in shapes if s[:2] == (7, q)]
+    assert closed and max(s[-1] for s in closed) == bem_ops.BATCH_POINT_PAIRS // q**2
 
-    # a budget of one 6x4 pair: every composite batch holds a single pair,
-    # and the regular sweep classifies its tiers in many row blocks
+    # a budget of one 6x4 pair: every composite and closed-form batch holds
+    # a single pair, and the regular sweep classifies its tiers in many row
+    # blocks
     budget = len(quad.TRI_RULES["6x4"][1]) ** 2
     monkeypatch.setattr(bem_ops, "BATCH_POINT_PAIRS", budget)
     shapes.clear()
@@ -262,6 +326,8 @@ def test_batches_honour_the_point_pair_budget(shells1, monkeypatch, workspace_sh
     assert all(np.prod(s) <= budget or s[-1] == 1 for s in shapes)
     composite = [s for s in shapes if np.prod(s[:-1]) >= budget]
     assert composite and all(s[-1] == 1 for s in composite)
+    closed = [s for s in shapes if s[:2] == (7, q)]
+    assert closed and all(s[-1] == 1 for s in closed)
 
 
 def test_regular_batches_honour_the_triangle_pair_cap(sphere2, monkeypatch, workspace_shapes):
@@ -302,6 +368,14 @@ def _merged(meshes):
     )
 
 
+def _single_cell(corners):
+    return TriangleMesh(corners, np.array([[0, 1, 2]]))
+
+
+def _relative_error(value, reference):
+    return np.abs(np.subtract(value, reference)).max() / np.abs(reference).max()
+
+
 @pytest.mark.parametrize("pair", ["self", "cross"])
 def test_regular_tiers_match_per_pair_double_loop(pair):
     # Self: the inner two shells at subdivision 2 as one surface, so that
@@ -309,6 +383,10 @@ def test_regular_tiers_match_per_pair_double_loop(pair):
     # two shells as two surfaces.  Each sampled S entry is one pair; each D
     # and Dstar entry sums the pairs around its vertex, all of them regular,
     # and is compared against the sum of the magnitudes of those pairs.
+    # The tensor tiers take their pair values from the plain double loop;
+    # the closed-form tier takes them from the pair assembled on its own,
+    # and its sampled pair is checked against independent references, no
+    # less accurately than the composite tensor rule it replaced.
     inner, middle = (make_icosphere(2, r) for r in SHELL_RADII[:2])
     mesh_t, mesh_s = (_merged([inner, middle]),) * 2 if pair == "self" else (inner, middle)
     same = mesh_t is mesh_s
@@ -317,10 +395,22 @@ def test_regular_tiers_match_per_pair_double_loop(pair):
     tri_t, tri_s = mesh_t.triangles, mesh_s.triangles
     cache = {}
 
+    def closed_form(t, s):
+        """Pair (t, s) assembled on its own; on a single surface the pair
+        t < s fills both orientations."""
+        if same and t > s:
+            value, d, ds = closed_form(s, t)
+            return value, ds, d
+        one = assemble_operators(_single_cell(mesh_t.corners[t]), _single_cell(mesh_s.corners[s]))
+        return one["S"].matrix[0, 0], one["D"].matrix[0], one["Dstar"].matrix[:, 0]
+
     def oracle(t, s):
         if (t, s) not in cache:
-            rule = quad.TRI_RULES[rules[t, s]]
-            cache[t, s] = regular_pair_integrals(mesh_t.corners[t], mesh_s.corners[s], rule)
+            if rules[t, s] == bem_ops.CLOSED_FORM_TIER:
+                cache[t, s] = closed_form(t, s)
+            else:
+                rule = quad.TRI_RULES[rules[t, s]]
+                cache[t, s] = regular_pair_integrals(mesh_t.corners[t], mesh_s.corners[s], rule)
         return cache[t, s]
 
     def regular(t, s):
@@ -346,6 +436,15 @@ def test_regular_tiers_match_per_pair_double_loop(pair):
                 checked += 1
         return checked
 
+    def check_closed_form_accuracy(t, s):
+        ct, cs = mesh_t.corners[t], mesh_s.corners[s]
+        tensor = regular_pair_integrals(ct, cs, quad.TRI_RULES["6x16"])
+        references = (galerkin_single_layer_entry(ct, cs), *pair_double_layer_reference(ct, cs))
+        for name, value, old, ref in zip(TAGS, oracle(t, s), tensor, references):
+            error, old_error = _relative_error(value, ref), _relative_error(old, ref)
+            print(f"{pair} {t}, {s}: {name} error {error:.2e}, 6x16 tensor rule {old_error:.2e}")
+            assert error <= old_error, name
+
     rng = np.random.default_rng(7)
     for rule in ("6x16", "6x4", 6, 3):
         candidates = np.argwhere(rules == rule)
@@ -356,6 +455,8 @@ def test_regular_tiers_match_per_pair_double_loop(pair):
         if same:  # the mirrored orientation, filled from the same pair
             checked += check_entries(s, t)
         assert checked > 0, rule
+        if rule == bem_ops.CLOSED_FORM_TIER:
+            check_closed_form_accuracy(t, s)
 
 
 def test_threads_env_must_be_positive_integer(monkeypatch):

@@ -6,6 +6,7 @@ from symmbem._quadrature import (
     EDGE,
     TRI_RULES,
     VERTEX,
+    collapsed_rule,
     gauss01,
     sauter_schwab_rule,
 )
@@ -39,6 +40,15 @@ def test_triangle_rules_polynomial_degree():
         assert abs(moment(3, lambda x, y: x**a * y**b) - exact(a, b)) < 1e-14
     for a, b in [(4, 0), (2, 2), (3, 1)]:
         assert abs(moment(6, lambda x, y: x**a * y**b) - exact(a, b)) < 1e-14
+    # the collapsed n x n rule is exact to degree 2n - 1, and no further
+    for n in (6, 8):
+        pts, w = collapsed_rule(n)
+        assert len(w) == n * n and abs(w.sum() - 1.0) < 1e-14 and pts.min() > 0
+        x, y = pts[:, 1], pts[:, 2]
+        for degree in range(2 * n):
+            for a in range(degree + 1):
+                assert abs((w * x**a * y ** (degree - a)).sum() - exact(a, degree - a)) < 1e-15
+        assert abs((w * x ** (2 * n)).sum() - exact(2 * n, 0)) > 1e-12
 
 
 def test_transform_measures():
