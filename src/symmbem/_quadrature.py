@@ -4,7 +4,10 @@ Regular pairs use tensorized symmetric Gauss rules.  Pairs that touch
 (coincident, edge-adjacent, vertex-adjacent) use Sauter-Schwab regularizing
 coordinate transforms: the four-dimensional integral over the pair of
 reference simplices is rewritten as a sum of smooth integrals over the unit
-hypercube, evaluated with a tensor Gauss-Legendre rule.
+hypercube, evaluated with a tensor Gauss-Legendre rule.  Both kinds of pair
+rule come as ``(bary_x, bary_y, weights)``: the barycentric coordinates of
+each point pair on the two triangles, and weights over the product of the
+two reference simplices.
 
 Reference-simplex convention: T = {(x1, x2): 0 <= x2 <= x1 <= 1} with chart
 chi(x1, x2) = v1 + x1 (v2 - v1) + x2 (v3 - v2), so barycentric weights with
@@ -85,6 +88,18 @@ def _composite_rule(base_points, base_weights, levels: int):
 
 TRI_RULES["6x4"] = _composite_rule(*TRI_RULES[6], 1)
 TRI_RULES["6x16"] = _composite_rule(*TRI_RULES[6], 2)
+
+
+@lru_cache(maxsize=None)
+def tensor_pair_rule(rule):
+    """Tensor product of ``TRI_RULES[rule]`` with itself as a rule for a
+    disjoint pair, in the format of :func:`sauter_schwab_rule`:
+    ``(bary_x, bary_y, weights)``, every point of x against every point of
+    y, with weights over the product of the two reference simplices (they
+    sum to 1/4)."""
+    bary, w = TRI_RULES[rule]
+    q = len(w)
+    return np.repeat(bary, q, axis=0), np.tile(bary, (q, 1)), 0.25 * np.outer(w, w).ravel()
 
 
 @lru_cache(maxsize=None)

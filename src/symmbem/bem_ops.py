@@ -6,24 +6,32 @@ assembles the single layer ``S``, the double layer ``D``, its adjoint
 All four share one quadrature pass per surface pair: the pure kernel
 integrals feed the single layer directly and the hypersingular operator
 through its integration-by-parts rewrite, while the kernel gradient feeds
-both double layers.  Touching triangle pairs (same surface) go through the
-regularizing transforms in :mod:`symmbem._quadrature`; disjoint pairs use
-tensor Gauss rules chosen by their distance, except the nearly touching
-ones (``CLOSED_FORM_TIER``): for those, the inner integrals over the column
-triangle of ``1/r``, of the hat-weighted double-layer kernel and of the
-kernel gradient are taken in closed form (Wilton et al. 1984; de Munck
-1992) at the points of a collapsed Gauss rule on the row triangle, one
-pass of :func:`_panel_integrals` per batch.
+both double layers.
 
-Both sweeps cut their triangle pairs into batches of at most
-``BATCH_POINT_PAIRS`` kernel evaluations, in an order fixed by the meshes
-alone, and evaluate every batch with the same pair kernel
-(:func:`_pair_kernel`).  The batches run on a pool of ``SYMMBEM_THREADS``
-threads; their results are added into the matrices on the calling thread
-in batch order, so the matrices are bitwise identical for any thread count.
-On a single surface each unordered triangle pair is integrated once and
-fills both orientations: the single layer is exactly symmetric and the
-adjoint double layer is the exact transpose of the double layer.
+Every triangle pair integrated under a pair rule of
+:mod:`symmbem._quadrature` goes through one batch function,
+:func:`_tensor_batch`: the touching pairs of a surface (coincident, edge
+and vertex) under the regularizing transforms, and the disjoint pairs
+under the tensor Gauss rule of their distance tier.  It maps the stacked
+corner offsets of both triangles, taken relative to the row triangle's
+first corner, to the point differences ``x - y`` with one small matmul per
+component, and hands their squared lengths to the pair kernel
+(:func:`_pair_kernel`).  The nearly touching disjoint pairs
+(``CLOSED_FORM_TIER``) are integrated otherwise: the inner integrals over
+the column triangle of ``1/r``, of the hat-weighted double-layer kernel
+and of the kernel gradient are taken in closed form (Wilton et al. 1984;
+de Munck 1992) at the points of a collapsed Gauss rule on the row
+triangle, one pass of :func:`_panel_integrals` per batch.
+
+The regular sweep (disjoint pairs) and the singular sweep (touching pairs)
+cut their triangle pairs into batches of at most ``BATCH_POINT_PAIRS``
+kernel evaluations, in an order fixed by the meshes alone.  The batches
+run on a pool of ``SYMMBEM_THREADS`` threads; their results are added into
+the matrices on the calling thread in batch order, so the matrices are
+bitwise identical for any thread count.  On a single surface each
+unordered triangle pair is integrated once and fills both orientations:
+the single layer is exactly symmetric and the adjoint double layer is the
+exact transpose of the double layer.
 """
 
 from __future__ import annotations
@@ -82,8 +90,8 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 #: measurable speed; much smaller batches pay numpy's per-call overhead on
 #: too little work (a closed-form batch holds 32 pairs here).
 BATCH_POINT_PAIRS = 2**17
-#: A regular-sweep triangle pair counts as at least this many point pairs
-#: against the budget, because its per-pair arrays (corners, heights and
+#: A triangle pair counts as at least this many point pairs against the
+#: budget, because its per-pair arrays (corner offsets, heights and
 #: the three kernel results) cost memory whatever its rule.  On the sphere
 #: at subdivision 3, a 3-point batch filled by point pairs alone held
 #: 14 563 pairs and allocated 7.9 MB beyond the workspaces; the cap of
@@ -220,18 +228,17 @@ def assemble_operators(mesh_t: TriangleMesh, mesh_s: TriangleMesh) -> dict[str, 
             np.add.at(dmat.reshape(-1), (rows[:, None] * nvs + vcols).ravel(), d.ravel())
             np.add.at(dsmat.reshape(-1), (vrows * ncs + cols[:, None]).ravel(), ds.ravel())
 
-    workspace = _Workspace()
-    batches = _regular_sweep(mesh_t, mesh_s, cfg, same, workspace)
+    sweep = _Sweep(mesh_t, mesh_s)
+    batches = _regular_sweep(mesh_t, mesh_s, cfg, same, sweep)
     if same:
-        batches = itertools.chain(batches, _singular_sweep(mesh_t, cfg, workspace))
+        batches = itertools.chain(batches, _singular_sweep(mesh_t, cfg, sweep))
     _run_batches(batches, accumulate)
 
     ck_t = curl_coefficient_matrices(mesh_t)
     ck_s = ck_t if same else curl_coefficient_matrices(mesh_s)
     nmat = np.zeros((nvt, nvs))
-    for k in range(3):
-        tmp = (ck_s[k].T @ ig.T).T  # (n_cells_t, n_verts_s) dense
-        nmat += ck_t[k].T @ tmp
+    for k in range(3):  # the sparse factor of each product is on the left, so ig is not copied
+        nmat += (ck_s[k].T @ (ck_t[k].T @ ig).T).T
     if same:
         nmat = 0.5 * (nmat + nmat.T)
         dsmat = dmat.T
@@ -419,88 +426,105 @@ def _panel_integrals(x, nx, pan, out=None):
     return s, w, d, ds
 
 
-@dataclass
-class _TensorRule:
-    """One tier's tensor rule on both meshes: component-major points
-    ``(3, q, n_cells)`` and the point-pair weight vectors of
+def _pair_rule(bx, by, w):
+    """A pair rule ``(bary_x, bary_y, weights)`` of :mod:`symmbem._quadrature`
+    as :func:`_tensor_batch` applies it: the (points, 6) map from the stacked
+    corner offsets of both triangles to ``x - y``, and the weights of
     :func:`_pair_kernel`."""
-
-    pts_t: np.ndarray
-    pts_s: np.ndarray
-    w: np.ndarray
-    w9: np.ndarray
-
-    @property
-    def shape(self):
-        return self.pts_t.shape[1], self.pts_s.shape[1]
+    w9 = ((w[:, None] * bx)[:, :, None] * by[:, None, :]).reshape(len(w), 9)
+    return np.concatenate([bx, -by], axis=1), w, w9
 
 
-def _rule_points(mesh, bary):
-    """Points of a barycentric rule on every cell, component-major
-    ``(3, q, n_cells)``."""
-    return np.stack([bary @ mesh.corners[:, :, d].T for d in range(3)])
+def _batch_slices(n_pairs, n_points):
+    """Consecutive slices of triangle pairs, each of at most
+    ``BATCH_POINT_PAIRS`` point pairs, a pair of ``n_points`` counting as at
+    least ``MIN_PAIR_POINTS`` of them."""
+    per = max(1, BATCH_POINT_PAIRS // max(n_points, MIN_PAIR_POINTS))
+    return [slice(b, b + per) for b in range(0, n_pairs, per)]
 
 
-def _tensor_rule(mesh_t, mesh_s, rule) -> _TensorRule:
-    bary, wq = quad.TRI_RULES[rule]
-    pts_t = _rule_points(mesh_t, bary)
-    pts_s = pts_t if mesh_t is mesh_s else _rule_points(mesh_s, bary)
-    wb = wq[:, None] * bary  # (q, 3)
-    w9 = (wb[:, None, :, None] * wb[None, :, None, :]).reshape(len(wq) ** 2, 9)
-    return _TensorRule(pts_t, pts_s, np.outer(wq, wq).ravel(), w9)
+class _Sweep:
+    """What the batches of one surface pair read, beside the thread
+    workspaces: the vertices of both meshes in one component-major array,
+    those of ``mesh_s`` after those of ``mesh_t`` unless they are one mesh,
+    and the component-major cell normals and the cell areas of each."""
+
+    def __init__(self, mesh_t, mesh_s):
+        same = mesh_t is mesh_s
+        self.offset = 0 if same else mesh_t.num_vertices
+        vertices = mesh_t.vertices if same else np.concatenate([mesh_t.vertices, mesh_s.vertices])
+        self.vertices = _component_major(vertices)
+        self.normals_t = _component_major(mesh_t.normals)
+        self.normals_s = self.normals_t if same else _component_major(mesh_s.normals)
+        self.areas_t, self.areas_s = mesh_t.areas, mesh_s.areas
+        self.workspace = _Workspace()
 
 
-def _regular_sweep(mesh_t, mesh_s, cfg, same, workspace):
+def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
+    """Galerkin integrals of a batch of triangle pairs under one pair rule
+    (:func:`_pair_rule`): a tier's tensor Gauss rule or a regularizing
+    transform of touching pairs.
+
+    Row triangle ``pa[i]`` of ``mesh_t`` has the corners ``ca[i]`` and column
+    triangle ``pb[i]`` of ``mesh_s`` the corners ``cb[i]``, both as vertex
+    ids in the rule's chart order.  Corners are taken relative to the row
+    triangle's first corner, which for a touching pair is the shared
+    vertex, so that ``x - y`` is one small matmul per component of the rule's
+    map with the stacked offsets, and the distances keep their relative
+    accuracy as the points close in on a singularity.  The same offsets
+    give the heights of :func:`_pair_kernel` when ``double_layer`` is set.
+    ``mirror`` asks the accumulation to fill the (column, row) entries too.
+    """
+    pmap, w, w9 = rule
+    e = np.take(sweep.vertices, np.concatenate([ca.T, cb.T + sweep.offset]), axis=1)
+    e -= e[:, :1]  # (3 components, 6 corners, pairs), from the first corner
+    r2, tmp = sweep.workspace.buffers((len(pmap), len(pa)))
+    for k in range(3):
+        dst = r2 if k == 0 else tmp
+        np.matmul(pmap, e[k], out=dst)
+        np.multiply(dst, dst, out=dst)
+        if k:
+            np.add(r2, tmp, out=r2)
+    h_ab = h_ba = None
+    if double_layer:
+        ea, eb = e[:, :3], e[:, 3:]
+        h_ab = _heights(ea - eb[:, :1], np.take(sweep.normals_s, pb, axis=1))
+        h_ba = _heights(eb, np.take(sweep.normals_t, pa, axis=1))
+    scale = sweep.areas_t[pa] * sweep.areas_s[pb] / np.pi  # (2 A_a)(2 A_b) / (4 pi)
+    s, d, ds = _pair_kernel(r2, tmp, w, w9, scale, h_ab, h_ba)
+    return pa, pb, ca, cb, mirror, s, d, ds
+
+
+def _regular_sweep(mesh_t, mesh_s, cfg, same, sweep):
     """Sweep over disjoint triangle pairs, as batch callables.
 
     Tiers are classified in row blocks of at most ``BATCH_POINT_PAIRS``
-    triangle pairs; each tier's pairs in a block are cut into batches of at
-    most ``BATCH_POINT_PAIRS`` point pairs, a pair counting as at least
-    ``MIN_PAIR_POINTS`` of them.  The ``CLOSED_FORM_TIER`` pairs integrate
-    the inner triangle in closed form under the outer rule of ``OUTER_ORDER``
-    on the row triangle, and count as the tensor product of that rule with
-    itself; the other tiers use tensor rules.  On a single surface only
-    pairs t < s that share no vertex are visited, and each fills both
-    orientations; the touching pairs are left to the singular sweep.
+    triangle pairs, and each tier's pairs in a block are cut into batches by
+    :func:`_batch_slices`.  The tensor tiers go through
+    :func:`_tensor_batch` with the tensor product of their triangle rule
+    (``quad.tensor_pair_rule``).  The ``CLOSED_FORM_TIER`` pairs integrate
+    the inner triangle in closed form (:func:`_panel_integrals`) at the
+    points of the outer rule of ``OUTER_ORDER`` on the row triangle, and
+    count as the tensor product of that rule with itself.  On a single
+    surface only pairs t < s that share no vertex are visited, and each
+    fills both orientations; the touching pairs are left to the singular
+    sweep.
     """
-    rules = [rule for _, rule in cfg.near_tiers] + [cfg.far_points]
+    tiers = [rule for _, rule in cfg.near_tiers] + [cfg.far_points]
     thresholds = np.array([t for t, _ in cfg.near_tiers])
-    tensor = {r: _tensor_rule(mesh_t, mesh_s, r) for r in rules if r != CLOSED_FORM_TIER}
-    corners_t = _component_major(mesh_t.corners)
-    corners_s = _component_major(mesh_s.corners)
-    nrm_t, nrm_s = _component_major(mesh_t.normals), _component_major(mesh_s.normals)
-    scale_t, area_s = mesh_t.areas / FOUR_PI, mesh_s.areas
+    rules = {r: _pair_rule(*quad.tensor_pair_rule(r)) for r in tiers if r != CLOSED_FORM_TIER}
     tri_t, tri_s = mesh_t.triangles, mesh_s.triangles
     shared = mesh_t.shared_vertex_counts if same else None
     outer_bary, outer_w = quad.collapsed_rule(OUTER_ORDER)
-    closed = {}  # outer points on mesh_t and panels of mesh_s, built at first use
-
-    def batch(tr, rows, cols):
-        qt, qs = tr.shape
-        r2, tmp = workspace.buffers((qt, qs, len(rows)))
-        x, y = np.take(tr.pts_t, rows, axis=2), np.take(tr.pts_s, cols, axis=2)
-        for k in range(3):
-            dst = r2 if k == 0 else tmp
-            np.subtract(x[k][:, None, :], y[k][None, :, :], out=dst)
-            np.multiply(dst, dst, out=dst)
-            if k:
-                np.add(r2, tmp, out=r2)
-        ct, cs = np.take(corners_t, rows, axis=2), np.take(corners_s, cols, axis=2)
-        h_ts = _heights(ct - cs[:, :1], np.take(nrm_s, cols, axis=1))
-        h_st = _heights(cs - ct[:, :1], np.take(nrm_t, rows, axis=1))
-        s, d, ds = _pair_kernel(
-            r2.reshape(qt * qs, -1), tmp.reshape(qt * qs, -1), tr.w, tr.w9,
-            scale_t[rows] * area_s[cols], h_ts, h_st,
-        )
-        return rows, cols, tri_t[rows], tri_s[cols], same, s, d, ds
+    panels = _Panels.of(mesh_s)
 
     def closed_batch(rows, cols):
-        x = np.take(closed["points"], rows, axis=2)
+        x = outer_bary @ np.take(sweep.vertices, tri_t[rows].T, axis=1)  # (3, q, pairs)
         s, _, d, ds = _panel_integrals(
-            x, np.take(nrm_t, rows, axis=1), closed["panels"].take(cols),
-            workspace.buffers((7,) + x.shape[1:]),
+            x, np.take(sweep.normals_t, rows, axis=1), panels.take(cols),
+            sweep.workspace.buffers((7,) + x.shape[1:]),
         )
-        scale = scale_t[rows]
+        scale = sweep.areas_t[rows] / FOUR_PI
         s = (outer_w @ s) * scale
         d = np.matmul(outer_w, d) * scale
         ds = ((outer_w[:, None] * outer_bary).T @ ds) * scale
@@ -516,77 +540,42 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, workspace):
         if same:
             tier[np.arange(ncs)[None, :] <= np.arange(r0, r1)[:, None]] = -1
             tier[shared[r0:r1].toarray() > 0] = -1
-        for k, rule in enumerate(rules):
+        for k, name in enumerate(tiers):
             ti, si = np.nonzero(tier == k)
             ti += r0
-            if rule == CLOSED_FORM_TIER:
-                if len(ti) and not closed:
-                    closed["points"] = _rule_points(mesh_t, outer_bary)
-                    closed["panels"] = _Panels.of(mesh_s)
-                per = max(1, BATCH_POINT_PAIRS // len(outer_w) ** 2)
-                make = closed_batch
-            else:
-                per = max(1, BATCH_POINT_PAIRS // max(len(tensor[rule].w), MIN_PAIR_POINTS))
-                make = partial(batch, tensor[rule])
-            for b0 in range(0, len(ti), per):
-                yield partial(make, ti[b0 : b0 + per], si[b0 : b0 + per])
+            if name == CLOSED_FORM_TIER:
+                for sl in _batch_slices(len(ti), len(outer_w) ** 2):
+                    yield partial(closed_batch, ti[sl], si[sl])
+                continue
+            rule = rules[name]
+            for sl in _batch_slices(len(ti), len(rule[1])):
+                rows, cols = ti[sl], si[sl]
+                yield partial(
+                    _tensor_batch, sweep, rule,
+                    tri_t[rows], tri_s[cols], rows, cols, same, True,
+                )
 
 
-def _singular_sweep(mesh, cfg, workspace):
+def _singular_sweep(mesh, cfg, sweep):
     """Regularized quadrature over touching same-surface pairs, as batch
-    callables.
+    callables of :func:`_tensor_batch`.
 
-    Each unordered pair is visited once and fills both orientations.  The
-    transformed point pairs are relative to the shared vertex (first chart
-    vertex): ``x - v = bx @ (corners - v)``, one small matmul per component,
-    so the distances keep their relative accuracy as the points close in on
-    the singularity.
+    Each unordered pair is visited once; the charts of ``_touching_pairs``
+    put the shared vertex first, and the edge and vertex pairs fill both
+    orientations.  Coincident pairs carry no double layer, whose kernel
+    vanishes on a flat panel.
     """
-    order = cfg.singular_order
-    verts = mesh.vertices
-    areas = mesh.areas
-    nrm = _component_major(mesh.normals)
-
-    def batch(pmap, w, w9, ca, cb, pa, pb, coincident):
-        r2, tmp = workspace.buffers((len(pmap), len(pa)))
-        ea = _component_major(verts[ca] - verts[ca[:, :1]])
-        eb = _component_major(verts[cb] - verts[cb[:, :1]])
-        for k in range(3):
-            dst = r2 if k == 0 else tmp
-            np.matmul(pmap, np.concatenate([ea[k], eb[k]]), out=dst)
-            np.multiply(dst, dst, out=dst)
-            if k:
-                np.add(r2, tmp, out=r2)
-        h_ab = h_ba = None
-        if not coincident:  # flat panels: no double layer on themselves
-            h_ab = _heights(ea, np.take(nrm, pb, axis=1))
-            h_ba = _heights(eb, np.take(nrm, pa, axis=1))
-        s, d, ds = _pair_kernel(r2, tmp, w, w9, areas[pa] * areas[pb] / np.pi, h_ab, h_ba)
-        return pa, pb, ca, cb, not coincident, s, d, ds
-
-    def rule_of(category):
-        """The (points, 6) map from the stacked corner offsets of both
-        triangles to ``x - y``, and the weights of :func:`_pair_kernel`."""
-        bx, by, w = quad.sauter_schwab_rule(category, order)
-        w9 = ((w[:, None] * bx)[:, :, None] * by[:, None, :]).reshape(len(w), 9)
-        return np.concatenate([bx, -by], axis=1), w, w9
-
-    tri = mesh.triangles
-    rule = rule_of(quad.COINCIDENT)
-    per = max(1, BATCH_POINT_PAIRS // len(rule[1]))
-    for c0 in range(0, mesh.num_triangles, per):
-        cells = np.arange(c0, min(c0 + per, mesh.num_triangles))
-        yield partial(batch, *rule, tri[cells], tri[cells], cells, cells, True)
-
+    cells = np.arange(mesh.num_triangles)
     edge_pairs, edge_charts, vertex_pairs, vertex_charts = _touching_pairs(mesh)
-    for pairs, (chart_a, chart_b), category in (
-        (edge_pairs, edge_charts, quad.EDGE),
-        (vertex_pairs, vertex_charts, quad.VERTEX),
+    for category, pairs, (ca, cb) in (
+        (quad.COINCIDENT, np.stack([cells, cells], axis=1), (mesh.triangles,) * 2),
+        (quad.EDGE, edge_pairs, edge_charts),
+        (quad.VERTEX, vertex_pairs, vertex_charts),
     ):
-        rule = rule_of(category)
-        per = max(1, BATCH_POINT_PAIRS // len(rule[1]))
-        for p0 in range(0, len(pairs), per):
-            sl = slice(p0, p0 + per)
+        rule = _pair_rule(*quad.sauter_schwab_rule(category, cfg.singular_order))
+        distinct = category != quad.COINCIDENT
+        for sl in _batch_slices(len(pairs), len(rule[1])):
             yield partial(
-                batch, *rule, chart_a[sl], chart_b[sl], pairs[sl, 0], pairs[sl, 1], False
+                _tensor_batch, sweep, rule,
+                ca[sl], cb[sl], pairs[sl, 0], pairs[sl, 1], distinct, distinct,
             )

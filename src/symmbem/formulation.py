@@ -170,6 +170,18 @@ def _available_memory() -> int:
     return physical
 
 
+def require_memory(needed: int, what: str) -> None:
+    """Raise ``MemoryError`` when ``needed`` bytes exceed the memory the
+    process can get (:func:`_available_memory`): called before a dense
+    allocation, it stops a run that the kernel would otherwise kill part
+    way through.  The message is ``what``, then both amounts in GiB."""
+    available = _available_memory()
+    if needed > available:
+        raise MemoryError(
+            f"{what}: {needed / 2**30:.2f} GiB needed, {available / 2**30:.2f} GiB available"
+        )
+
+
 def _dense_bytes(model: NestedModel) -> int:
     """Bytes of dense storage :func:`assemble_system` holds at once: the
     N x N system matrix plus the four operator blocks of the largest
@@ -192,18 +204,15 @@ def assemble_system(model: NestedModel) -> BlockSystem:
     from one shared quadrature sweep, and the double-layer blocks are
     calibrated to their exact constant-field row sums.
 
-    Raises ``MemoryError`` before allocating anything dense when
-    :func:`_dense_bytes` exceeds the memory the process can get: a system
-    matrix too large for memory would otherwise be allocated lazily and
-    the process killed part way through assembly.
+    Raises ``MemoryError`` (:func:`require_memory`) before allocating
+    anything dense when :func:`_dense_bytes` exceeds the memory the process
+    can get: a system matrix too large for memory would otherwise be
+    allocated lazily and the process killed part way through assembly.
     """
     layout = system_layout(model)
-    needed, available = _dense_bytes(model), _available_memory()
-    if needed > available:
-        raise MemoryError(
-            f"dense storage of {needed / 2**30:.2f} GiB for N = {layout.total} exceeds "
-            f"the {available / 2**30:.2f} GiB of memory available"
-        )
+    require_memory(
+        _dense_bytes(model), f"dense storage for N = {layout.total} exceeds the memory available"
+    )
     sigma = model.conductivities
     n = model.num_interfaces
     Z = np.zeros((layout.total, layout.total))

@@ -322,19 +322,18 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     and ``A W`` are the only N x T arrays the build holds beside the
     operator.
 
-    Raises ``MemoryError`` before allocating anything when Z and the
-    formed operator together exceed the memory the process can get.
+    Raises ``MemoryError`` (``formulation.require_memory``) before
+    allocating anything when Z and the formed operator together exceed the
+    memory the process can get.
     """
     layout = system.layout
     if len(meshes) != layout.num_interfaces:
         raise ValueError("one mesh per interface required")
     n = layout.total
-    needed, available = 2 * 8 * n * n, formulation._available_memory()
-    if needed > available:
-        raise MemoryError(
-            f"the system matrix and the formed operator need {needed / 2**30:.2f} GiB for "
-            f"N = {n}, over the {available / 2**30:.2f} GiB of memory available"
-        )
+    formulation.require_memory(
+        2 * 8 * n * n,
+        f"the system matrix and the formed operator for N = {n}, over the memory available",
+    )
 
     m_diag = np.empty(n)
     primal_solvers = []

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -190,6 +191,34 @@ def test_hypersingular_psd_with_one_dim_kernel(sphere2_ops):
     assert vals[1] > 1e-6 * vals[-1]
 
 
+def test_hypersingular_products_copy_no_single_layer_array(sphere2, monkeypatch):
+    # N is formed from S with the sparse curl factor on the left of both
+    # products, so neither S nor its transpose (n_cells_t x n_cells_s) is
+    # copied: N and the operands and results of one term take about 1.6
+    # times the bytes of S, against 2.3 times with a copy of S
+    outer = make_icosphere(2, 1.2)
+    curls = bem_ops.curl_coefficient_matrices
+    start = []
+
+    def curls_after_the_sweeps(mesh):
+        if not start:  # first call: the batches are done, the products follow
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+        return curls(mesh)
+
+    monkeypatch.setattr(bem_ops, "curl_coefficient_matrices", curls_after_the_sweeps)
+    for mesh_s in (sphere2, outer):
+        start.clear()
+        tracemalloc.start()
+        try:
+            ops = assemble_operators(sphere2, mesh_s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        s_bytes = ops["S"].matrix.nbytes
+        assert peak - start[0] < 1.75 * s_bytes, (peak - start[0]) / s_bytes
+
+
 def test_hypersingular_sphere_l1(sphere3, sphere3_ops):
     val = sphere_operator_eigenvalue(sphere3_ops["N"], sphere3, 1)
     expect = sphere_hypersingular_eigenvalue(1)
@@ -342,11 +371,12 @@ def test_regular_batches_honour_the_triangle_pair_cap(sphere2, monkeypatch, work
     for tag in TAGS:
         a, b = small[tag].matrix, reference[tag].matrix
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), tag
-    # regular-sweep workspaces are (points of t, points of s, triangle pairs)
-    regular = [s for s in workspace_shapes if len(s) == 3]
-    caps = [max(1, budget // max(qt * qs, bem_ops.MIN_PAIR_POINTS)) for qt, qs, _ in regular]
-    assert all(s[-1] <= cap for s, cap in zip(regular, caps))
-    far = [s[-1] for s in regular if s[:2] == (3, 3)]
+    # tensor-rule workspaces are (point pairs, triangle pairs), the far tier's
+    # 3 x 3 point pairs included
+    tensor = [s for s in workspace_shapes if len(s) == 2]
+    caps = [max(1, budget // max(points, bem_ops.MIN_PAIR_POINTS)) for points, _ in tensor]
+    assert all(s[-1] <= cap for s, cap in zip(tensor, caps))
+    far = [pairs for points, pairs in tensor if points == len(quad.TRI_RULES[3][1]) ** 2]
     assert max(far) == budget // bem_ops.MIN_PAIR_POINTS
 
 

@@ -1,3 +1,6 @@
+import itertools
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from symmbem._quadrature import (
     collapsed_rule,
     gauss01,
     sauter_schwab_rule,
+    tensor_pair_rule,
 )
 from oracles import galerkin_single_layer_entry, triangle_potential, duffy_triangle_potential
 
@@ -55,6 +59,22 @@ def test_transform_measures():
     for cat in (COINCIDENT, EDGE, VERTEX):
         _, _, w = sauter_schwab_rule(cat, 5)
         assert abs(w.sum() - 0.25) < 1e-12
+
+
+def test_tensor_pair_rules_integrate_polynomial_products():
+    # each tier's pair rule integrates the product of a polynomial on x and
+    # one on y, each up to the degree of the tier's triangle rule, exactly
+    # over the pair of reference simplices, as the transforms do
+    def exact(a, b):  # integral of x1^a x2^b over the reference simplex
+        return factorial(a) * factorial(b) / factorial(a + b + 2)
+
+    for rule, degree in ((3, 2), (6, 4), ("6x4", 4), ("6x16", 4)):
+        bx, by, w = tensor_pair_rule(rule)
+        assert len(w) == len(TRI_RULES[rule][1]) ** 2 and abs(w.sum() - 0.25) < 1e-15
+        monomials = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+        for (a, b), (c, d) in itertools.product(monomials, repeat=2):
+            value = (w * bx[:, 1] ** a * bx[:, 2] ** b * by[:, 1] ** c * by[:, 2] ** d).sum()
+            assert abs(value - exact(a, b) * exact(c, d)) < 1e-15, (rule, a, b, c, d)
 
 
 def _brute_reference(f, n=32):
