@@ -10,6 +10,7 @@ iteration counts are reproducible run to run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -76,6 +77,7 @@ def conjugate_gradient(A, b, tol: float = 1e-8, maxit: int | None = None):
     x = np.zeros(n)
     r = b.copy()
     p = r.copy()
+    work = np.empty(n)
     rho = float(r @ r)
     alphas: list[float] = []
     betas: list[float] = []
@@ -90,15 +92,15 @@ def conjugate_gradient(A, b, tol: float = 1e-8, maxit: int | None = None):
                 f"nonpositive curvature p'Ap = {curvature:.3e} at iteration {it + 1}"
             )
         alpha = rho / curvature
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=work)
+        r -= np.multiply(alpha, q, out=work)
         rho_new = float(r @ r)
         beta = rho_new / rho
         alphas.append(alpha)
         betas.append(beta)
         rho = rho_new
         it += 1
-        rel = np.sqrt(rho) / norm_b
+        rel = math.sqrt(rho) / norm_b
         history.append(rel)
         if rel <= tol:
             # confirm with the true residual; the recurrence can drift
@@ -107,7 +109,8 @@ def conjugate_gradient(A, b, tol: float = 1e-8, maxit: int | None = None):
             if true_rel <= tol:
                 converged = True
                 break
-        p = r + beta * p
+        p *= beta
+        p += r
 
     report = SolveReport(it, history, converged)
     report.ritz_min, report.ritz_max = _cg_ritz_extremes(alphas, betas)

@@ -20,7 +20,15 @@ degree.  CG therefore runs on the deflated operator ``P_D A`` with
 ``P_D = I - A W (W^T A W)^-1 W^T`` (Nicolaides 1987; Saad, Yeung, Erhel
 and Guyomarc'h 2000), where the coarse space W holds per surface the
 lowest surface-Laplacian eigenmodes.  Deflation needs only their span,
-and inverse iteration with the same LU factor that P uses gives it.  W is
+and inverse iteration with the same LU factor that P uses gives it.  The
+columns go where the small eigenvalues live.  With 25 modes on every
+block, 82% of the eigenvector weight of the 40 lowest nonzero eigenvalues
+of ``P_D A`` (0.0065 to 0.0117) on the three-shell head at subdivision 2
+sits on the skull's cell (current-density) rows, which are 57% of the
+unknowns.  So each cell block takes the modes of spherical degrees 0-6
+(49) and each vertex block those of degrees 0-2 (9): the same 124
+columns there, and the median CG count over 16 dipoles falls from 79 to
+60 steps.  W is
 stored A-orthonormal (``W^T A W = I``) beside ``U = A W``, so
 ``P_D A = A - U U^T`` and the right-hand side is ``P_D c = c - U W^T c``;
 :func:`recover_solution` adds back the coarse component
@@ -43,6 +51,7 @@ products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,11 +66,13 @@ from .geometry import TriangleMesh
 from .laplacians import dual_laplacian, primal_laplace_beltrami
 from .spaces import gram_p1, pyramid_space
 
-#: surface-Laplacian eigenmodes per surface in the coarse space: spherical
-#: degrees 0-4 on a sphere, a complete degree cluster
-COARSE_MODES = 25
-#: block size and steps of the inverse iteration for the surface modes
-MODE_BLOCK = 40
+#: surface-Laplacian eigenmodes in the coarse space, per row kind, each a
+#: complete cluster of spherical degrees on a sphere: degrees 0-2 on a
+#: vertex (potential) block, 0-6 on a cell (current-density) block, where
+#: the skull's small eigenvalues put most of their weight
+VERTEX_MODES = 9
+CELL_MODES = 49
+#: steps of the inverse iteration for the surface modes
 MODE_STEPS = 10
 #: columns, or rows, per block product while the operator and its coarse
 #: space are formed
@@ -190,9 +201,9 @@ def _dual_solver(mesh: TriangleMesh):
     return lambda rhs: scaled @ rhs + shift * rhs.sum(axis=0)
 
 
-def _surface_modes(solver, lap: sp.csr_matrix, gram: sp.csr_matrix) -> np.ndarray:
-    """The ``COARSE_MODES`` lowest eigenvectors of (L, G) on the vertices,
-    in ascending order of eigenvalue, the constant mode first.
+def _surface_modes(solver, lap: sp.csr_matrix, gram: sp.csr_matrix, count: int) -> np.ndarray:
+    """The ``count`` lowest eigenvectors of (L, G) on the vertices, in
+    ascending order of eigenvalue, the constant mode first.
 
     Block inverse iteration with the surface's own primal ``solver``, the
     bordered LU of ``L + (beta/total) m m^T`` with ``m = G 1``, then one
@@ -201,19 +212,22 @@ def _surface_modes(solver, lap: sp.csr_matrix, gram: sp.csr_matrix) -> np.ndarra
     shifted pencil has the same eigenvectors; only the constant's
     eigenvalue is lifted from 0 to beta (2/R^2 on a sphere of radius R).
     The Rayleigh-Ritz step on the unshifted pencil puts the constant
-    first again.  A block of ``MODE_BLOCK`` columns keeps whole degenerate
-    clusters of the spectrum, as on the symmetric icosphere, and each step
-    shrinks the error of the lowest ``COARSE_MODES`` by the eigenvalue
-    ratio lambda_25 / lambda_41, 20/42 on a sphere (degrees 4 and 6).  The
-    start block is fixed, so every build returns the same vectors bit for
-    bit.
+    first again.  The block is sized to the modes the surface needs: when
+    ``count`` is the number of modes up to spherical degree l, ``(l+1)^2``,
+    it holds the modes up to degree l + 2, whole degenerate clusters as on
+    the symmetric icosphere, and each step shrinks the error of the lowest
+    ``count`` by the eigenvalue ratio ``l(l+1) / ((l+3)(l+4))``: 42/90 for
+    the 49 modes of a surface with cell rows (81 columns), 6/30 for the 9
+    of a surface without (25 columns).  The start block is fixed, so every
+    build returns the same vectors bit for bit.
     """
     n = lap.shape[0]
-    x = np.random.default_rng(0).standard_normal((n, min(MODE_BLOCK, n)))
+    block = (math.isqrt(count) + 2) ** 2
+    x = np.random.default_rng(0).standard_normal((n, min(block, n)))
     for _ in range(MODE_STEPS):
         x, _ = np.linalg.qr(solver(gram @ x))
     _, ritz = eigh(x.T @ (lap @ x), x.T @ (gram @ x))
-    return x @ ritz[:, : min(COARSE_MODES, n - 1)]
+    return x @ ritz[:, : min(count, n - 1)]
 
 
 def _lower_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -268,8 +282,12 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
     """The A-orthonormal coarse basis W and ``U = A W``, with ``op.matrix``
     holding A.
 
-    Each surface's vertex rows take its eigenmodes, its cell rows (when
-    kept) the mean of each cell's three corners.  The columns are pulled
+    Each surface's vertex rows take its lowest ``VERTEX_MODES``
+    eigenmodes, its cell rows (when kept) the lowest ``CELL_MODES``, each
+    averaged over a cell's three corners: the thin skull's small
+    eigenvalues weigh mostly on the cell rows, so they take the larger
+    share of the columns.  ``modes`` holds for each surface as many modes
+    as its blocks use.  The columns are pulled
     back through ``1/m_diag`` and the gauge projector.  When the gauge is
     deflated, the constants of all vertex blocks span it, so the outermost
     vertex block drops its constant mode.  ``A W`` is one ``dsymm`` with
@@ -283,7 +301,7 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
     blocks = []
     for i, (mesh, phi) in enumerate(zip(meshes, modes)):
         drop = 1 if i == last and op.deflation.shape[1] else 0
-        blocks.append((layout.v_slice(i), phi[:, drop:]))
+        blocks.append((layout.v_slice(i), phi[:, drop:VERTEX_MODES]))
         ps = layout.p_slice(i)
         if ps is not None:
             blocks.append((ps, phi[mesh.triangles].mean(axis=1)))
@@ -348,7 +366,8 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
         lap = primal_laplace_beltrami(mesh)
         primal_solvers.append(_primal_solver(mesh, lap))
         dual_solvers.append(_dual_solver(mesh) if ps is not None else None)
-        modes.append(_surface_modes(primal_solvers[i], lap, gram))
+        count = CELL_MODES if ps is not None else VERTEX_MODES
+        modes.append(_surface_modes(primal_solvers[i], lap, gram, count))
 
     # Deflation = the operator's actual kernel, pulled back through M: with
     # an insulating exterior the system annihilates a simultaneous constant

@@ -3,6 +3,7 @@ import pytest
 
 from symmbem.krylov import (
     BreakdownError,
+    _as_matvec,
     conjugate_gradient,
     minres,
     symmetric_matvec,
@@ -54,6 +55,54 @@ def test_cg_ritz_extremes_approximate_spectrum():
     _, report = conjugate_gradient(A, np.ones(4), tol=1e-14)
     assert abs(report.ritz_min - 1.0) < 1e-8
     assert abs(report.ritz_max - 16.0) < 1e-8
+
+
+def _reference_cg(A, b, tol):
+    """The CG loop as it was before it ran in place: three fresh N-vectors
+    per step and ``np.sqrt`` on the residual norm.  Kept as the reference
+    the in-place loop must reproduce bit for bit."""
+    matvec = _as_matvec(A)
+    norm_b = float(np.linalg.norm(b))
+    x = np.zeros(b.size)
+    r = b.copy()
+    p = r.copy()
+    rho = float(r @ r)
+    history = []
+    it = 0
+    while it < 10 * b.size:
+        q = matvec(p)
+        alpha = rho / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rho_new = float(r @ r)
+        beta = rho_new / rho
+        rho = rho_new
+        it += 1
+        rel = np.sqrt(rho) / norm_b
+        history.append(rel)
+        if rel <= tol:
+            true_rel = float(np.linalg.norm(b - matvec(x))) / norm_b
+            history[-1] = true_rel
+            if true_rel <= tol:
+                break
+        p = r + beta * p
+    return x, history, it
+
+
+def test_cg_in_place_loop_reproduces_the_allocating_loop_bit_for_bit():
+    # eigenvalues from 1e-4 to 1: a few hundred steps, long enough for
+    # rounding to separate two loops that differ in any operation
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
+    a = (q * np.geomspace(1e-4, 1.0, 300)) @ q.T
+    a = np.tril(a) + np.tril(a, -1).T
+    b = rng.standard_normal(300)
+    x, report = conjugate_gradient(a, b, tol=1e-10)
+    x_ref, history_ref, iterations_ref = _reference_cg(a, b, tol=1e-10)
+    assert report.converged
+    assert report.iterations == iterations_ref > 100
+    assert report.residuals == history_ref
+    assert np.array_equal(x, x_ref)
 
 
 def test_minres_indefinite_diagonal():

@@ -219,8 +219,9 @@ def test_build_holds_the_operator_and_its_coarse_arrays_at_most():
 def test_apply_annihilates_the_a_orthonormal_coarse_space(shells1):
     system, meshes, _ = shells1
     op = precond.build(system, meshes)
-    # 25 modes per block, the outer vertex block without its constant
-    assert op.coarse.shape == (op.size, 3 * 25 - 1 + 2 * 25)
+    # 9 modes per vertex block, the outer one without its constant, and
+    # 49 per cell block, capped at n_v - 1 = 41 on the 42-vertex surfaces
+    assert op.coarse.shape == (op.size, 3 * 9 - 1 + 2 * 41)
     # the vector path of the solve against the block path of the build;
     # W^T A W = I holds to rounding times the condition number of E, 1e4
     spectral = _spectral_only(op)
@@ -244,6 +245,39 @@ def test_deflated_solution_matches_the_spectral_only_solution(shells1):
         solutions.append(x)
     deflated, spectral = solutions
     assert np.linalg.norm(deflated - spectral) <= 1e-9 * np.linalg.norm(spectral)
+
+
+def test_cell_rows_take_the_coarse_columns_at_the_same_size(monkeypatch):
+    # the small eigenvalues sit on the skull's cell rows: spending the
+    # coarse columns there beats 25 modes on every block at the same T
+    meshes = _shells(2)
+    system = _system(meshes)
+    op = precond.build(system, meshes)
+    assert op.coarse.shape == (op.size, 124)
+    monkeypatch.setattr(precond, "VERTEX_MODES", 25)
+    monkeypatch.setattr(precond, "CELL_MODES", 25)
+    even = precond.build(system, meshes)
+    assert even.coarse.shape == (op.size, 124)
+    assert _iterations(op) <= 0.85 * _iterations(even)
+
+
+def test_a_surface_without_cell_rows_runs_the_small_mode_iteration(monkeypatch):
+    # the insulated sphere has one vertex block and no cell block, so its
+    # inverse iteration carries 25 columns, the modes up to degree 4
+    mesh = make_icosphere(3, 1.0)
+    widths = []
+    surface_modes = precond._surface_modes
+
+    def spied(solver, *args):
+        def counted(rhs):
+            widths.append(rhs.shape[1])
+            return solver(rhs)
+        return surface_modes(counted, *args)
+
+    monkeypatch.setattr(precond, "_surface_modes", spied)
+    op = precond.build(_system([mesh], (1.0, 0.0)), [mesh])
+    assert widths == [25] * precond.MODE_STEPS
+    assert op.coarse.shape == (op.size, precond.VERTEX_MODES - 1)
 
 
 def test_build_on_a_zero_system_gives_an_empty_coarse_space():
