@@ -25,24 +25,22 @@ triangle, one pass of :func:`_panel_integrals` per batch.
 
 The regular sweep (disjoint pairs) and the singular sweep (touching pairs)
 cut their triangle pairs into batches of at most ``BATCH_POINT_PAIRS``
-kernel evaluations, in an order fixed by the meshes alone.  The batches
-run on a pool of ``SYMMBEM_THREADS`` threads; their results are added into
-the matrices on the calling thread in batch order, so the matrices are
-bitwise identical for any thread count.  On a single surface each
-unordered triangle pair is integrated once and fills both orientations:
-the single layer is exactly symmetric and the adjoint double layer is the
-exact transpose of the double layer.
+kernel evaluations, in an order fixed by the meshes alone.  Each batch is
+evaluated on the calling thread and added into the matrices in that
+order.  A batch is dozens of small numpy calls, and a pool of threads
+bought little for its memory: on a 2-core host with one BLAS thread, two
+threads assembled the three-shell head at subdivision 2 no faster than
+one (0.69-0.80 s against 0.67-0.78 s) and at subdivision 3 in 4.9 s
+against 5.9 s, while the second thread's malloc arena raised the peak
+resident memory by 8-9 MB.  On a single surface each unordered triangle pair is integrated once and
+fills both orientations: the single layer is exactly symmetric and the
+adjoint double layer is the exact transpose of the double layer.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,11 +79,11 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-#: Kernel evaluations (point pairs) per batch, and so per worker at a time.
-#: Every batch holds as many triangle pairs as fit in this budget, at least
-#: one; the regular sweep also classifies its tiers in row blocks of at most
-#: this many triangle pairs.  Each worker thread evaluates its batch in two
-#: float64 workspaces of this length (1 MB each), allocated once and reused.
+#: Kernel evaluations (point pairs) per batch.  Every batch holds as many
+#: triangle pairs as fit in this budget, at least one; the regular sweep
+#: also classifies its tiers in row blocks of at most this many triangle
+#: pairs.  Each batch is evaluated in two float64 workspaces of this length
+#: (1 MB each), allocated once per surface pair and reused.
 #: At 2**18 the sphere subdivision-3 assembly peaked 37 MB higher for no
 #: measurable speed; much smaller batches pay numpy's per-call overhead on
 #: too little work (a closed-form batch holds 32 pairs here).
@@ -116,15 +114,6 @@ class KernelBlock:
     matrix: np.ndarray
     row_kind: Kind
     col_kind: Kind
-
-
-def _thread_count() -> int:
-    env = os.environ.get("SYMMBEM_THREADS", "").strip()
-    if not env:
-        return min(os.cpu_count() or 1, 8)
-    if not env.isdecimal() or int(env) < 1:
-        raise ValueError(f"SYMMBEM_THREADS must be a positive integer, got {env!r}")
-    return int(env)
 
 
 def curl_coefficient_matrices(mesh: TriangleMesh):
@@ -213,26 +202,23 @@ def assemble_operators(mesh_t: TriangleMesh, mesh_s: TriangleMesh) -> dict[str, 
     dmat = np.zeros((nct, nvs))
     dsmat = None if same else np.zeros((nvt, ncs))
 
-    def accumulate(result):
-        """Add one batch into the matrices; ``mirror`` also fills (col, row)."""
-        rows, cols, vrows, vcols, mirror, s, d, ds = result
+    sweep = _Sweep(mesh_t, mesh_s)
+    batches = _regular_sweep(mesh_t, mesh_s, cfg, same, sweep)
+    if same:
+        batches = itertools.chain(batches, _singular_sweep(mesh_t, cfg, sweep))
+    # add each batch into the matrices; ``mirror`` also fills (col, row)
+    for rows, cols, vrows, vcols, mirror, s, d, ds in batches:
         ig[rows, cols] += s
         if mirror:
             ig[cols, rows] += s
         if d is None:
-            return
+            continue
         if mirror:  # pair (t, s)'s adjoint entries are pair (s, t)'s D entries
             flat = np.concatenate([rows[:, None] * nvs + vcols, cols[:, None] * nvs + vrows])
             np.add.at(dmat.reshape(-1), flat.ravel(), np.concatenate([d, ds]).ravel())
         else:
             np.add.at(dmat.reshape(-1), (rows[:, None] * nvs + vcols).ravel(), d.ravel())
             np.add.at(dsmat.reshape(-1), (vrows * ncs + cols[:, None]).ravel(), ds.ravel())
-
-    sweep = _Sweep(mesh_t, mesh_s)
-    batches = _regular_sweep(mesh_t, mesh_s, cfg, same, sweep)
-    if same:
-        batches = itertools.chain(batches, _singular_sweep(mesh_t, cfg, sweep))
-    _run_batches(batches, accumulate)
 
     ck_t = curl_coefficient_matrices(mesh_t)
     ck_s = ck_t if same else curl_coefficient_matrices(mesh_s)
@@ -250,9 +236,9 @@ def assemble_operators(mesh_t: TriangleMesh, mesh_s: TriangleMesh) -> dict[str, 
     }
 
 
-class _Workspace(threading.local):
-    """Two float64 buffers per thread, allocated at first use and reused by
-    every batch that thread evaluates."""
+class _Workspace:
+    """Two float64 buffers, allocated at first use and reused by every
+    batch of one surface pair."""
 
     def __init__(self):
         self.size = 0
@@ -262,29 +248,6 @@ class _Workspace(threading.local):
         if n > self.size:
             self.a, self.b, self.size = np.empty(n), np.empty(n), n
         return self.a[:n].reshape(shape), self.b[:n].reshape(shape)
-
-
-def _run_batches(batches, accumulate):
-    """Evaluate the batch callables on the thread pool and accumulate each
-    result on the calling thread, in batch order.
-
-    At most ``nthreads + 1`` batches are in flight, so the pending results
-    stay small; the order of the additions, and so every rounding, does not
-    depend on the thread count.
-    """
-    nthreads = _thread_count()
-    if nthreads == 1:
-        for batch in batches:
-            accumulate(batch())
-        return
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        pending = deque()
-        for batch in batches:
-            pending.append(pool.submit(batch))
-            if len(pending) > nthreads:
-                accumulate(pending.popleft().result())
-        while pending:
-            accumulate(pending.popleft().result())
 
 
 def _pair_kernel(r2, tmp, w, w9, scale, h_xy, h_yx):
@@ -444,10 +407,10 @@ def _batch_slices(n_pairs, n_points):
 
 
 class _Sweep:
-    """What the batches of one surface pair read, beside the thread
-    workspaces: the vertices of both meshes in one component-major array,
-    those of ``mesh_s`` after those of ``mesh_t`` unless they are one mesh,
-    and the component-major cell normals and the cell areas of each."""
+    """What the batches of one surface pair read: their workspace, the
+    vertices of both meshes in one component-major array, those of
+    ``mesh_s`` after those of ``mesh_t`` unless they are one mesh, and the
+    component-major cell normals and the cell areas of each."""
 
     def __init__(self, mesh_t, mesh_s):
         same = mesh_t is mesh_s
@@ -495,11 +458,51 @@ def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
     return pa, pb, ca, cb, mirror, s, d, ds
 
 
-def _regular_sweep(mesh_t, mesh_s, cfg, same, sweep):
-    """Sweep over disjoint triangle pairs, as batch callables.
+def _tier_blocks(mesh_t, mesh_s, thresholds, same):
+    """The distance tier of every triangle pair, in row blocks of at most
+    ``BATCH_POINT_PAIRS`` pairs.
 
-    Tiers are classified in row blocks of at most ``BATCH_POINT_PAIRS``
-    triangle pairs, and each tier's pairs in a block are cut into batches by
+    Yields ``(r0, codes)``: ``codes[i, s]`` (int8) counts the thresholds
+    below the ratio of the centroid distance of pair ``(r0 + i, s)`` to the
+    larger of the two element diameters, the index that
+    ``np.searchsorted(thresholds, ratio)`` gives, and so
+    ``len(thresholds)`` for the far pairs.  On a single surface
+    the pairs t >= s and the touching pairs get -1.  The squared distances
+    are summed one component at a time, ``dx^2 + dy^2 + dz^2``, the order
+    in which ``np.linalg.norm(axis=-1)`` sums them, in two reused block
+    buffers.
+    """
+    ct, cs = _component_major(mesh_t.centroids), _component_major(mesh_s.centroids)
+    nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
+    block = max(1, BATCH_POINT_PAIRS // ncs)
+    buffers = np.empty((2, min(block, nct), ncs))
+    for r0 in range(0, nct, block):
+        r1 = min(r0 + block, nct)
+        dist, tmp = buffers[:, : r1 - r0]
+        for k in range(3):
+            dst = dist if k == 0 else tmp
+            np.subtract(ct[k, r0:r1, None], cs[k], out=dst)
+            np.multiply(dst, dst, out=dst)
+            if k:
+                np.add(dist, tmp, out=dist)
+        np.sqrt(dist, out=dist)
+        np.maximum(mesh_t.diameters[r0:r1, None], mesh_s.diameters, out=tmp)
+        np.divide(dist, tmp, out=dist)
+        codes = np.zeros(dist.shape, np.int8)
+        for t in thresholds:
+            codes += dist > t
+        if same:
+            codes[np.tri(r1 - r0, ncs, r0, dtype=bool)] = -1
+            codes[mesh_t.shared_vertex_counts[r0:r1].nonzero()] = -1
+        yield r0, codes
+
+
+def _regular_sweep(mesh_t, mesh_s, cfg, same, sweep):
+    """Sweep over disjoint triangle pairs, as batch results.
+
+    Tiers are classified in row blocks by :func:`_tier_blocks`, whose codes
+    one stable argsort per block groups by tier in row-major order, and
+    each tier's pairs in a block are cut into batches by
     :func:`_batch_slices`.  The tensor tiers go through
     :func:`_tensor_batch` with the tensor product of their triangle rule
     (``quad.tensor_pair_rule``).  The ``CLOSED_FORM_TIER`` pairs integrate
@@ -511,10 +514,9 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, sweep):
     sweep.
     """
     tiers = [rule for _, rule in cfg.near_tiers] + [cfg.far_points]
-    thresholds = np.array([t for t, _ in cfg.near_tiers])
+    thresholds = [t for t, _ in cfg.near_tiers]
     rules = {r: _pair_rule(*quad.tensor_pair_rule(r)) for r in tiers if r != CLOSED_FORM_TIER}
     tri_t, tri_s = mesh_t.triangles, mesh_s.triangles
-    shared = mesh_t.shared_vertex_counts if same else None
     outer_bary, outer_w = quad.collapsed_rule(OUTER_ORDER)
     panels = _Panels.of(mesh_s)
 
@@ -530,35 +532,28 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, sweep):
         ds = ((outer_w[:, None] * outer_bary).T @ ds) * scale
         return rows, cols, tri_t[rows], tri_s[cols], same, s, d.T, ds.T
 
-    nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
-    block = max(1, BATCH_POINT_PAIRS // ncs)
-    for r0 in range(0, nct, block):
-        r1 = min(r0 + block, nct)
-        dist = np.linalg.norm(mesh_t.centroids[r0:r1, None, :] - mesh_s.centroids[None], axis=2)
-        ratio = dist / np.maximum(mesh_t.diameters[r0:r1, None], mesh_s.diameters[None, :])
-        tier = np.searchsorted(thresholds, ratio)  # == len(thresholds) for far pairs
-        if same:
-            tier[np.arange(ncs)[None, :] <= np.arange(r0, r1)[:, None]] = -1
-            tier[shared[r0:r1].toarray() > 0] = -1
-        for k, name in enumerate(tiers):
-            ti, si = np.nonzero(tier == k)
+    ncs = mesh_s.num_triangles
+    for r0, codes in _tier_blocks(mesh_t, mesh_s, thresholds, same):
+        order = np.argsort(codes, axis=None, kind="stable")
+        ends = np.cumsum(np.bincount(codes.ravel() + 1, minlength=len(tiers) + 1))
+        for k, name in enumerate(tiers):  # code k sits at order[ends[k]:ends[k + 1]]
+            ti, si = np.divmod(order[ends[k] : ends[k + 1]], ncs)
             ti += r0
             if name == CLOSED_FORM_TIER:
                 for sl in _batch_slices(len(ti), len(outer_w) ** 2):
-                    yield partial(closed_batch, ti[sl], si[sl])
+                    yield closed_batch(ti[sl], si[sl])
                 continue
             rule = rules[name]
             for sl in _batch_slices(len(ti), len(rule[1])):
                 rows, cols = ti[sl], si[sl]
-                yield partial(
-                    _tensor_batch, sweep, rule,
-                    tri_t[rows], tri_s[cols], rows, cols, same, True,
+                yield _tensor_batch(
+                    sweep, rule, tri_t[rows], tri_s[cols], rows, cols, same, True,
                 )
 
 
 def _singular_sweep(mesh, cfg, sweep):
     """Regularized quadrature over touching same-surface pairs, as batch
-    callables of :func:`_tensor_batch`.
+    results of :func:`_tensor_batch`.
 
     Each unordered pair is visited once; the charts of ``_touching_pairs``
     put the shared vertex first, and the edge and vertex pairs fill both
@@ -575,7 +570,6 @@ def _singular_sweep(mesh, cfg, sweep):
         rule = _pair_rule(*quad.sauter_schwab_rule(category, cfg.singular_order))
         distinct = category != quad.COINCIDENT
         for sl in _batch_slices(len(pairs), len(rule[1])):
-            yield partial(
-                _tensor_batch, sweep, rule,
-                ca[sl], cb[sl], pairs[sl, 0], pairs[sl, 1], distinct, distinct,
+            yield _tensor_batch(
+                sweep, rule, ca[sl], cb[sl], pairs[sl, 0], pairs[sl, 1], distinct, distinct,
             )

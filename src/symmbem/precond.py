@@ -21,14 +21,17 @@ degree.  CG therefore runs on the deflated operator ``P_D A`` with
 and Guyomarc'h 2000), where the coarse space W holds per surface the
 lowest surface-Laplacian eigenmodes.  Deflation needs only their span,
 and inverse iteration with the same LU factor that P uses gives it.  The
-columns go where the small eigenvalues live.  With 25 modes on every
-block, 82% of the eigenvector weight of the 40 lowest nonzero eigenvalues
-of ``P_D A`` (0.0065 to 0.0117) on the three-shell head at subdivision 2
-sits on the skull's cell (current-density) rows, which are 57% of the
-unknowns.  So each cell block takes the modes of spherical degrees 0-6
-(49) and each vertex block those of degrees 0-2 (9): the same 124
-columns there, and the median CG count over 16 dipoles falls from 79 to
-60 steps.  W is
+columns go where the small eigenvalues live: on the skull's cell
+(current-density) rows, which are 57% of the unknowns of the three-shell
+head at subdivision 2.  With the modes of spherical degrees 0-6 (49) on
+each cell block, 78% of the eigenvector weight of the 40 lowest nonzero
+eigenvalues of ``P_D A`` (0.0098 to 0.0140) sits there.  So each cell
+block takes the modes of degrees 0-10 (121) and each vertex block those
+of degrees 0-2 (9), 268 columns in all: the 40 lowest eigenvalues rise to
+0.0166-0.0216, their weight on the cell rows falls to 46%, and the
+median CG count over 16 dipoles falls from 60 to 42.5 steps.  Once
+``P_D A`` is formed, a coarse column costs build work only, not work per
+CG step.  W is
 stored A-orthonormal (``W^T A W = I``) beside ``U = A W``, so
 ``P_D A = A - U U^T`` and the right-hand side is ``P_D c = c - U W^T c``;
 :func:`recover_solution` adds back the coarse component
@@ -68,10 +71,12 @@ from .spaces import gram_p1, pyramid_space
 
 #: surface-Laplacian eigenmodes in the coarse space, per row kind, each a
 #: complete cluster of spherical degrees on a sphere: degrees 0-2 on a
-#: vertex (potential) block, 0-6 on a cell (current-density) block, where
-#: the skull's small eigenvalues put most of their weight
+#: vertex (potential) block, 0-10 on a cell (current-density) block, where
+#: the skull's small eigenvalues put most of their weight.  On the
+#: three-shell head the median CG count over 16 dipoles is 38/42.5/47 at
+#: subdivisions 1/2/3, against 38/60/69 with degrees 0-6 on the cell blocks.
 VERTEX_MODES = 9
-CELL_MODES = 49
+CELL_MODES = 121
 #: steps of the inverse iteration for the surface modes
 MODE_STEPS = 10
 #: columns, or rows, per block product while the operator and its coarse
@@ -216,16 +221,24 @@ def _surface_modes(solver, lap: sp.csr_matrix, gram: sp.csr_matrix, count: int) 
     ``count`` is the number of modes up to spherical degree l, ``(l+1)^2``,
     it holds the modes up to degree l + 2, whole degenerate clusters as on
     the symmetric icosphere, and each step shrinks the error of the lowest
-    ``count`` by the eigenvalue ratio ``l(l+1) / ((l+3)(l+4))``: 42/90 for
-    the 49 modes of a surface with cell rows (81 columns), 6/30 for the 9
-    of a surface without (25 columns).  The start block is fixed, so every
-    build returns the same vectors bit for bit.
+    ``count`` by the eigenvalue ratio ``l(l+1) / ((l+3)(l+4))``: 6/30 for
+    the 9 modes of a surface without cell rows (25 columns), 110/182 for
+    the 121 of a surface with them (169 columns).  A block of at least as
+    many columns as the surface has vertices spans it, so no step runs and
+    Rayleigh-Ritz on the whole space is exact: that is every surface with
+    cell rows up to subdivision 2 (162 vertices), where the cut at 121
+    modes splits a cluster of the discrete spectrum; deflation needs only
+    a span, and any vectors of that cluster serve.  The start block is
+    fixed, so every build returns the same vectors bit for bit.
     """
     n = lap.shape[0]
     block = (math.isqrt(count) + 2) ** 2
-    x = np.random.default_rng(0).standard_normal((n, min(block, n)))
-    for _ in range(MODE_STEPS):
-        x, _ = np.linalg.qr(solver(gram @ x))
+    if block < n:
+        x = np.random.default_rng(0).standard_normal((n, block))
+        for _ in range(MODE_STEPS):
+            x, _ = np.linalg.qr(solver(gram @ x))
+    else:  # the block spans the surface: Rayleigh-Ritz on it is exact
+        x = np.eye(n)
     _, ritz = eigh(x.T @ (lap @ x), x.T @ (gram @ x))
     return x @ ritz[:, : min(count, n - 1)]
 
@@ -310,15 +323,18 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
     for rows, phi in blocks:
         w[rows, col : col + phi.shape[1]] = phi / op.m_diag[rows, None]
         col += phi.shape[1]
+    del blocks, phi  # the cell-averaged copies
 
-    # W and A W stay the only N x T arrays: everything else is a chunk
+    # W and A W stay the only N x T arrays: everything else is a chunk, and
+    # of the T x T arrays only the eigenvectors outlive eigh, scaled in place
     for c0 in range(0, w.shape[1], CHUNK):
         cols = slice(c0, c0 + CHUNK)
         w[:, cols] = op.project(w[:, cols])
     aw = _lower_product(op.matrix, w)
     vals, vecs = eigh(w.T @ aw)
-    keep = vals > 1e-12 * vals[-1]
-    scale = vecs[:, keep] / np.sqrt(vals[keep])
+    first = np.searchsorted(vals, 1e-12 * vals[-1], side="right")  # vals ascend
+    scale = vecs[:, first:]
+    scale /= np.sqrt(vals[first:])
     k = scale.shape[1]
     for r0 in range(0, len(w), CHUNK):
         rows = slice(r0, r0 + CHUNK)

@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from symmbem import bem_ops
 from symmbem.bem_ops import (
     DEFAULT_QUADRATURE,
     TAGS,
-    _thread_count,
     assemble_operators,
 )
 from symmbem.geometry import TriangleMesh, make_icosphere
@@ -291,27 +289,12 @@ def test_cross_pair_double_layer_row_sums():
     assert np.abs(rows + inner.areas).max() < 4.0e-5 * inner.areas.max()
 
 
-def test_threads_env_does_not_change_results(shells1, monkeypatch):
-    submitted = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            submitted.append(fn)
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(bem_ops, "ThreadPoolExecutor", CountingPool)
+def test_assembly_is_bitwise_equal_across_calls(shells1):
     inner, middle = shells1[:2]
     for mesh_t, mesh_s in ((inner, inner), (inner, middle)):
-        blocks = {}
-        for threads in (1, 2, 3):
-            monkeypatch.setenv("SYMMBEM_THREADS", str(threads))
-            submitted.clear()
-            blocks[threads] = assemble_operators(mesh_t, mesh_s)
-            if threads > 1:  # more batches than can be in flight: the pool runs
-                assert len(submitted) > threads + 1
-        for threads in (2, 3):
-            for tag in TAGS:
-                assert np.array_equal(blocks[1][tag].matrix, blocks[threads][tag].matrix), tag
+        first, second = (assemble_operators(mesh_t, mesh_s) for _ in range(2))
+        for tag in TAGS:
+            assert np.array_equal(first[tag].matrix, second[tag].matrix), tag
 
 
 @pytest.fixture
@@ -380,13 +363,42 @@ def test_regular_batches_honour_the_triangle_pair_cap(sphere2, monkeypatch, work
     assert max(far) == budget // bem_ops.MIN_PAIR_POINTS
 
 
+def _tier_codes(mesh_t, mesh_s):
+    """The index of the tier of each triangle pair among the near tiers
+    and the far rule, from the distances ``np.linalg.norm`` gives."""
+    thresholds = [t for t, _ in DEFAULT_QUADRATURE.near_tiers]
+    dist = np.linalg.norm(mesh_t.centroids[:, None] - mesh_s.centroids[None], axis=2)
+    ratio = dist / np.maximum(mesh_t.diameters[:, None], mesh_s.diameters[None, :])
+    return np.searchsorted(thresholds, ratio)
+
+
 def _tier_rules(mesh_t, mesh_s):
     """The tensor rule ``_regular_sweep`` applies to each triangle pair."""
     cfg = DEFAULT_QUADRATURE
     rules = [rule for _, rule in cfg.near_tiers] + [cfg.far_points]
-    dist = np.linalg.norm(mesh_t.centroids[:, None] - mesh_s.centroids[None], axis=2)
-    ratio = dist / np.maximum(mesh_t.diameters[:, None], mesh_s.diameters[None, :])
-    return np.array(rules, dtype=object)[np.searchsorted([t for t, _ in cfg.near_tiers], ratio)]
+    return np.array(rules, dtype=object)[_tier_codes(mesh_t, mesh_s)]
+
+
+@pytest.mark.parametrize("pair", ["shells", "sphere3-self"])
+def test_tier_blocks_match_the_per_pair_norm(pair, sphere3):
+    # the sweep sums the squared centroid offsets one component at a time,
+    # in the order np.linalg.norm sums them, so no pair changes tier; the
+    # subdivision-3 self pair spans 13 row blocks
+    if pair == "shells":
+        mesh_t, mesh_s = (make_icosphere(2, r) for r in SHELL_RADII[:2])
+    else:
+        mesh_t = mesh_s = sphere3
+    same = mesh_t is mesh_s
+    thresholds = [t for t, _ in DEFAULT_QUADRATURE.near_tiers]
+    blocks = list(bem_ops._tier_blocks(mesh_t, mesh_s, thresholds, same))
+    assert [r0 for r0, _ in blocks] == list(
+        range(0, mesh_t.num_triangles, bem_ops.BATCH_POINT_PAIRS // mesh_s.num_triangles)
+    )
+    expected = _tier_codes(mesh_t, mesh_s)
+    if same:  # only the pairs t < s that share no vertex are swept
+        expected[np.tril_indices(mesh_t.num_triangles)] = -1
+        expected[mesh_t.shared_vertex_counts.toarray() > 0] = -1
+    assert np.array_equal(np.concatenate([codes for _, codes in blocks]), expected)
 
 
 def _merged(meshes):
@@ -487,12 +499,3 @@ def test_regular_tiers_match_per_pair_double_loop(pair):
         assert checked > 0, rule
         if rule == bem_ops.CLOSED_FORM_TIER:
             check_closed_form_accuracy(t, s)
-
-
-def test_threads_env_must_be_positive_integer(monkeypatch):
-    monkeypatch.setenv("SYMMBEM_THREADS", " 3 ")
-    assert _thread_count() == 3
-    for value in ("abc", "0", "-3", "2.5"):
-        monkeypatch.setenv("SYMMBEM_THREADS", value)
-        with pytest.raises(ValueError, match="SYMMBEM_THREADS"):
-            _thread_count()

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from symmbem import formulation, krylov, precond
 from symmbem.formulation import (
@@ -220,7 +221,7 @@ def test_apply_annihilates_the_a_orthonormal_coarse_space(shells1):
     system, meshes, _ = shells1
     op = precond.build(system, meshes)
     # 9 modes per vertex block, the outer one without its constant, and
-    # 49 per cell block, capped at n_v - 1 = 41 on the 42-vertex surfaces
+    # 121 per cell block, capped at n_v - 1 = 41 on the 42-vertex surfaces
     assert op.coarse.shape == (op.size, 3 * 9 - 1 + 2 * 41)
     # the vector path of the solve against the block path of the build;
     # W^T A W = I holds to rounding times the condition number of E, 1e4
@@ -247,18 +248,44 @@ def test_deflated_solution_matches_the_spectral_only_solution(shells1):
     assert np.linalg.norm(deflated - spectral) <= 1e-9 * np.linalg.norm(spectral)
 
 
-def test_cell_rows_take_the_coarse_columns_at_the_same_size(monkeypatch):
-    # the small eigenvalues sit on the skull's cell rows: spending the
-    # coarse columns there beats 25 modes on every block at the same T
+def test_cell_rows_take_the_modes_through_degree_10(monkeypatch):
+    # the skull's small eigenvalues sit on its cell rows; once P_D A is
+    # formed a coarse column costs build work only, so deflating the cell
+    # modes through spherical degree 10 instead of 6 is paid for once
     meshes = _shells(2)
     system = _system(meshes)
     op = precond.build(system, meshes)
-    assert op.coarse.shape == (op.size, 124)
-    monkeypatch.setattr(precond, "VERTEX_MODES", 25)
-    monkeypatch.setattr(precond, "CELL_MODES", 25)
-    even = precond.build(system, meshes)
-    assert even.coarse.shape == (op.size, 124)
-    assert _iterations(op) <= 0.85 * _iterations(even)
+    # 9 modes per vertex block, the outer one without its constant, and
+    # 121 per cell block
+    assert op.coarse.shape == (op.size, 3 * 9 - 1 + 2 * 121)
+    monkeypatch.setattr(precond, "CELL_MODES", 49)
+    fewer = precond.build(system, meshes)
+    assert fewer.coarse.shape == (op.size, 124)
+    assert _iterations(op) <= 0.8 * _iterations(fewer)
+
+
+@pytest.mark.parametrize("subdivisions", [1, 2])
+def test_a_block_that_spans_the_surface_runs_no_inverse_iteration(subdivisions):
+    # the 169-column block for the modes through degree 10 spans the 162
+    # vertices at subdivision 2 (and the 42 at 1), so Rayleigh-Ritz on it
+    # is exact and the solver is never called
+    mesh = make_icosphere(subdivisions, 0.92)
+    lap, gram = primal_laplace_beltrami(mesh), gram_p1(pyramid_space(mesh))
+
+    def unexpected(rhs):
+        raise AssertionError("inverse iteration ran")
+
+    modes = precond._surface_modes(unexpected, lap, gram, precond.CELL_MODES)
+    count = min(precond.CELL_MODES, mesh.num_vertices - 1)
+    assert modes.shape == (mesh.num_vertices, count)
+    vals, vecs = eigh(lap.toarray(), gram.toarray())
+    quotients = np.einsum("ij,ij->j", modes, lap @ modes)  # the modes are G-orthonormal
+    assert np.abs(quotients - vals[:count]).max() <= 1e-10 * vals[count]
+    # the discrete cluster at the cut may be split; below it the span is fixed
+    below = vecs[:, vals < vals[count - 1] * (1 - 1e-8)]
+    assert below.shape[1] > count // 2
+    residual = below - modes @ (modes.T @ (gram @ below))
+    assert np.abs(residual).max() <= 1e-10
 
 
 def test_a_surface_without_cell_rows_runs_the_small_mode_iteration(monkeypatch):
@@ -289,10 +316,9 @@ def test_build_on_a_zero_system_gives_an_empty_coarse_space():
     assert op.coarse.shape == op.coarse_image.shape == (layout.total, 0)
 
 
-def test_coarse_space_is_bitwise_equal_across_builds_and_thread_counts(monkeypatch):
+def test_coarse_space_is_bitwise_equal_across_builds():
     builds = []
-    for threads in ("1", "2", "2"):
-        monkeypatch.setenv("SYMMBEM_THREADS", threads)
+    for _ in range(3):
         meshes = [make_icosphere(1, r) for r in RADII]
         op = precond.build(_system(meshes), meshes)
         builds.append((op.coarse, op.coarse_image, op.matrix))
