@@ -35,7 +35,8 @@ RESCALE_ROWS = 64
 
 @dataclass(frozen=True)
 class DipoleSource:
-    """Current dipole: position strictly inside one compartment, moment vector."""
+    """Current dipole: finite position strictly inside one compartment,
+    finite moment vector."""
 
     position: np.ndarray
     moment: np.ndarray
@@ -45,6 +46,8 @@ class DipoleSource:
         object.__setattr__(self, "moment", np.asarray(self.moment, dtype=float))
         if self.position.shape != (3,) or self.moment.shape != (3,):
             raise ValueError("position and moment must be 3-vectors")
+        if not (np.isfinite(self.position).all() and np.isfinite(self.moment).all()):
+            raise ValueError("position and moment must be finite")
 
 
 @dataclass(frozen=True)
@@ -60,33 +63,18 @@ class SystemLayout:
         return len(self.v_sizes)
 
     @property
-    def v_offsets(self) -> tuple:
-        off, out = 0, []
-        for s in self.v_sizes:
-            out.append(off)
-            off += s
-        return tuple(out)
-
-    @property
-    def p_offsets(self) -> tuple:
-        off = sum(self.v_sizes)
-        out = []
-        for s, kept in zip(self.p_sizes, self.p_kept):
-            out.append(off if kept else None)
-            if kept:
-                off += s
-        return tuple(out)
-
-    @property
     def total(self) -> int:
         return sum(self.v_sizes) + sum(s for s, k in zip(self.p_sizes, self.p_kept) if k)
 
     def v_slice(self, i: int) -> slice:
-        return slice(self.v_offsets[i], self.v_offsets[i] + self.v_sizes[i])
+        start = sum(self.v_sizes[:i])
+        return slice(start, start + self.v_sizes[i])
 
     def p_slice(self, i: int) -> slice | None:
-        off = self.p_offsets[i]
-        return None if off is None else slice(off, off + self.p_sizes[i])
+        if not self.p_kept[i]:
+            return None
+        start = sum(self.v_sizes) + sum(s for s, k in zip(self.p_sizes[:i], self.p_kept) if k)
+        return slice(start, start + self.p_sizes[i])
 
 
 def system_layout(model: NestedModel) -> SystemLayout:
@@ -131,15 +119,6 @@ class BlockSystem:
         """Diagonal of the applied scaling W: the stored ``scale``, or ones
         when unscaled."""
         return np.ones(self.layout.total) if self.scale is None else self.scale
-
-    def gauge_vectors(self) -> list[np.ndarray]:
-        """Per-interface constant-trace directions (in current variables)."""
-        out = []
-        for i in range(self.layout.num_interfaces):
-            g = np.zeros(self.layout.total)
-            g[self.layout.v_slice(i)] = 1.0
-            out.append(g)
-        return out
 
 
 def _calibrate_rows(matrix: np.ndarray, triangles: np.ndarray, target_row_sums: np.ndarray):
@@ -382,10 +361,3 @@ def conductivity_rescale(system: BlockSystem) -> BlockSystem:
         system.rhs = w * system.rhs
     system.scale = w
     return system
-
-
-def unscale_solution(system: BlockSystem, y: np.ndarray) -> np.ndarray:
-    """Map a solution of the rescaled system back to original variables."""
-    if system.scale is None:
-        return np.asarray(y, dtype=float).copy()
-    return system.scale * y

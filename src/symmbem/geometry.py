@@ -245,6 +245,13 @@ class MeshViolation:
         return f"{self.kind}{self.subject}: {self.message}"
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``v`` as a column, bit for bit the
+    BLAS dot that ``np.linalg.norm`` takes on one row (``norm(axis=1)``
+    sums in another order)."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, :, 0])
+
+
 def make_icosphere(subdivisions: int, radius: float) -> TriangleMesh:
     """Geodesic sphere from midpoint subdivision of a regular icosahedron.
 
@@ -258,31 +265,22 @@ def make_icosphere(subdivisions: int, radius: float) -> TriangleMesh:
     if radius <= 0:
         raise ValueError("radius must be positive")
 
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTICES]
-    faces = _ICO_FACES.tolist()
-
+    verts = _ICO_VERTICES / _row_norms(_ICO_VERTICES)
+    faces = _ICO_FACES
     for _ in range(subdivisions):
-        midpoint_cache: dict[tuple[int, int], int] = {}
+        mesh = TriangleMesh(verts, faces)
+        # the edge midpoints become vertices in the order in which the cells
+        # first meet their edges, and each cell (a, b, c) becomes four
+        encounter = np.argsort(np.unique(mesh.cell_edges, return_index=True)[1])
+        mid = verts[mesh.edges[encounter]].sum(axis=1)
+        number = np.empty_like(encounter)
+        number[encounter] = np.arange(len(verts), len(verts) + len(encounter))
+        verts = np.concatenate([verts, mid / _row_norms(mid)])
+        (a, b, c), (ab, bc, ca) = faces.T, number[mesh.cell_edges].T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
 
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            idx = midpoint_cache.get(key)
-            if idx is None:
-                m = verts[i] + verts[j]
-                m /= np.linalg.norm(m)
-                verts.append(m)
-                idx = len(verts) - 1
-                midpoint_cache[key] = idx
-            return idx
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-
-    vertices = np.array(verts) * radius
-    mesh = TriangleMesh(vertices, np.array(faces, dtype=np.int64))
+    vertices = verts * radius
+    mesh = TriangleMesh(vertices, faces)
     # Orientation sanity: the construction keeps every face outward.
     if mesh.signed_volume <= 0:
         raise AssertionError("icosphere orientation broke")

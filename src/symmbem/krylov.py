@@ -20,7 +20,7 @@ from scipy.linalg.blas import dsymv
 
 
 class BreakdownError(RuntimeError):
-    """Raised when CG meets nonpositive curvature: the operator is not PSD."""
+    """Raised when CG meets nonpositive or NaN curvature: the operator is not PSD."""
 
 
 @dataclass
@@ -62,7 +62,7 @@ def conjugate_gradient(A, b, tol: float = 1e-8, maxit: int | None = None):
 
     Returns ``(x, SolveReport)`` with the relative residual recorded at
     every iteration and the extreme Ritz values of the underlying Lanczos
-    tridiagonal.  Nonpositive curvature raises :class:`BreakdownError`,
+    tridiagonal.  Nonpositive or NaN curvature raises :class:`BreakdownError`,
     which falsifies the PSD assumption rather than being a solver failure.
     """
     matvec = _as_matvec(A)
@@ -87,9 +87,9 @@ def conjugate_gradient(A, b, tol: float = 1e-8, maxit: int | None = None):
     while it < maxit:
         q = matvec(p)
         curvature = float(p @ q)
-        if curvature <= 0.0:
+        if not curvature > 0.0:  # also a NaN from a non-finite operator or load
             raise BreakdownError(
-                f"nonpositive curvature p'Ap = {curvature:.3e} at iteration {it + 1}"
+                f"curvature p'Ap = {curvature:.3e} is not positive at iteration {it + 1}"
             )
         alpha = rho / curvature
         x += np.multiply(alpha, p, out=work)

@@ -50,12 +50,16 @@ BLAS ``dsymv`` (:func:`~symmbem.krylov.symmetric_matvec`, which reads one
 triangle), where applying the factors one by one would take two products
 with Z, the sparse Laplacian maps, the gauge projections and the coarse
 products.
+
+:func:`solve` runs CG on a built operator and recovers the solution; a
+recovered residual above ``tol`` takes one correction solve on that
+residual, as in iterative refinement, and CG never restarts from zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,7 +68,7 @@ from scipy.linalg.blas import dsymm, dsyr2k, dsyrk
 from scipy.sparse.linalg import splu
 
 from . import formulation, krylov
-from .formulation import BlockSystem, unscale_solution
+from .formulation import BlockSystem
 from .geometry import TriangleMesh
 from .laplacians import dual_laplacian, primal_laplace_beltrami
 from .spaces import gram_p1, pyramid_space
@@ -390,7 +394,8 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     # shift of all traces (the potential gauge); with a conducting exterior
     # the decay condition at infinity fixes the gauge and nothing is deflated.
     if system.conductivities[-1] == 0.0:
-        gauge = sum(system.gauge_vectors())
+        gauge = np.zeros(n)
+        gauge[: sum(layout.v_sizes)] = 1.0  # every vertex block's constant trace
         deflation = krylov.orthonormal_columns([gauge / system.scale_vector() / m_diag])
         kernel = krylov.orthonormal_columns([m_diag * q for q in deflation.T])
     else:
@@ -407,6 +412,28 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     return op
 
 
+def _recover(op: PrecondOperator, y: np.ndarray):
+    """The scaled solution ``x_s = M (y + W (W^T c - U^T y))`` of a
+    deflated solution y, the residual ``r = Z x_s - b`` without its
+    component along the exact kernel, and ``|r| / |b|`` (``|r|`` for a
+    zero load)."""
+    system = op.system
+    y = y + op.coarse @ (op.spectral_rhs() @ op.coarse - y @ op.coarse_image)
+    x = op.m_diag * y
+    r = system.matvec(x) - system.rhs
+    # no solution can reduce the load component along the exact kernel
+    r = r - op.kernel @ (op.kernel.T @ r)
+    return x, r, float(np.linalg.norm(r) / (np.linalg.norm(system.rhs) or 1.0))
+
+
+def _check(residual: float, tol: float) -> None:
+    if residual > 10.0 * tol:
+        raise RuntimeError(
+            f"recovered solution residual {residual:.3e} exceeds 10 x {tol:.1e}: "
+            "deflation inconsistent with the assembled system"
+        )
+
+
 def recover_solution(op: PrecondOperator, y: np.ndarray, tol: float = 1e-8):
     """Map a solution of the deflated system back to physical unknowns.
 
@@ -418,42 +445,42 @@ def recover_solution(op: PrecondOperator, y: np.ndarray, tol: float = 1e-8):
     ``(x, relative_residual)`` of the assembled (rescaled) system, with the
     residual measured orthogonally to the gauge kernel.
     """
-    system = op.system
-    y = np.asarray(y, dtype=float)
-    y = y + op.coarse @ (op.spectral_rhs() @ op.coarse - y @ op.coarse_image)
-    x = op.m_diag * y
-    r = system.matvec(x) - system.rhs
-    # no solution can reduce the load component along the exact kernel
-    r = r - op.kernel @ (op.kernel.T @ r)
-    residual = float(np.linalg.norm(r) / np.linalg.norm(system.rhs))
-    if residual > 10.0 * tol:
-        raise RuntimeError(
-            f"recovered solution residual {residual:.3e} exceeds 10 x {tol:.1e}: "
-            "deflation inconsistent with the assembled system"
-        )
-    return unscale_solution(system, x), residual
+    x, _, residual = _recover(op, np.asarray(y, dtype=float))
+    _check(residual, tol)
+    return x * op.system.scale_vector(), residual
 
 
-def solve(
-    system: BlockSystem,
-    meshes: list[TriangleMesh],
-    tol: float = 1e-8,
-    maxit: int | None = None,
-):
-    """Convenience pipeline: build the operator, run CG, recover the solution.
+def solve(op: PrecondOperator, tol: float = 1e-8, maxit: int | None = None):
+    """Solve for the load on ``op.system.rhs`` with the built operator.
 
-    Returns ``(x, report, residual)`` with x in unscaled physical variables.
-    CG stops on the residual of the preconditioned system, which can sit a
-    small factor below the recovered residual of the assembled system.  When
-    a converged solve misses ``tol`` on the recovered residual, CG runs once
-    more with its tolerance tightened by twice the measured excess.
+    CG on ``P_D A`` stops on the deflated residual, and the recovered
+    residual (:func:`recover_solution`) can sit a factor g above it.  When
+    a converged solve misses ``tol`` there, one correction solve takes the
+    recovered residual ``b - Z x_s`` as its load and ``0.5 tol / (g
+    residual)`` as its CG tolerance, as in iterative refinement (Moler 1967).
+
+    Returns ``(x, report, residual)``, x in unscaled physical variables.
+    ``report`` is the first CG run's with the correction's steps and Ritz
+    extremes merged in.  Raises ``RuntimeError`` beyond 10 x ``tol``, as
+    :func:`recover_solution` does.
     """
-    op = build(system, meshes)
-    rhs_p = op.preconditioned_rhs()
-    y, report = krylov.conjugate_gradient(op.apply, rhs_p, tol=tol, maxit=maxit)
-    x, residual = recover_solution(op, y, tol=tol)
+    y, report = krylov.conjugate_gradient(op.apply, op.preconditioned_rhs(), tol=tol, maxit=maxit)
+    x, r, residual = _recover(op, y)
     if report.converged and residual > tol:
-        cg_tol = 0.5 * tol * tol / residual
-        y, report = krylov.conjugate_gradient(op.apply, rhs_p, tol=cg_tol, maxit=maxit)
-        x, residual = recover_solution(op, y, tol=tol)
-    return x, report, residual
+        g = residual / report.residuals[-1]
+        fix = replace(op, system=replace(op.system, rhs=-r))
+        left = None if maxit is None else maxit - report.iterations
+        dy, more = krylov.conjugate_gradient(
+            fix.apply, fix.preconditioned_rhs(), tol=0.5 * tol / (g * residual), maxit=left
+        )
+        # Z (x_s + dx_s) - b = Z dx_s + r, the residual of the correction
+        dx, _, ratio = _recover(fix, dy)
+        x += dx
+        residual *= ratio
+        report.iterations += more.iterations
+        report.converged = more.converged
+        if more.iterations:  # Ritz values of the same operator
+            report.ritz_min = min(report.ritz_min, more.ritz_min)
+            report.ritz_max = max(report.ritz_max, more.ritz_max)
+    _check(residual, tol)
+    return x * op.system.scale_vector(), report, residual

@@ -151,6 +151,18 @@ def test_rhs_rejects_sources_on_an_interface():
     assert np.all(np.isfinite(assemble_rhs(model, [DipoleSource(inside, [0.0, 0.0, 1.0])])))
 
 
+@pytest.mark.parametrize(
+    "position, moment",
+    [([np.nan, 0.0, 0.3], [0.0, 0.0, 1.0]), ([0.0, 0.0, 0.3], [0.0, np.inf, 1.0])],
+    ids=["nan-position", "inf-moment"],
+)
+def test_dipole_rejects_non_finite_input(position, moment):
+    # a NaN position used to land in the exterior compartment, and a NaN
+    # moment in a load that CG could not break down on
+    with pytest.raises(ValueError, match="must be finite"):
+        DipoleSource(position, moment)
+
+
 def test_on_surface_matches_the_exact_scan_of_every_triangle():
     mesh = make_icosphere(2, 1.0)
     eps = 1e-6 * np.mean(mesh.diameters)

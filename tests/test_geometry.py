@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symmbem.geometry import (
+    _ICO_FACES,
+    _ICO_VERTICES,
     MAX_SUBDIVISIONS,
     NestedModel,
     TriangleMesh,
@@ -39,6 +41,39 @@ def test_icosphere_on_sphere(subdiv, radius):
     norms = np.linalg.norm(mesh.vertices, axis=1)
     assert np.abs(norms - radius).max() < 1e-12 * max(radius, 1.0)
     assert mesh.signed_volume > 0
+
+
+def _loop_icosphere(subdivisions, radius):
+    """Midpoint subdivision one cell at a time, with a dict of the edge
+    midpoints: the reference :func:`make_icosphere` reproduces bit for bit."""
+    verts = [v / np.linalg.norm(v) for v in _ICO_VERTICES]
+    faces = _ICO_FACES.tolist()
+    for _ in range(subdivisions):
+        cache = {}
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    return np.array(verts) * radius, np.array(faces)
+
+
+@pytest.mark.parametrize("subdivisions", range(5))
+def test_icosphere_matches_the_cell_by_cell_loop_bit_for_bit(subdivisions):
+    for radius in (0.87, 0.92, 1.0):
+        vertices, faces = _loop_icosphere(subdivisions, radius)
+        mesh = make_icosphere(subdivisions, radius)
+        assert np.array_equal(mesh.vertices, vertices)
+        assert np.array_equal(mesh.triangles, faces)
 
 
 def test_projection_radius():

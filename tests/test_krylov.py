@@ -50,6 +50,13 @@ def test_cg_breakdown_on_indefinite():
         conjugate_gradient(A, np.array([1.0, 1.0]), tol=1e-10)
 
 
+def test_cg_breaks_down_at_step_1_on_a_nan_load():
+    # the NaN curvature fails the positivity test at once, where CG used to
+    # run to maxit and fail in the Ritz tridiagonal
+    with pytest.raises(BreakdownError, match="= nan is not positive at iteration 1$"):
+        conjugate_gradient(np.eye(3), np.array([np.nan, 1.0, 1.0]))
+
+
 def test_cg_ritz_extremes_approximate_spectrum():
     A = np.diag([1.0, 4.0, 9.0, 16.0])
     _, report = conjugate_gradient(A, np.ones(4), tol=1e-14)
