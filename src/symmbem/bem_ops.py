@@ -26,15 +26,17 @@ triangle, one pass of :func:`_panel_integrals` per batch.
 The regular sweep (disjoint pairs) and the singular sweep (touching pairs)
 cut their triangle pairs into batches of at most ``BATCH_POINT_PAIRS``
 kernel evaluations, in an order fixed by the meshes alone.  Each batch is
-evaluated on the calling thread and added into the matrices in that
+evaluated on the calling thread in arrays of its own, reading only the
+mesh caches and :class:`_Sweep`, and added into the matrices in that
 order.  A batch is dozens of small numpy calls, and a pool of threads
 bought little for its memory: on a 2-core host with one BLAS thread, two
 threads assembled the three-shell head at subdivision 2 no faster than
 one (0.69-0.80 s against 0.67-0.78 s) and at subdivision 3 in 4.9 s
 against 5.9 s, while the second thread's malloc arena raised the peak
-resident memory by 8-9 MB.  On a single surface each unordered triangle pair is integrated once and
-fills both orientations: the single layer is exactly symmetric and the
-adjoint double layer is the exact transpose of the double layer.
+resident memory by 8-9 MB.  On a single surface each unordered triangle
+pair is integrated once and fills both orientations: the single layer is
+exactly symmetric and the adjoint double layer is the exact transpose of
+the double layer.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 #: Kernel evaluations (point pairs) per batch.  Every batch holds as many
 #: triangle pairs as fit in this budget, at least one; the regular sweep
 #: also classifies its tiers in row blocks of at most this many triangle
-#: pairs.  Each batch is evaluated in two float64 workspaces of this length
-#: (1 MB each), allocated once per surface pair and reused.
+#: pairs.  Each batch allocates its own two float64 point-pair arrays of at
+#: most this length (1 MB each) and shares none with another batch.
 #: At 2**18 the sphere subdivision-3 assembly peaked 37 MB higher for no
 #: measurable speed; much smaller batches pay numpy's per-call overhead on
 #: too little work (a closed-form batch holds 32 pairs here).
@@ -92,7 +94,7 @@ BATCH_POINT_PAIRS = 2**17
 #: budget, because its per-pair arrays (corner offsets, heights and
 #: the three kernel results) cost memory whatever its rule.  On the sphere
 #: at subdivision 3, a 3-point batch filled by point pairs alone held
-#: 14 563 pairs and allocated 7.9 MB beyond the workspaces; the cap of
+#: 14 563 pairs and allocated 7.9 MB beyond its point-pair arrays; the cap of
 #: 3 640 pairs brings it to 2.0 MB, next to 2.5 MB for a full 6-point batch.
 MIN_PAIR_POINTS = 36
 #: The near tier whose inner triangle is integrated in closed form
@@ -236,27 +238,13 @@ def assemble_operators(mesh_t: TriangleMesh, mesh_s: TriangleMesh) -> dict[str, 
     }
 
 
-class _Workspace:
-    """Two float64 buffers, allocated at first use and reused by every
-    batch of one surface pair."""
-
-    def __init__(self):
-        self.size = 0
-
-    def buffers(self, shape):
-        n = int(np.prod(shape))
-        if n > self.size:
-            self.a, self.b, self.size = np.empty(n), np.empty(n), n
-        return self.a[:n].reshape(shape), self.b[:n].reshape(shape)
-
-
 def _pair_kernel(r2, tmp, w, w9, scale, h_xy, h_yx):
     """Galerkin integrals of ``1/(4 pi r)`` and of both double-layer kernels
     for a batch of triangle pairs, from the squared distances of their
     quadrature point pairs.
 
     ``r2`` (points x pairs, pairs innermost so that every elementwise step
-    runs along long rows) is consumed; ``tmp`` is a workspace of the same
+    runs along long rows) is consumed; ``tmp`` is scratch of the same
     shape.  ``w`` holds the point-pair weights and ``w9`` the weights times
     the products of the two points' barycentric coordinates, flattened over
     (k, j), so that one small matmul gives the 3 x 3 moments
@@ -296,58 +284,25 @@ def _heights(rel, normals):
     return (rel * normals[:, None, :]).sum(axis=0)
 
 
-@dataclass
-class _Panels:
-    """Constants of the closed-form inner integrals (:func:`_panel_integrals`)
-    per cell of one mesh, component-major with the cell axis last.
-
-    Edge k of a cell is the edge opposite corner k, from corner k + 1 to
-    corner k + 2, with length ``lengths[k]``.  ``dirs`` (3 components x 7 x
-    cells) stacks the unit tangents of the three edges, their in-plane
-    outward normals ``m_k = t_k x n`` and the unit normal n; ``origins``
-    (7 x cells) holds each direction dotted with a corner on its line or
-    plane (the start of edge k, and corner 0 for n), so that one product
-    with a point x gives, relative to the projection of x, the offsets
-    along each edge, the distances to the edge lines and the height of x.
-    """
-
-    dirs: np.ndarray
-    origins: np.ndarray
-    lengths: np.ndarray
-    gram: np.ndarray  # (3, 3, cells): m_j . m_k
-    areas: np.ndarray
-
-    @classmethod
-    def of(cls, mesh):
-        edges = mesh.opposite_edges  # (cells, 3 edges, 3 components)
-        lengths = np.linalg.norm(edges, axis=2)
-        tangents = edges / lengths[:, :, None]
-        normals = mesh.normals[:, None, :]
-        edge_normals = np.cross(tangents, normals)
-        dirs = np.concatenate([tangents, edge_normals, normals], axis=1)
-        starts = mesh.corners[:, [1, 2, 0, 1, 2, 0, 0]]
-        return cls(
-            _component_major(dirs),
-            np.ascontiguousarray((dirs * starts).sum(axis=2).T),
-            np.ascontiguousarray(lengths.T),
-            np.ascontiguousarray(np.einsum("cjd,ckd->jkc", edge_normals, edge_normals)),
-            mesh.areas,
-        )
-
-    def take(self, cells):
-        return _Panels(*(np.take(a, cells, axis=-1) for a in vars(self).values()))
-
-
-def _panel_integrals(x, nx, pan, out=None):
+def _panel_integrals(x, nx, mesh, cells):
     """Integrals over flat triangles, in closed form, at points off them.
 
-    ``x`` (3, q, P) holds q points for each of the P cells in ``pan`` and
-    ``nx`` (3, P) a unit normal per cell at those points; ``out`` is an
-    optional pair of workspaces of shape (7, q, P).  With h the height of
-    x over the plane, ``p_k`` its distance to the line of edge k (positive
-    inside), ``s-``/``s+`` the edge's ends relative to the foot of that
-    distance and ``R0 = sqrt(p_k^2 + h^2)``, the edge terms are
-    ``f_k = asinh(s+/R0) - asinh(s-/R0)`` and the signed solid angle is
+    ``x`` (3, q, P) holds q points for each of the P triangles ``cells`` of
+    ``mesh`` and ``nx`` (3, P) a unit normal per cell at those points.  Edge
+    k of a cell is the edge opposite corner k, from corner k + 1 to corner
+    k + 2.  The constants of each cell are taken from the mesh's caches:
+    ``dirs`` (3 components x 7 x P) stacks the unit tangents of the three
+    edges, their in-plane outward normals ``m_k = t_k x n`` and the unit
+    normal n; ``origins`` (7 x P) holds each direction dotted with a corner
+    on its line or plane (the start of edge k, and corner 0 for n), so that
+    one product with a point x gives, relative to the projection of x, the
+    offsets along each edge, the distances to the edge lines and the height
+    of x.
+
+    With h the height of x over the plane, ``p_k`` its distance to the line
+    of edge k (positive inside), ``s-``/``s+`` the edge's ends relative to
+    the foot of that distance and ``R0 = sqrt(p_k^2 + h^2)``, the edge terms
+    are ``f_k = asinh(s+/R0) - asinh(s-/R0)`` and the signed solid angle is
     ``W = 2 atan2(2 A h, R_0 R_1 R_2 + sum_k R_k (r_{k+1} . r_{k+2}))``
     (van Oosterom and Strackee 1983), with ``r_k`` the corners relative
     to x.  Returns, each of shape (q, P) or (3, q, P):
@@ -363,15 +318,23 @@ def _panel_integrals(x, nx, pan, out=None):
     of p and h, so that points on an edge line away from the edge stay
     finite.
     """
-    shape = (7,) + x.shape[1:]
-    rel, tmp = out if out is not None else (np.empty(shape), np.empty(shape))
-    np.multiply(x[0][None], pan.dirs[0][:, None, :], out=rel)
+    edges = mesh.opposite_edges[cells]  # (P, 3 edges, 3 components)
+    normals = mesh.normals[cells][:, None, :]
+    lengths = np.linalg.norm(edges, axis=2)
+    tangents = edges / lengths[:, :, None]
+    edge_normals = np.cross(tangents, normals)
+    dirs = np.concatenate([tangents, edge_normals, normals], axis=1)
+    origins = _component_major((dirs * mesh.corners[cells][:, [1, 2, 0, 1, 2, 0, 0]]).sum(axis=2))
+    gram = np.ascontiguousarray(np.einsum("cjd,ckd->jkc", edge_normals, edge_normals))  # m_j . m_k
+    dirs = _component_major(dirs)
+    lengths = _component_major(lengths)[:, None, :]
+    rel, tmp = np.empty((2, 7) + x.shape[1:])
+    np.multiply(x[0][None], dirs[0][:, None, :], out=rel)
     for c in (1, 2):
-        np.multiply(x[c][None], pan.dirs[c][:, None, :], out=tmp)
+        np.multiply(x[c][None], dirs[c][:, None, :], out=tmp)
         np.add(rel, tmp, out=rel)
-    np.subtract(pan.origins[:, None, :], rel, out=rel)
+    np.subtract(origins[:, None, :], rel, out=rel)
     sm, p, h = rel[:3], rel[3:6], -rel[6]
-    lengths = pan.lengths[:, None, :]
     sp = sm + lengths
     r0 = np.sqrt(p * p + h * h)
     np.maximum(r0, np.finfo(float).eps * lengths, out=r0)
@@ -379,13 +342,13 @@ def _panel_integrals(x, nx, pan, out=None):
     r0 *= r0
     corner = np.sqrt(sm * sm + r0)[[2, 0, 1]]  # |c_k - x|: corner k starts edge k - 1
     den = corner[0] * corner[1] * corner[2] + (corner * (sm * sp + r0)).sum(axis=0)
-    area2 = 2.0 * pan.areas
+    area2 = 2.0 * mesh.areas[cells]
     w = 2.0 * np.arctan2(area2 * h, den)
     s = (p * f).sum(axis=0) - h * w
-    gf = (pan.gram[:, :, None, :] * f[None]).sum(axis=1)
+    gf = (gram[:, :, None, :] * f[None]).sum(axis=1)
     d = (p * w + h * gf) * (lengths / area2)
-    mn = (pan.dirs[:, 3:6] * nx[:, None, :]).sum(axis=0)
-    ds = -(mn[:, None, :] * f).sum(axis=0) - (pan.dirs[:, 6] * nx).sum(axis=0) * w
+    mn = (dirs[:, 3:6] * nx[:, None, :]).sum(axis=0)
+    ds = -(mn[:, None, :] * f).sum(axis=0) - (dirs[:, 6] * nx).sum(axis=0) * w
     return s, w, d, ds
 
 
@@ -407,10 +370,11 @@ def _batch_slices(n_pairs, n_points):
 
 
 class _Sweep:
-    """What the batches of one surface pair read: their workspace, the
-    vertices of both meshes in one component-major array, those of
-    ``mesh_s`` after those of ``mesh_t`` unless they are one mesh, and the
-    component-major cell normals and the cell areas of each."""
+    """What the batches of one surface pair read besides their own arrays
+    and the mesh caches: the vertices of both meshes in one component-major
+    array, those of ``mesh_s`` after those of ``mesh_t`` unless they are one
+    mesh, and the component-major cell normals and the cell areas of each.
+    Nothing here is written after construction."""
 
     def __init__(self, mesh_t, mesh_s):
         same = mesh_t is mesh_s
@@ -420,7 +384,6 @@ class _Sweep:
         self.normals_t = _component_major(mesh_t.normals)
         self.normals_s = self.normals_t if same else _component_major(mesh_s.normals)
         self.areas_t, self.areas_s = mesh_t.areas, mesh_s.areas
-        self.workspace = _Workspace()
 
 
 def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
@@ -441,7 +404,7 @@ def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
     pmap, w, w9 = rule
     e = np.take(sweep.vertices, np.concatenate([ca.T, cb.T + sweep.offset]), axis=1)
     e -= e[:, :1]  # (3 components, 6 corners, pairs), from the first corner
-    r2, tmp = sweep.workspace.buffers((len(pmap), len(pa)))
+    r2, tmp = np.empty((2, len(pmap), len(pa)))
     for k in range(3):
         dst = r2 if k == 0 else tmp
         np.matmul(pmap, e[k], out=dst)
@@ -518,14 +481,10 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, sweep):
     rules = {r: _pair_rule(*quad.tensor_pair_rule(r)) for r in tiers if r != CLOSED_FORM_TIER}
     tri_t, tri_s = mesh_t.triangles, mesh_s.triangles
     outer_bary, outer_w = quad.collapsed_rule(OUTER_ORDER)
-    panels = _Panels.of(mesh_s)
 
     def closed_batch(rows, cols):
         x = outer_bary @ np.take(sweep.vertices, tri_t[rows].T, axis=1)  # (3, q, pairs)
-        s, _, d, ds = _panel_integrals(
-            x, np.take(sweep.normals_t, rows, axis=1), panels.take(cols),
-            sweep.workspace.buffers((7,) + x.shape[1:]),
-        )
+        s, _, d, ds = _panel_integrals(x, np.take(sweep.normals_t, rows, axis=1), mesh_s, cols)
         scale = sweep.areas_t[rows] / FOUR_PI
         s = (outer_w @ s) * scale
         d = np.matmul(outer_w, d) * scale

@@ -447,12 +447,14 @@ class NestedModel:
             )
         for k in range(n - 1):
             inner, outer = self.surfaces[k], self.surfaces[k + 1]
-            ci, ri = inner.bounding_sphere
+            # a vertex at or beyond the outer bounding sphere cannot be inside
+            # the outer surface; the inner bounding sphere may well reach
+            # past it when the vertices are unevenly spread
             co, ro = outer.bounding_sphere
-            if np.linalg.norm(ci - co) + ri >= ro:
+            if np.linalg.norm(inner.vertices - co, axis=1).max() >= ro:
                 problems.append(
                     MeshViolation(
-                        "nesting", (k,), f"bounding sphere of surface {k} not inside surface {k + 1}"
+                        "nesting", (k,), f"surface {k} meets the bounding sphere of surface {k + 1}"
                     )
                 )
                 continue

@@ -253,8 +253,9 @@ PANEL_POINTS = {
 def test_panel_integrals_match_independent_references(where):
     points = PANEL_POINTS[where]
     nx = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
-    panels = bem_ops._Panels.of(_single_cell(PANEL))
-    s, w, d, ds = bem_ops._panel_integrals(points.T[:, :, None], nx[:, None], panels)
+    s, w, d, ds = bem_ops._panel_integrals(
+        points.T[:, :, None], nx[:, None], _single_cell(PANEL), np.arange(1)
+    )
     s, w, d, ds = s[:, 0], w[:, 0], d[:, :, 0].T, ds[:, 0]
     assert all(np.isfinite(a).all() for a in (s, w, d, ds))
     potential = np.array([triangle_potential(x, PANEL) for x in points])
@@ -270,11 +271,10 @@ def test_panel_integrals_match_independent_references(where):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solid_angles_of_a_closed_surface(sphere2):
-    panels = bem_ops._Panels.of(sphere2)
     nc = sphere2.num_triangles
     for point, total in (([0.1, -0.2, 0.3], -FOUR_PI), ([1.2, 0.4, -0.1], 0.0)):
         x = np.broadcast_to(np.array(point)[:, None, None], (3, 1, nc))
-        _, w, _, _ = bem_ops._panel_integrals(x, np.zeros((3, nc)), panels)
+        _, w, _, _ = bem_ops._panel_integrals(x, np.zeros((3, nc)), sphere2, np.arange(nc))
         assert abs(w.sum() - total) <= 1e-12
 
 
@@ -298,26 +298,33 @@ def test_assembly_is_bitwise_equal_across_calls(shells1):
 
 
 @pytest.fixture
-def workspace_shapes(monkeypatch):
-    """The shape of every batch workspace requested while the test runs."""
+def batch_shapes(monkeypatch):
+    """The shape of the point-pair arrays of every batch evaluated while the
+    test runs: (points, pairs) for a tensor-rule batch and (7, outer points,
+    pairs) for a closed-form batch."""
     shapes = []
-    buffers = bem_ops._Workspace.buffers
+    pair_kernel, panel_integrals = bem_ops._pair_kernel, bem_ops._panel_integrals
 
-    def spy(self, shape):
-        shapes.append(shape)
-        return buffers(self, shape)
+    def pair_spy(r2, *args):
+        shapes.append(r2.shape)
+        return pair_kernel(r2, *args)
 
-    monkeypatch.setattr(bem_ops._Workspace, "buffers", spy)
+    def panel_spy(x, *args):
+        shapes.append((7,) + x.shape[1:])
+        return panel_integrals(x, *args)
+
+    monkeypatch.setattr(bem_ops, "_pair_kernel", pair_spy)
+    monkeypatch.setattr(bem_ops, "_panel_integrals", panel_spy)
     return shapes
 
 
-def test_batches_honour_the_point_pair_budget(shells1, monkeypatch, workspace_shapes):
-    shapes = workspace_shapes
+def test_batches_honour_the_point_pair_budget(shells1, monkeypatch, batch_shapes):
+    shapes = batch_shapes
     inner, middle = shells1[:2]
     pairs = ((inner, inner), (inner, middle))
     reference = [assemble_operators(*pair) for pair in pairs]
     assert max(np.prod(s) for s in shapes) <= bem_ops.BATCH_POINT_PAIRS
-    # closed-form workspaces are (7, outer points, pairs), and a pair counts
+    # closed-form batch arrays are (7, outer points, pairs), and a pair counts
     # as the outer rule squared against the budget
     q = len(quad.collapsed_rule(bem_ops.OUTER_ORDER)[1])
     closed = [s for s in shapes if s[:2] == (7, q)]
@@ -334,7 +341,7 @@ def test_batches_honour_the_point_pair_budget(shells1, monkeypatch, workspace_sh
         for tag in TAGS:
             a, b = small[tag].matrix, ref[tag].matrix
             assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), tag
-    # workspace shapes are (points..., pairs)
+    # batch array shapes are (points..., pairs)
     assert all(np.prod(s) <= budget or s[-1] == 1 for s in shapes)
     composite = [s for s in shapes if np.prod(s[:-1]) >= budget]
     assert composite and all(s[-1] == 1 for s in composite)
@@ -342,21 +349,21 @@ def test_batches_honour_the_point_pair_budget(shells1, monkeypatch, workspace_sh
     assert closed and all(s[-1] == 1 for s in closed)
 
 
-def test_regular_batches_honour_the_triangle_pair_cap(sphere2, monkeypatch, workspace_shapes):
+def test_regular_batches_honour_the_triangle_pair_cap(sphere2, monkeypatch, batch_shapes):
     # a budget small enough for the far-field 3-point tier to reach the
     # cap; point pairs alone would let each of its batches hold four times
     # as many triangle pairs
     reference = assemble_operators(sphere2, sphere2)
-    workspace_shapes.clear()
+    batch_shapes.clear()
     budget = 2**12
     monkeypatch.setattr(bem_ops, "BATCH_POINT_PAIRS", budget)
     small = assemble_operators(sphere2, sphere2)
     for tag in TAGS:
         a, b = small[tag].matrix, reference[tag].matrix
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), tag
-    # tensor-rule workspaces are (point pairs, triangle pairs), the far tier's
+    # tensor-rule batch arrays are (point pairs, triangle pairs), the far tier's
     # 3 x 3 point pairs included
-    tensor = [s for s in workspace_shapes if len(s) == 2]
+    tensor = [s for s in batch_shapes if len(s) == 2]
     caps = [max(1, budget // max(points, bem_ops.MIN_PAIR_POINTS)) for points, _ in tensor]
     assert all(s[-1] <= cap for s, cap in zip(tensor, caps))
     far = [pairs for points, pairs in tensor if points == len(quad.TRI_RULES[3][1]) ** 2]

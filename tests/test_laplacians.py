@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 import scipy.linalg
 import scipy.sparse as sp
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from symmbem.formulation import DipoleSource
-from symmbem.geometry import make_icosphere
 from symmbem.oracle import (
     SphereSpec,
     dipole_unbounded,

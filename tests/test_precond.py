@@ -280,6 +280,27 @@ def test_a_block_that_spans_the_surface_runs_no_inverse_iteration(subdivisions):
     assert np.abs(residual).max() <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "radius, count, tol",
+    [(1.0, precond.VERTEX_MODES, 1e-6), (0.92, precond.CELL_MODES, 2e-2)],
+    ids=["vertex-modes", "cell-modes"],
+)
+def test_inverse_iteration_spans_the_lowest_modes_at_subdivision_3(radius, count, tol):
+    # at 642 vertices the block is iterated for MODE_STEPS steps: its 25
+    # columns bring the 9 modes through degree 2 to 4.3e-7 of the exact
+    # span, its 169 columns the 121 through degree 10 only to 1.09e-2
+    mesh = make_icosphere(3, radius)
+    lap, gram = primal_laplace_beltrami(mesh), gram_p1(pyramid_space(mesh))
+    modes = precond._surface_modes(precond._primal_solver(mesh, lap), lap, gram, count)
+    assert modes.shape == (mesh.num_vertices, count)
+    vals, vecs = eigh(lap.toarray(), gram.toarray())
+    # the cut splits no cluster of the discrete spectrum here
+    below = vecs[:, vals < vals[count] * (1 - 1e-8)]
+    assert below.shape[1] == count
+    residual = below - modes @ (modes.T @ (gram @ below))
+    assert np.abs(residual).max() <= tol
+
+
 def test_a_surface_without_cell_rows_runs_the_small_mode_iteration(monkeypatch):
     # the insulated sphere has one vertex block and no cell block, so its
     # inverse iteration carries 25 columns, the modes up to degree 4
@@ -359,6 +380,27 @@ def test_solve_matches_layered_sphere_series(shells1):
     outer = meshes[-1]
     v = x[system.layout.v_slice(len(meshes) - 1)]
     ref = layered_sphere_potential(SphereSpec(RADII, SIGMA), dipole, outer.vertices)
+    rdm, mag = _rdm_mag(v, ref)
+    assert rdm < 0.025
+    assert abs(mag - 1.0) < 0.2
+
+
+def test_graded_inner_shell_is_nested_and_solves_to_the_layered_sphere_series():
+    # the inner shell keeps the 0.87 sphere but crowds its vertices towards
+    # +x (cell area ratio 2.65): its vertex mean moves to x = 0.116, so its
+    # bounding sphere reaches past the 0.92 shell's although every vertex
+    # lies inside it
+    unit = make_icosphere(2, 1.0)
+    shifted = unit.vertices + [0.2, 0.0, 0.0]
+    inner = TriangleMesh(0.87 * shifted / np.linalg.norm(shifted, axis=1)[:, None], unit.triangles)
+    meshes = [inner] + [make_icosphere(2, r) for r in RADII[1:]]
+    assert NestedModel(meshes, SIGMA).validate() == []
+    system = _system(meshes)
+    x, report, residual = precond.solve(precond.build(system, meshes))
+    assert report.converged
+    assert residual <= 1e-8
+    v = x[system.layout.v_slice(len(meshes) - 1)]
+    ref = layered_sphere_potential(SphereSpec(RADII, SIGMA), DIPOLE, meshes[-1].vertices)
     rdm, mag = _rdm_mag(v, ref)
     assert rdm < 0.025
     assert abs(mag - 1.0) < 0.2
