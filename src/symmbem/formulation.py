@@ -93,10 +93,13 @@ def system_layout(model: NestedModel) -> SystemLayout:
 class BlockSystem:
     """Dense symmetric transmission matrix with layout and scaling record.
 
-    ``matrix`` is a full, C-ordered N x N array that is kept exactly
-    symmetric; every product with it on the solve path goes through
-    :meth:`matvec`.  ``scale`` is the diagonal of the conductivity scaling
-    applied to it, one factor per unknown, or None while unscaled.
+    ``matrix`` is a C-ordered N x N array that holds Z on and below its
+    diagonal; every product with Z goes through :meth:`matvec`, which reads
+    only there.  Assembly and rescaling leave the array exactly symmetric.
+    After :func:`symmbem.precond.build` its strict upper triangle belongs
+    to the operator that build formed, so a system holds one operator at a
+    time.  ``scale`` is the diagonal of the conductivity scaling applied to
+    Z, one factor per unknown, or None while unscaled.
     """
 
     matrix: np.ndarray
@@ -111,8 +114,8 @@ class BlockSystem:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``Z @ x`` by :func:`~symmbem.krylov.symmetric_matvec`: one BLAS
-        ``dsymv`` for a vector, which reads one triangle of Z, or one
-        ``dgemm`` for a block of columns.  Z is kept exactly symmetric."""
+        ``dsymv`` for a vector or one ``dsymm`` for a block of columns, both
+        on the array's lower triangle."""
         return symmetric_matvec(self.matrix, x)
 
     def scale_vector(self) -> np.ndarray:

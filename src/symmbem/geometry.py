@@ -348,8 +348,9 @@ def winding_number(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     omega = np.zeros(len(points))
     corners = mesh.corners
-    # Chunk over triangles to bound memory on fine meshes.
-    chunk = max(1, int(2e6) // max(len(points), 1))
+    # Chunk over triangles to bound memory on fine meshes: about 40 MB of
+    # temporaries per 2**18 point-triangle pairs.
+    chunk = max(1, 2**18 // max(len(points), 1))
     for start in range(0, len(corners), chunk):
         c = corners[start : start + chunk]
         a = c[None, :, 0, :] - points[:, None, :]
@@ -451,15 +452,17 @@ class NestedModel:
             # the outer surface; the inner bounding sphere may well reach
             # past it when the vertices are unevenly spread
             co, ro = outer.bounding_sphere
-            if np.linalg.norm(inner.vertices - co, axis=1).max() >= ro:
+            distance = np.linalg.norm(inner.vertices - co, axis=1)
+            if distance.max() >= ro:
                 problems.append(
                     MeshViolation(
                         "nesting", (k,), f"surface {k} meets the bounding sphere of surface {k + 1}"
                     )
                 )
                 continue
-            sample = inner.vertices[:: max(1, inner.num_vertices // 32)]
-            w = winding_number(outer, sample)
+            # a vertex inside the outer surface's inscribed ball is inside it;
+            # every other vertex takes the winding number
+            w = winding_number(outer, inner.vertices[distance >= outer.inscribed_radius])
             if np.any(np.abs(w - 1.0) > 0.1):
                 problems.append(
                     MeshViolation(

@@ -3,8 +3,8 @@
 CG also returns the extreme Ritz values of its Lanczos tridiagonal, an
 estimate of the operator's extreme eigenvalues.  All routines accept
 either a dense symmetric matrix or a callable ``x -> A @ x``; a dense
-matrix is multiplied with :func:`symmetric_matvec`, which reads one
-triangle of it.  Dot products use numpy's sequential reductions, so
+matrix is multiplied with :func:`symmetric_matvec`, which reads it on and
+below the diagonal.  Dot products use numpy's sequential reductions, so
 iteration counts are reproducible run to run.
 """
 
@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import dsymv
+from scipy.linalg.blas import dsymm, dsymv
 
 
 class BreakdownError(RuntimeError):
@@ -34,24 +34,28 @@ class SolveReport:
     ritz_max: float | None = None
 
 
-def symmetric_matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``matrix @ x`` for a C-ordered symmetric float64 array.
+def symmetric_matvec(matrix: np.ndarray, x: np.ndarray, upper: bool = False) -> np.ndarray:
+    """``S @ x`` for the symmetric matrix S that the C-ordered float64 array
+    ``matrix`` holds on and below its diagonal, or with ``upper`` on and
+    above it.  The other strict triangle is never read and may hold
+    anything else.
 
-    A vector takes one BLAS ``dsymv`` on ``matrix.T``, the Fortran-ordered
-    view of the array, so BLAS receives it without a copy (the array
-    itself would be copied on every call).  ``dsymv`` reads one triangle
-    and trusts the other to mirror it, so the array must be exactly
-    symmetric.  A 2-D ``x`` is a block of columns and takes one ``dgemm``
-    with the full array, which streams it once for the whole block.
+    BLAS receives ``matrix.T``, the Fortran-ordered view of the array,
+    without a copy (the array itself would be copied on every call); the
+    view's upper triangle is the array's lower one.  A vector takes one
+    ``dsymv``.  A 2-D ``x`` is a block of columns and takes one ``dsymm``,
+    which streams the array once for the whole block and returns a
+    C-ordered array.
     """
+    lower = int(upper)
     if x.ndim == 2:
-        return matrix @ x
-    return dsymv(1.0, matrix.T, x)
+        return dsymm(1.0, matrix.T, x.T, side=1, lower=lower).T
+    return dsymv(1.0, matrix.T, x, lower=lower)
 
 
 def _as_matvec(A):
-    """A callable as given; a dense array, which must be symmetric (only one
-    triangle is read), as :func:`symmetric_matvec`."""
+    """A callable as given; a dense array as the symmetric matrix on and
+    below its diagonal, as :func:`symmetric_matvec`."""
     if callable(A):
         return A
     return partial(symmetric_matvec, np.ascontiguousarray(A, dtype=float))

@@ -38,18 +38,23 @@ stored A-orthonormal (``W^T A W = I``) beside ``U = A W``, so
 ``W (W^T c - U^T y)``.
 
 Many right-hand sides share one head model, so :func:`build` forms
-``P_D A`` once, as one dense, exactly symmetric N x N array.  It is
-formed on its lower triangle: half of ``M Z P Z M`` by block products,
-then the gauge and coarse corrections as in-place BLAS rank updates
-(``dsyr2k``, ``dsyrk``) of that triangle, and one mirror at the end.
-That costs about N^3 flops plus the sparse Laplacian maps on N columns
-(about 0.1 s at N = 1126 on one BLAS thread) and N^2 doubles beside Z;
-:func:`build` raises ``MemoryError`` before allocating when Z and the
-formed operator exceed the memory available.  Each CG step is then one
-BLAS ``dsymv`` (:func:`~symmbem.krylov.symmetric_matvec`, which reads one
-triangle), where applying the factors one by one would take two products
-with Z, the sparse Laplacian maps, the gauge projections and the coarse
-products.
+``P_D A`` once, in the system's own N x N array: Z stays on and below the
+diagonal, where every product with Z reads it, and ``P_D A`` goes
+strictly above it, its diagonal kept as a vector (the idea of LAPACK's
+packed layouts; Gustavson, Wasniewski, Dongarra and Langou 2010).  So a
+system holds one operator at a time.  Half of ``M Z P Z M`` is formed by
+block products, then the gauge and coarse corrections as in-place BLAS
+rank updates (``dsyr2k``, ``dsyrk``) of the upper triangle, with the
+operator's diagonal swapped in for them and Z's restored bit for bit
+afterwards.  That costs about N^3 flops plus the sparse Laplacian maps on
+N columns (about 0.1 s at N = 1126 on one BLAS thread) and no second N x N
+array: dense storage is 8 N^2 bytes, not 16 N^2.  :func:`build` raises
+``MemoryError`` before allocating when what it does allocate, the N x T
+coarse arrays, exceeds the memory available.  Each CG step is then one
+BLAS ``dsymv`` on the upper triangle plus the difference of the two
+diagonals times x (:meth:`PrecondOperator.apply`), where applying the
+factors one by one would take two products with Z, the sparse Laplacian
+maps, the gauge projections and the coarse products.
 
 :func:`solve` runs CG on a built operator and recovers the solution; a
 recovered residual above ``tol`` takes one correction solve on that
@@ -64,7 +69,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
-from scipy.linalg.blas import dsymm, dsyr2k, dsyrk
+from scipy.linalg.blas import dsyr2k, dsyrk
 from scipy.sparse.linalg import splu
 
 from . import formulation, krylov
@@ -92,13 +97,15 @@ CHUNK = 64
 class PrecondOperator:
     """The deflated preconditioned operator ``P_D A``, formed once.
 
-    ``matrix`` is ``P_D A`` as a dense, exactly symmetric N x N array.
-    ``deflation`` is the orthonormal gauge basis that ``P_g`` projects
-    out.  ``kernel`` is that basis mapped back through M, the exact kernel
-    of the assembled system that :func:`recover_solution` removes from the
-    residual.  ``coarse`` is the A-orthonormal coarse basis W and
-    ``coarse_image`` is ``U = A W``, so the spectral operator A is
-    ``matrix + U U^T``; with empty coarse arrays ``matrix`` is A itself.
+    ``matrix`` is the system's array, with ``P_D A`` strictly above its
+    diagonal and Z on and below it; ``diagonal`` is the diagonal of
+    ``P_D A``.  ``deflation`` is the orthonormal gauge basis that ``P_g``
+    projects out.  ``kernel`` is that basis mapped back through M, the
+    exact kernel of the assembled system that :func:`recover_solution`
+    removes from the residual.  ``coarse`` is the A-orthonormal coarse
+    basis W and ``coarse_image`` is ``U = A W``, so the spectral operator A
+    is ``P_D A + U U^T``; with empty coarse arrays the array holds A
+    itself.
     """
 
     system: BlockSystem
@@ -109,9 +116,18 @@ class PrecondOperator:
     kernel: np.ndarray
     coarse: np.ndarray
     coarse_image: np.ndarray
-    matrix: np.ndarray
+    diagonal: np.ndarray
+    # diagonal minus the array's, which holds Z's
+    _shift: np.ndarray = field(init=False, repr=False, compare=False)
     # c with the right-hand side array it was formed from
     _load: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._shift = self.diagonal - np.diagonal(self.matrix)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.system.matrix
 
     @property
     def size(self) -> int:
@@ -135,9 +151,13 @@ class PrecondOperator:
         return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``P_D A x``: one BLAS ``dsymv`` for a vector, one ``dgemm`` for a
-        block of columns."""
-        return krylov.symmetric_matvec(self.matrix, np.asarray(x, dtype=float))
+        """``P_D A x``: one BLAS ``dsymv`` for a vector, one ``dsymm`` for a
+        block of columns, on the array's upper triangle, whose diagonal is
+        Z's; the difference of the diagonals then corrects it."""
+        x = np.asarray(x, dtype=float)
+        y = krylov.symmetric_matvec(self.matrix, x, upper=True)
+        y += (self._shift if x.ndim == 1 else self._shift[:, None]) * x
+        return y
 
     def spectral_rhs(self) -> np.ndarray:
         """``c = P_g M Z P b``, the right-hand side of ``A y = c``.
@@ -255,13 +275,6 @@ def _surface_modes(solver, lap: sp.csr_matrix, gram: sp.csr_matrix, count: int) 
     return x @ ritz[:, : min(count, n - 1)]
 
 
-def _lower_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for the symmetric array ``a`` stored on its lower
-    triangle: one BLAS ``dsymm`` on the Fortran views ``a.T`` and ``x.T``,
-    which copies neither, and returns a C-ordered array."""
-    return dsymm(1.0, a.T, x.T, side=1, lower=0).T
-
-
 def _mirror_lower(a: np.ndarray) -> None:
     """Copy the lower triangle of the square array ``a`` onto its upper
     triangle, in row chunks, so that ``a`` is exactly symmetric."""
@@ -274,33 +287,42 @@ def _mirror_lower(a: np.ndarray) -> None:
 
 
 def _form_spectral(op: PrecondOperator) -> None:
-    """Form the lower triangle of the spectral operator
-    ``A = P_g M Z P Z M P_g`` in ``op.matrix``.
+    """Form the spectral operator ``A = P_g M Z P Z M P_g`` on and above
+    the diagonal of ``op.matrix``; the caller keeps Z's diagonal.
 
-    ``B = M Z P Z M`` is symmetric, so only its lower triangle is computed,
-    in chunks of rows.  Z is symmetric, so a chunk of columns of ``Z M``
-    is a scaled chunk of rows of Z; with ``Y = P (Z M)[:, rows]`` the
-    chunk is ``B[rows, :r1] = (Y^T @ Z[:r1].T) * m[:r1]``, and the chunks
-    add up to half of one N x N x N product.  The gauge projections enter
-    as the rank-2 correction ``P_g B P_g = B - Q R^T - R Q^T`` with
+    ``B = M Z P Z M`` is symmetric, so only its upper triangle is computed,
+    in chunks of columns, from the last chunk to the first.  Z is first
+    mirrored onto the upper triangle, and a chunk overwrites only columns
+    that no later chunk reads.  With ``Y = P (Z M)[:, cols]``, the chunk is
+    ``B[:r1, cols] = m[:r1] * (Z[:, :r1]^T Y)``, one product with the
+    columns ``:r1`` of the array, and the chunks add up to half of one
+    N x N x N product.  Its diagonal goes to a vector and onto the array's
+    diagonal at the end.  The gauge projections enter as the rank-2
+    correction ``P_g B P_g = B - Q R^T - R Q^T`` with
     ``R = B Q - Q (Q^T B Q) / 2``: one ``dsyr2k`` on the Fortran view
-    ``op.matrix.T``, whose upper triangle is the lower triangle of the
-    array, in place and without a copy.  The upper triangle is left
-    unset.
+    ``op.matrix.T``, whose lower triangle is the upper triangle of the
+    array, in place and without a copy.
     """
-    z, m, a = op.system.matrix, op.m_diag, op.matrix
+    a, m = op.matrix, op.m_diag
     n = len(m)
-    for r0 in range(0, n, CHUNK):
+    _mirror_lower(a)
+    diagonal = np.empty(n)
+    strict = np.triu(np.ones((CHUNK, CHUNK), dtype=bool), 1)
+    for r0 in reversed(range(0, n, CHUNK)):
         r1 = min(r0 + CHUNK, n)
-        y = op.apply_p(z[r0:r1].T * m[r0:r1])
-        block = a[r0:r1, :r1]
-        np.matmul(y.T, z[:r1].T, out=block)
-        block *= m[:r1]
+        y = op.apply_p(a[:, r0:r1] * m[r0:r1])
+        chunk = y.T @ a[:, :r1]  # B[:r1, r0:r1] transposed
+        chunk *= m[:r1]
+        a[:r0, r0:r1] = chunk[:, :r0].T
+        d = chunk[:, r0:].T
+        np.copyto(a[r0:r1, r0:r1], d, where=strict[: r1 - r0, : r1 - r0])
+        diagonal[r0:r1] = np.diagonal(d)
+    np.fill_diagonal(a, diagonal)
     q = op.deflation
     if q.shape[1]:
-        v = _lower_product(a, q)
+        v = krylov.symmetric_matvec(a, q, upper=True)
         r = v - 0.5 * q @ (q.T @ v)
-        dsyr2k(-1.0, q.T, r.T, beta=1.0, c=a.T, trans=1, lower=0, overwrite_c=1)
+        dsyr2k(-1.0, q.T, r.T, beta=1.0, c=a.T, trans=1, lower=1, overwrite_c=1)
 
 
 def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +338,7 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
     back through ``1/m_diag`` and the gauge projector.  When the gauge is
     deflated, the constants of all vertex blocks span it, so the outermost
     vertex block drops its constant mode.  ``A W`` is one ``dsymm`` with
-    the lower triangle of the formed A.  ``E = W^T A W`` is factored by
+    the upper triangle of the formed A.  ``E = W^T A W`` is factored by
     eigendecomposition with a curvature cut-off: directions with
     eigenvalue at most 1e-12 of the largest are dropped, as
     :func:`krylov.orthonormal_columns` drops dependent columns.
@@ -337,13 +359,14 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
         col += phi.shape[1]
     del blocks, phi  # the cell-averaged copies
 
-    # W and A W stay the only N x T arrays: everything else is a chunk, and
-    # of the T x T arrays only the eigenvectors outlive eigh, scaled in place
+    # W and A W stay the only N x T arrays: everything else is a chunk.  E
+    # goes to eigh as its Fortran view, which LAPACK overwrites in place, so
+    # two T x T arrays are alive at once, and the eigenvectors are scaled
     for c0 in range(0, w.shape[1], CHUNK):
         cols = slice(c0, c0 + CHUNK)
         w[:, cols] = op.project(w[:, cols])
-    aw = _lower_product(op.matrix, w)
-    vals, vecs = eigh(w.T @ aw)
+    aw = krylov.symmetric_matvec(op.matrix, w, upper=True)
+    vals, vecs = eigh((w.T @ aw).T, overwrite_a=True)
     first = np.searchsorted(vals, 1e-12 * vals[-1], side="right")  # vals ascend
     scale = vecs[:, first:]
     scale /= np.sqrt(vals[first:])
@@ -355,30 +378,46 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
     return np.ascontiguousarray(w[:, :k]), np.ascontiguousarray(aw[:, :k])
 
 
+def _build_bytes(layout) -> int:
+    """Bytes :func:`build` allocates at most: W and ``A W`` (N x T), three
+    T x T arrays and four N x ``CHUNK`` temporaries, with T bounded by the
+    modes each surface has.  Z is already allocated, and the operator
+    shares its array."""
+    n = layout.total
+    t = sum(
+        min(VERTEX_MODES, nv - 1) + (min(CELL_MODES, nv - 1) if kept else 0)
+        for nv, kept in zip(layout.v_sizes, layout.p_kept)
+    )
+    return 8 * (2 * n * t + 3 * t * t + 4 * n * CHUNK)
+
+
 def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     """Assemble the diagonal Gram factors, the per-interface Laplacian
     maps, the gauge deflation basis, the recovery kernel basis and the
-    coarse space for a (rescaled) system, and form ``P_D A``.
+    coarse space for a (rescaled) system, and form ``P_D A`` strictly above
+    the diagonal of ``system.matrix``, replacing whatever operator an
+    earlier build left there.
 
     Each surface takes one sparse factorization, the bordered LU of its
     regularized Laplacian: the vertex rows of P apply it, and the inverse
     iteration for its coarse modes runs with it.  The operator is formed
-    on its lower triangle; the coarse correction ``- U U^T`` is one
-    in-place ``dsyrk`` on that triangle, which is then mirrored once.  W
-    and ``A W`` are the only N x T arrays the build holds beside the
-    operator.
+    on the upper triangle with its own diagonal swapped in; the coarse
+    correction ``- U U^T`` is one in-place ``dsyrk`` there, and Z's
+    diagonal goes back, bit for bit, even when the build fails.  W and
+    ``A W`` are the only N x T arrays the build holds, and it allocates no
+    N x N array.
 
     Raises ``MemoryError`` (``formulation.require_memory``) before
-    allocating anything when Z and the formed operator together exceed the
-    memory the process can get.
+    allocating anything when :func:`_build_bytes` exceeds the memory the
+    process can get.
     """
     layout = system.layout
     if len(meshes) != layout.num_interfaces:
         raise ValueError("one mesh per interface required")
     n = layout.total
     formulation.require_memory(
-        2 * 8 * n * n,
-        f"the system matrix and the formed operator for N = {n}, over the memory available",
+        _build_bytes(layout),
+        f"the coarse space of the preconditioner for N = {n}, over the memory available",
     )
 
     m_diag = np.empty(n)
@@ -409,15 +448,19 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     else:
         deflation = kernel = np.zeros((n, 0))
     empty = np.zeros((n, 0))
+    z_diagonal = np.diagonal(system.matrix).copy()
     op = PrecondOperator(system, m_diag, primal_solvers, dual_solvers, deflation, kernel,
-                         empty, empty, np.empty((n, n)))
-    _form_spectral(op)
-    op.coarse, op.coarse_image = _coarse_space(op, meshes, modes)
-    if op.coarse.shape[1]:
-        u = op.coarse_image
-        dsyrk(-1.0, u.T, beta=1.0, c=op.matrix.T, trans=1, lower=0, overwrite_c=1)
-    _mirror_lower(op.matrix)
-    return op
+                         empty, empty, z_diagonal)
+    a = system.matrix
+    try:
+        _form_spectral(op)
+        coarse, coarse_image = _coarse_space(op, meshes, modes)
+        if coarse.shape[1]:
+            dsyrk(-1.0, coarse_image.T, beta=1.0, c=a.T, trans=1, lower=1, overwrite_c=1)
+        diagonal = np.diagonal(a).copy()
+    finally:
+        np.fill_diagonal(a, z_diagonal)
+    return replace(op, coarse=coarse, coarse_image=coarse_image, diagonal=diagonal)
 
 
 def _recover(op: PrecondOperator, y: np.ndarray):

@@ -269,6 +269,27 @@ def test_nested_model_rejects_bad_order():
         NestedModel(meshes, [1.0, 1.0, 0.0])
 
 
+def test_nesting_checks_every_inner_vertex():
+    # vertex 1 pokes through the flat face of the outer surface while staying
+    # inside its bounding sphere; a check that sampled every 5th vertex of
+    # the 162 missed it
+    outer = make_icosphere(2, 1.0)
+    inner = make_icosphere(2, 0.95)
+    centroids = outer.corners.mean(axis=1)
+    directions = centroids / np.linalg.norm(centroids, axis=1)[:, None]
+    face = np.argmax(directions @ inner.vertices[1])
+    assert np.linalg.norm(centroids[face]) < 0.99
+    vertices = inner.vertices.copy()
+    vertices[1] = 0.995 * directions[face]
+    poked = TriangleMesh(vertices, inner.triangles)
+    assert validate(poked) == []
+    model = NestedModel([inner, outer], [1.0, 1.0, 0.0])
+    model.surfaces[0] = poked
+    assert [p.kind for p in model.validate()] == ["nesting"]
+    with pytest.raises(ValueError, match="not strictly inside"):
+        NestedModel([poked, outer], [1.0, 1.0, 0.0])
+
+
 def test_nested_model_rejects_bad_conductivities():
     meshes = [make_icosphere(1, r) for r in (0.8, 1.0)]
     with pytest.raises(ValueError):

@@ -179,3 +179,19 @@ def test_dense_array_takes_the_symmetric_product(solver):
     v = rng.standard_normal(60)
     assert np.array_equal(symmetric_matvec(np.tril(a), v), symmetric_matvec(a, v))
     assert np.linalg.norm(symmetric_matvec(a, v) - a @ v) <= 1e-14 * np.linalg.norm(a @ v)
+
+
+def test_block_products_read_the_triangle_that_vector_products_read():
+    # one array holding two symmetric matrices, one on and below the
+    # diagonal, the other strictly above it with the first one's diagonal
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((40, 40))
+    x = rng.standard_normal((40, 3))
+    for upper, stored in ((False, np.tril(a)), (True, np.triu(a))):
+        full = stored + stored.T - np.diag(np.diag(a))
+        block = symmetric_matvec(a, x, upper)
+        columns = np.column_stack([symmetric_matvec(a, c, upper) for c in x.T])
+        assert block.flags.c_contiguous
+        assert np.linalg.norm(block - columns) <= 1e-14 * np.linalg.norm(columns)
+        assert np.linalg.norm(block - full @ x) <= 1e-14 * np.linalg.norm(full @ x)
+        assert np.array_equal(symmetric_matvec(stored, x, upper), block)

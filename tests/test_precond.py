@@ -39,12 +39,26 @@ def _rdm_mag(v, ref):
     return rdm, np.linalg.norm(v) / np.linalg.norm(ref)
 
 
+def _unpack(op):
+    """Z and ``P_D A`` as full, fresh matrices from the array they share:
+    Z on and below its diagonal, ``P_D A`` above it with ``op.diagonal``."""
+    a = op.matrix
+    z = np.tril(a) + np.tril(a, -1).T
+    pda = np.triu(a, 1)
+    pda += pda.T
+    np.fill_diagonal(pda, op.diagonal)
+    return z, pda
+
+
 def _spectral_only(op):
     """``op`` with an empty coarse space: the spectral operator A alone,
-    ``P_D A + U U^T``."""
+    ``P_D A + U U^T``, on a copy of the system's array."""
     u = op.coarse_image
+    a = _unpack(op)[1] + u @ u.T
+    system = dataclasses.replace(op.system, matrix=np.tril(op.matrix) + np.triu(a, 1))
     empty = op.coarse[:, :0]
-    return dataclasses.replace(op, coarse=empty, coarse_image=empty, matrix=op.matrix + u @ u.T)
+    return dataclasses.replace(op, system=system, coarse=empty, coarse_image=empty,
+                               diagonal=np.diagonal(a).copy())
 
 
 def _iterations(op):
@@ -131,7 +145,7 @@ def test_apply_matches_dense_chain(shells1):
     x = np.random.default_rng(3).standard_normal(op.size)
     deflate = np.eye(op.size) - op.deflation @ op.deflation.T
     m = np.diag(op.m_diag)
-    z = system.matrix
+    z, _ = _unpack(op)
     u = op.coarse_image
     expected = deflate @ (m @ (z @ op.apply_p(z @ (m @ (deflate @ x))))) - u @ (u.T @ x)
     assert np.linalg.norm(op.apply(x) - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -143,7 +157,6 @@ def test_apply_matches_dense_chain(shells1):
 def test_apply_is_one_symmetric_product(shells1, monkeypatch):
     system, meshes, _ = shells1
     op = precond.build(system, meshes)
-    assert np.array_equal(op.matrix, op.matrix.T)
     calls = []
     dsymv = krylov.dsymv
 
@@ -160,13 +173,14 @@ def test_apply_is_one_symmetric_product(shells1, monkeypatch):
     x = np.random.default_rng(4).standard_normal(op.size)
     y = op.apply(x)
     assert len(calls) == 1
-    assert np.linalg.norm(y - op.matrix @ x) <= 1e-14 * np.linalg.norm(y)
+    assert np.linalg.norm(y - _unpack(op)[1] @ x) <= 1e-14 * np.linalg.norm(y)
 
 
-def test_build_refuses_the_formed_operator_beyond_memory(shells1, monkeypatch):
+def test_build_refuses_its_coarse_arrays_beyond_memory(shells1, monkeypatch):
     system, meshes, _ = shells1
     n = system.size
-    monkeypatch.setattr(formulation, "_available_memory", lambda: 2 * 8 * n * n - 1)
+    needed = precond._build_bytes(system.layout)  # Z, which holds the operator too, is not counted
+    monkeypatch.setattr(formulation, "_available_memory", lambda: needed - 1)
     tracemalloc.start()
     try:
         with pytest.raises(MemoryError, match=f"N = {n}, over"):
@@ -174,9 +188,29 @@ def test_build_refuses_the_formed_operator_beyond_memory(shells1, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < needed / 10  # nothing was allocated
+    monkeypatch.setattr(formulation, "_available_memory", lambda: needed)
+    assert precond.build(system, meshes).matrix is system.matrix
+
+
+def test_build_fits_in_the_memory_assembly_needs(monkeypatch):
+    meshes = _shells(2)
+    model = NestedModel(meshes, SIGMA)
+    needed = formulation._dense_bytes(model)
+    n = system_layout(model).total
+    monkeypatch.setattr(formulation, "_available_memory", lambda: needed - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=f"N = {n} exceeds"):
+            assemble_system(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 8 * n * n / 10  # nothing of size N x N was allocated
-    monkeypatch.setattr(formulation, "_available_memory", lambda: 2 * 8 * n * n)
-    assert precond.build(system, meshes).matrix.shape == (n, n)
+    monkeypatch.setattr(formulation, "_available_memory", lambda: needed + 1)
+    system = conductivity_rescale(assemble_system(model))
+    op = precond.build(system, meshes)
+    assert op.matrix is system.matrix and op.coarse.shape[1] > 0
 
 
 def test_build_factors_each_surface_once(shells1, monkeypatch):
@@ -194,10 +228,15 @@ def test_build_factors_each_surface_once(shells1, monkeypatch):
     assert shapes == [(m.num_vertices + 1, m.num_vertices + 1) for m in meshes]
 
 
-def test_build_holds_the_operator_and_its_coarse_arrays_at_most():
-    # the operator is updated in place; W and A W are the only N x T arrays
+@pytest.fixture(scope="module")
+def shells2():
+    """Rescaled three-shell system at subdivision 2 with one dipole load."""
     meshes = _shells(2)
-    system = _system(meshes)
+    return _system(meshes), meshes
+
+
+def _traced_build(system, meshes):
+    """A build and the peak of the memory it traced."""
     precond.build(system, meshes)  # first call outside the trace: caches, BLAS set-up
     tracemalloc.start()
     try:
@@ -205,9 +244,49 @@ def test_build_holds_the_operator_and_its_coarse_arrays_at_most():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return op, peak
+
+
+def test_build_holds_the_operator_and_its_coarse_arrays_at_most(shells2):
+    # the operator is updated in place; W and A W are the only N x T arrays
+    op, peak = _traced_build(*shells2)
     n, t = op.size, op.coarse.shape[1]
     assert t > 0
     assert peak <= 8 * n * n + 3 * 8 * n * t
+
+
+def test_build_allocates_no_n_by_n_array(shells2):
+    # the operator shares Z's array, and eigh overwrites E in place: the
+    # peak is W, A W and two T x T arrays, 6.2 MiB at N = 1126, T = 268
+    op, peak = _traced_build(*shells2)
+    n, t = op.size, op.coarse.shape[1]
+    assert 8 * n * n > 3 * 8 * n * t
+    assert peak <= 3 * 8 * n * t
+
+
+def test_build_leaves_z_bitwise_and_repeats_bitwise(shells1, monkeypatch):
+    system, meshes, _ = shells1
+    x = np.random.default_rng(5).standard_normal(system.size)
+    before = system.matvec(x)
+    z = np.tril(system.matrix)
+    first = precond.build(system, meshes)
+    _, pda = _unpack(first)
+    assert np.array_equal(system.matvec(x), before)
+    assert np.array_equal(np.tril(system.matrix), z)
+    second = precond.build(system, meshes)
+    assert np.array_equal(np.tril(system.matrix), z)
+    assert np.array_equal(_unpack(second)[1], pda)
+    assert np.array_equal(second.coarse, first.coarse)
+    assert np.array_equal(second.apply(x), first.apply(x))
+
+    def failed(*args):
+        raise RuntimeError("coarse space failed")
+
+    # a build that fails after the operator's diagonal went in puts Z's back
+    monkeypatch.setattr(precond, "_coarse_space", failed)
+    with pytest.raises(RuntimeError, match="coarse space failed"):
+        precond.build(system, meshes)
+    assert np.array_equal(np.tril(system.matrix), z)
 
 
 def test_apply_annihilates_the_a_orthonormal_coarse_space(shells1):
@@ -240,20 +319,20 @@ def test_deflated_solution_matches_the_spectral_only_solution(shells1):
     assert np.linalg.norm(deflated - spectral) <= 1e-9 * np.linalg.norm(spectral)
 
 
-def test_cell_rows_take_the_modes_through_degree_10(monkeypatch):
+def test_cell_rows_take_the_modes_through_degree_10(shells2, monkeypatch):
     # the skull's small eigenvalues sit on its cell rows; once P_D A is
     # formed a coarse column costs build work only, so deflating the cell
     # modes through spherical degree 10 instead of 6 is paid for once
-    meshes = _shells(2)
-    system = _system(meshes)
+    system, meshes = shells2
     op = precond.build(system, meshes)
     # 9 modes per vertex block, the outer one without its constant, and
     # 121 per cell block
     assert op.coarse.shape == (op.size, 3 * 9 - 1 + 2 * 121)
+    more = _iterations(op)  # before the next build overwrites the operator
     monkeypatch.setattr(precond, "CELL_MODES", 49)
     fewer = precond.build(system, meshes)
     assert fewer.coarse.shape == (op.size, 124)
-    assert _iterations(op) <= 0.8 * _iterations(fewer)
+    assert more <= 0.8 * _iterations(fewer)
 
 
 @pytest.mark.parametrize("subdivisions", [1, 2])
@@ -334,7 +413,7 @@ def test_coarse_space_is_bitwise_equal_across_builds():
     for _ in range(3):
         meshes = [make_icosphere(1, r) for r in RADII]
         op = precond.build(_system(meshes), meshes)
-        builds.append((op.coarse, op.coarse_image, op.matrix))
+        builds.append((op.coarse, op.coarse_image, *_unpack(op)))
     for arrays in builds[1:]:
         for a, b in zip(arrays, builds[0]):
             assert np.array_equal(a, b)
@@ -369,7 +448,8 @@ def test_recovery_kernel_is_the_assembled_kernel(shells1):
     k = op.kernel
     assert k.shape == (op.size, 1)
     assert np.allclose(k.T @ k, np.eye(1), atol=1e-15)
-    assert np.linalg.norm(system.matrix @ k) <= 1e-12 * np.linalg.norm(system.matrix)
+    z, _ = _unpack(op)
+    assert np.linalg.norm(z @ k) <= 1e-12 * np.linalg.norm(z)
 
 
 def test_solve_matches_layered_sphere_series(shells1):
