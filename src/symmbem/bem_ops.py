@@ -45,7 +45,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _quadrature as quad
 from .geometry import TriangleMesh
@@ -123,13 +122,7 @@ def curl_coefficient_matrices(mesh: TriangleMesh):
     components of the vertex hat functions: curl of hat i on cell t is
     ``-e_i / (2 A_t)`` with ``e_i`` the opposite edge vector."""
     curls = -mesh.opposite_edges / (2.0 * mesh.areas)[:, None, None]
-    nc, nv = mesh.num_triangles, mesh.num_vertices
-    rows = np.repeat(np.arange(nc), 3)
-    cols = mesh.triangles.ravel()
-    return [
-        sp.coo_matrix((curls[:, :, k].ravel(), (rows, cols)), shape=(nc, nv)).tocsr()
-        for k in range(3)
-    ]
+    return [mesh.corner_matrix(curls[:, :, k]) for k in range(3)]
 
 
 def _touching_pairs(mesh: TriangleMesh):

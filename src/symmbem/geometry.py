@@ -5,7 +5,9 @@ census (``TriangleMesh._half_edges``): the edge list, the two cells of
 each edge, the three edges of each cell and the manifold and orientation
 checks of :func:`validate` all read it.  The edge vectors opposite each
 corner (``opposite_edges``) and the shared-vertex counts of the triangle
-pairs are likewise derived once and cached on the mesh.
+pairs are likewise derived once and cached on the mesh.  Every sparse
+matrix with one value per triangle corner comes from
+``TriangleMesh.corner_matrix``.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ class TriangleMesh:
             raise ValueError("triangles must be an (n, 3) index array")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
             raise ValueError("triangle indices out of range")
+        if not np.all(np.isfinite(vertices)):
+            raise ValueError("vertices must be finite")
         vertices.setflags(write=False)
         triangles.setflags(write=False)
         self.vertices = vertices
@@ -158,17 +162,30 @@ class TriangleMesh:
         per_half[order] = ids
         return np.ascontiguousarray(per_half.reshape(3, -1).T)
 
+    def corner_matrix(self, values) -> sp.csr_matrix:
+        """Sparse (n_triangles x n_vertices) matrix holding ``values[c, k]``
+        at (c, ``triangles[c, k]``); ``values`` broadcasts to (n_triangles, 3)."""
+        nc = self.num_triangles
+        data = np.broadcast_to(values, (nc, 3)).astype(float).ravel()
+        matrix = sp.csr_matrix(
+            (data, self.triangles.flatten(), np.arange(0, 3 * nc + 1, 3)), shape=(nc, self.num_vertices)
+        )
+        matrix.sum_duplicates()
+        return matrix
+
+    @cached_property
+    def incidence(self) -> sp.csr_matrix:
+        """Triangle-vertex incidence, the all-ones :meth:`corner_matrix`."""
+        return self.corner_matrix(1.0)
+
     @cached_property
     def shared_vertex_counts(self) -> sp.csr_matrix:
         """Sparse (n_triangles x n_triangles) count of the vertices two
         triangles share: 3 on the diagonal, 2 for edge and 1 for vertex
         neighbours, and no entry for triangles that do not touch."""
-        nc = self.num_triangles
-        incidence = sp.coo_matrix(
-            (np.ones(3 * nc), (self.triangles.ravel(), np.repeat(np.arange(nc), 3))),
-            shape=(self.num_vertices, nc),
-        ).tocsr()
-        return (incidence.T @ incidence).tocsr()
+        counts = self.incidence @ self.incidence.T
+        counts.sort_indices()  # the order in which bem_ops batches touching pairs
+        return counts
 
     @cached_property
     def vertex_masses(self) -> np.ndarray:
@@ -262,8 +279,8 @@ def make_icosphere(subdivisions: int, radius: float) -> TriangleMesh:
         raise ValueError(
             f"subdivisions must be in [0, {MAX_SUBDIVISIONS}], got {subdivisions}"
         )
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
 
     verts = _ICO_VERTICES / _row_norms(_ICO_VERTICES)
     faces = _ICO_FACES
@@ -440,10 +457,12 @@ class NestedModel:
                 )
             )
             return problems
-        if np.any(self.conductivities[:-1] <= 0) or self.conductivities[-1] < 0:
+        sigma = self.conductivities
+        if not (np.all(np.isfinite(sigma)) and np.all(sigma[:-1] > 0) and sigma[-1] >= 0):
             problems.append(
                 MeshViolation(
-                    "conductivities", (), "interior conductivities must be positive, exterior nonnegative"
+                    "conductivities", (), "interior conductivities must be finite and positive, "
+                    "exterior finite and nonnegative"
                 )
             )
         for k in range(n - 1):

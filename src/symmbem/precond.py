@@ -9,10 +9,10 @@ per interface a regularized inverse surface Laplacian on the vertex rows
 and the two-point-flux cell Laplacian between inverse cell areas on the
 cell rows, and ``P_g`` projects out the known constant-trace gauge
 directions.  Everything P needs lives on the primal mesh: no barycentric
-refinement and no dual matrix.  The vertex rows' inverse Laplacian is an
-exact solve with one sparse LU factor per surface, computed once at
-:func:`build`; the cell rows need no solve at all, so P is one fixed
-symmetric positive definite map.
+refinement, here or anywhere in the package, and no dual matrix.  The
+vertex rows' inverse Laplacian is an exact solve with one sparse LU
+factor per surface, computed once at :func:`build`; the cell rows need no
+solve at all, so P is one fixed symmetric positive definite map.
 
 A keeps its condition number flat under refinement, but a thin resistive
 layer (the skull) leaves a cluster of small eigenvalues at low spherical

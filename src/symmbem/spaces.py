@@ -1,6 +1,9 @@
-"""Piecewise-constant and piecewise-linear spaces, Gram matrices, dual Gram.
+"""Piecewise-constant and piecewise-linear spaces and their Gram matrices.
 
-The Gram builders return the scipy CSR matrix itself.
+The Gram builders return the scipy CSR matrix itself.  No solver reads
+:func:`mixed_gram_dual`: it is the Gram of the dual functions in closed
+form on the primal mesh, kept only because the benchmark's probe of the
+sparse layers times it.
 """
 
 from __future__ import annotations
@@ -66,85 +69,37 @@ def gram_p1(space: FunctionSpace) -> sp.csr_matrix:
     return (m + m.T) * 0.5  # symmetrize exactly
 
 
-def barycentric_refinement(mesh: TriangleMesh):
-    """Six-way barycentric refinement on which :func:`mixed_gram_dual` is assembled.
-
-    Returns ``(ref_vertices, ref_triangles, coefficients)`` where
-    ``coefficients`` is the sparse ``(n_ref_vertices, n_cells)`` matrix whose
-    column m holds the nodal values of the dual piecewise-linear function of
-    cell m on the refinement: 1 at the cell barycenter, 1/2 at the midpoints
-    of its edges, 1/valence at its primal vertices.  Rows sum to one: at
-    every refinement node the dual functions sum to one, so they partition
-    unity.
-
-    The refinement nodes are the primal vertices, then the edge midpoints
-    in ``mesh.edges`` order, then the cell barycenters.  Each cell finds
-    its three midpoints through ``mesh.cell_edges``; both come from the
-    mesh's half-edge census, so no edge lookup is built here.
-    """
-    v, t, e = mesh.vertices, mesh.triangles, mesh.edges
-    nv, nc, ne = len(v), len(t), len(e)
-    mid = nv + mesh.cell_edges  # midpoint of the edge (t[c, k], t[c, k + 1])
-    ref_vertices = np.concatenate([v, 0.5 * (v[e[:, 0]] + v[e[:, 1]]), mesh.centroids])
-    b = nv + ne + np.arange(nc)  # barycenter of cell c
-    # cell c splits into (t_k, m_k, b) and (m_k, t_{k+1}, b) for k = 0, 1, 2
-    ref_triangles = np.stack(
-        [np.stack([t, mid], axis=2).reshape(nc, 6),
-         np.stack([mid, t[:, [1, 2, 0]]], axis=2).reshape(nc, 6),
-         np.repeat(b[:, None], 6, axis=1)],
-        axis=2,
-    ).reshape(6 * nc, 3)
-
-    cells = np.repeat(np.arange(nc), 3)
-    rows = [t.ravel(), mid.ravel(), b]
-    cols = [cells, cells, np.arange(nc)]
-    # 1/valence at primal vertices, 1/2 at edge midpoints, 1 at barycenters
-    vals = [1.0 / mesh.vertex_triangle_count[t.ravel()], np.full(3 * nc, 0.5), np.ones(nc)]
-    coefficients = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(ref_vertices), nc),
-    ).tocsr()
-    return ref_vertices, ref_triangles, coefficients
-
-
 def mixed_gram_dual(mesh: TriangleMesh) -> sp.csr_matrix:
     """Cell-by-cell Gram between dual piecewise-linear and patch functions.
 
     Entry (m, n) is the integral of the dual function of cell m over cell n.
+    That function is linear on the six sub-triangles (corner, edge midpoint,
+    barycentre) of every cell, each of a sixth of the cell's area, and takes
+    1 at the barycentre of m, 1/2 at its edge midpoints and 1/N_v at its
+    corners v, N_v the valence.  So G = (9 I + [S == 2] + 2 C diag(1/N) C^T)
+    diag(A) / 18, with C the triangle-vertex incidence, S = C C^T the
+    shared-vertex counts and A the cell areas.
+
     Column sums equal the cell areas, because the dual functions partition
     unity.  Row sums are the dual-function masses
     A_m/3 + sum_edges (A_m + A_n)/18 + sum_v (1/N_v) sum_{c contains v} A_c/9,
     which equal the cell areas only where neighbouring cells have equal
     areas.  That holds on the icosahedron.  Its subdivisions have cells of
     unequal area (up to 19% apart at one subdivision), and there the masses
-    differ from the areas by up to 6%.  The barycentric refinement is built
-    transiently and discarded.
-
-    No solver calls this: the preconditioner's cell rows use the patch Gram
-    diag(areas) and the two-point-flux Laplacian, which live on the primal
-    mesh.  It remains as a reference for the dual functions.
+    differ from the areas by up to 6%.
     """
-    ref_vertices, ref_triangles, coeff = barycentric_refinement(mesh)
-    ref = TriangleMesh(ref_vertices, ref_triangles)
-    if np.any(ref.areas <= 0):
-        raise ValueError("degenerate triangle in barycentric refinement")
-    # Integral of each refinement hat over each parent cell: area/3 per
-    # refined triangle corner, accumulated onto the owning cell.
-    nc = mesh.num_triangles
-    owner = np.repeat(np.arange(nc), 6)
-    rows = ref_triangles.ravel()
-    cols = np.repeat(owner, 3)
-    vals = np.repeat(ref.areas / 3.0, 3)
-    hat_over_cell = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(len(ref_vertices), nc)
-    ).tocsr()
-    return (coeff.T @ hat_over_cell).tocsr()
+    areas = mesh.areas
+    if np.any(areas <= 0):
+        raise ValueError("mesh has a degenerate triangle")
+    per_valence = mesh.corner_matrix(1.0 / mesh.vertex_triangle_count[mesh.triangles])
+    weights = (
+        9.0 * sp.identity(mesh.num_triangles)
+        + (mesh.shared_vertex_counts == 2)
+        + 2.0 * (per_valence @ mesh.incidence.T)
+    )
+    return (weights @ sp.diags(areas / 18.0)).tocsr()
 
 
 def mixed_gram_p0_p1(mesh: TriangleMesh) -> sp.csr_matrix:
     """Gram between patch (rows) and pyramid (columns) bases: A/3 per corner."""
-    nc = mesh.num_triangles
-    rows = np.repeat(np.arange(nc), 3)
-    cols = mesh.triangles.ravel()
-    vals = np.repeat(mesh.areas / 3.0, 3)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nc, mesh.num_vertices)).tocsr()
+    return mesh.corner_matrix((mesh.areas / 3.0)[:, None])

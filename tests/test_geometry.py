@@ -88,6 +88,24 @@ def test_subdivision_bound():
         make_icosphere(1, -1.0)
 
 
+def test_non_finite_vertices_are_rejected(tmp_path):
+    mesh = make_icosphere(1, 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        verts = mesh.vertices.copy()
+        verts[5, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TriangleMesh(verts, mesh.triangles)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make_icosphere(1, bad)
+    path = tmp_path / "nan.off"
+    lines = list(_TETRAHEDRON_OFF)
+    lines[4] = "1 nan 0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        read_off(path)
+
+
 def test_area_converges_to_sphere():
     # inscribed polyhedron area approaches 4 pi r^2 from below
     r = 1.3
@@ -296,6 +314,15 @@ def test_nested_model_rejects_bad_conductivities():
         NestedModel(meshes, [1.0, -2.0, 0.0])
     with pytest.raises(ValueError):
         NestedModel(meshes, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("sigma", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.inf), (1.0, np.nan)])
+def test_nested_model_rejects_non_finite_conductivities(sigma):
+    model = NestedModel([make_icosphere(1, 1.0)], (1.0, 0.0))
+    model.conductivities = np.array(sigma)
+    assert [p.kind for p in model.validate()] == ["conductivities"]
+    with pytest.raises(ValueError, match="conductivities"):
+        NestedModel(model.surfaces, sigma)
 
 
 def test_compartment_lookup():

@@ -235,8 +235,10 @@ def shells2():
     return _system(meshes), meshes
 
 
-def _traced_build(system, meshes):
-    """A build and the peak of the memory it traced."""
+def test_build_allocates_no_n_by_n_array(shells2):
+    # the operator shares Z's array, and eigh overwrites E in place: the
+    # peak is W, A W and two T x T arrays, 6.2 MiB at N = 1126, T = 268
+    system, meshes = shells2
     precond.build(system, meshes)  # first call outside the trace: caches, BLAS set-up
     tracemalloc.start()
     try:
@@ -244,22 +246,8 @@ def _traced_build(system, meshes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return op, peak
-
-
-def test_build_holds_the_operator_and_its_coarse_arrays_at_most(shells2):
-    # the operator is updated in place; W and A W are the only N x T arrays
-    op, peak = _traced_build(*shells2)
     n, t = op.size, op.coarse.shape[1]
     assert t > 0
-    assert peak <= 8 * n * n + 3 * 8 * n * t
-
-
-def test_build_allocates_no_n_by_n_array(shells2):
-    # the operator shares Z's array, and eigh overwrites E in place: the
-    # peak is W, A W and two T x T arrays, 6.2 MiB at N = 1126, T = 268
-    op, peak = _traced_build(*shells2)
-    n, t = op.size, op.coarse.shape[1]
     assert 8 * n * n > 3 * 8 * n * t
     assert peak <= 3 * 8 * n * t
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from symmbem.bem_ops import curl_coefficient_matrices
 from symmbem.geometry import TriangleMesh, make_icosphere
 from symmbem.spaces import (
-    barycentric_refinement,
     gram_p0,
     gram_p1,
     mixed_gram_dual,
@@ -15,6 +16,22 @@ from symmbem.spaces import (
 SINGLE = TriangleMesh(
     np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]), np.array([[0, 1, 2]])
 )
+
+
+def _jittered(subdivisions):
+    """Unit icosphere whose vertices move tangentially by 0.3 mean edge
+    lengths in fixed random directions: cell areas 11.9 times apart at
+    subdivision 2, some cells obtuse."""
+    unit = make_icosphere(subdivisions, 1.0)
+    v = unit.vertices
+    h = np.linalg.norm(v[unit.edges[:, 0]] - v[unit.edges[:, 1]], axis=1).mean()
+    d = np.random.default_rng(2).standard_normal(v.shape)
+    d -= (d * v).sum(axis=1)[:, None] * v
+    return TriangleMesh(v + 0.3 * h * d / np.linalg.norm(d, axis=1)[:, None], unit.triangles)
+
+
+MESHES = {"sub0": lambda: make_icosphere(0, 1.0), "sub2": lambda: make_icosphere(2, 1.0),
+          "jittered": lambda: _jittered(2)}
 
 
 def test_gram_p0_single_triangle():
@@ -137,45 +154,72 @@ def test_mixed_gram_dual_diagonal_dominates():
         assert g[m, m] > off
 
 
-def test_mixed_gram_dual_matches_refinement_quadrature():
-    # independent path: evaluate the dual functions off the coefficient
-    # matrix at quadrature nodes of each refined triangle
-    mesh = make_icosphere(0, 1.0)
-    ref_vertices, ref_triangles, coeff = barycentric_refinement(mesh)
-    coeff = coeff.toarray()
-    bary = np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]])
-    w3 = np.full(3, 1.0 / 3.0)
-    nc = mesh.num_triangles
-    g_ref = np.zeros((nc, nc))
-    for rt_index, tri in enumerate(ref_triangles):
-        parent = rt_index // 6
-        corners = ref_vertices[tri]
-        area = 0.5 * np.linalg.norm(np.cross(corners[1] - corners[0], corners[2] - corners[0]))
-        # value of dual function m at a barycentric point of this refined tri
-        node_vals = coeff[tri, :]  # (3, nc)
-        for b, w in zip(bary, w3):
-            vals = b @ node_vals  # (nc,)
-            g_ref[:, parent] += w * area * vals
-    g = mixed_gram_dual(mesh).toarray()
-    assert np.abs(g - g_ref).max() < 1e-13
-
-
-@pytest.mark.parametrize("subdiv", [0, 2])
-def test_barycentric_refinement_matches_a_per_cell_loop(subdiv):
-    # reference: look every cell edge up in a dict of the mesh edges
-    mesh = make_icosphere(subdiv, 1.0)
-    nv, ne = mesh.num_vertices, len(mesh.edges)
-    edge_index = {tuple(e): k for k, e in enumerate(mesh.edges.tolist())}
-    expect, mid_rows = [], []
+def _refinement(mesh):
+    """Six-way barycentric refinement, cell by cell: the refined vertices,
+    the refined triangles (six per cell, in cell order) and the dense
+    (n_refined_vertices, n_cells) nodal values of the dual functions, 1 at
+    the cell's barycentre, 1/2 at its edge midpoints and 1/valence at its
+    corners.  Each cell edge is looked up in a dict of the mesh edges."""
+    v, nv, nc = mesh.vertices, mesh.num_vertices, mesh.num_triangles
+    edges = mesh.edges.tolist()
+    edge_index = {tuple(e): k for k, e in enumerate(edges)}
+    nodes = np.concatenate([v, [0.5 * (v[a] + v[b]) for a, b in edges], mesh.centroids])
+    valence = np.bincount(mesh.triangles.ravel(), minlength=nv)
+    values = np.zeros((len(nodes), nc))
+    triangles = []
     for c, (v0, v1, v2) in enumerate(mesh.triangles.tolist()):
         m = [nv + edge_index[tuple(sorted(p))] for p in ((v0, v1), (v1, v2), (v2, v0))]
-        b = nv + ne + c
-        expect += [(v0, m[0], b), (m[0], v1, b), (v1, m[1], b), (m[1], v2, b), (v2, m[2], b), (m[2], v0, b)]
-        mid_rows.append(m)
-    _, ref_triangles, coeff = barycentric_refinement(mesh)
-    assert np.array_equal(ref_triangles, np.array(expect))
-    cells = np.repeat(np.arange(mesh.num_triangles), 3)
-    assert np.all(coeff[np.ravel(mid_rows), cells] == 0.5)
+        b = nv + len(edges) + c
+        triangles += [(v0, m[0], b), (m[0], v1, b), (v1, m[1], b), (m[1], v2, b), (v2, m[2], b), (m[2], v0, b)]
+        values[[v0, v1, v2], c] = 1.0 / valence[[v0, v1, v2]]
+        values[m, c] = 0.5
+        values[b, c] = 1.0
+    return nodes, np.array(triangles), values
+
+
+def test_mixed_gram_dual_matches_refinement_quadrature():
+    # independent path: evaluate the dual functions at the nodes of a rule
+    # exact for linear functions on each triangle of a refinement built
+    # cell by cell
+    bary = np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]])
+    for make in MESHES.values():
+        mesh = make()
+        nodes, triangles, values = _refinement(mesh)
+        corners = nodes[triangles]
+        areas = 0.5 * np.linalg.norm(
+            np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]), axis=1
+        )
+        # (refined triangle, dual function): the rule's mean value times the area
+        per_triangle = areas[:, None] * np.einsum("qk,tkm->tm", bary, values[triangles]) / 3.0
+        parent = np.repeat(np.arange(mesh.num_triangles), 6)
+        g_ref = np.zeros((mesh.num_triangles, mesh.num_triangles))
+        np.add.at(g_ref.T, parent, per_triangle)
+        g = mixed_gram_dual(mesh).toarray()
+        assert np.abs(g - g_ref).max() < 1e-14 * np.abs(g_ref).max()
+
+
+def _same_csr(a, b):
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_corner_matrices_match_their_coo_constructions(name):
+    # the triangle-pair order of shared_vertex_counts sets the order of the
+    # touching-pair batches, and so the bits of the assembled operators
+    mesh = MESHES[name]()
+    nc, nv = mesh.num_triangles, mesh.num_vertices
+    rows, cols = np.repeat(np.arange(nc), 3), mesh.triangles.ravel()
+
+    def coo(values):
+        return sp.coo_matrix((values, (rows, cols)), shape=(nc, nv)).tocsr()
+
+    incidence = sp.coo_matrix((np.ones(3 * nc), (cols, rows)), shape=(nv, nc)).tocsr()
+    assert _same_csr(mesh.shared_vertex_counts, (incidence.T @ incidence).tocsr())
+    curls = -mesh.opposite_edges / (2.0 * mesh.areas)[:, None, None]
+    for k, curl in enumerate(curl_coefficient_matrices(mesh)):
+        assert _same_csr(curl, coo(curls[:, :, k].ravel()))
+    assert _same_csr(mixed_gram_p0_p1(mesh), coo(np.repeat(mesh.areas / 3.0, 3)))
 
 
 def test_mixed_gram_p0_p1_row_sums():
