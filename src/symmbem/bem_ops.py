@@ -456,9 +456,9 @@ def _tier_blocks(mesh_t, mesh_s, thresholds, same):
 def _regular_sweep(mesh_t, mesh_s, cfg, same, sweep):
     """Sweep over disjoint triangle pairs, as batch results.
 
-    Tiers are classified in row blocks by :func:`_tier_blocks`, whose codes
-    one stable argsort per block groups by tier in row-major order, and
-    each tier's pairs in a block are cut into batches by
+    Tiers are classified in row blocks by :func:`_tier_blocks`, each
+    tier's pairs in a block are found in row-major order by ``np.nonzero``
+    on its code, and they are cut into batches by
     :func:`_batch_slices`.  The tensor tiers go through
     :func:`_tensor_batch` with the tensor product of their triangle rule
     (``quad.tensor_pair_rule``).  The ``CLOSED_FORM_TIER`` pairs integrate
@@ -484,12 +484,9 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, sweep):
         ds = ((outer_w[:, None] * outer_bary).T @ ds) * scale
         return rows, cols, tri_t[rows], tri_s[cols], same, s, d.T, ds.T
 
-    ncs = mesh_s.num_triangles
     for r0, codes in _tier_blocks(mesh_t, mesh_s, thresholds, same):
-        order = np.argsort(codes, axis=None, kind="stable")
-        ends = np.cumsum(np.bincount(codes.ravel() + 1, minlength=len(tiers) + 1))
-        for k, name in enumerate(tiers):  # code k sits at order[ends[k]:ends[k + 1]]
-            ti, si = np.divmod(order[ends[k] : ends[k + 1]], ncs)
+        for k, name in enumerate(tiers):
+            ti, si = np.nonzero(codes == k)
             ti += r0
             if name == CLOSED_FORM_TIER:
                 for sl in _batch_slices(len(ti), len(outer_w) ** 2):

@@ -29,8 +29,6 @@ from ._quadrature import TRI_RULES
 from .krylov import symmetric_matvec
 
 FOUR_PI = 4.0 * np.pi
-#: rows of Z scaled per step of the in-place conductivity rescale
-RESCALE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -95,11 +93,11 @@ class BlockSystem:
 
     ``matrix`` is a C-ordered N x N array that holds Z on and below its
     diagonal; every product with Z goes through :meth:`matvec`, which reads
-    only there.  Assembly and rescaling leave the array exactly symmetric.
-    After :func:`symmbem.precond.build` its strict upper triangle belongs
-    to the operator that build formed, so a system holds one operator at a
-    time.  ``scale`` is the diagonal of the conductivity scaling applied to
-    Z, one factor per unknown, or None while unscaled.
+    only there.  Above the diagonal it holds zeros outside Z's diagonal
+    blocks until :func:`symmbem.precond.build` writes there the operator it
+    forms, so a system holds one operator at a time.  ``scale`` is the
+    diagonal of the conductivity scaling applied to Z, one factor per
+    unknown, or None while unscaled.
     """
 
     matrix: np.ndarray
@@ -184,7 +182,8 @@ def assemble_system(model: NestedModel) -> BlockSystem:
     Only neighbouring interfaces couple; blocks for surface pairs further
     apart are identically zero.  All four operator blocks of a pair come
     from one shared quadrature sweep, and the double-layer blocks are
-    calibrated to their exact constant-field row sums.
+    calibrated to their exact constant-field row sums.  Each diagonal block
+    is written whole, each off-diagonal block once, below the diagonal.
 
     Raises ``MemoryError`` (:func:`require_memory`) before allocating
     anything dense when :func:`_dense_bytes` exceeds the memory the process
@@ -212,7 +211,6 @@ def assemble_system(model: NestedModel) -> BlockSystem:
         s_in, s_out = sigma[i], sigma[i + 1]
         vi, pi = layout.v_slice(i), layout.p_slice(i)
         add(vi, vi, -(s_in + s_out), ops["N"].matrix)
-        add(vi, pi, -2.0, dii.T)
         add(pi, vi, -2.0, dii)
         if pi is not None:
             add(pi, pi, 1.0 / s_in + 1.0 / s_out, ops["S"].matrix)
@@ -223,22 +221,16 @@ def assemble_system(model: NestedModel) -> BlockSystem:
         ops = bem_ops.assemble_operators(model.surfaces[i], model.surfaces[j])
         vi, pi = layout.v_slice(i), layout.p_slice(i)
         vj, pj = layout.v_slice(j), layout.p_slice(j)
-        nij, sij = ops["N"].matrix, ops["S"].matrix
-        dij, dsij = ops["D"].matrix, ops["Dstar"].matrix
+        dij = ops["D"].matrix
         # surface i lies inside surface j: constants map to -1 seen from i,
         # to 0 seen from j (applied to the transpose through Dstar columns)
         _calibrate_rows(dij, model.surfaces[i].triangles, -model.surfaces[i].areas)
-        dsij_t = np.ascontiguousarray(dsij.T)
+        dsij_t = np.ascontiguousarray(ops["Dstar"].matrix.T)
         _calibrate_rows(dsij_t, model.surfaces[j].triangles, np.zeros(model.surfaces[j].num_triangles))
-        dsij = dsij_t.T
-        add(vi, vj, s_btw, nij)
-        add(vj, vi, s_btw, nij.T)
-        add(pi, pj, -1.0 / s_btw, sij)
-        add(pj, pi, -1.0 / s_btw, sij.T)
-        add(vi, pj, 1.0, dsij)
-        add(pj, vi, 1.0, dsij.T)
+        add(vj, vi, s_btw, ops["N"].matrix.T)
+        add(pj, pi, -1.0 / s_btw, ops["S"].matrix.T)
+        add(pj, vi, 1.0, dsij_t)
         add(pi, vj, 1.0, dij)
-        add(vj, pi, 1.0, dij.T)
 
     return BlockSystem(Z, layout, np.asarray(sigma, dtype=float))
 
@@ -339,27 +331,30 @@ def conductivity_rescale(system: BlockSystem) -> BlockSystem:
     the diagonal blocks.  The record allows exact back-substitution, so the
     solution of the rescaled system maps to the original one.
 
-    The matrix is scaled in place, ``RESCALE_ROWS`` rows at a time, by the
-    factor ``w_i w_j``; that factor is exactly symmetric, so Z stays exactly
-    symmetric.  Scaling and right-hand side are set on ``system``, which is
+    Z is scaled in place on and below its diagonal blocks: every stored
+    entry of row block a and column block b by the one scalar ``w_a w_b``,
+    a row at a time, so the strict upper triangle stays as assembly left
+    it.  Scaling and right-hand side are set on ``system``, which is
     returned.
     """
     if system.scale is not None:
         raise ValueError("system is already rescaled")
-    sigma = system.conductivities
-    layout = system.layout
+    sigma, layout = system.conductivities, system.layout
+    n = layout.num_interfaces
+    blocks = [(layout.v_slice(i), sigma[i] + sigma[i + 1]) for i in range(n)]
+    blocks += [(layout.p_slice(i), 1.0 / sigma[i] + 1.0 / sigma[i + 1])
+               for i in range(n) if layout.p_kept[i]]
     w = np.empty(layout.total)
-    for i in range(layout.num_interfaces):
-        s_in, s_out = sigma[i], sigma[i + 1]
-        w[layout.v_slice(i)] = 1.0 / np.sqrt(s_in + s_out)
-        ps = layout.p_slice(i)
-        if ps is not None:
-            w[ps] = 1.0 / np.sqrt(1.0 / s_in + 1.0 / s_out)
+    for rows, c in blocks:
+        w[rows] = 1.0 / np.sqrt(c)
     if np.any(~np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("non-positive scale factor")
-    for r0 in range(0, system.size, RESCALE_ROWS):
-        rows = slice(r0, r0 + RESCALE_ROWS)
-        system.matrix[rows] *= w[rows, None] * w[None, :]
+    for rows, _ in blocks:
+        # a row's stored part is contiguous: numpy scales it in place, where a
+        # strided block goes through a 128 KiB buffer whatever its size
+        factor = w[rows.start] * w[: rows.stop]
+        for r in range(rows.start, rows.stop):
+            system.matrix[r, : rows.stop] *= factor
     if system.rhs is not None:
         system.rhs = w * system.rhs
     system.scale = w

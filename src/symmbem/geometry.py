@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -275,9 +276,9 @@ def make_icosphere(subdivisions: int, radius: float) -> TriangleMesh:
     Produces ``20 * 4**subdivisions`` triangles and ``10 * 4**subdivisions + 2``
     vertices, all on the sphere of the given radius, outward oriented.
     """
-    if subdivisions < 0 or subdivisions > MAX_SUBDIVISIONS:
+    if not isinstance(subdivisions, Integral) or not 0 <= subdivisions <= MAX_SUBDIVISIONS:
         raise ValueError(
-            f"subdivisions must be in [0, {MAX_SUBDIVISIONS}], got {subdivisions}"
+            f"subdivisions must be an integer in [0, {MAX_SUBDIVISIONS}], got {subdivisions!r}"
         )
     if not 0 < radius < np.inf:
         raise ValueError("radius must be positive and finite")
@@ -307,9 +308,11 @@ def make_icosphere(subdivisions: int, radius: float) -> TriangleMesh:
 def validate(mesh: TriangleMesh) -> list[MeshViolation]:
     """Check the closed-manifold invariants; violations are data, not errors.
 
-    Returns an empty list iff the mesh is watertight, consistently oriented,
-    free of degenerate triangles and connected.
+    Returns an empty list iff the mesh has triangles and is watertight,
+    consistently oriented, free of degenerate triangles and connected.
     """
+    if mesh.num_triangles == 0:
+        return [MeshViolation("empty", (), "mesh has no triangles")]
     violations: list[MeshViolation] = []
 
     degenerate = np.nonzero(mesh.areas <= 0)[0]
@@ -444,6 +447,8 @@ class NestedModel:
     def validate(self) -> list[MeshViolation]:
         """Surface invariants plus nesting and conductivity checks."""
         problems: list[MeshViolation] = []
+        if not self.surfaces:
+            problems.append(MeshViolation("surfaces", (), "a model needs at least one surface"))
         for k, surf in enumerate(self.surfaces):
             for v in validate(surf):
                 problems.append(MeshViolation(v.kind, (k,) + v.subject, f"surface {k}: {v.message}"))

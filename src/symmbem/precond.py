@@ -277,7 +277,8 @@ def _surface_modes(solver, lap: sp.csr_matrix, gram: sp.csr_matrix, count: int) 
 
 def _mirror_lower(a: np.ndarray) -> None:
     """Copy the lower triangle of the square array ``a`` onto its upper
-    triangle, in row chunks, so that ``a`` is exactly symmetric."""
+    triangle, in row chunks, so that ``a`` is exactly symmetric: the one
+    writer of Z's upper copy, which assembly leaves out."""
     n = len(a)
     for r0 in range(0, n, CHUNK):
         r1 = min(r0 + CHUNK, n)
@@ -407,13 +408,23 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     ``A W`` are the only N x T arrays the build holds, and it allocates no
     N x N array.
 
-    Raises ``MemoryError`` (``formulation.require_memory``) before
-    allocating anything when :func:`_build_bytes` exceeds the memory the
-    process can get.
+    Raises ``ValueError`` naming the interface when a mesh does not match
+    the system's layout: its vertex count, and its cell count where its
+    cell rows are kept.  Raises ``MemoryError``
+    (``formulation.require_memory``) before allocating anything when
+    :func:`_build_bytes` exceeds the memory the process can get.
     """
     layout = system.layout
     if len(meshes) != layout.num_interfaces:
         raise ValueError("one mesh per interface required")
+    for i, mesh in enumerate(meshes):
+        cells_differ = layout.p_kept[i] and mesh.num_triangles != layout.p_sizes[i]
+        if mesh.num_vertices != layout.v_sizes[i] or cells_differ:
+            raise ValueError(
+                f"the mesh of interface {i} has {mesh.num_vertices} vertices and "
+                f"{mesh.num_triangles} triangles, the system {layout.v_sizes[i]} and "
+                f"{layout.p_sizes[i]}"
+            )
     n = layout.total
     formulation.require_memory(
         _build_bytes(layout),

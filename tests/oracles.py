@@ -5,6 +5,7 @@ integral over a flat triangle is analytic, the outer integral is adaptive
 (QUADPACK), and a Duffy-transformed rule validates the analytic formula.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -79,6 +80,18 @@ def galerkin_single_layer_entry(corners_test, corners_trial, tol=1e-11):
     val, _ = integrate.dblquad(f, 0, 1, 0, lambda s: 1 - s, epsabs=tol, epsrel=tol)
     jac = np.linalg.norm(np.cross(ca[1] - ca[0], ca[2] - ca[0]))
     return val * jac / (4.0 * np.pi)
+
+
+def cached_single_layer_entry(corners_test, corners_trial):
+    """:func:`galerkin_single_layer_entry` at its default tolerance, computed
+    once per test session for each pair of corner lists."""
+    return _single_layer_entry(*(tuple(map(tuple, np.asarray(c, float).tolist()))
+                                 for c in (corners_test, corners_trial)))
+
+
+@functools.cache
+def _single_layer_entry(corners_test, corners_trial):
+    return galerkin_single_layer_entry(corners_test, corners_trial)
 
 
 def regular_pair_integrals(corners_t, corners_s, rule):

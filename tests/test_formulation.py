@@ -50,15 +50,36 @@ def rescaled(assembled):
     return out, system, matrix, unscaled, rhs, peak
 
 
-def test_assembled_matrix_is_exactly_symmetric(assembled):
+def _blocks(layout):
+    """Row slices of the unknown blocks, in stacking order."""
+    n = layout.num_interfaces
+    return [layout.v_slice(i) for i in range(n)] + [
+        layout.p_slice(i) for i in range(n) if layout.p_kept[i]
+    ]
+
+
+def _assert_z_in_lower_triangle(matrix, layout):
+    """Zero strictly above the diagonal outside the diagonal blocks, which
+    are exactly symmetric."""
+    block = np.empty(layout.total, dtype=int)
+    for k, rows in enumerate(_blocks(layout)):
+        block[rows] = k
+        assert np.array_equal(matrix[rows, rows], matrix[rows, rows].T)
+    assert not matrix[block[:, None] < block[None, :]].any()
+
+
+def test_assembly_writes_z_into_its_lower_triangle(assembled):
     _, system, unscaled = assembled
     assert system.matrix.flags.c_contiguous
-    assert np.array_equal(unscaled, unscaled.T)
+    _assert_z_in_lower_triangle(unscaled, system.layout)
 
 
-def test_rescale_keeps_exact_symmetry(rescaled):
-    out, *_ = rescaled
-    assert np.array_equal(out.matrix, out.matrix.T)
+def test_rescale_keeps_z_in_its_lower_triangle_and_allocates_no_row_block(rescaled):
+    out, *_, peak = rescaled
+    _assert_z_in_lower_triangle(out.matrix, out.layout)
+    # one row block of 32 rows is 8 * 32 * N bytes; the scale factors and
+    # the rescaled load take 16 N
+    assert peak <= 8 * 32 * out.size
 
 
 def test_rescale_happens_in_place(rescaled):
@@ -77,7 +98,8 @@ def test_rescale_happens_in_place(rescaled):
 def test_matvec_is_the_symmetric_product_without_a_copy(rescaled):
     system = rescaled[0]
     x = np.random.default_rng(2).standard_normal(system.size)
-    expected = system.matrix @ x
+    z = system.matrix
+    expected = (np.tril(z) + np.tril(z, -1).T) @ x
     system.matvec(x)  # first call outside the trace: BLAS set-up
     tracemalloc.start()
     try:

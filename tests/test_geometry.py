@@ -86,6 +86,9 @@ def test_subdivision_bound():
         make_icosphere(MAX_SUBDIVISIONS + 1, 1.0)
     with pytest.raises(ValueError):
         make_icosphere(1, -1.0)
+    # range() used to raise a TypeError part way through the construction
+    with pytest.raises(ValueError, match="an integer in"):
+        make_icosphere(1.5, 1.0)
 
 
 def test_non_finite_vertices_are_rejected(tmp_path):
@@ -149,6 +152,15 @@ def test_edge_cells_rejects_an_open_mesh():
 
 def test_validate_clean_mesh():
     assert validate(make_icosphere(1, 1.0)) == []
+
+
+def test_validate_reports_a_mesh_without_triangles():
+    # such a surface used to pass, and assembly then divided by its zero
+    # cell count
+    empty = TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3), int))
+    assert [v.kind for v in validate(empty)] == ["empty"]
+    with pytest.raises(ValueError, match="no triangles"):
+        NestedModel([empty], (1.0, 0.0))
 
 
 def test_validate_flipped_triangle():
@@ -306,6 +318,11 @@ def test_nesting_checks_every_inner_vertex():
     assert [p.kind for p in model.validate()] == ["nesting"]
     with pytest.raises(ValueError, match="not strictly inside"):
         NestedModel([poked, outer], [1.0, 1.0, 0.0])
+
+
+def test_nested_model_rejects_a_model_without_surfaces():
+    with pytest.raises(ValueError, match="at least one surface"):
+        NestedModel([], (0.0,))
 
 
 def test_nested_model_rejects_bad_conductivities():

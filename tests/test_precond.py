@@ -565,6 +565,21 @@ def test_build_rejects_wrong_mesh_count(shells1):
         precond.build(system, meshes[:2])
 
 
+def test_build_rejects_meshes_of_another_subdivision(shells1):
+    # the Gram factors of a finer mesh used to fail inside numpy, on a
+    # broadcast of 162 values into 42
+    system, meshes, _ = shells1
+    finer = [make_icosphere(2, r) for r in RADII]
+    with pytest.raises(ValueError, match="interface 0 has 162 vertices and 320 triangles"):
+        precond.build(system, finer)
+    with pytest.raises(ValueError, match="interface 2 has 162 vertices"):
+        precond.build(system, meshes[:2] + finer[2:])
+    # the cell count is checked where the cell rows are kept
+    open_mesh = TriangleMesh(meshes[0].vertices, meshes[0].triangles[:-1])
+    with pytest.raises(ValueError, match="interface 0 has 42 vertices and 79 triangles"):
+        precond.build(system, [open_mesh] + meshes[1:])
+
+
 def test_solve_with_a_conducting_exterior_matches_layered_sphere_series():
     # the one model with a cell block on the outermost surface: no gauge is
     # deflated and the absolute potential is fixed by decay at infinity

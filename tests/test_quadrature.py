@@ -14,7 +14,12 @@ from symmbem._quadrature import (
     sauter_schwab_rule,
     tensor_pair_rule,
 )
-from oracles import galerkin_single_layer_entry, triangle_potential, duffy_triangle_potential
+from oracles import (
+    cached_single_layer_entry,
+    duffy_triangle_potential,
+    galerkin_single_layer_entry,
+    triangle_potential,
+)
 
 TRI = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]])
 
@@ -119,7 +124,7 @@ def test_coincident_regularizes_kernel():
 
 def test_edge_value_against_adaptive_oracle():
     tri_b = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.3, -0.8, 0.2]])
-    ref = galerkin_single_layer_entry(TRI, tri_b)
+    ref = cached_single_layer_entry(TRI, tri_b)  # shared with test_bem_ops
     bx, by, w = sauter_schwab_rule(EDGE, 12)
     x = bx @ TRI
     y = by @ tri_b
