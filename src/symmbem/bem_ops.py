@@ -6,7 +6,11 @@ assembles the single layer ``S``, the double layer ``D``, its adjoint
 All four share one quadrature pass per surface pair: the pure kernel
 integrals feed the single layer directly and the hypersingular operator
 through its integration-by-parts rewrite, while the kernel gradient feeds
-both double layers.
+both double layers.  The caller names the blocks it needs: the kernel
+integrals are always taken, since ``N`` is formed from ``S``, but the
+double-layer work of a block not asked for (its corner heights, the
+``1/r^3`` moments, its contractions and scatters, its dense matrix) is not
+done.
 
 Every triangle pair integrated under a pair rule of
 :mod:`symmbem._quadrature` goes through one batch function,
@@ -163,10 +167,13 @@ def _touching_pairs(mesh: TriangleMesh):
     return edge_pairs, edge_charts, vertex_pairs, vertex_charts
 
 
-def assemble_operators(mesh_t: TriangleMesh, mesh_s: TriangleMesh) -> dict[str, KernelBlock]:
-    """Assemble the four operator blocks between two surfaces in one sweep.
+def assemble_operators(
+    mesh_t: TriangleMesh, mesh_s: TriangleMesh, blocks=TAGS
+) -> dict[str, KernelBlock]:
+    """Assemble the operator blocks ``blocks`` between two surfaces in one sweep.
 
-    Returns the blocks under the keys of ``TAGS``, rows on ``mesh_t`` and
+    Returns the blocks named in ``blocks`` (keys of ``TAGS``, all four by
+    default) and no others, in the order of ``TAGS``, rows on ``mesh_t`` and
     columns on ``mesh_s``:
 
     - ``S``, the single layer between patch spaces; symmetric positive
@@ -185,19 +192,25 @@ def assemble_operators(mesh_t: TriangleMesh, mesh_s: TriangleMesh) -> dict[str, 
 
     On a single surface every unordered triangle pair is integrated once for
     both orientations, so ``S`` is exactly symmetric and ``Dstar`` is the
-    exact transpose of ``D``, returned as the view ``D.T``.  The quadrature
-    is ``DEFAULT_QUADRATURE``, read at call time.
+    exact transpose of ``D``, returned as the view ``D.T``: either one costs
+    the double-layer work of both.  Between two surfaces ``D`` and ``Dstar``
+    each cost their own.  A requested block holds the same bits whatever
+    else is requested.  The quadrature is ``DEFAULT_QUADRATURE``, read at
+    call time.
     """
+    unknown = set(blocks) - set(TAGS)
+    if unknown:
+        raise ValueError(f"unknown operator blocks {sorted(unknown)}; choose from {TAGS}")
     cfg = DEFAULT_QUADRATURE
     same = mesh_t is mesh_s
 
     nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
     nvt, nvs = mesh_t.num_vertices, mesh_s.num_vertices
+    sweep = _Sweep(mesh_t, mesh_s, blocks)
     ig = np.zeros((nct, ncs))
-    dmat = np.zeros((nct, nvs))
-    dsmat = None if same else np.zeros((nvt, ncs))
+    dmat = np.zeros((nct, nvs)) if sweep.d else None
+    dsmat = np.zeros((nvt, ncs)) if sweep.ds and not same else None
 
-    sweep = _Sweep(mesh_t, mesh_s)
     batches = _regular_sweep(mesh_t, mesh_s, cfg, same, sweep)
     if same:
         batches = itertools.chain(batches, _singular_sweep(mesh_t, cfg, sweep))
@@ -206,29 +219,33 @@ def assemble_operators(mesh_t: TriangleMesh, mesh_s: TriangleMesh) -> dict[str, 
         ig[rows, cols] += s
         if mirror:
             ig[cols, rows] += s
-        if d is None:
+            if d is not None:  # pair (t, s)'s adjoint entries are pair (s, t)'s D entries
+                flat = np.concatenate([rows[:, None] * nvs + vcols, cols[:, None] * nvs + vrows])
+                np.add.at(dmat.reshape(-1), flat.ravel(), np.concatenate([d, ds]).ravel())
             continue
-        if mirror:  # pair (t, s)'s adjoint entries are pair (s, t)'s D entries
-            flat = np.concatenate([rows[:, None] * nvs + vcols, cols[:, None] * nvs + vrows])
-            np.add.at(dmat.reshape(-1), flat.ravel(), np.concatenate([d, ds]).ravel())
-        else:
+        if d is not None:
             np.add.at(dmat.reshape(-1), (rows[:, None] * nvs + vcols).ravel(), d.ravel())
+        if ds is not None:
             np.add.at(dsmat.reshape(-1), (vrows * ncs + cols[:, None]).ravel(), ds.ravel())
 
-    ck_t = curl_coefficient_matrices(mesh_t)
-    ck_s = ck_t if same else curl_coefficient_matrices(mesh_s)
-    nmat = np.zeros((nvt, nvs))
-    for k in range(3):  # the sparse factor of each product is on the left, so ig is not copied
-        nmat += (ck_s[k].T @ (ck_t[k].T @ ig).T).T
-    if same:
-        nmat = 0.5 * (nmat + nmat.T)
+    nmat = None
+    if "N" in blocks:
+        ck_t = curl_coefficient_matrices(mesh_t)
+        ck_s = ck_t if same else curl_coefficient_matrices(mesh_s)
+        nmat = np.zeros((nvt, nvs))
+        for k in range(3):  # the sparse factor of each product is on the left, so ig is not copied
+            nmat += (ck_s[k].T @ (ck_t[k].T @ ig).T).T
+        if same:
+            nmat = 0.5 * (nmat + nmat.T)
+    if same and dmat is not None:
         dsmat = dmat.T
-    return {
-        "S": KernelBlock(ig, Kind.PATCH, Kind.PATCH),
-        "D": KernelBlock(dmat, Kind.PATCH, Kind.PYRAMID),
-        "Dstar": KernelBlock(dsmat, Kind.PYRAMID, Kind.PATCH),
-        "N": KernelBlock(nmat, Kind.PYRAMID, Kind.PYRAMID),
+    parts = {
+        "S": (ig, Kind.PATCH, Kind.PATCH),
+        "D": (dmat, Kind.PATCH, Kind.PYRAMID),
+        "Dstar": (dsmat, Kind.PYRAMID, Kind.PATCH),
+        "N": (nmat, Kind.PYRAMID, Kind.PYRAMID),
     }
+    return {tag: KernelBlock(*parts[tag]) for tag in TAGS if tag in blocks}
 
 
 def _pair_kernel(r2, tmp, w, w9, scale, h_xy, h_yx):
@@ -248,19 +265,20 @@ def _pair_kernel(r2, tmp, w, w9, scale, h_xy, h_yx):
     with ``h_yx``.  The
     double layers are then ``D[j] = sum_k h_xy[k] M[k, j]`` and
     ``Dstar[i] = sum_k h_yx[k] M[i, k]``.  ``scale`` is the per-pair
-    Jacobian over ``4 pi``.  Returns ``(S, D, Dstar)``; the last two are
-    ``None`` when no heights are given.
+    Jacobian over ``4 pi``.  Returns ``(S, D, Dstar)``; each double layer is
+    ``None`` when its heights are not given, and without either the
+    moments are not formed.
     """
     np.sqrt(r2, out=tmp)
     np.divide(1.0, tmp, out=tmp)
     s = (w @ tmp) * scale
-    if h_xy is None:
+    if h_xy is None and h_yx is None:
         return s, None, None
     np.divide(tmp, r2, out=r2)
     m = (w9.T @ r2).reshape(3, 3, -1) * scale
-    d = (h_xy[:, None, :] * m).sum(axis=0)
-    ds = (m * h_yx[None, :, :]).sum(axis=1)
-    return s, d.T, ds.T
+    d = None if h_xy is None else (h_xy[:, None, :] * m).sum(axis=0).T
+    ds = None if h_yx is None else (m * h_yx[None, :, :]).sum(axis=1).T
+    return s, d, ds
 
 
 def _component_major(a):
@@ -366,11 +384,16 @@ class _Sweep:
     """What the batches of one surface pair read besides their own arrays
     and the mesh caches: the vertices of both meshes in one component-major
     array, those of ``mesh_s`` after those of ``mesh_t`` unless they are one
-    mesh, and the component-major cell normals and the cell areas of each.
-    Nothing here is written after construction."""
+    mesh, the component-major cell normals and the cell areas of each, and
+    which double layers the batches integrate for ``blocks``: ``d`` the
+    entries of ``D``, ``ds`` those of ``Dstar``.  On a single surface the
+    adjoint entries of a pair are the ``D`` entries of the mirrored pair, so
+    the two go together.  Nothing here is written after construction."""
 
-    def __init__(self, mesh_t, mesh_s):
+    def __init__(self, mesh_t, mesh_s, blocks):
         same = mesh_t is mesh_s
+        self.d = "D" in blocks or (same and "Dstar" in blocks)
+        self.ds = self.d if same else "Dstar" in blocks
         self.offset = 0 if same else mesh_t.num_vertices
         vertices = mesh_t.vertices if same else np.concatenate([mesh_t.vertices, mesh_s.vertices])
         self.vertices = _component_major(vertices)
@@ -390,8 +413,9 @@ def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
     triangle's first corner, which for a touching pair is the shared
     vertex, so that ``x - y`` is one small matmul per component of the rule's
     map with the stacked offsets, and the distances keep their relative
-    accuracy as the points close in on a singularity.  The same offsets
-    give the heights of :func:`_pair_kernel` when ``double_layer`` is set.
+    accuracy as the points close in on a singularity.  When
+    ``double_layer`` is set, the same offsets give the heights of
+    :func:`_pair_kernel` for the double layers the sweep integrates.
     ``mirror`` asks the accumulation to fill the (column, row) entries too.
     """
     pmap, w, w9 = rule
@@ -405,10 +429,10 @@ def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
         if k:
             np.add(r2, tmp, out=r2)
     h_ab = h_ba = None
-    if double_layer:
-        ea, eb = e[:, :3], e[:, 3:]
-        h_ab = _heights(ea - eb[:, :1], np.take(sweep.normals_s, pb, axis=1))
-        h_ba = _heights(eb, np.take(sweep.normals_t, pa, axis=1))
+    if double_layer and sweep.d:
+        h_ab = _heights(e[:, :3] - e[:, 3:4], np.take(sweep.normals_s, pb, axis=1))
+    if double_layer and sweep.ds:
+        h_ba = _heights(e[:, 3:], np.take(sweep.normals_t, pa, axis=1))
     scale = sweep.areas_t[pa] * sweep.areas_s[pb] / np.pi  # (2 A_a)(2 A_b) / (4 pi)
     s, d, ds = _pair_kernel(r2, tmp, w, w9, scale, h_ab, h_ba)
     return pa, pb, ca, cb, mirror, s, d, ds
@@ -480,9 +504,9 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, sweep):
         s, _, d, ds = _panel_integrals(x, np.take(sweep.normals_t, rows, axis=1), mesh_s, cols)
         scale = sweep.areas_t[rows] / FOUR_PI
         s = (outer_w @ s) * scale
-        d = np.matmul(outer_w, d) * scale
-        ds = ((outer_w[:, None] * outer_bary).T @ ds) * scale
-        return rows, cols, tri_t[rows], tri_s[cols], same, s, d.T, ds.T
+        d = (np.matmul(outer_w, d) * scale).T if sweep.d else None
+        ds = (((outer_w[:, None] * outer_bary).T @ ds) * scale).T if sweep.ds else None
+        return rows, cols, tri_t[rows], tri_s[cols], same, s, d, ds
 
     for r0, codes in _tier_blocks(mesh_t, mesh_s, thresholds, same):
         for k, name in enumerate(tiers):

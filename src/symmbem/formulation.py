@@ -162,28 +162,58 @@ def require_memory(needed: int, what: str) -> None:
         )
 
 
+def _pair_blocks(layout: SystemLayout, i: int, j: int) -> tuple:
+    """The operator blocks :func:`assemble_system` asks of surface pair
+    ``(i, j)``, ``j`` being ``i`` or ``i + 1``: ``S`` and ``N`` always (``N``
+    is formed from ``S``), ``D`` where the cells of surface i keep their
+    unknowns, and on a cross pair ``Dstar`` where those of surface j do.
+    A block whose every entry would land in a dropped p block is not asked
+    for."""
+    blocks = ("S", "N")
+    if layout.p_kept[i]:
+        blocks += ("D",)
+    if i != j and layout.p_kept[j]:
+        blocks += ("Dstar",)
+    return blocks
+
+
 def _dense_bytes(model: NestedModel) -> int:
     """Bytes of dense storage :func:`assemble_system` holds at once: the
-    N x N system matrix plus the four operator blocks of the largest
-    surface pair it assembles."""
-    n = system_layout(model).total
+    N x N system matrix plus the operator blocks (:func:`_pair_blocks`) of
+    the largest surface pair it assembles.  A self pair's ``Dstar`` is the
+    view ``D.T`` and costs nothing."""
+    layout = system_layout(model)
+    n = layout.total
     surfaces = model.surfaces
-    pairs = [(m, m) for m in surfaces] + list(zip(surfaces, surfaces[1:]))
-    blocks = max(
-        (t.num_triangles + t.num_vertices) * (s.num_triangles + s.num_vertices)
-        for t, s in pairs
-    )
-    return 8 * (n * n + blocks)
+
+    def pair_bytes(i, j):
+        t, s = surfaces[i], surfaces[j]
+        shapes = {
+            "S": (t.num_triangles, s.num_triangles),
+            "D": (t.num_triangles, s.num_vertices),
+            "Dstar": (t.num_vertices, s.num_triangles),
+            "N": (t.num_vertices, s.num_vertices),
+        }
+        return sum(rows * cols for rows, cols in (shapes[b] for b in _pair_blocks(layout, i, j)))
+
+    pairs = [(i, i) for i in range(len(surfaces))] + [(i, i + 1) for i in range(len(surfaces) - 1)]
+    return 8 * (n * n + max(pair_bytes(i, j) for i, j in pairs))
 
 
 def assemble_system(model: NestedModel) -> BlockSystem:
     """Assemble the symmetric block matrix over all interface pairs.
 
     Only neighbouring interfaces couple; blocks for surface pairs further
-    apart are identically zero.  All four operator blocks of a pair come
-    from one shared quadrature sweep, and the double-layer blocks are
-    calibrated to their exact constant-field row sums.  Each diagonal block
-    is written whole, each off-diagonal block once, below the diagonal.
+    apart are identically zero.  The operator blocks of a pair come from
+    one shared quadrature sweep, which assembles only those that Z keeps
+    (:func:`_pair_blocks`): self pair i asks for ``S``, ``N`` and, where
+    surface i keeps its p block, ``D``; cross pair (i, j) asks for ``S``,
+    ``D``, ``N`` and, where surface j keeps its p block, ``Dstar``.  So with
+    an insulating exterior no double layer is assembled on the outermost
+    surface and no adjoint onto it.  The double-layer blocks are calibrated
+    to their exact constant-field row sums.  Each diagonal block is written
+    whole, each off-diagonal block once, below the diagonal, and each pair's
+    blocks are let go before the next pair is assembled.
 
     Raises ``MemoryError`` (:func:`require_memory`) before allocating
     anything dense when :func:`_dense_bytes` exceeds the memory the process
@@ -204,33 +234,37 @@ def assemble_system(model: NestedModel) -> BlockSystem:
         Z[rows, cols] += factor * mat
 
     for i in range(n):
-        ops = bem_ops.assemble_operators(model.surfaces[i], model.surfaces[i])
         mesh = model.surfaces[i]
-        dii = ops["D"].matrix
-        _calibrate_rows(dii, mesh.triangles, -0.5 * mesh.areas)
+        ops = bem_ops.assemble_operators(mesh, mesh, _pair_blocks(layout, i, i))
         s_in, s_out = sigma[i], sigma[i + 1]
         vi, pi = layout.v_slice(i), layout.p_slice(i)
         add(vi, vi, -(s_in + s_out), ops["N"].matrix)
-        add(pi, vi, -2.0, dii)
         if pi is not None:
+            _calibrate_rows(ops["D"].matrix, mesh.triangles, -0.5 * mesh.areas)
+            add(pi, vi, -2.0, ops["D"].matrix)
             add(pi, pi, 1.0 / s_in + 1.0 / s_out, ops["S"].matrix)
+        del ops
 
     for i in range(n - 1):
         j = i + 1
         s_btw = sigma[j]  # conductivity of the compartment between the surfaces
-        ops = bem_ops.assemble_operators(model.surfaces[i], model.surfaces[j])
+        inner, outer = model.surfaces[i], model.surfaces[j]
+        ops = bem_ops.assemble_operators(inner, outer, _pair_blocks(layout, i, j))
         vi, pi = layout.v_slice(i), layout.p_slice(i)
         vj, pj = layout.v_slice(j), layout.p_slice(j)
-        dij = ops["D"].matrix
-        # surface i lies inside surface j: constants map to -1 seen from i,
-        # to 0 seen from j (applied to the transpose through Dstar columns)
-        _calibrate_rows(dij, model.surfaces[i].triangles, -model.surfaces[i].areas)
-        dsij_t = np.ascontiguousarray(ops["Dstar"].matrix.T)
-        _calibrate_rows(dsij_t, model.surfaces[j].triangles, np.zeros(model.surfaces[j].num_triangles))
         add(vj, vi, s_btw, ops["N"].matrix.T)
         add(pj, pi, -1.0 / s_btw, ops["S"].matrix.T)
-        add(pj, vi, 1.0, dsij_t)
-        add(pi, vj, 1.0, dij)
+        # surface i lies inside surface j: constants map to -1 seen from i,
+        # to 0 seen from j (applied to the transpose through Dstar columns)
+        if pi is not None:
+            _calibrate_rows(ops["D"].matrix, inner.triangles, -inner.areas)
+            add(pi, vj, 1.0, ops["D"].matrix)
+        if pj is not None:
+            dsij_t = np.ascontiguousarray(ops["Dstar"].matrix.T)
+            _calibrate_rows(dsij_t, outer.triangles, np.zeros(outer.num_triangles))
+            add(pj, vi, 1.0, dsij_t)
+            del dsij_t
+        del ops
 
     return BlockSystem(Z, layout, np.asarray(sigma, dtype=float))
 

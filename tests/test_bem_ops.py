@@ -299,6 +299,52 @@ def test_assembly_is_bitwise_equal_across_calls(shells1):
             assert np.array_equal(first[tag].matrix, second[tag].matrix), tag
 
 
+def test_requested_blocks_keep_their_bits(sphere2, sphere2_ops, shells1):
+    # a block holds the same bits whatever else is assembled with it, and a
+    # block not asked for is absent, not None
+    middle, outer = shells1[1:]
+    cross = assemble_operators(middle, outer)
+    for mesh_t, mesh_s, full, blocks in (
+        (sphere2, sphere2, sphere2_ops, ("S", "N")),
+        (sphere2, sphere2, sphere2_ops, ("S", "D", "N")),
+        (middle, outer, cross, ("S", "D", "N")),
+        (middle, outer, cross, ("S", "Dstar", "N")),
+    ):
+        ops = assemble_operators(mesh_t, mesh_s, blocks)
+        assert list(ops) == [tag for tag in TAGS if tag in blocks]
+        for tag in blocks:
+            assert np.array_equal(ops[tag].matrix, full[tag].matrix), (blocks, tag)
+    with pytest.raises(ValueError, match="unknown operator blocks"):
+        assemble_operators(middle, outer, ("S", "Dt"))
+
+
+def test_double_layer_work_follows_the_requested_blocks(shells1, monkeypatch):
+    # no corner heights on a self pair without D; one set per tensor batch
+    # instead of two on a cross pair without Dstar
+    middle, outer = shells1[1:]
+    heights, kernels = bem_ops._heights, bem_ops._pair_kernel
+    calls = {"heights": 0, "batches": 0}
+
+    def counted_heights(*args):
+        calls["heights"] += 1
+        return heights(*args)
+
+    def counted_kernel(*args):
+        calls["batches"] += 1
+        return kernels(*args)
+
+    monkeypatch.setattr(bem_ops, "_heights", counted_heights)
+    monkeypatch.setattr(bem_ops, "_pair_kernel", counted_kernel)
+    for mesh_t, mesh_s, blocks, per_batch in (
+        (outer, outer, ("S", "N"), 0),
+        (middle, outer, ("S", "D", "N"), 1),
+        (middle, outer, TAGS, 2),
+    ):
+        calls.update(heights=0, batches=0)
+        assemble_operators(mesh_t, mesh_s, blocks)
+        assert calls["batches"] > 0 and calls["heights"] == per_batch * calls["batches"], blocks
+
+
 @pytest.fixture
 def batch_shapes(monkeypatch):
     """The shape of the point-pair arrays of every batch evaluated while the

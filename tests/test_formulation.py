@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from symmbem import bem_ops, formulation
+from symmbem.bem_ops import TAGS
 from symmbem._quadrature import TRI_RULES
 from symmbem.formulation import (
     DipoleSource,
@@ -72,6 +73,79 @@ def test_assembly_writes_z_into_its_lower_triangle(assembled):
     _, system, unscaled = assembled
     assert system.matrix.flags.c_contiguous
     _assert_z_in_lower_triangle(unscaled, system.layout)
+
+
+def test_assembly_asks_only_for_the_blocks_z_keeps(assembled, monkeypatch):
+    # a reference assembly that takes every block of every pair gives the
+    # same Z bit for bit
+    model, _, unscaled = assembled
+    full = bem_ops.assemble_operators
+    monkeypatch.setattr(
+        bem_ops, "assemble_operators", lambda mesh_t, mesh_s, blocks: full(mesh_t, mesh_s)
+    )
+    assert np.array_equal(assemble_system(model).matrix, unscaled)
+
+
+def _requested_blocks(model, monkeypatch):
+    """The blocks ``assemble_system`` asks of each surface pair, by the
+    indices of the pair's surfaces."""
+    requested = {}
+    full = bem_ops.assemble_operators
+
+    def recorded(mesh_t, mesh_s, blocks):
+        index = [id(m) for m in model.surfaces]
+        requested[index.index(id(mesh_t)), index.index(id(mesh_s))] = set(blocks)
+        return full(mesh_t, mesh_s, blocks)
+
+    monkeypatch.setattr(bem_ops, "assemble_operators", recorded)
+    assemble_system(model)
+    return requested
+
+
+def test_insulated_outer_surface_takes_no_double_layer_and_no_adjoint(monkeypatch):
+    model = _model("shells3-sub1")
+    assert _requested_blocks(model, monkeypatch) == {
+        (0, 0): {"S", "D", "N"},
+        (1, 1): {"S", "D", "N"},
+        (2, 2): {"S", "N"},
+        (0, 1): {"S", "D", "Dstar", "N"},
+        (1, 2): {"S", "D", "N"},
+    }
+    # a conducting exterior keeps every p block, so every pair's double
+    # layers, and assembly still writes Z into its lower triangle
+    conducting = NestedModel(model.surfaces, (1.0, 1.0 / 80.0, 1.0, 0.5))
+    requested = _requested_blocks(conducting, monkeypatch)
+    assert len(requested) == 5
+    for (i, j), blocks in requested.items():
+        assert blocks == ({"S", "D", "N"} if i == j else set(TAGS)), (i, j)
+    monkeypatch.undo()
+    system = assemble_system(conducting)
+    _assert_z_in_lower_triangle(system.matrix, system.layout)
+
+
+def test_assembly_lets_each_pair_go_before_the_next(monkeypatch):
+    # traced memory at the start of every pair's assembly: Z and little
+    # else, never the blocks of the pair before
+    model = _model("shells3-sub1")
+    assemble_system(model)  # the mesh caches are filled outside the trace
+    n = system_layout(model).total
+    entries = []
+    full = bem_ops.assemble_operators
+
+    def traced(*args):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return full(*args)
+
+    monkeypatch.setattr(bem_ops, "assemble_operators", traced)
+    tracemalloc.start()
+    try:
+        assemble_system(model)
+    finally:
+        tracemalloc.stop()
+    # the smallest pair's blocks: S and N of the outer surface, 80 x 80 and 42 x 42
+    margin = 8 * (80**2 + 42**2) // 2
+    assert len(entries) == 5
+    assert max(entries) <= 8 * n * n + margin, [e - 8 * n * n for e in entries]
 
 
 def test_rescale_keeps_z_in_its_lower_triangle_and_allocates_no_row_block(rescaled):
@@ -231,6 +305,9 @@ def test_assemble_system_refuses_dense_storage_beyond_memory(monkeypatch):
     monkeypatch.undo()
 
     small = NestedModel([make_icosphere(0, 1.0)], (1.0, 0.0))
+    # the insulated sphere keeps no p block: Z on its 12 vertices, and S and
+    # N of its self pair, 20 cells and 12 vertices, without D
+    assert formulation._dense_bytes(small) == 8 * (12**2 + 20**2 + 12**2)
     monkeypatch.setattr(formulation, "_available_memory", lambda: formulation._dense_bytes(small))
     assert assemble_system(small).size == 12
 
