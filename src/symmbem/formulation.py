@@ -129,7 +129,7 @@ def _calibrate_rows(matrix: np.ndarray, triangles: np.ndarray, target_row_sums: 
     exactly (minus the enclosed solid angle over 4 pi); the Gauss rules meet
     it only to quadrature accuracy.  Restoring the identity exactly makes
     the simultaneous constant shift of all traces an exact null vector of
-    the assembled system, which downstream deflation relies on.  The
+    the assembled system, which the preconditioner relies on.  The
     redistribution is a per-row perturbation of quadrature-error size.
     """
     defect = (target_row_sums - matrix.sum(axis=1)) / 3.0

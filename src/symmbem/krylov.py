@@ -203,12 +203,3 @@ def minres(A, b, tol: float = 1e-8, maxit: int | None = None):
         beta = beta_new
 
     return x, SolveReport(it, history, converged)
-
-
-def orthonormal_columns(vectors) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the given vectors."""
-    M = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-    q, r = np.linalg.qr(M)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(np.abs(np.diag(r)).max(), 1e-300)
-    return q[:, keep]
-

@@ -2,17 +2,25 @@
 sparse Laplacian maps and Gram rescalings so its conditioning stops
 tracking mesh size, and deflate the few low modes that stay small.
 
-The spectral operator is ``A = P_g M Z P Z M P_g`` where M is the
-blockwise lumped inverse square root of the Gram matrices (the vertex
-masses on the vertex rows, the cell areas on the cell rows), P applies
-per interface a regularized inverse surface Laplacian on the vertex rows
-and the two-point-flux cell Laplacian between inverse cell areas on the
-cell rows, and ``P_g`` projects out the known constant-trace gauge
-directions.  Everything P needs lives on the primal mesh: no barycentric
+The spectral operator is ``A = M Z P Z M`` where M is the blockwise
+lumped inverse square root of the Gram matrices (the vertex masses on the
+vertex rows, the cell areas on the cell rows) and P applies per interface
+a regularized inverse surface Laplacian on the vertex rows and the
+two-point-flux cell Laplacian between inverse cell areas on the cell
+rows.  Everything P needs lives on the primal mesh: no barycentric
 refinement, here or anywhere in the package, and no dual matrix.  The
 vertex rows' inverse Laplacian is an exact solve with one sparse LU
 factor per surface, computed once at :func:`build`; the cell rows need no
 solve at all, so P is one fixed symmetric positive definite map.
+
+With an insulating exterior, Z has the potential gauge as its kernel k, a
+simultaneous constant shift of all traces, and A is singular with kernel
+``M^-1 k``.  Nothing projects it out: the load ``c = M Z P b`` is
+orthogonal to ``M^-1 k`` for every b, and CG on a consistent symmetric
+positive semidefinite system keeps its iterates in the operator's range
+(Kaasschieter 1988).  The gauge component of a solution is an arbitrary
+additive constant, and only the recovered residual drops its component
+along k, which no solution can reduce.
 
 A keeps its condition number flat under refinement, but a thin resistive
 layer (the skull) leaves a cluster of small eigenvalues at low spherical
@@ -42,19 +50,19 @@ Many right-hand sides share one head model, so :func:`build` forms
 diagonal, where every product with Z reads it, and ``P_D A`` goes
 strictly above it, its diagonal kept as a vector (the idea of LAPACK's
 packed layouts; Gustavson, Wasniewski, Dongarra and Langou 2010).  So a
-system holds one operator at a time.  Half of ``M Z P Z M`` is formed by
-block products, then the gauge and coarse corrections as in-place BLAS
-rank updates (``dsyr2k``, ``dsyrk``) of the upper triangle, with the
-operator's diagonal swapped in for them and Z's restored bit for bit
-afterwards.  That costs about N^3 flops plus the sparse Laplacian maps on
-N columns (about 0.1 s at N = 1126 on one BLAS thread) and no second N x N
-array: dense storage is 8 N^2 bytes, not 16 N^2.  :func:`build` raises
+system holds one operator at a time.  Half of A is formed by block
+products, then the coarse correction as an in-place BLAS rank update
+(``dsyrk``) of the upper triangle, with the operator's diagonal swapped
+in for it and Z's restored bit for bit afterwards.  That costs about N^3
+flops plus the sparse Laplacian maps on N columns (about 0.1 s at
+N = 1126 on one BLAS thread) and no second N x N array: dense storage is
+8 N^2 bytes, not 16 N^2.  :func:`build` raises
 ``MemoryError`` before allocating when what it does allocate, the N x T
 coarse arrays, exceeds the memory available.  Each CG step is then one
 BLAS ``dsymv`` on the upper triangle plus the difference of the two
 diagonals times x (:meth:`PrecondOperator.apply`), where applying the
 factors one by one would take two products with Z, the sparse Laplacian
-maps, the gauge projections and the coarse products.
+maps and the coarse products.
 
 :func:`solve` runs CG on a built operator and recovers the solution; a
 recovered residual above ``tol`` takes one correction solve on that
@@ -69,7 +77,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
-from scipy.linalg.blas import dsyr2k, dsyrk
+from scipy.linalg.blas import dsyrk
 from scipy.sparse.linalg import splu
 
 from . import formulation, krylov
@@ -99,13 +107,13 @@ class PrecondOperator:
 
     ``matrix`` is the system's array, with ``P_D A`` strictly above its
     diagonal and Z on and below it; ``diagonal`` is the diagonal of
-    ``P_D A``.  ``deflation`` is the orthonormal gauge basis that ``P_g``
-    projects out.  ``kernel`` is that basis mapped back through M, the
-    exact kernel of the assembled system that :func:`recover_solution`
-    removes from the residual.  ``coarse`` is the A-orthonormal coarse
-    basis W and ``coarse_image`` is ``U = A W``, so the spectral operator A
-    is ``P_D A + U U^T``; with empty coarse arrays the array holds A
-    itself.
+    ``P_D A``.  ``deflation`` is the kernel of the rescaled Z as one unit
+    column, the potential gauge, which :func:`recover_solution` removes
+    from the residual; it has no column when the exterior conducts.
+    ``M^-1 deflation`` spans the kernel of A.  ``coarse`` is the
+    A-orthonormal coarse basis W and ``coarse_image`` is ``U = A W``, so
+    the spectral operator A is ``P_D A + U U^T``; with empty coarse arrays
+    the array holds A itself.
     """
 
     system: BlockSystem
@@ -113,7 +121,6 @@ class PrecondOperator:
     primal_solvers: list
     dual_solvers: list
     deflation: np.ndarray
-    kernel: np.ndarray
     coarse: np.ndarray
     coarse_image: np.ndarray
     diagonal: np.ndarray
@@ -132,10 +139,6 @@ class PrecondOperator:
     @property
     def size(self) -> int:
         return self.system.size
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        q = self.deflation
-        return x - q @ (q.T @ x)
 
     def apply_p(self, x: np.ndarray) -> np.ndarray:
         """Blockwise application of the sparse (inverse-)Laplacian factors
@@ -160,7 +163,8 @@ class PrecondOperator:
         return y
 
     def spectral_rhs(self) -> np.ndarray:
-        """``c = P_g M Z P b``, the right-hand side of ``A y = c``.
+        """``c = M Z P b``, the right-hand side of ``A y = c``, which lies in
+        A's range for every b.
 
         :meth:`preconditioned_rhs` and :func:`recover_solution` both need
         c, so it is formed once per right-hand side array and kept; the
@@ -171,7 +175,7 @@ class PrecondOperator:
             raise ValueError("system has no right-hand side")
         if self._load is None or self._load[0] is not rhs:
             y = self.system.matvec(self.apply_p(rhs))
-            self._load = (rhs, self.project(self.m_diag * y))
+            self._load = (rhs, self.m_diag * y)
         return self._load[1]
 
     def preconditioned_rhs(self) -> np.ndarray:
@@ -288,21 +292,17 @@ def _mirror_lower(a: np.ndarray) -> None:
 
 
 def _form_spectral(op: PrecondOperator) -> None:
-    """Form the spectral operator ``A = P_g M Z P Z M P_g`` on and above
-    the diagonal of ``op.matrix``; the caller keeps Z's diagonal.
+    """Form the spectral operator ``A = M Z P Z M`` on and above the
+    diagonal of ``op.matrix``; the caller keeps Z's diagonal.
 
-    ``B = M Z P Z M`` is symmetric, so only its upper triangle is computed,
-    in chunks of columns, from the last chunk to the first.  Z is first
-    mirrored onto the upper triangle, and a chunk overwrites only columns
-    that no later chunk reads.  With ``Y = P (Z M)[:, cols]``, the chunk is
-    ``B[:r1, cols] = m[:r1] * (Z[:, :r1]^T Y)``, one product with the
+    A is symmetric, so only its upper triangle is computed, in chunks of
+    columns, from the last chunk to the first.  Z is first mirrored onto
+    the upper triangle, and a chunk overwrites only columns that no later
+    chunk reads.  With ``Y = P (Z M)[:, cols]``, the chunk is
+    ``A[:r1, cols] = m[:r1] * (Z[:, :r1]^T Y)``, one product with the
     columns ``:r1`` of the array, and the chunks add up to half of one
     N x N x N product.  Its diagonal goes to a vector and onto the array's
-    diagonal at the end.  The gauge projections enter as the rank-2
-    correction ``P_g B P_g = B - Q R^T - R Q^T`` with
-    ``R = B Q - Q (Q^T B Q) / 2``: one ``dsyr2k`` on the Fortran view
-    ``op.matrix.T``, whose lower triangle is the upper triangle of the
-    array, in place and without a copy.
+    diagonal at the end.
     """
     a, m = op.matrix, op.m_diag
     n = len(m)
@@ -312,18 +312,13 @@ def _form_spectral(op: PrecondOperator) -> None:
     for r0 in reversed(range(0, n, CHUNK)):
         r1 = min(r0 + CHUNK, n)
         y = op.apply_p(a[:, r0:r1] * m[r0:r1])
-        chunk = y.T @ a[:, :r1]  # B[:r1, r0:r1] transposed
+        chunk = y.T @ a[:, :r1]  # A[:r1, r0:r1] transposed
         chunk *= m[:r1]
         a[:r0, r0:r1] = chunk[:, :r0].T
         d = chunk[:, r0:].T
         np.copyto(a[r0:r1, r0:r1], d, where=strict[: r1 - r0, : r1 - r0])
         diagonal[r0:r1] = np.diagonal(d)
     np.fill_diagonal(a, diagonal)
-    q = op.deflation
-    if q.shape[1]:
-        v = krylov.symmetric_matvec(a, q, upper=True)
-        r = v - 0.5 * q @ (q.T @ v)
-        dsyr2k(-1.0, q.T, r.T, beta=1.0, c=a.T, trans=1, lower=1, overwrite_c=1)
 
 
 def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.ndarray]:
@@ -335,14 +330,15 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
     averaged over a cell's three corners: the thin skull's small
     eigenvalues weigh mostly on the cell rows, so they take the larger
     share of the columns.  ``modes`` holds for each surface as many modes
-    as its blocks use.  The columns are pulled
-    back through ``1/m_diag`` and the gauge projector.  When the gauge is
-    deflated, the constants of all vertex blocks span it, so the outermost
-    vertex block drops its constant mode.  ``A W`` is one ``dsymm`` with
-    the upper triangle of the formed A.  ``E = W^T A W`` is factored by
-    eigendecomposition with a curvature cut-off: directions with
-    eigenvalue at most 1e-12 of the largest are dropped, as
-    :func:`krylov.orthonormal_columns` drops dependent columns.
+    as its blocks use.  The columns are pulled back through ``1/m_diag``.
+    When Z has a gauge, the constants of all vertex blocks span A's kernel
+    ``M^-1 k``, so the outermost vertex block drops its constant mode.
+    ``A W`` is one ``dsymm`` with the upper triangle of the formed A.
+    ``E = W^T A W`` is factored by eigendecomposition with a curvature
+    cut-off: directions with eigenvalue at most 1e-12 of the largest are
+    dropped.  The cut would drop the gauge direction too, but the
+    returned arrays would then be copies of W and ``A W`` rather than
+    the arrays themselves.
     """
     layout = op.system.layout
     last = layout.num_interfaces - 1
@@ -363,9 +359,6 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
     # W and A W stay the only N x T arrays: everything else is a chunk.  E
     # goes to eigh as its Fortran view, which LAPACK overwrites in place, so
     # two T x T arrays are alive at once, and the eigenvectors are scaled
-    for c0 in range(0, w.shape[1], CHUNK):
-        cols = slice(c0, c0 + CHUNK)
-        w[:, cols] = op.project(w[:, cols])
     aw = krylov.symmetric_matvec(op.matrix, w, upper=True)
     vals, vecs = eigh((w.T @ aw).T, overwrite_a=True)
     first = np.searchsorted(vals, 1e-12 * vals[-1], side="right")  # vals ascend
@@ -394,10 +387,11 @@ def _build_bytes(layout) -> int:
 
 def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     """Assemble the diagonal Gram factors, the per-interface Laplacian
-    maps, the gauge deflation basis, the recovery kernel basis and the
-    coarse space for a (rescaled) system, and form ``P_D A`` strictly above
-    the diagonal of ``system.matrix``, replacing whatever operator an
-    earlier build left there.
+    maps, the gauge basis and the coarse space for a (rescaled) system, and
+    form ``P_D A`` strictly above the diagonal of ``system.matrix``,
+    replacing whatever operator an earlier build left there.  The system
+    has a gauge when :func:`formulation.system_layout` keeps no cell rows
+    on its outermost surface, that is when the exterior insulates.
 
     Each surface takes one sparse factorization, the bordered LU of its
     regularized Laplacian: the vertex rows of P apply it, and the inverse
@@ -447,20 +441,19 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
         count = CELL_MODES if ps is not None else VERTEX_MODES
         modes.append(_surface_modes(primal_solvers[i], lap, gram, count))
 
-    # Deflation = the operator's actual kernel, pulled back through M: with
-    # an insulating exterior the system annihilates a simultaneous constant
-    # shift of all traces (the potential gauge); with a conducting exterior
-    # the decay condition at infinity fixes the gauge and nothing is deflated.
-    if system.conductivities[-1] == 0.0:
-        gauge = np.zeros(n)
-        gauge[: sum(layout.v_sizes)] = 1.0  # every vertex block's constant trace
-        deflation = krylov.orthonormal_columns([gauge / system.scale_vector() / m_diag])
-        kernel = krylov.orthonormal_columns([m_diag * q for q in deflation.T])
-    else:
-        deflation = kernel = np.zeros((n, 0))
+    # With an insulating exterior, which keeps no cell rows on the outermost
+    # surface, the rescaled system annihilates a simultaneous constant shift
+    # of all traces (the potential gauge); with a conducting exterior the
+    # decay condition at infinity fixes the gauge.
+    deflation = np.zeros((n, 0))
+    if not layout.p_kept[-1]:
+        deflation = np.zeros((n, 1))
+        deflation[: sum(layout.v_sizes), 0] = 1.0  # every vertex block's constant trace
+        deflation /= system.scale_vector()[:, None]
+        deflation /= np.linalg.norm(deflation)
     empty = np.zeros((n, 0))
     z_diagonal = np.diagonal(system.matrix).copy()
-    op = PrecondOperator(system, m_diag, primal_solvers, dual_solvers, deflation, kernel,
+    op = PrecondOperator(system, m_diag, primal_solvers, dual_solvers, deflation,
                          empty, empty, z_diagonal)
     a = system.matrix
     try:
@@ -484,7 +477,7 @@ def _recover(op: PrecondOperator, y: np.ndarray):
     x = op.m_diag * y
     r = system.matvec(x) - system.rhs
     # no solution can reduce the load component along the exact kernel
-    r = r - op.kernel @ (op.kernel.T @ r)
+    r = r - op.deflation @ (op.deflation.T @ r)
     return x, r, float(np.linalg.norm(r) / (np.linalg.norm(system.rhs) or 1.0))
 
 
@@ -492,7 +485,7 @@ def _check(residual: float, tol: float) -> None:
     if residual > 10.0 * tol:
         raise RuntimeError(
             f"recovered solution residual {residual:.3e} exceeds 10 x {tol:.1e}: "
-            "deflation inconsistent with the assembled system"
+            "CG stopped short of the tolerance"
         )
 
 
@@ -501,11 +494,11 @@ def recover_solution(op: PrecondOperator, y: np.ndarray, tol: float = 1e-8):
 
     The coarse component ``W (W^T c - U^T y)`` is added first, which turns
     a solution of ``P_D A y = P_D c`` into one of ``A y = c``.  The Gram
-    factor undoes M and the conductivity scaling is undone last; the
-    gauge directions stay at the value the minimum-norm Krylov iterate
-    assigned them (a pure additive constant, fixed downstream).  Returns
-    ``(x, relative_residual)`` of the assembled (rescaled) system, with the
-    residual measured orthogonally to the gauge kernel.
+    factor undoes M and the conductivity scaling is undone last.  When the
+    system has a gauge, the gauge component of x is an arbitrary additive
+    constant, fixed downstream.  Returns ``(x, relative_residual)`` of the
+    assembled (rescaled) system, with the residual measured orthogonally
+    to the gauge kernel ``op.deflation``.
     """
     x, _, residual = _recover(op, np.asarray(y, dtype=float))
     _check(residual, tol)
