@@ -16,11 +16,12 @@ Every triangle pair integrated under a pair rule of
 :mod:`symmbem._quadrature` goes through one batch function,
 :func:`_tensor_batch`: the touching pairs of a surface (coincident, edge
 and vertex) under the regularizing transforms, and the disjoint pairs
-under the tensor Gauss rule of their distance tier.  It maps the stacked
-corner offsets of both triangles, taken relative to the row triangle's
-first corner, to the point differences ``x - y`` with one small matmul per
-component, and hands their squared lengths to the pair kernel
-(:func:`_pair_kernel`).  The nearly touching disjoint pairs
+under the tensor Gauss rule of their distance tier.  A pair rule is a
+quadratic form in the offsets of the pair's distinct corners from the row
+triangle's first corner (:func:`_pair_rule`), so the batch forms the dot
+products of those offsets once per pair and gets the squared distances of
+all its point pairs from one matrix product, which it hands to the pair
+kernel (:func:`_pair_kernel`).  The nearly touching disjoint pairs
 (``CLOSED_FORM_TIER``) are integrated otherwise: the inner integrals over
 the column triangle of ``1/r``, of the hat-weighted double-layer kernel
 and of the kernel gradient are taken in closed form (Wilton et al. 1984;
@@ -88,15 +89,17 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 #: triangle pairs as fit in this budget, at least one; the regular sweep
 #: also classifies its tiers in row blocks of at most this many triangle
 #: pairs.  Each batch allocates its own two float64 point-pair arrays of at
-#: most this length (1 MB each) and shares none with another batch.
+#: most this length (1 MB each) and shares none with another batch.  Beside
+#: them a tensor batch holds the 15 x pairs Gram array of its corner offsets
+#: (:func:`_tensor_batch`), at most 15 / ``MIN_PAIR_POINTS`` of one of them.
 #: At 2**18 the sphere subdivision-3 assembly peaked 37 MB higher for no
 #: measurable speed; much smaller batches pay numpy's per-call overhead on
 #: too little work (a closed-form batch holds 32 pairs here).
 BATCH_POINT_PAIRS = 2**17
 #: A triangle pair counts as at least this many point pairs against the
-#: budget, because its per-pair arrays (corner offsets, heights and
-#: the three kernel results) cost memory whatever its rule.  On the sphere
-#: at subdivision 3, a 3-point batch filled by point pairs alone held
+#: budget, because its per-pair arrays (corner offsets, their Gram array,
+#: heights and the three kernel results) cost memory whatever its rule.  On
+#: the sphere at subdivision 3, a 3-point batch filled by point pairs alone held
 #: 14 563 pairs and allocated 7.9 MB beyond its point-pair arrays; the cap of
 #: 3 640 pairs brings it to 2.0 MB, next to 2.5 MB for a full 6-point batch.
 MIN_PAIR_POINTS = 36
@@ -255,10 +258,12 @@ def _pair_kernel(r2, tmp, w, w9, scale, h_xy, h_yx):
 
     ``r2`` (points x pairs, pairs innermost so that every elementwise step
     runs along long rows) is consumed; ``tmp`` is scratch of the same
-    shape.  ``w`` holds the point-pair weights and ``w9`` the weights times
-    the products of the two points' barycentric coordinates, flattened over
-    (k, j), so that one small matmul gives the 3 x 3 moments
-    ``M[k, j] = sum w x_k y_j / r^3`` of every pair.  On flat triangles the
+    shape.  One division turns ``r2`` into ``1/r^2``, its square root is
+    ``1/r`` and their product ``1/r^3``.  ``w`` holds the point-pair weights
+    and ``w9`` the weights times the products of the two points'
+    barycentric coordinates, flattened over (k, j), so that one small
+    matmul gives the 3 x 3 moments ``M[k, j] = sum w x_k y_j / r^3`` of
+    every pair.  On flat triangles the
     normal projection of ``x - y`` is a height over a plane: with ``h_xy[k]``
     (3 x pairs) the height of corner k of the x-triangle over the
     y-triangle's plane, ``(x - y) . n_y = sum_k x_k h_xy[k]``, and likewise
@@ -269,12 +274,12 @@ def _pair_kernel(r2, tmp, w, w9, scale, h_xy, h_yx):
     ``None`` when its heights are not given, and without either the
     moments are not formed.
     """
+    np.divide(1.0, r2, out=r2)
     np.sqrt(r2, out=tmp)
-    np.divide(1.0, tmp, out=tmp)
     s = (w @ tmp) * scale
     if h_xy is None and h_yx is None:
         return s, None, None
-    np.divide(tmp, r2, out=r2)
+    np.multiply(r2, tmp, out=r2)
     m = (w9.T @ r2).reshape(3, 3, -1) * scale
     d = None if h_xy is None else (h_xy[:, None, :] * m).sum(axis=0).T
     ds = None if h_yx is None else (m * h_yx[None, :, :]).sum(axis=1).T
@@ -295,11 +300,12 @@ def _heights(rel, normals):
     return (rel * normals[:, None, :]).sum(axis=0)
 
 
-def _panel_integrals(x, nx, mesh, cells):
+def _panel_integrals(x, nx, mesh, cells, want_d, want_ds):
     """Integrals over flat triangles, in closed form, at points off them.
 
     ``x`` (3, q, P) holds q points for each of the P triangles ``cells`` of
-    ``mesh`` and ``nx`` (3, P) a unit normal per cell at those points.  Edge
+    ``mesh`` and ``nx`` (3, P) a unit normal per cell at those points,
+    read only for ``ds``.  Edge
     k of a cell is the edge opposite corner k, from corner k + 1 to corner
     k + 2.  The constants of each cell are taken from the mesh's caches:
     ``dirs`` (3 components x 7 x P) stacks the unit tangents of the three
@@ -325,6 +331,9 @@ def _panel_integrals(x, nx, mesh, cells):
       ``sum_j d[j] = W``;
     - ``ds = -n_x . int_T (x - y)/r^3 = -n_x . sum_k m_k f_k - (n . n_x) W``.
 
+    ``d`` is ``None`` unless ``want_d`` is set and ``ds`` unless ``want_ds``
+    is, and the work of either is skipped when it is not asked for.
+
     ``R0`` is floored at ``eps`` times the edge length, below the rounding
     of p and h, so that points on an edge line away from the edge stay
     finite.
@@ -336,7 +345,6 @@ def _panel_integrals(x, nx, mesh, cells):
     edge_normals = np.cross(tangents, normals)
     dirs = np.concatenate([tangents, edge_normals, normals], axis=1)
     origins = _component_major((dirs * mesh.corners[cells][:, [1, 2, 0, 1, 2, 0, 0]]).sum(axis=2))
-    gram = np.ascontiguousarray(np.einsum("cjd,ckd->jkc", edge_normals, edge_normals))  # m_j . m_k
     dirs = _component_major(dirs)
     lengths = _component_major(lengths)[:, None, :]
     rel, tmp = np.empty((2, 7) + x.shape[1:])
@@ -356,20 +364,38 @@ def _panel_integrals(x, nx, mesh, cells):
     area2 = 2.0 * mesh.areas[cells]
     w = 2.0 * np.arctan2(area2 * h, den)
     s = (p * f).sum(axis=0) - h * w
-    gf = (gram[:, :, None, :] * f[None]).sum(axis=1)
-    d = (p * w + h * gf) * (lengths / area2)
-    mn = (dirs[:, 3:6] * nx[:, None, :]).sum(axis=0)
-    ds = -(mn[:, None, :] * f).sum(axis=0) - (dirs[:, 6] * nx).sum(axis=0) * w
+    d = ds = None
+    if want_d:
+        # m_j . m_k
+        gram = np.ascontiguousarray(np.einsum("cjd,ckd->jkc", edge_normals, edge_normals))
+        gf = (gram[:, :, None, :] * f[None]).sum(axis=1)
+        d = (p * w + h * gf) * (lengths / area2)
+    if want_ds:
+        mn = (dirs[:, 3:6] * nx[:, None, :]).sum(axis=0)
+        ds = -(mn[:, None, :] * f).sum(axis=0) - (dirs[:, 6] * nx).sum(axis=0) * w
     return s, w, d, ds
 
 
-def _pair_rule(bx, by, w):
+def _pair_rule(bx, by, w, shared=0):
     """A pair rule ``(bary_x, bary_y, weights)`` of :mod:`symmbem._quadrature`
-    as :func:`_tensor_batch` applies it: the (points, 6) map from the stacked
-    corner offsets of both triangles to ``x - y``, and the weights of
+    as :func:`_tensor_batch` applies it to pairs whose charts share their
+    first ``shared`` corners (3 coincident, 2 edge, 1 vertex, 0 disjoint).
+
+    Over the pair's distinct corners, the row triangle's three and then the
+    column triangle's last ``3 - shared``, the point map to ``x - y`` has the
+    coefficients ``bx`` and ``-by``, a shared corner's two merged into
+    ``bx_k - by_k``.  They sum to zero, so taken relative to the first
+    corner ``x - y = sum_a c_a e_a`` over the ``n = 5 - shared`` remaining
+    offsets ``e_a``, and ``|x - y|^2 = sum_{a <= b} C[q, ab] e_a . e_b``
+    with ``C[q, ab] = c_a c_b``, doubled off the diagonal, over the
+    ``n (n + 1) / 2`` pairs a <= b in row-major order.  Returns ``(C,
+    weights, w9, shared)``, ``w9`` the moment weights of
     :func:`_pair_kernel`."""
+    c = np.concatenate([bx[:, :shared] - by[:, :shared], bx[:, shared:], -by[:, shared:]], axis=1)
+    a, b = np.triu_indices(5 - shared)
+    form = c[:, 1:][:, a] * c[:, 1:][:, b] * np.where(a == b, 1.0, 2.0)
     w9 = ((w[:, None] * bx)[:, :, None] * by[:, None, :]).reshape(len(w), 9)
-    return np.concatenate([bx, -by], axis=1), w, w9
+    return np.ascontiguousarray(form), w, w9, shared
 
 
 def _batch_slices(n_pairs, n_points):
@@ -409,26 +435,31 @@ def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
 
     Row triangle ``pa[i]`` of ``mesh_t`` has the corners ``ca[i]`` and column
     triangle ``pb[i]`` of ``mesh_s`` the corners ``cb[i]``, both as vertex
-    ids in the rule's chart order.  Corners are taken relative to the row
-    triangle's first corner, which for a touching pair is the shared
-    vertex, so that ``x - y`` is one small matmul per component of the rule's
-    map with the stacked offsets, and the distances keep their relative
+    ids in the rule's chart order, the ``shared`` corners of the rule first
+    in both.  The pair's distinct corners are gathered once and taken
+    relative to the row triangle's first corner, which for a touching pair
+    is a shared vertex; the dot products of the remaining offsets form the
+    Gram array ``G`` (pairs a <= b x pairs), and the squared distances of
+    all point pairs are the one product ``C @ G`` with the rule's quadratic
+    form.  Merging the shared corners keeps the distances' relative
     accuracy as the points close in on a singularity.  When
     ``double_layer`` is set, the same offsets give the heights of
     :func:`_pair_kernel` for the double layers the sweep integrates.
     ``mirror`` asks the accumulation to fill the (column, row) entries too.
     """
-    pmap, w, w9 = rule
-    e = np.take(sweep.vertices, np.concatenate([ca.T, cb.T + sweep.offset]), axis=1)
-    e -= e[:, :1]  # (3 components, 6 corners, pairs), from the first corner
-    r2, tmp = np.empty((2, len(pmap), len(pa)))
-    for k in range(3):
-        dst = r2 if k == 0 else tmp
-        np.matmul(pmap, e[k], out=dst)
-        np.multiply(dst, dst, out=dst)
-        if k:
-            np.add(r2, tmp, out=r2)
+    form, w, w9, shared = rule
+    e = np.take(sweep.vertices, np.concatenate([ca.T, cb[:, shared:].T + sweep.offset]), axis=1)
+    e -= e[:, :1]  # (3 components, distinct corners, pairs), from the first corner
+    gram = np.empty((form.shape[1], len(pa)))
+    row = 0
+    for a in range(1, e.shape[1]):  # e_a . e_b for b >= a, one slice of rows per a
+        np.einsum("kbp,kp->bp", e[:, a:], e[:, a], out=gram[row : row + e.shape[1] - a])
+        row += e.shape[1] - a
+    r2, tmp = np.empty((2, len(w), len(pa)))
+    np.matmul(form, gram, out=r2)
     h_ab = h_ba = None
+    if double_layer and shared:  # the six chart corners, the shared ones repeated
+        e = e[:, [0, 1, 2, *range(shared), *range(3, 6 - shared)]]
     if double_layer and sweep.d:
         h_ab = _heights(e[:, :3] - e[:, 3:4], np.take(sweep.normals_s, pb, axis=1))
     if double_layer and sweep.ds:
@@ -501,11 +532,12 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, sweep):
 
     def closed_batch(rows, cols):
         x = outer_bary @ np.take(sweep.vertices, tri_t[rows].T, axis=1)  # (3, q, pairs)
-        s, _, d, ds = _panel_integrals(x, np.take(sweep.normals_t, rows, axis=1), mesh_s, cols)
+        nx = np.take(sweep.normals_t, rows, axis=1)
+        s, _, d, ds = _panel_integrals(x, nx, mesh_s, cols, sweep.d, sweep.ds)
         scale = sweep.areas_t[rows] / FOUR_PI
         s = (outer_w @ s) * scale
-        d = (np.matmul(outer_w, d) * scale).T if sweep.d else None
-        ds = (((outer_w[:, None] * outer_bary).T @ ds) * scale).T if sweep.ds else None
+        d = None if d is None else (np.matmul(outer_w, d) * scale).T
+        ds = None if ds is None else (((outer_w[:, None] * outer_bary).T @ ds) * scale).T
         return rows, cols, tri_t[rows], tri_s[cols], same, s, d, ds
 
     for r0, codes in _tier_blocks(mesh_t, mesh_s, thresholds, same):
@@ -540,7 +572,8 @@ def _singular_sweep(mesh, cfg, sweep):
         (quad.EDGE, edge_pairs, edge_charts),
         (quad.VERTEX, vertex_pairs, vertex_charts),
     ):
-        rule = _pair_rule(*quad.sauter_schwab_rule(category, cfg.singular_order))
+        shared = {quad.COINCIDENT: 3, quad.EDGE: 2, quad.VERTEX: 1}[category]
+        rule = _pair_rule(*quad.sauter_schwab_rule(category, cfg.singular_order), shared)
         distinct = category != quad.COINCIDENT
         for sl in _batch_slices(len(pairs), len(rule[1])):
             yield _tensor_batch(

@@ -256,7 +256,7 @@ def test_panel_integrals_match_independent_references(where):
     points = PANEL_POINTS[where]
     nx = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
     s, w, d, ds = bem_ops._panel_integrals(
-        points.T[:, :, None], nx[:, None], _single_cell(PANEL), np.arange(1)
+        points.T[:, :, None], nx[:, None], _single_cell(PANEL), np.arange(1), True, True
     )
     s, w, d, ds = s[:, 0], w[:, 0], d[:, :, 0].T, ds[:, 0]
     assert all(np.isfinite(a).all() for a in (s, w, d, ds))
@@ -276,7 +276,10 @@ def test_solid_angles_of_a_closed_surface(sphere2):
     nc = sphere2.num_triangles
     for point, total in (([0.1, -0.2, 0.3], -FOUR_PI), ([1.2, 0.4, -0.1], 0.0)):
         x = np.broadcast_to(np.array(point)[:, None, None], (3, 1, nc))
-        _, w, _, _ = bem_ops._panel_integrals(x, np.zeros((3, nc)), sphere2, np.arange(nc))
+        _, w, d, ds = bem_ops._panel_integrals(
+            x, np.zeros((3, nc)), sphere2, np.arange(nc), False, False
+        )
+        assert d is None and ds is None
         assert abs(w.sum() - total) <= 1e-12
 
 
@@ -309,6 +312,7 @@ def test_requested_blocks_keep_their_bits(sphere2, sphere2_ops, shells1):
         (sphere2, sphere2, sphere2_ops, ("S", "D", "N")),
         (middle, outer, cross, ("S", "D", "N")),
         (middle, outer, cross, ("S", "Dstar", "N")),
+        (middle, outer, cross, ("S", "N")),
     ):
         ops = assemble_operators(mesh_t, mesh_s, blocks)
         assert list(ops) == [tag for tag in TAGS if tag in blocks]
@@ -320,10 +324,11 @@ def test_requested_blocks_keep_their_bits(sphere2, sphere2_ops, shells1):
 
 def test_double_layer_work_follows_the_requested_blocks(shells1, monkeypatch):
     # no corner heights on a self pair without D; one set per tensor batch
-    # instead of two on a cross pair without Dstar
+    # instead of two on a cross pair without Dstar; and the closed-form
+    # batches integrate only the double layers asked for
     middle, outer = shells1[1:]
-    heights, kernels = bem_ops._heights, bem_ops._pair_kernel
-    calls = {"heights": 0, "batches": 0}
+    heights, kernels, panels = bem_ops._heights, bem_ops._pair_kernel, bem_ops._panel_integrals
+    calls = {"heights": 0, "batches": 0, "panels": set()}
 
     def counted_heights(*args):
         calls["heights"] += 1
@@ -333,16 +338,25 @@ def test_double_layer_work_follows_the_requested_blocks(shells1, monkeypatch):
         calls["batches"] += 1
         return kernels(*args)
 
+    def counted_panels(*args):
+        s, w, d, ds = panels(*args)
+        calls["panels"].add((d is not None, ds is not None))
+        return s, w, d, ds
+
     monkeypatch.setattr(bem_ops, "_heights", counted_heights)
     monkeypatch.setattr(bem_ops, "_pair_kernel", counted_kernel)
-    for mesh_t, mesh_s, blocks, per_batch in (
-        (outer, outer, ("S", "N"), 0),
-        (middle, outer, ("S", "D", "N"), 1),
-        (middle, outer, TAGS, 2),
+    monkeypatch.setattr(bem_ops, "_panel_integrals", counted_panels)
+    for mesh_t, mesh_s, blocks, per_batch, panel_work in (
+        (outer, outer, ("S", "N"), 0, set()),
+        (middle, outer, ("S", "D", "N"), 1, {(True, False)}),
+        (middle, outer, ("S", "Dstar", "N"), 1, {(False, True)}),
+        (middle, outer, ("S", "N"), 0, {(False, False)}),
+        (middle, outer, TAGS, 2, {(True, True)}),
     ):
-        calls.update(heights=0, batches=0)
+        calls.update(heights=0, batches=0, panels=set())
         assemble_operators(mesh_t, mesh_s, blocks)
         assert calls["batches"] > 0 and calls["heights"] == per_batch * calls["batches"], blocks
+        assert calls["panels"] == panel_work, blocks
 
 
 @pytest.fixture
@@ -554,3 +568,141 @@ def test_regular_tiers_match_per_pair_double_loop(pair):
         assert checked > 0, rule
         if rule == bem_ops.CLOSED_FORM_TIER:
             check_closed_form_accuracy(t, s)
+
+
+def _touching_rules():
+    """``(category, shared corners, pair rule)`` of each touching category at
+    the default transform order."""
+    order = DEFAULT_QUADRATURE.singular_order
+    return [
+        (category, shared, quad.sauter_schwab_rule(category, order))
+        for category, shared in ((quad.COINCIDENT, 3), (quad.EDGE, 2), (quad.VERTEX, 1))
+    ]
+
+
+def _tensor_tier_rules():
+    """``(tier, 0, pair rule)`` of each tensor tier of the default quadrature."""
+    cfg = DEFAULT_QUADRATURE
+    tiers = [r for _, r in cfg.near_tiers if r != bem_ops.CLOSED_FORM_TIER] + [cfg.far_points]
+    return [(tier, 0, quad.tensor_pair_rule(tier)) for tier in tiers]
+
+
+def _per_coordinate_batch(sweep, bx, by, w, ca, cb, pa, pb, double_layer):
+    """``(r2, S, D, Dstar)`` of a batch the way ``bem_ops._tensor_batch``
+    took them before its distances became one product: the corners of both
+    charts from the row triangle's first, ``x - y`` one matmul per
+    coordinate with the map ``[bx, -by]``, then ``1/r`` and ``1/r^3`` by
+    two divisions."""
+    pmap = np.concatenate([bx, -by], axis=1)
+    w9 = ((w[:, None] * bx)[:, :, None] * by[:, None, :]).reshape(len(w), 9)
+    e = np.take(sweep.vertices, np.concatenate([ca.T, cb.T + sweep.offset]), axis=1)
+    e -= e[:, :1]
+    r2 = sum((pmap @ e[k]) ** 2 for k in range(3))
+    scale = sweep.areas_t[pa] * sweep.areas_s[pb] / np.pi
+    inv = 1.0 / np.sqrt(r2)
+    s = (w @ inv) * scale
+    d = ds = None
+    if double_layer:
+        m = (w9.T @ (inv / r2)).reshape(3, 3, -1) * scale
+        if sweep.d:
+            h = bem_ops._heights(e[:, :3] - e[:, 3:4], np.take(sweep.normals_s, pb, axis=1))
+            d = (h[:, None, :] * m).sum(axis=0).T
+        if sweep.ds:
+            h = bem_ops._heights(e[:, 3:], np.take(sweep.normals_t, pa, axis=1))
+            ds = (m * h[None, :, :]).sum(axis=1).T
+    return r2, s, d, ds
+
+
+def test_squared_distances_keep_their_relative_accuracy(sphere2, monkeypatch):
+    # Every pair of each touching category and tensor tier on the
+    # subdivision-2 sphere, against squared distances in long double from
+    # the points' absolute coordinates (barycentric rows normalised to sum
+    # to one).  The quadratic form may lose up to twice the accuracy of the
+    # per-coordinate differences, or a few units of rounding: on the 6x4
+    # tier, whose point pairs come closest relative to the corner offsets,
+    # the worst pair reads 2.2e-15 against 8.4e-16.
+    mesh = sphere2
+    sweep = bem_ops._Sweep(mesh, mesh, TAGS)
+    r2s = []
+    pair_kernel = bem_ops._pair_kernel
+
+    def spy(r2, *args):
+        r2s.append(r2.copy())
+        return pair_kernel(r2, *args)
+
+    monkeypatch.setattr(bem_ops, "_pair_kernel", spy)
+    edge_pairs, edge_charts, vertex_pairs, vertex_charts = bem_ops._touching_pairs(mesh)
+    cells = np.arange(mesh.num_triangles)
+    pairs = {
+        quad.COINCIDENT: (cells, cells, mesh.triangles, mesh.triangles),
+        quad.EDGE: (*edge_pairs.T, *edge_charts),
+        quad.VERTEX: (*vertex_pairs.T, *vertex_charts),
+    }
+    thresholds = [t for t, _ in DEFAULT_QUADRATURE.near_tiers]
+    codes = np.concatenate([c for _, c in bem_ops._tier_blocks(mesh, mesh, thresholds, True)])
+    tiers = [r for _, r in DEFAULT_QUADRATURE.near_tiers] + [DEFAULT_QUADRATURE.far_points]
+    for k, tier in enumerate(tiers):
+        ti, si = np.nonzero(codes == k)
+        pairs[tier] = (ti, si, mesh.triangles[ti], mesh.triangles[si])
+    vertices = mesh.vertices.astype(np.longdouble)
+    eps = np.finfo(float).eps
+    for name, shared, (bx, by, w) in _touching_rules() + _tensor_tier_rules():
+        rule = bem_ops._pair_rule(bx, by, w, shared)
+        bxl, byl = (b.astype(np.longdouble) for b in (bx, by))
+        bxl, byl = bxl / bxl.sum(axis=1)[:, None], byl / byl.sum(axis=1)[:, None]
+        pa, pb, ca, cb = pairs[name]
+        assert len(pa), name
+        error = direct_error = 0.0
+        for sl in bem_ops._batch_slices(len(pa), 4 * len(w)):  # long double arrays stay small
+            r2s.clear()
+            bem_ops._tensor_batch(sweep, rule, ca[sl], cb[sl], pa[sl], pb[sl], False, False)
+            x = np.einsum("qk,pkc->qpc", bxl, vertices[ca[sl]])
+            y = np.einsum("qk,pkc->qpc", byl, vertices[cb[sl]])
+            reference = ((x - y) ** 2).sum(axis=2)
+            direct, *_ = _per_coordinate_batch(
+                sweep, bx, by, w, ca[sl], cb[sl], pa[sl], pb[sl], False
+            )
+            error = max(error, float((np.abs(r2s[0] - reference) / reference).max()))
+            direct_error = max(direct_error, float((np.abs(direct - reference) / reference).max()))
+        print(f"{name}: r2 relative error {error:.2e}, per-coordinate form {direct_error:.2e}")
+        assert error <= 1e-12, name
+        assert error <= max(2.0 * direct_error, 16 * eps), name
+
+
+@pytest.mark.parametrize("pair", ["shells1-self", "shells1-cross", "sphere2-self"])
+def test_tensor_batches_match_the_per_coordinate_reference(pair, shells1, sphere2, monkeypatch):
+    # every batch of every tensor tier and touching category, against the
+    # same batch with its distances taken one coordinate at a time; the far
+    # tier first occurs at subdivision 2
+    inner, middle = shells1[:2]
+    mesh_t, mesh_s = {
+        "shells1-self": (inner, inner),
+        "shells1-cross": (inner, middle),
+        "sphere2-self": (sphere2, sphere2),
+    }[pair]
+    rules = {len(r[2]): (name, r) for name, _, r in _touching_rules() + _tensor_tier_rules()}
+    assert len(rules) == 6  # the point counts tell the rules apart
+    tensor_batch = bem_ops._tensor_batch
+    batches = []
+
+    def spy(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
+        out = tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer)
+        name, (bx, by, w) = rules[len(rule[1])]
+        reference = _per_coordinate_batch(sweep, bx, by, w, ca, cb, pa, pb, double_layer)[1:]
+        batches.append((name, out[5:], reference))
+        return out
+
+    monkeypatch.setattr(bem_ops, "_tensor_batch", spy)
+    ops = assemble_operators(mesh_t, mesh_s)
+    expected = {name for name, _, _ in _tensor_tier_rules()}
+    if pair.startswith("shells1"):
+        expected -= {DEFAULT_QUADRATURE.far_points}
+    if pair.endswith("self"):
+        expected |= {name for name, _, _ in _touching_rules()}
+    assert {name for name, _, _ in batches} == expected
+    for name, values, reference in batches:
+        for tag, value, ref in zip(TAGS, values, reference):
+            assert (value is None) == (ref is None), (name, tag)
+            if ref is not None:
+                scale = np.abs(ops[tag].matrix).max()
+                assert np.abs(value - ref).max() <= 1e-13 * scale, (name, tag)
