@@ -16,32 +16,44 @@ Every triangle pair integrated under a pair rule of
 :mod:`symmbem._quadrature` goes through one batch function,
 :func:`_tensor_batch`: the touching pairs of a surface (coincident, edge
 and vertex) under the regularizing transforms, and the disjoint pairs
-under the tensor Gauss rule of their distance tier.  A pair rule is a
-quadratic form in the offsets of the pair's distinct corners from the row
-triangle's first corner (:func:`_pair_rule`), so the batch forms the dot
-products of those offsets once per pair and gets the squared distances of
-all its point pairs from one matrix product, which it hands to the pair
-kernel (:func:`_pair_kernel`).  The nearly touching disjoint pairs
+under the tensor Gauss rule of their distance tier, but for the far pairs
+of the row blocks where they dominate.  A pair rule is a quadratic form in
+the offsets of the pair's distinct corners from the row triangle's first
+corner (:func:`_pair_rule`), so the batch forms the dot products of those
+offsets once per pair and gets the squared distances of all its point
+pairs from one matrix product, which it hands to the pair kernel
+(:func:`_pair_kernel`).  The nearly touching disjoint pairs
 (``CLOSED_FORM_TIER``) are integrated otherwise: the inner integrals over
 the column triangle of ``1/r``, of the hat-weighted double-layer kernel
 and of the kernel gradient are taken in closed form (Wilton et al. 1984;
 de Munck 1992) at the points of a collapsed Gauss rule on the row
 triangle, one pass of :func:`_panel_integrals` per batch.
 
-The regular sweep (disjoint pairs) and the singular sweep (touching pairs)
-cut their triangle pairs into batches of at most ``BATCH_POINT_PAIRS``
-kernel evaluations, in an order fixed by the meshes alone.  Each batch is
-evaluated on the calling thread in arrays of its own, reading only the
-mesh caches and :class:`_Sweep`, and added into the matrices in that
-order.  A batch is dozens of small numpy calls, and a pool of threads
-bought little for its memory: on a 2-core host with one BLAS thread, two
-threads assembled the three-shell head at subdivision 2 no faster than
-one (0.69-0.80 s against 0.67-0.78 s) and at subdivision 3 in 4.9 s
-against 5.9 s, while the second thread's malloc arena raised the peak
-resident memory by 8-9 MB.  On a single surface each unordered triangle
-pair is integrated once and fills both orientations: the single layer is
-exactly symmetric and the adjoint double layer is the exact transpose of
-the double layer.
+The regular sweep classifies the disjoint pairs in row blocks of at most
+``BATCH_POINT_PAIRS`` pairs.  In a block whose far pairs are at least
+``DENSE_FAR_SHARE`` of its pairs, as on finely meshed surfaces, the far
+tier is integrated in dense arrays spanning the block's rows and the
+columns it visits (:func:`_far_block`): the points of the far rule are
+taken once per surface pair, every triangle pair of the block is
+evaluated with no gather, and the result is masked to the far pairs and
+added straight into the matrices, the double layers through one sparse
+product per corner.  Such a row block is also the shape of block that
+adaptive cross approximation compresses.
+
+The regular sweep (its other disjoint pairs) and the singular sweep
+(touching pairs) cut their triangle pairs into batches of at most
+``BATCH_POINT_PAIRS`` kernel evaluations, in an order fixed by the meshes
+alone.  Each batch is evaluated on the calling thread in arrays of its
+own, reading only the mesh caches and :class:`_Sweep`, and added into the
+matrices in that order.  A batch is dozens of small numpy calls, and a
+pool of threads bought little for its memory: on a 2-core host with one
+BLAS thread, two threads assembled the three-shell head at subdivision 2
+no faster than one (0.69-0.80 s against 0.67-0.78 s) and at subdivision 3
+in 4.9 s against 5.9 s, while the second thread's malloc arena raised the
+peak resident memory by 8-9 MB.  On a single surface each unordered
+triangle pair is integrated once and fills both orientations: the single
+layer is exactly symmetric and the adjoint double layer is the exact
+transpose of the double layer.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import _quadrature as quad
 from .geometry import TriangleMesh
@@ -68,11 +81,14 @@ class QuadratureConfig:
     centroid distance to the larger element diameter: the first tier whose
     threshold exceeds the ratio wins, the ``far_points`` rule covers the
     rest.  Each tier names a key of ``TRI_RULES`` whose tensor product with
-    itself integrates the pair, except the tier named ``CLOSED_FORM_TIER``
-    (``"6x16"``, under 0.9 diameters): its pairs, across thin conductor
-    gaps, integrate the inner triangle in closed form under an
-    ``OUTER_ORDER`` x ``OUTER_ORDER`` collapsed Gauss rule on the row
-    triangle.  The tier keeps the name, and ``TRI_RULES`` the rule, of the
+    itself integrates the pair.  The far pairs of a row block where they
+    make at least ``DENSE_FAR_SHARE`` of its pairs take the ``far_points``
+    rule in dense arrays spanning the block (:func:`_far_block`), the
+    others in batches like the near tiers.  The tier named
+    ``CLOSED_FORM_TIER`` (``"6x16"``, under 0.9 diameters) is integrated
+    otherwise: its pairs, across thin conductor gaps, integrate the inner
+    triangle in closed form under an ``OUTER_ORDER`` x ``OUTER_ORDER``
+    collapsed Gauss rule on the row triangle.  The tier keeps the name, and ``TRI_RULES`` the rule, of the
     composite tensor rule it replaced, so that the pair census reads the
     same tiers.  The near tiers keep nearly touching pairs as accurate as
     the far field.
@@ -92,16 +108,21 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 #: most this length (1 MB each) and shares none with another batch.  Beside
 #: them a tensor batch holds the 15 x pairs Gram array of its corner offsets
 #: (:func:`_tensor_batch`), at most 15 / ``MIN_PAIR_POINTS`` of one of them.
+#: A dense far block (:func:`_far_block`) spans one row block, so each of
+#: its arrays holds at most this many values per point pair plane; with
+#: both double layers it holds 14 such planes at once, 5 with neither.
 #: At 2**18 the sphere subdivision-3 assembly peaked 37 MB higher for no
 #: measurable speed; much smaller batches pay numpy's per-call overhead on
 #: too little work (a closed-form batch holds 32 pairs here).
 BATCH_POINT_PAIRS = 2**17
 #: A triangle pair counts as at least this many point pairs against the
 #: budget, because its per-pair arrays (corner offsets, their Gram array,
-#: heights and the three kernel results) cost memory whatever its rule.  On
-#: the sphere at subdivision 3, a 3-point batch filled by point pairs alone held
-#: 14 563 pairs and allocated 7.9 MB beyond its point-pair arrays; the cap of
-#: 3 640 pairs brings it to 2.0 MB, next to 2.5 MB for a full 6-point batch.
+#: heights and the three kernel results) cost memory whatever its rule.  Only
+#: the far tier's 9-point pairs reach it, in the row blocks below
+#: ``DENSE_FAR_SHARE``.  On the sphere at subdivision 3, a 3-point batch
+#: filled by point pairs alone held 14 563 pairs and allocated 7.9 MB beyond
+#: its point-pair arrays; the cap of 3 640 pairs brings it to 2.0 MB, next to
+#: 2.5 MB for a full 6-point batch.
 MIN_PAIR_POINTS = 36
 #: The near tier whose inner triangle is integrated in closed form
 #: (:func:`_panel_integrals`) under the ``OUTER_ORDER`` x ``OUTER_ORDER``
@@ -113,6 +134,14 @@ MIN_PAIR_POINTS = 36
 #: 31-48% of the pairs, where it was most accurate.
 CLOSED_FORM_TIER = "6x16"
 OUTER_ORDER = 8
+#: A row block of the regular sweep whose far pairs are at least this share
+#: of its pairs integrates them densely (:func:`_far_block`), every pair of
+#: the block evaluated, instead of batching them like the near tiers.  On
+#: one BLAS thread the two cost the same at a share of 0.37-0.57 (from the
+#: icosphere surface pairs at subdivisions 2 and 3, with and without the
+#: double layers); their row blocks sit at 0.17-0.30 at subdivision 2 and
+#: at 0.46-0.84 at subdivision 3 (the last self-pair block at 0.01).
+DENSE_FAR_SHARE = 0.5
 
 
 @dataclass
@@ -213,8 +242,8 @@ def assemble_operators(
     ig = np.zeros((nct, ncs))
     dmat = np.zeros((nct, nvs)) if sweep.d else None
     dsmat = np.zeros((nvt, ncs)) if sweep.ds and not same else None
-
-    batches = _regular_sweep(mesh_t, mesh_s, cfg, same, sweep)
+    adj = dmat.T if same and sweep.d else dsmat
+    batches = _regular_sweep(mesh_t, mesh_s, cfg, sweep, ig, dmat, adj)
     if same:
         batches = itertools.chain(batches, _singular_sweep(mesh_t, cfg, sweep))
     # add each batch into the matrices; ``mirror`` also fills (col, row)
@@ -410,14 +439,15 @@ class _Sweep:
     """What the batches of one surface pair read besides their own arrays
     and the mesh caches: the vertices of both meshes in one component-major
     array, those of ``mesh_s`` after those of ``mesh_t`` unless they are one
-    mesh, the component-major cell normals and the cell areas of each, and
-    which double layers the batches integrate for ``blocks``: ``d`` the
-    entries of ``D``, ``ds`` those of ``Dstar``.  On a single surface the
-    adjoint entries of a pair are the ``D`` entries of the mirrored pair, so
-    the two go together.  Nothing here is written after construction."""
+    mesh, the component-major cell normals and the cell areas of each,
+    whether the two are one surface (``same``), and which double layers
+    the batches integrate for ``blocks``: ``d`` the entries of ``D``, ``ds``
+    those of ``Dstar``.  On a single surface the adjoint entries of a pair
+    are the ``D`` entries of the mirrored pair, so the two go together.
+    Nothing here is written after construction."""
 
     def __init__(self, mesh_t, mesh_s, blocks):
-        same = mesh_t is mesh_s
+        self.same = same = mesh_t is mesh_s
         self.d = "D" in blocks or (same and "Dstar" in blocks)
         self.ds = self.d if same else "Dstar" in blocks
         self.offset = 0 if same else mesh_t.num_vertices
@@ -470,50 +500,182 @@ def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
 
 
 def _tier_blocks(mesh_t, mesh_s, thresholds, same):
-    """The distance tier of every triangle pair, in row blocks of at most
-    ``BATCH_POINT_PAIRS`` pairs.
+    """The distance tier of every visited triangle pair, in row blocks of at
+    most ``BATCH_POINT_PAIRS`` pairs.
 
-    Yields ``(r0, codes)``: ``codes[i, s]`` (int8) counts the thresholds
-    below the ratio of the centroid distance of pair ``(r0 + i, s)`` to the
-    larger of the two element diameters, the index that
+    Yields ``(r0, c0, codes)``: ``codes[i, j]`` (int8) counts the thresholds
+    below the ratio of the centroid distance of pair ``(r0 + i, c0 + j)``
+    to the larger of the two element diameters, the index that
     ``np.searchsorted(thresholds, ratio)`` gives, and so
-    ``len(thresholds)`` for the far pairs.  On a single surface
-    the pairs t >= s and the touching pairs get -1.  The squared distances
-    are summed one component at a time, ``dx^2 + dy^2 + dz^2``, the order
-    in which ``np.linalg.norm(axis=-1)`` sums them, in two reused block
-    buffers.
+    ``len(thresholds)`` for the far pairs.  Between two surfaces a block
+    spans every column (``c0 = 0``); on a single surface it spans the
+    columns ``s >= r0`` (``c0 = r0``), and the pairs t >= s and the
+    touching pairs get -1.  The squared distances are summed one component
+    at a time, ``dx^2 + dy^2 + dz^2``, the order in which
+    ``np.linalg.norm(axis=-1)`` sums them, in two reused block buffers.
     """
     ct, cs = _component_major(mesh_t.centroids), _component_major(mesh_s.centroids)
     nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
     block = max(1, BATCH_POINT_PAIRS // ncs)
-    buffers = np.empty((2, min(block, nct), ncs))
+    buffers = np.empty((2, min(block, nct) * ncs))
     for r0 in range(0, nct, block):
         r1 = min(r0 + block, nct)
-        dist, tmp = buffers[:, : r1 - r0]
+        c0 = r0 if same else 0
+        dist, tmp = buffers[:, : (r1 - r0) * (ncs - c0)].reshape(2, r1 - r0, ncs - c0)
         for k in range(3):
             dst = dist if k == 0 else tmp
-            np.subtract(ct[k, r0:r1, None], cs[k], out=dst)
+            np.subtract(ct[k, r0:r1, None], cs[k, c0:], out=dst)
             np.multiply(dst, dst, out=dst)
             if k:
                 np.add(dist, tmp, out=dist)
         np.sqrt(dist, out=dist)
-        np.maximum(mesh_t.diameters[r0:r1, None], mesh_s.diameters, out=tmp)
+        np.maximum(mesh_t.diameters[r0:r1, None], mesh_s.diameters[c0:], out=tmp)
         np.divide(dist, tmp, out=dist)
         codes = np.zeros(dist.shape, np.int8)
         for t in thresholds:
             codes += dist > t
         if same:
-            codes[np.tri(r1 - r0, ncs, r0, dtype=bool)] = -1
-            codes[mesh_t.shared_vertex_counts[r0:r1].nonzero()] = -1
-        yield r0, codes
+            codes[np.tri(r1 - r0, ncs - c0, dtype=bool)] = -1
+            touching = mesh_t.shared_vertex_counts[r0:r1].tocoo()
+            after = touching.col >= c0
+            codes[touching.row[after], touching.col[after] - c0] = -1
+        yield r0, c0, codes
 
 
-def _regular_sweep(mesh_t, mesh_s, cfg, same, sweep):
-    """Sweep over disjoint triangle pairs, as batch results.
+def _far_rule(rule, mesh_t, mesh_s):
+    """What :func:`_far_block` reads on a surface pair, taken once per pair:
+    ``(bary, weights, points_t, points_s, corner_maps, triangles_t)``.
+    ``bary`` (q x 3) and ``weights`` (q x q) are the barycentric points of
+    ``TRI_RULES[rule]`` and the weights of its tensor product
+    (``quad.tensor_pair_rule``); ``points_t`` and ``points_s`` hold the
+    points on every cell of each mesh, component-major (3 x q x cells);
+    ``corner_maps[c]`` is the sparse (cells x vertices) map of each cell of
+    ``mesh_s`` to its corner c; ``triangles_t`` gives the adjoint the
+    vertices of the row cells."""
+    bary, w = quad.TRI_RULES[rule]
+    points_t = _component_major(bary @ mesh_t.corners)
+    points_s = points_t if mesh_t is mesh_s else _component_major(bary @ mesh_s.corners)
+    ncs = mesh_s.num_triangles
+    maps = [
+        sp.csr_matrix(
+            (np.ones(ncs), mesh_s.triangles[:, c], np.arange(ncs + 1)),
+            shape=(ncs, mesh_s.num_vertices),
+        )
+        for c in range(3)
+    ]
+    return bary, 0.25 * np.outer(w, w), points_t, points_s, maps, mesh_t.triangles
 
-    Tiers are classified in row blocks by :func:`_tier_blocks`, each
-    tier's pairs in a block are found in row-major order by ``np.nonzero``
-    on its code, and they are cut into batches by
+
+def _far_block(sweep, far, r0, c0, mask, ig, dmat, adj):
+    """Add the far pairs ``mask`` of one row block of :func:`_tier_blocks`,
+    integrated under the far tier's tensor rule (:func:`_far_rule`), into the
+    single layer ``ig``, the double layer ``dmat`` and the adjoint ``adj``.
+
+    Every array spans the block, rows ``r0 : r0 + rows`` and columns
+    ``c0 :``, whatever the tier of its pairs, and the loop runs over the
+    q x q point pairs (a, b).  The squared distances come from
+    per-coordinate differences of the points: a broadcast fill of the row
+    point and an in-place subtraction of the column point, which numpy runs
+    faster than one broadcast subtraction.  The tensor weights are
+    products, ``w_ab = v_a v_b``, so one division gives ``w_ab^2 / r^2``,
+    its square root ``w_ab / r`` and their product ``w_ab^3 / r^3``, which
+    the double layers take with the factor ``1 / (v_a^2 v_b^2)`` folded
+    into their heights and corner weights.  On a single surface the block's
+    leading square holds the coincident pairs at distance 0: their ``r^2``
+    is set to 1 before the division, and they are masked out with the
+    other pairs that are not far.
+
+    The double layers are corner-weighted sums.  With ``h_a`` the height of
+    row point a over the column triangle's plane, taken once per (point,
+    pair) from its difference to column point 0, which lies in that plane,
+    ``K_b = sum_a h_a w_ab / r_ab^3`` and ``D[c] = sum_b bary[b, c] K_b``:
+    for the 3-point rule, whose barycentric coordinates are ``1/6 +
+    delta/2``, ``D[c] = R/6 + K_c/2`` with ``R = sum_b K_b``.  The adjoint
+    swaps the roles of the two triangles: heights of the column points over
+    the row triangle's plane, sums over the row points.  Each corner of
+    ``D`` goes to the vertices by one sparse product with its corner map;
+    the adjoint's three corners go through one product with the map of the
+    block's row cells to their vertices.  ``adj`` is ``Dstar``, or
+    ``dmat.T`` on a single surface, where each pair also fills its (s, t)
+    entries: ``S`` mirrored, and the adjoint entries, which are the ``D``
+    entries of pair (s, t).
+    """
+    bary, weights, points_t, points_s, maps, triangles_t = far
+    rows, cols = mask.shape
+    r1 = r0 + rows
+    x, y = points_t[:, :, r0:r1, None], points_s[:, :, None, c0:]
+    v2 = np.diag(weights)  # v_a^2
+    q = len(v2)
+    diff = np.empty((3, rows, cols))
+    r2, inv, tmp = diff
+    s = np.zeros(mask.shape)
+    h = k = hs = ks = None
+    if sweep.d:
+        h = np.empty(mask.shape)
+        k = np.zeros((q,) + mask.shape)
+    if sweep.ds:
+        hs = np.empty((q,) + mask.shape)
+        ks = np.zeros((q,) + mask.shape)
+    for a in range(q):
+        for b in range(q):
+            np.copyto(diff, x[:, a])
+            diff -= y[:, b]
+            if sweep.d and b == 0:
+                np.einsum("kts,ks->ts", diff, sweep.normals_s[:, c0:] / v2[a], out=h)
+            if sweep.ds and a == 0:
+                np.einsum("kts,kt->ts", diff, sweep.normals_t[:, r0:r1] / v2[b], out=hs[b])
+            np.multiply(diff, diff, out=diff)
+            r2 += inv
+            r2 += tmp
+            if sweep.same:
+                np.fill_diagonal(r2, 1.0)
+            np.divide(weights[a, b] ** 2, r2, out=r2)
+            np.sqrt(r2, out=inv)
+            s += inv
+            if sweep.d or sweep.ds:
+                r2 *= inv
+            if sweep.d:
+                np.multiply(h, r2, out=tmp)
+                k[b] += tmp
+            if sweep.ds:
+                np.multiply(hs[b], r2, out=tmp)
+                ks[a] += tmp
+    h = hs = None  # freed before the scatters allocate
+    scale = np.multiply(sweep.areas_t[r0:r1, None], sweep.areas_s[c0:] / np.pi)
+    scale *= mask
+    s *= scale
+    ig[r0:r1, c0:] += s
+    if sweep.same:
+        ig[c0:, r0:r1] += s.T
+    corner_weights = bary / v2[:, None]
+    if sweep.d:
+        np.matmul(corner_weights.T, k.reshape(q, -1), out=diff.reshape(3, -1))
+        diff *= scale
+        for c in range(3):
+            dmat[r0:r1] += diff[c] @ maps[c][c0:]
+        k = None
+    if sweep.ds:  # the heights of the column points were taken as (x - y) . n_t
+        np.matmul(-corner_weights.T, ks.reshape(q, -1), out=diff.reshape(3, -1))
+        diff *= scale
+        vertices, local = np.unique(triangles_t[r0:r1], return_inverse=True)
+        gather = sp.csc_matrix(
+            (np.ones(3 * rows), local.reshape(rows, 3).T.ravel(), np.arange(3 * rows + 1)),
+            shape=(len(vertices), 3 * rows),
+        )
+        adj[vertices, c0:] += gather @ diff.reshape(3 * rows, cols)
+
+
+def _regular_sweep(mesh_t, mesh_s, cfg, sweep, ig, dmat, adj):
+    """Sweep over disjoint triangle pairs, as batch results; the far pairs
+    of the row blocks integrated densely are added into ``ig``, ``dmat``
+    and ``adj`` as the sweep reaches them.
+
+    Tiers are classified in row blocks by :func:`_tier_blocks`.  A block
+    whose far pairs are at least ``DENSE_FAR_SHARE`` of its pairs
+    integrates them in arrays spanning the block (:func:`_far_block`); in
+    any other block the far tier is batched like the near tiers.  Each
+    batched tier's pairs in a block are found in row-major order by
+    ``np.nonzero`` on its code, and they are cut into batches by
     :func:`_batch_slices`.  The tensor tiers go through
     :func:`_tensor_batch` with the tensor product of their triangle rule
     (``quad.tensor_pair_rule``).  The ``CLOSED_FORM_TIER`` pairs integrate
@@ -524,9 +686,11 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, sweep):
     fills both orientations; the touching pairs are left to the singular
     sweep.
     """
+    same = sweep.same
     tiers = [rule for _, rule in cfg.near_tiers] + [cfg.far_points]
     thresholds = [t for t, _ in cfg.near_tiers]
     rules = {r: _pair_rule(*quad.tensor_pair_rule(r)) for r in tiers if r != CLOSED_FORM_TIER}
+    far = None  # the far rule's points and maps, taken at the first dense block
     tri_t, tri_s = mesh_t.triangles, mesh_s.triangles
     outer_bary, outer_w = quad.collapsed_rule(OUTER_ORDER)
 
@@ -540,10 +704,17 @@ def _regular_sweep(mesh_t, mesh_s, cfg, same, sweep):
         ds = None if ds is None else (((outer_w[:, None] * outer_bary).T @ ds) * scale).T
         return rows, cols, tri_t[rows], tri_s[cols], same, s, d, ds
 
-    for r0, codes in _tier_blocks(mesh_t, mesh_s, thresholds, same):
-        for k, name in enumerate(tiers):
+    for r0, c0, codes in _tier_blocks(mesh_t, mesh_s, thresholds, same):
+        far_pairs = codes == len(thresholds)
+        dense = np.count_nonzero(far_pairs) >= DENSE_FAR_SHARE * far_pairs.size
+        if dense:
+            if far is None:
+                far = _far_rule(cfg.far_points, mesh_t, mesh_s)
+            _far_block(sweep, far, r0, c0, far_pairs, ig, dmat, adj)
+        for k, name in enumerate(tiers[:-1] if dense else tiers):
             ti, si = np.nonzero(codes == k)
             ti += r0
+            si += c0
             if name == CLOSED_FORM_TIER:
                 for sl in _batch_slices(len(ti), len(outer_w) ** 2):
                     yield closed_batch(ti[sl], si[sl])

@@ -380,10 +380,12 @@ def batch_shapes(monkeypatch):
     return shapes
 
 
-def test_batches_honour_the_point_pair_budget(shells1, monkeypatch, batch_shapes):
+def test_batches_honour_the_point_pair_budget(shells1, sphere2, monkeypatch, batch_shapes):
+    # the sphere's far pairs are integrated in dense row blocks throughout
+    monkeypatch.setattr(bem_ops, "DENSE_FAR_SHARE", 0.0)
     shapes = batch_shapes
     inner, middle = shells1[:2]
-    pairs = ((inner, inner), (inner, middle))
+    pairs = ((inner, inner), (inner, middle), (sphere2, sphere2))
     reference = [assemble_operators(*pair) for pair in pairs]
     assert max(np.prod(s) for s in shapes) <= bem_ops.BATCH_POINT_PAIRS
     # closed-form batch arrays are (7, outer points, pairs), and a pair counts
@@ -393,8 +395,8 @@ def test_batches_honour_the_point_pair_budget(shells1, monkeypatch, batch_shapes
     assert closed and max(s[-1] for s in closed) == bem_ops.BATCH_POINT_PAIRS // q**2
 
     # a budget of one 6x4 pair: every composite and closed-form batch holds
-    # a single pair, and the regular sweep classifies its tiers in many row
-    # blocks
+    # a single pair, and the regular sweep classifies its tiers, and
+    # integrates the far pairs, in row blocks of one row
     budget = len(quad.TRI_RULES["6x4"][1]) ** 2
     monkeypatch.setattr(bem_ops, "BATCH_POINT_PAIRS", budget)
     shapes.clear()
@@ -432,6 +434,114 @@ def test_regular_batches_honour_the_triangle_pair_cap(sphere2, monkeypatch, batc
     assert max(far) == budget // bem_ops.MIN_PAIR_POINTS
 
 
+def test_far_blocks_stay_within_the_budget(sphere3, monkeypatch):
+    # On the subdivision-3 sphere the far pairs make 46-84% of each row
+    # block but the last (1%): those blocks are integrated densely and that
+    # one batched.  A dense block spans at most BATCH_POINT_PAIRS pairs, and
+    # its arrays (three coordinates, the single layer and, per double
+    # layer, the heights and sums of the three points) peak at 14 arrays
+    # of the block with both double layers and 5 without them.
+    thresholds = [t for t, _ in DEFAULT_QUADRATURE.near_tiers]
+    far = len(thresholds)
+    shares = {
+        r0: np.count_nonzero(codes == far) / codes.size
+        for r0, _, codes in bem_ops._tier_blocks(sphere3, sphere3, thresholds, True)
+    }
+    far_block = bem_ops._far_block
+    calls = []
+
+    def spy(sweep, rule, r0, c0, mask, *args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        far_block(sweep, rule, r0, c0, mask, *args)
+        calls.append((r0, mask.size, tracemalloc.get_traced_memory()[1] - start))
+
+    monkeypatch.setattr(bem_ops, "_far_block", spy)
+    budget = 8 * bem_ops.BATCH_POINT_PAIRS
+    for blocks, arrays in ((("S", "N"), 6), (TAGS, 15)):
+        calls.clear()
+        tracemalloc.start()
+        try:
+            assemble_operators(sphere3, sphere3, blocks)
+        finally:
+            tracemalloc.stop()
+        dense = [r0 for r0, share in shares.items() if share >= bem_ops.DENSE_FAR_SHARE]
+        assert [r0 for r0, _, _ in calls] == dense and 0 < len(dense) < len(shares)
+        assert max(size for _, size, _ in calls) <= bem_ops.BATCH_POINT_PAIRS
+        peak = max(p for _, _, p in calls)
+        print(f"{blocks}: far block peak {peak / budget:.2f} x 8 BATCH_POINT_PAIRS")
+        assert peak <= arrays * budget, blocks
+
+
+#: near tiers pulled in to 2 diameters, so that the subdivision-1 shells
+#: have far pairs and the sphere's far pairs come as close as the 6 tier's
+NEAR_FAR_TIERS = ((0.9, "6x16"), (1.5, "6x4"), (2.0, 6))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pair", ["shells1-self", "shells1-cross", "sphere2-self"])
+def test_far_blocks_match_the_per_coordinate_reference(pair, shells1, sphere2, monkeypatch):
+    # every far pair of every row block, integrated densely, against the
+    # same pairs under the per-pair tensor rule with its distances taken
+    # one coordinate at a time, scattered the way the batches scatter them
+    inner, middle = shells1[:2]
+    mesh_t, mesh_s = {
+        "shells1-self": (inner, inner),
+        "shells1-cross": (inner, middle),
+        "sphere2-self": (sphere2, sphere2),
+    }[pair]
+    same = mesh_t is mesh_s
+    cfg = dataclasses.replace(DEFAULT_QUADRATURE, near_tiers=NEAR_FAR_TIERS)
+    monkeypatch.setattr(bem_ops, "DEFAULT_QUADRATURE", cfg)
+    monkeypatch.setattr(bem_ops, "DENSE_FAR_SHARE", 0.0)
+    bx, by, w = quad.tensor_pair_rule(cfg.far_points)
+    tri_t, tri_s = mesh_t.triangles, mesh_s.triangles
+    far_block = bem_ops._far_block
+    blocks = []
+
+    def spy(sweep, far, r0, c0, mask, ig, dmat, adj):
+        alone = [None if m is None else np.zeros(m.shape) for m in (ig, dmat, adj)]
+        if same and dmat is not None:
+            alone[2] = alone[1].T
+        far_block(sweep, far, r0, c0, mask, *alone)
+        far_block(sweep, far, r0, c0, mask, ig, dmat, adj)
+        ti, si = np.nonzero(mask)
+        ti += r0
+        si += c0
+        _, s, d, ds = _per_coordinate_batch(
+            sweep, bx, by, w, tri_t[ti], tri_s[si], ti, si, True
+        )
+        ref = [np.zeros(m.shape) for m in alone]
+        ref[0][ti, si] += s
+        np.add.at(ref[1], (ti[:, None], tri_s[si]), d)
+        if same:  # pair (t, s)'s adjoint entries are pair (s, t)'s D entries
+            ref[2] = ref[1].T
+            ref[0][si, ti] += s
+        np.add.at(ref[2], (tri_t[ti], si[:, None]), ds)
+        blocks.append((len(ti), alone, ref))
+
+    monkeypatch.setattr(bem_ops, "_far_block", spy)
+    ops = assemble_operators(mesh_t, mesh_s)
+    assert sum(n for n, _, _ in blocks) > 0
+    for k, tag in enumerate(TAGS[:3]):
+        scale = np.abs(ops[tag].matrix).max()
+        error = max(np.abs(alone[k] - ref[k]).max() for _, alone, ref in blocks) / scale
+        print(f"{pair} {tag}: far blocks within {error:.1e} of the largest entry")
+        assert error <= 1e-14, tag
+    monkeypatch.setattr(bem_ops, "_far_block", far_block)
+    again = assemble_operators(mesh_t, mesh_s)
+    for tag in TAGS:
+        assert np.array_equal(ops[tag].matrix, again[tag].matrix), tag
+    for requested in [("S", "N"), ("S", "D", "N")] + ([] if same else [("S", "Dstar", "N")]):
+        part = assemble_operators(mesh_t, mesh_s, requested)
+        for tag in requested:
+            assert np.array_equal(part[tag].matrix, ops[tag].matrix), (requested, tag)
+    if same:
+        s = ops["S"].matrix
+        assert np.array_equal(s, s.T)
+        assert ops["Dstar"].matrix.base is ops["D"].matrix
+
+
 def _tier_codes(mesh_t, mesh_s):
     """The index of the tier of each triangle pair among the near tiers
     and the far rule, from the distances ``np.linalg.norm`` gives."""
@@ -451,8 +561,9 @@ def _tier_rules(mesh_t, mesh_s):
 @pytest.mark.parametrize("pair", ["shells", "sphere3-self"])
 def test_tier_blocks_match_the_per_pair_norm(pair, sphere3):
     # the sweep sums the squared centroid offsets one component at a time,
-    # in the order np.linalg.norm sums them, so no pair changes tier; the
-    # subdivision-3 self pair spans 13 row blocks
+    # in the order np.linalg.norm sums them, so no visited pair changes
+    # tier; the subdivision-3 self pair spans 13 row blocks, each visiting
+    # only the columns s >= r0
     if pair == "shells":
         mesh_t, mesh_s = (make_icosphere(2, r) for r in SHELL_RADII[:2])
     else:
@@ -460,14 +571,19 @@ def test_tier_blocks_match_the_per_pair_norm(pair, sphere3):
     same = mesh_t is mesh_s
     thresholds = [t for t, _ in DEFAULT_QUADRATURE.near_tiers]
     blocks = list(bem_ops._tier_blocks(mesh_t, mesh_s, thresholds, same))
-    assert [r0 for r0, _ in blocks] == list(
-        range(0, mesh_t.num_triangles, bem_ops.BATCH_POINT_PAIRS // mesh_s.num_triangles)
-    )
+    step = bem_ops.BATCH_POINT_PAIRS // mesh_s.num_triangles
+    assert [r0 for r0, _, _ in blocks] == list(range(0, mesh_t.num_triangles, step))
     expected = _tier_codes(mesh_t, mesh_s)
     if same:  # only the pairs t < s that share no vertex are swept
         expected[np.tril_indices(mesh_t.num_triangles)] = -1
         expected[mesh_t.shared_vertex_counts.toarray() > 0] = -1
-    assert np.array_equal(np.concatenate([codes for _, codes in blocks]), expected)
+    visited = np.zeros(expected.shape, bool)
+    for r0, c0, codes in blocks:
+        assert c0 == (r0 if same else 0)
+        rows = slice(r0, r0 + len(codes))
+        assert np.array_equal(codes, expected[rows, c0:])
+        visited[rows, c0:] = True
+    assert (expected[~visited] == -1).all()
 
 
 def _merged(meshes):
@@ -639,7 +755,9 @@ def test_squared_distances_keep_their_relative_accuracy(sphere2, monkeypatch):
         quad.VERTEX: (*vertex_pairs.T, *vertex_charts),
     }
     thresholds = [t for t, _ in DEFAULT_QUADRATURE.near_tiers]
-    codes = np.concatenate([c for _, c in bem_ops._tier_blocks(mesh, mesh, thresholds, True)])
+    codes = np.full((mesh.num_triangles,) * 2, -1, np.int8)
+    for r0, c0, block in bem_ops._tier_blocks(mesh, mesh, thresholds, True):
+        codes[r0 : r0 + len(block), c0:] = block
     tiers = [r for _, r in DEFAULT_QUADRATURE.near_tiers] + [DEFAULT_QUADRATURE.far_points]
     for k, tier in enumerate(tiers):
         ti, si = np.nonzero(codes == k)
