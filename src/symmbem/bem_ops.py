@@ -222,13 +222,14 @@ def assemble_operators(
       surface with the constants in its kernel; the second-derivative
       kernel is never evaluated.
 
-    On a single surface every unordered triangle pair is integrated once for
-    both orientations, so ``S`` is exactly symmetric and ``Dstar`` is the
-    exact transpose of ``D``, returned as the view ``D.T``: either one costs
-    the double-layer work of both.  Between two surfaces ``D`` and ``Dstar``
-    each cost their own.  A requested block holds the same bits whatever
-    else is requested.  The quadrature is ``DEFAULT_QUADRATURE``, read at
-    call time.
+    ``Dstar`` is the view ``.T`` of the reversed pair's C-ordered double
+    layer (cells of ``mesh_s`` x vertices of ``mesh_t``).  On a single
+    surface every unordered triangle pair is integrated once for both
+    orientations, so ``S`` is exactly symmetric and ``Dstar`` is ``D.T``:
+    either one costs the double-layer work of both.  Between two surfaces
+    ``D`` and ``Dstar`` each cost their own.  A requested block holds the
+    same bits whatever else is requested.  The quadrature is
+    ``DEFAULT_QUADRATURE``, read at call time.
     """
     unknown = set(blocks) - set(TAGS)
     if unknown:
@@ -241,24 +242,21 @@ def assemble_operators(
     sweep = _Sweep(mesh_t, mesh_s, blocks)
     ig = np.zeros((nct, ncs))
     dmat = np.zeros((nct, nvs)) if sweep.d else None
-    dsmat = np.zeros((nvt, ncs)) if sweep.ds and not same else None
-    adj = dmat.T if same and sweep.d else dsmat
+    # the adjoint is stored as the reversed pair's D: on one surface, D itself
+    reverse = dmat if same else np.zeros((ncs, nvt)) if sweep.ds else None
+    adj = None if reverse is None else reverse.T
     batches = _regular_sweep(mesh_t, mesh_s, cfg, sweep, ig, dmat, adj)
     if same:
         batches = itertools.chain(batches, _singular_sweep(mesh_t, cfg, sweep))
-    # add each batch into the matrices; ``mirror`` also fills (col, row)
+    # add each batch into the matrices; ``mirror`` also fills S's (col, row)
     for rows, cols, vrows, vcols, mirror, s, d, ds in batches:
         ig[rows, cols] += s
         if mirror:
             ig[cols, rows] += s
-            if d is not None:  # pair (t, s)'s adjoint entries are pair (s, t)'s D entries
-                flat = np.concatenate([rows[:, None] * nvs + vcols, cols[:, None] * nvs + vrows])
-                np.add.at(dmat.reshape(-1), flat.ravel(), np.concatenate([d, ds]).ravel())
-            continue
         if d is not None:
             np.add.at(dmat.reshape(-1), (rows[:, None] * nvs + vcols).ravel(), d.ravel())
         if ds is not None:
-            np.add.at(dsmat.reshape(-1), (vrows * ncs + cols[:, None]).ravel(), ds.ravel())
+            np.add.at(reverse.reshape(-1), (cols[:, None] * nvt + vrows).ravel(), ds.ravel())
 
     nmat = None
     if "N" in blocks:
@@ -269,12 +267,10 @@ def assemble_operators(
             nmat += (ck_s[k].T @ (ck_t[k].T @ ig).T).T
         if same:
             nmat = 0.5 * (nmat + nmat.T)
-    if same and dmat is not None:
-        dsmat = dmat.T
     parts = {
         "S": (ig, Kind.PATCH, Kind.PATCH),
         "D": (dmat, Kind.PATCH, Kind.PYRAMID),
-        "Dstar": (dsmat, Kind.PYRAMID, Kind.PATCH),
+        "Dstar": (adj, Kind.PYRAMID, Kind.PATCH),
         "N": (nmat, Kind.PYRAMID, Kind.PYRAMID),
     }
     return {tag: KernelBlock(*parts[tag]) for tag in TAGS if tag in blocks}
@@ -512,7 +508,8 @@ def _tier_blocks(mesh_t, mesh_s, thresholds, same):
     columns ``s >= r0`` (``c0 = r0``), and the pairs t >= s and the
     touching pairs get -1.  The squared distances are summed one component
     at a time, ``dx^2 + dy^2 + dz^2``, the order in which
-    ``np.linalg.norm(axis=-1)`` sums them, in two reused block buffers.
+    ``np.linalg.norm(axis=-1)`` sums them, in two reused block buffers,
+    each offset a broadcast fill and an in-place subtraction.
     """
     ct, cs = _component_major(mesh_t.centroids), _component_major(mesh_s.centroids)
     nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
@@ -524,7 +521,8 @@ def _tier_blocks(mesh_t, mesh_s, thresholds, same):
         dist, tmp = buffers[:, : (r1 - r0) * (ncs - c0)].reshape(2, r1 - r0, ncs - c0)
         for k in range(3):
             dst = dist if k == 0 else tmp
-            np.subtract(ct[k, r0:r1, None], cs[k, c0:], out=dst)
+            np.copyto(dst, ct[k, r0:r1, None])
+            dst -= cs[k, c0:]
             np.multiply(dst, dst, out=dst)
             if k:
                 np.add(dist, tmp, out=dist)
@@ -595,7 +593,7 @@ def _far_block(sweep, far, r0, c0, mask, ig, dmat, adj):
     the row triangle's plane, sums over the row points.  Each corner of
     ``D`` goes to the vertices by one sparse product with its corner map;
     the adjoint's three corners go through one product with the map of the
-    block's row cells to their vertices.  ``adj`` is ``Dstar``, or
+    block's row cells to their vertices.  ``adj`` is the view ``Dstar``,
     ``dmat.T`` on a single surface, where each pair also fills its (s, t)
     entries: ``S`` mirrored, and the adjoint entries, which are the ``D``
     entries of pair (s, t).

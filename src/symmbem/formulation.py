@@ -229,7 +229,7 @@ def assemble_system(model: NestedModel) -> BlockSystem:
     Z = np.zeros((layout.total, layout.total))
 
     def add(rows: slice | None, cols: slice | None, factor: float, mat: np.ndarray):
-        if rows is None or cols is None or factor == 0.0:
+        if rows is None or cols is None:
             return
         Z[rows, cols] += factor * mat
 
@@ -259,11 +259,9 @@ def assemble_system(model: NestedModel) -> BlockSystem:
         if pi is not None:
             _calibrate_rows(ops["D"].matrix, inner.triangles, -inner.areas)
             add(pi, vj, 1.0, ops["D"].matrix)
-        if pj is not None:
-            dsij_t = np.ascontiguousarray(ops["Dstar"].matrix.T)
-            _calibrate_rows(dsij_t, outer.triangles, np.zeros(outer.num_triangles))
-            add(pj, vi, 1.0, dsij_t)
-            del dsij_t
+        if pj is not None:  # Dstar.T is C-ordered and calibrated in place
+            _calibrate_rows(ops["Dstar"].matrix.T, outer.triangles, np.zeros(outer.num_triangles))
+            add(pj, vi, 1.0, ops["Dstar"].matrix.T)
         del ops
 
     return BlockSystem(Z, layout, np.asarray(sigma, dtype=float))

@@ -39,8 +39,9 @@ of degrees 0-2 (9), 268 columns in all: the 40 lowest eigenvalues rise to
 0.0166-0.0216, their weight on the cell rows falls to 46%, and the
 median CG count over 16 dipoles falls from 60 to 42.5 steps.  Once
 ``P_D A`` is formed, a coarse column costs build work only, not work per
-CG step.  W is
-stored A-orthonormal (``W^T A W = I``) beside ``U = A W``, so
+CG step.  W leaves out the gauge, so ``E = W^T A W`` is positive definite
+and one Cholesky factor ``E = L L^T`` makes W A-orthonormal
+(``W^T A W = I``) in place, beside ``U = A W``, so
 ``P_D A = A - U U^T`` and the right-hand side is ``P_D c = c - U W^T c``;
 :func:`recover_solution` adds back the coarse component
 ``W (W^T c - U^T y)``.
@@ -76,8 +77,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh
-from scipy.linalg.blas import dsyrk
+from scipy.linalg import cholesky, eigh
+from scipy.linalg.blas import dsyrk, dtrsm
 from scipy.sparse.linalg import splu
 
 from . import formulation, krylov
@@ -96,8 +97,7 @@ VERTEX_MODES = 9
 CELL_MODES = 121
 #: steps of the inverse iteration for the surface modes
 MODE_STEPS = 10
-#: columns, or rows, per block product while the operator and its coarse
-#: space are formed
+#: columns, or rows, per block product while the operator is formed
 CHUNK = 64
 
 
@@ -332,13 +332,12 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
     share of the columns.  ``modes`` holds for each surface as many modes
     as its blocks use.  The columns are pulled back through ``1/m_diag``.
     When Z has a gauge, the constants of all vertex blocks span A's kernel
-    ``M^-1 k``, so the outermost vertex block drops its constant mode.
-    ``A W`` is one ``dsymm`` with the upper triangle of the formed A.
-    ``E = W^T A W`` is factored by eigendecomposition with a curvature
-    cut-off: directions with eigenvalue at most 1e-12 of the largest are
-    dropped.  The cut would drop the gauge direction too, but the
-    returned arrays would then be copies of W and ``A W`` rather than
-    the arrays themselves.
+    ``M^-1 k``, so the outermost vertex block drops its constant mode,
+    without which ``E = W^T A W`` would be singular.  ``A W`` is one
+    ``dsymm`` with the upper triangle of the formed A, and the Cholesky
+    factor ``E = L L^T`` A-orthonormalises both in place, as ``W L^-T``
+    and ``A W L^-T``.  A coarse direction without curvature, as on a zero
+    system, raises ``numpy.linalg.LinAlgError``.
     """
     layout = op.system.layout
     last = layout.num_interfaces - 1
@@ -356,33 +355,26 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
         col += phi.shape[1]
     del blocks, phi  # the cell-averaged copies
 
-    # W and A W stay the only N x T arrays: everything else is a chunk.  E
-    # goes to eigh as its Fortran view, which LAPACK overwrites in place, so
-    # two T x T arrays are alive at once, and the eigenvectors are scaled
+    # E, W and A W go to LAPACK and BLAS as Fortran views, which they
+    # overwrite in place: W and A W stay the only N x T arrays
     aw = krylov.symmetric_matvec(op.matrix, w, upper=True)
-    vals, vecs = eigh((w.T @ aw).T, overwrite_a=True)
-    first = np.searchsorted(vals, 1e-12 * vals[-1], side="right")  # vals ascend
-    scale = vecs[:, first:]
-    scale /= np.sqrt(vals[first:])
-    k = scale.shape[1]
-    for r0 in range(0, len(w), CHUNK):
-        rows = slice(r0, r0 + CHUNK)
-        w[rows, :k] = w[rows] @ scale
-        aw[rows, :k] = aw[rows] @ scale
-    return np.ascontiguousarray(w[:, :k]), np.ascontiguousarray(aw[:, :k])
+    factor = cholesky((w.T @ aw).T, lower=True, overwrite_a=True, check_finite=False)
+    dtrsm(1.0, factor, w.T, overwrite_b=1, lower=1)
+    dtrsm(1.0, factor, aw.T, overwrite_b=1, lower=1)
+    return w, aw
 
 
 def _build_bytes(layout) -> int:
-    """Bytes :func:`build` allocates at most: W and ``A W`` (N x T), three
-    T x T arrays and four N x ``CHUNK`` temporaries, with T bounded by the
-    modes each surface has.  Z is already allocated, and the operator
-    shares its array."""
+    """Bytes :func:`build` allocates at most: W and ``A W`` (N x T), the
+    T x T array ``W^T A W``, which its Cholesky factor overwrites, and four
+    N x ``CHUNK`` temporaries, with T bounded by the modes each surface
+    has.  Z is already allocated, and the operator shares its array."""
     n = layout.total
     t = sum(
         min(VERTEX_MODES, nv - 1) + (min(CELL_MODES, nv - 1) if kept else 0)
         for nv, kept in zip(layout.v_sizes, layout.p_kept)
     )
-    return 8 * (2 * n * t + 3 * t * t + 4 * n * CHUNK)
+    return 8 * (2 * n * t + t * t + 4 * n * CHUNK)
 
 
 def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
@@ -400,13 +392,15 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     correction ``- U U^T`` is one in-place ``dsyrk`` there, and Z's
     diagonal goes back, bit for bit, even when the build fails.  W and
     ``A W`` are the only N x T arrays the build holds, and it allocates no
-    N x N array.
+    N x N array.  With a gauge, W leaves out its constant
+    (:func:`_coarse_space`), without which ``W^T A W`` has no Cholesky factor.
 
     Raises ``ValueError`` naming the interface when a mesh does not match
     the system's layout: its vertex count, and its cell count where its
     cell rows are kept.  Raises ``MemoryError``
     (``formulation.require_memory``) before allocating anything when
-    :func:`_build_bytes` exceeds the memory the process can get.
+    :func:`_build_bytes` exceeds the memory the process can get, and
+    ``numpy.linalg.LinAlgError`` when ``W^T A W`` is singular (a zero system).
     """
     layout = system.layout
     if len(meshes) != layout.num_interfaces:
@@ -459,8 +453,7 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     try:
         _form_spectral(op)
         coarse, coarse_image = _coarse_space(op, meshes, modes)
-        if coarse.shape[1]:
-            dsyrk(-1.0, coarse_image.T, beta=1.0, c=a.T, trans=1, lower=1, overwrite_c=1)
+        dsyrk(-1.0, coarse_image.T, beta=1.0, c=a.T, trans=1, lower=1, overwrite_c=1)
         diagonal = np.diagonal(a).copy()
     finally:
         np.fill_diagonal(a, z_diagonal)

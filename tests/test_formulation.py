@@ -123,6 +123,31 @@ def test_insulated_outer_surface_takes_no_double_layer_and_no_adjoint(monkeypatc
     _assert_z_in_lower_triangle(system.matrix, system.layout)
 
 
+def test_a_cross_pair_adjoint_is_calibrated_in_the_returned_block(monkeypatch):
+    # the adjoint is stored as the reversed pair's double layer, so
+    # Dstar.T is C-ordered and assembly calibrates it without a copy
+    model = _model("shells3-sub1")  # pair (0, 1) keeps its Dstar
+    adjoints, calibrated = [], []
+    full, calibrate = bem_ops.assemble_operators, formulation._calibrate_rows
+
+    def recorded(mesh_t, mesh_s, blocks):
+        ops = full(mesh_t, mesh_s, blocks)
+        if mesh_t is not mesh_s and "Dstar" in ops:
+            adjoints.append(ops["Dstar"].matrix)
+        return ops
+
+    def spied(matrix, triangles, target_row_sums):
+        calibrated.append(matrix)
+        calibrate(matrix, triangles, target_row_sums)
+
+    monkeypatch.setattr(bem_ops, "assemble_operators", recorded)
+    monkeypatch.setattr(formulation, "_calibrate_rows", spied)
+    assemble_system(model)
+    (dstar,) = adjoints
+    assert dstar.T.flags.c_contiguous
+    assert [np.shares_memory(m, dstar) for m in calibrated].count(True) == 1
+
+
 def test_assembly_lets_each_pair_go_before_the_next(monkeypatch):
     # traced memory at the start of every pair's assembly: Z and little
     # else, never the blocks of the pair before

@@ -111,17 +111,13 @@ def shells1():
 
 def test_primal_solver_matches_dense_regularized_solve():
     mesh = make_icosphere(2, 1.0)
-    lap = primal_laplace_beltrami(mesh).toarray()
+    lap = primal_laplace_beltrami(mesh)
     lumped = gram_p1(pyramid_space(mesh)).toarray().sum(axis=1)
     beta = 8.0 * np.pi / mesh.total_area
-    dense = lap + (beta / lumped.sum()) * np.outer(lumped, lumped)
-    # the Laplacian solvers depend on the meshes and the layout only, so a
-    # zero system matrix stands in for the assembled one
-    layout = system_layout(NestedModel([mesh], (1.0, 0.0)))
-    system = BlockSystem(np.zeros((layout.total, layout.total)), layout, np.array([1.0, 0.0]))
-    op = precond.build(system, [mesh])
+    dense = lap.toarray() + (beta / lumped.sum()) * np.outer(lumped, lumped)
+    solver = precond._primal_solver(mesh, lap)
     rhs = np.random.default_rng(0).standard_normal(mesh.num_vertices)
-    x = op.primal_solvers[0](rhs)
+    x = solver(rhs)
     expected = np.linalg.solve(dense, rhs)
     assert np.linalg.norm(x - expected) / np.linalg.norm(expected) < 1e-12
 
@@ -248,8 +244,9 @@ def shells2():
 
 
 def test_build_allocates_no_n_by_n_array(shells2):
-    # the operator shares Z's array, and eigh overwrites E in place: the
-    # peak is W, A W and two T x T arrays, 6.2 MiB at N = 1126, T = 268
+    # the operator shares Z's array, and the Cholesky factor and the
+    # triangular solves overwrite E, W and A W in place: the peak is W,
+    # A W and one T x T array, 5.6 MiB at N = 1126, T = 268
     system, meshes = shells2
     precond.build(system, meshes)  # first call outside the trace: caches, BLAS set-up
     tracemalloc.start()
@@ -303,6 +300,13 @@ def test_apply_annihilates_the_a_orthonormal_coarse_space(shells1):
     assert np.linalg.norm(aw - op.coarse_image) <= 1e-13 * np.linalg.norm(aw)
     deflated = np.column_stack([op.apply(w) for w in op.coarse.T])
     assert np.linalg.norm(deflated) <= 1e-13 * np.linalg.norm(aw)
+    # W and U are the arrays the coarse space allocated, orthonormalised in
+    # place: C-ordered, each the whole of its buffer (U the transposed view
+    # of the Fortran array dsymm returns), neither a slice of a wider one
+    for a in (op.coarse, op.coarse_image):
+        assert a.flags.c_contiguous
+        assert a.base is None or (a.base.base is None and a.base.nbytes == a.nbytes)
+    assert op.coarse.flags.owndata
 
 
 def test_deflated_solution_matches_the_spectral_only_solution(shells1):
@@ -398,13 +402,16 @@ def test_a_surface_without_cell_rows_runs_the_small_mode_iteration(monkeypatch):
     assert op.coarse.shape == (op.size, precond.VERTEX_MODES - 1)
 
 
-def test_build_on_a_zero_system_gives_an_empty_coarse_space():
-    # no curvature in any coarse direction: the cut-off drops them all
+def test_build_on_a_zero_system_raises_and_leaves_z():
+    # no curvature in any coarse direction: W^T A W = 0 has no Cholesky
+    # factor, and the build fails before the coarse correction
     meshes = [make_icosphere(1, r) for r in RADII]
     layout = system_layout(NestedModel(meshes, SIGMA))
     system = BlockSystem(np.zeros((layout.total, layout.total)), layout, np.array(SIGMA))
-    op = precond.build(system, meshes)
-    assert op.coarse.shape == op.coarse_image.shape == (layout.total, 0)
+    z = system.matrix.copy()
+    with pytest.raises(np.linalg.LinAlgError):
+        precond.build(system, meshes)
+    assert np.array_equal(system.matrix, z)
 
 
 def test_coarse_space_is_bitwise_equal_across_builds():
@@ -430,7 +437,10 @@ def test_deflation_cuts_iterations_at_subdivision_2(axes, jitter):
         areas = meshes[0].areas
         assert areas.max() > 7.0 * areas.min()
     op = precond.build(_system(meshes), meshes)
-    assert _iterations(op) <= 0.7 * _iterations(_spectral_only(op))
+    spectral = _spectral_only(op)
+    w = op.coarse
+    assert np.abs(w.T @ spectral.apply(w) - np.eye(w.shape[1])).max() <= 1e-10
+    assert _iterations(op) <= 0.7 * _iterations(spectral)
 
 
 def test_deflated_iterations_stay_flat_from_subdivision_2_to_3():
