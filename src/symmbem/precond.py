@@ -34,10 +34,11 @@ columns go where the small eigenvalues live: on the skull's cell
 head at subdivision 2.  With the modes of spherical degrees 0-6 (49) on
 each cell block, 78% of the eigenvector weight of the 40 lowest nonzero
 eigenvalues of ``P_D A`` (0.0098 to 0.0140) sits there.  So each cell
-block takes the modes of degrees 0-10 (121) and each vertex block those
-of degrees 0-2 (9), 268 columns in all: the 40 lowest eigenvalues rise to
-0.0166-0.0216, their weight on the cell rows falls to 46%, and the
-median CG count over 16 dipoles falls from 60 to 42.5 steps.  Once
+block takes the modes of degrees 0-10 (121, and on to the end of the
+cluster the cut falls in: 123 at subdivision 2) and each vertex block
+those of degrees 0-2 (9), 272 columns in all: the 40 lowest eigenvalues
+rise to 0.0166-0.0219, their weight on the cell rows falls to 44%, and
+the median CG count over 16 dipoles falls from 60 to 42.5 steps.  Once
 ``P_D A`` is formed, a coarse column costs build work only, not work per
 CG step.  W leaves out the gauge, so ``E = W^T A W`` is positive definite
 and one Cholesky factor ``E = L L^T`` makes W A-orthonormal
@@ -91,8 +92,8 @@ from .spaces import gram_p1, pyramid_space
 #: complete cluster of spherical degrees on a sphere: degrees 0-2 on a
 #: vertex (potential) block, 0-10 on a cell (current-density) block, where
 #: the skull's small eigenvalues put most of their weight.  On the
-#: three-shell head the median CG count over 16 dipoles is 38/42.5/47 at
-#: subdivisions 1/2/3, against 38/60/69 with degrees 0-6 on the cell blocks.
+#: three-shell head the median CG count over 16 dipoles is 37/42.5/47 at
+#: subdivisions 1/2/3, against 37/60/69 with degrees 0-6 on the cell blocks.
 VERTEX_MODES = 9
 CELL_MODES = 121
 #: steps of the inverse iteration for the surface modes
@@ -234,9 +235,16 @@ def _dual_solver(mesh: TriangleMesh):
     return lambda rhs: scaled @ rhs + shift * rhs.sum(axis=0)
 
 
+def _block_columns(count: int) -> int:
+    """Columns of the inverse-iteration block for ``count`` modes: those up
+    to two spherical degrees past the ``count``-th."""
+    return (math.isqrt(count) + 2) ** 2
+
+
 def _surface_modes(solver, lap: sp.csr_matrix, gram: sp.csr_matrix, count: int) -> np.ndarray:
-    """The ``count`` lowest eigenvectors of (L, G) on the vertices, in
-    ascending order of eigenvalue, the constant mode first.
+    """The lowest eigenvectors of (L, G) on the vertices, about ``count`` of
+    them and whole clusters, in ascending order of eigenvalue, the constant
+    mode first.
 
     Block inverse iteration with the surface's own primal ``solver``, the
     bordered LU of ``L + (beta/total) m m^T`` with ``m = G 1``, then one
@@ -245,38 +253,54 @@ def _surface_modes(solver, lap: sp.csr_matrix, gram: sp.csr_matrix, count: int) 
     shifted pencil has the same eigenvectors; only the constant's
     eigenvalue is lifted from 0 to beta (2/R^2 on a sphere of radius R).
     The Rayleigh-Ritz step on the unshifted pencil puts the constant
-    first again.  The block is sized to the modes the surface needs: when
-    ``count`` is the number of modes up to spherical degree l, ``(l+1)^2``,
-    it holds the modes up to degree l + 2, whole degenerate clusters as on
-    the symmetric icosphere, and each step shrinks the error of the lowest
-    ``count`` by the eigenvalue ratio ``l(l+1) / ((l+3)(l+4))``: 6/30 for
-    the 9 modes of a surface without cell rows (25 columns), 110/182 for
-    the 121 of a surface with them (169 columns).  A block of at least as
-    many columns as the surface has vertices spans it, so no step runs and
-    Rayleigh-Ritz on the whole space is exact: that is every surface with
-    cell rows up to subdivision 2 (162 vertices), where the cut at 121
-    modes splits a cluster of the discrete spectrum; deflation needs only
-    a span, and any vectors of that cluster serve.  Beyond that the
-    ``MODE_STEPS`` = 10 steps are not converged for the larger block: at
-    subdivision 3 (642 vertices) they bring the 9 vertex modes to 4.3e-7
-    of the exact span of (L, G), but leave the 121 cell modes 1.1e-2 off
-    it (largest entry of ``below - V V^T G below``; 1.0e-2 for the 116
-    modes below the top cluster), where a dense ``eigh`` gives 4.3e-15.
-    The median CG count over 16 dipoles on the three shells at
-    subdivision 3 is 47 with these modes against 46.5 with the exact ones.
-    The start block is fixed, so every build returns the same vectors bit
-    for bit.
+    first again.  The block is sized to the modes the surface needs
+    (:func:`_block_columns`): when ``count`` is the number of modes up to
+    spherical degree l, ``(l+1)^2``, it holds the modes up to degree
+    l + 2, whole degenerate clusters as on the symmetric icosphere, and
+    each step shrinks the error of the lowest ``count`` by the eigenvalue
+    ratio ``l(l+1) / ((l+3)(l+4))``: 6/30 for the 9 modes of a surface
+    without cell rows (25 columns), 110/182 for the 121 of a surface with
+    them (169 columns).  A block of at least as many columns as the
+    surface has vertices spans it, so no step runs and Rayleigh-Ritz on
+    the whole space is exact: that is every surface with cell rows up to
+    subdivision 2 (162 vertices).  Beyond that the ``MODE_STEPS`` = 10
+    steps are not converged for the larger block: at subdivision 3 (642
+    vertices) they bring the 9 vertex modes to 4.3e-7 of the exact span of
+    (L, G), but leave the 121 cell modes 1.1e-2 off it (largest entry of
+    ``below - V V^T G below``; 1.0e-2 for the 116 modes below the top
+    cluster), where a dense ``eigh`` gives 4.3e-15.  The median CG count
+    over 16 dipoles on the three shells at subdivision 3 is 47 with these
+    modes against 46.5 with the exact ones.  The start block is fixed, so
+    every build returns the same vectors bit for bit.
+
+    The cut never splits a cluster of Ritz values that agree to the
+    rounding of the Rayleigh-Ritz solve, ``k eps`` times the largest of
+    the k values: it moves on to the end of the cluster, or back to its
+    start where that would keep all k values (at least one must lie above
+    the cut, and on the whole space the last mode is left out).  Only
+    whole eigenspaces make the span, and so ``P_D A``, a smooth function
+    of L and G: with the cluster of five at degree 10 cut after three, as
+    at subdivision 2, a last-bit change of L and G moved ``P_D A`` by
+    2.5e-2 of its largest entry, and with whole clusters by 4.1e-15.  So
+    the cell blocks take 37 modes at subdivision 1 (42 vertices), 123 at
+    subdivision 2 and 121 beyond.
     """
     n = lap.shape[0]
-    block = (math.isqrt(count) + 2) ** 2
+    block = _block_columns(count)
     if block < n:
         x = np.random.default_rng(0).standard_normal((n, block))
         for _ in range(MODE_STEPS):
             x, _ = np.linalg.qr(solver(gram @ x))
+        vals, ritz = eigh(x.T @ (lap @ x), x.T @ (gram @ x))
+        ritz = x @ ritz
     else:  # the block spans the surface: Rayleigh-Ritz on it is exact
-        x = np.eye(n)
-    _, ritz = eigh(x.T @ (lap @ x), x.T @ (gram @ x))
-    return x @ ritz[:, : min(count, n - 1)]
+        vals, ritz = eigh(lap.toarray(), gram.toarray())
+    # the cuts between clusters, of which the first at or above count wins
+    gaps = np.flatnonzero(np.diff(vals) > len(vals) * np.finfo(float).eps * vals[-1]) + 1
+    cut = min(count, len(vals) - 1)
+    later = gaps[gaps >= cut]
+    cut = later[0] if len(later) else gaps[gaps < cut][-1]
+    return ritz[:, :cut]
 
 
 def _mirror_lower(a: np.ndarray) -> None:
@@ -326,8 +350,9 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
     holding A.
 
     Each surface's vertex rows take its lowest ``VERTEX_MODES``
-    eigenmodes, its cell rows (when kept) the lowest ``CELL_MODES``, each
-    averaged over a cell's three corners: the thin skull's small
+    eigenmodes, its cell rows (when kept) the lowest ``CELL_MODES`` in
+    whole clusters (:func:`_surface_modes`), each averaged over a cell's
+    three corners: the thin skull's small
     eigenvalues weigh mostly on the cell rows, so they take the larger
     share of the columns.  ``modes`` holds for each surface as many modes
     as its blocks use.  The columns are pulled back through ``1/m_diag``.
@@ -368,10 +393,12 @@ def _build_bytes(layout) -> int:
     """Bytes :func:`build` allocates at most: W and ``A W`` (N x T), the
     T x T array ``W^T A W``, which its Cholesky factor overwrites, and four
     N x ``CHUNK`` temporaries, with T bounded by the modes each surface
-    has.  Z is already allocated, and the operator shares its array."""
+    has and, on the cell rows, by the Ritz vectors that
+    :func:`_surface_modes` cuts its clusters from.  Z is already
+    allocated, and the operator shares its array."""
     n = layout.total
     t = sum(
-        min(VERTEX_MODES, nv - 1) + (min(CELL_MODES, nv - 1) if kept else 0)
+        min(VERTEX_MODES, nv - 1) + (min(_block_columns(CELL_MODES), nv) - 1 if kept else 0)
         for nv, kept in zip(layout.v_sizes, layout.p_kept)
     )
     return 8 * (2 * n * t + t * t + 4 * n * CHUNK)
