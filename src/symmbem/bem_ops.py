@@ -153,14 +153,6 @@ class KernelBlock:
     col_kind: Kind
 
 
-def curl_coefficient_matrices(mesh: TriangleMesh):
-    """Sparse (n_cells x n_vertices) matrices of the per-cell surface-curl
-    components of the vertex hat functions: curl of hat i on cell t is
-    ``-e_i / (2 A_t)`` with ``e_i`` the opposite edge vector."""
-    curls = -mesh.opposite_edges / (2.0 * mesh.areas)[:, None, None]
-    return [mesh.corner_matrix(curls[:, :, k]) for k in range(3)]
-
-
 def _touching_pairs(mesh: TriangleMesh):
     """Classify same-surface triangle pairs that share vertices.
 
@@ -218,9 +210,9 @@ def assemble_operators(
       observation point), pyramid-tested with patch trial functions.
     - ``N``, the hypersingular form between pyramid spaces, through
       integration by parts: kernel integrals against the surface curls of
-      the hat functions.  Symmetric positive semi-definite on a single
-      surface with the constants in its kernel; the second-derivative
-      kernel is never evaluated.
+      the hat functions (``TriangleMesh.curls``).  Symmetric positive
+      semi-definite on a single surface with the constants in its kernel;
+      the second-derivative kernel is never evaluated.
 
     ``Dstar`` is the view ``.T`` of the reversed pair's C-ordered double
     layer (cells of ``mesh_s`` x vertices of ``mesh_t``).  On a single
@@ -260,11 +252,9 @@ def assemble_operators(
 
     nmat = None
     if "N" in blocks:
-        ck_t = curl_coefficient_matrices(mesh_t)
-        ck_s = ck_t if same else curl_coefficient_matrices(mesh_s)
         nmat = np.zeros((nvt, nvs))
-        for k in range(3):  # the sparse factor of each product is on the left, so ig is not copied
-            nmat += (ck_s[k].T @ (ck_t[k].T @ ig).T).T
+        for ct, cs in zip(mesh_t.curls, mesh_s.curls):  # sparse factors on the left: ig is not copied
+            nmat += (cs.T @ (ct.T @ ig).T).T
         if same:
             nmat = 0.5 * (nmat + nmat.T)
     parts = {

@@ -4,9 +4,10 @@ A ``TriangleMesh`` derives its connectivity once, from one half-edge
 census (``TriangleMesh._half_edges``): the edge list, the two cells of
 each edge, the three edges of each cell and the manifold and orientation
 checks of :func:`validate` all read it.  The edge vectors opposite each
-corner (``opposite_edges``) and the shared-vertex counts of the triangle
-pairs are likewise derived once and cached on the mesh.  Every sparse
-matrix with one value per triangle corner comes from
+corner (``opposite_edges``), the surface curls of the vertex hat
+functions (``curls``) and the shared-vertex counts of the triangle pairs
+are likewise derived once and cached on the mesh.  Every sparse matrix
+with one value per triangle corner comes from
 ``TriangleMesh.corner_matrix``.
 """
 
@@ -178,6 +179,16 @@ class TriangleMesh:
     def incidence(self) -> sp.csr_matrix:
         """Triangle-vertex incidence, the all-ones :meth:`corner_matrix`."""
         return self.corner_matrix(1.0)
+
+    @cached_property
+    def curls(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """The surface curls of the vertex hat functions, one
+        :meth:`corner_matrix` per Cartesian component: the curl of hat i
+        on triangle t is ``-e_i / (2 A_t)``, ``e_i`` the edge opposite
+        vertex i.  The hypersingular operator and the cotangent Laplacian
+        are both Grams of these maps."""
+        curls = -self.opposite_edges / (2.0 * self.areas)[:, None, None]
+        return tuple(self.corner_matrix(curls[:, :, k]) for k in range(3))
 
     @cached_property
     def shared_vertex_counts(self) -> sp.csr_matrix:

@@ -2,8 +2,12 @@
 functions and the two-point-flux stiffness on the cells (dual graph).
 
 Both are assembled on the primal mesh itself; neither needs a refinement.
-Both builders return the symmetric positive semi-definite scipy CSR matrix
-itself, with the constants in its kernel.
+Each is a Gram ``B^T W B`` of a sparse map the mesh owns, with a positive
+diagonal weight W: the surface curls of the hat functions for the vertex
+Laplacian, the signed edge-cell incidence for the cell Laplacian.  So both
+builders return a scipy CSR matrix that is symmetric positive
+semi-definite by construction, exactly symmetric with no symmetrisation
+step, with the constants in its kernel.
 """
 
 from __future__ import annotations
@@ -17,42 +21,40 @@ from .geometry import TriangleMesh
 def primal_laplace_beltrami(mesh: TriangleMesh) -> sp.csr_matrix:
     """Cotangent stiffness of the vertex hat functions on the surface.
 
-    Element matrix: K[i, j] = (e_i . e_j) / (4 A) with e_i the edge opposite
-    vertex i, equivalent to -(cot a + cot b)/2 off-diagonal accumulation.
+    ``K = sum_k (sqrt(A) C_k)^T (sqrt(A) C_k)`` with ``C_k`` the k-th
+    component of the hat functions' surface curls (``TriangleMesh.curls``)
+    and A the cell areas.  The gradient and the curl of a hat differ by a
+    quarter turn in the cell plane, so a cell adds ``(e_i . e_j) / (4 A)``
+    to entry (i, j), with e_i the edge opposite vertex i: off the diagonal
+    the familiar ``-(cot a + cot b)/2``.  The hypersingular operator is the
+    same Gram of the curls with the single layer in place of diag(A).
     """
     area = mesh.areas
     if np.any(area <= 0):
         raise ValueError("degenerate triangle")
-    e = mesh.opposite_edges
-    local = np.einsum("tid,tjd->tij", e, e) / (4.0 * area)[:, None, None]
-    t = mesh.triangles
-    shape = (len(t), 3, 3)
-    rows = np.broadcast_to(t[:, :, None], shape).ravel()
-    cols = np.broadcast_to(t[:, None, :], shape).ravel()
-    n = mesh.num_vertices
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return (mat + mat.T) * 0.5
+    root = sp.diags(np.sqrt(area))
+    return sum((root @ c).T @ (root @ c) for c in mesh.curls).tocsr()
 
 
 def dual_laplacian(mesh: TriangleMesh) -> sp.csr_matrix:
     """Two-point-flux stiffness of the cell (patch) functions.
 
-    ``K = sum_edges (l_e / d_mn) (e_m - e_n)(e_m - e_n)^T`` over the edges of
-    the mesh, with ``l_e`` the edge length and ``d_mn`` the distance between
-    the centroids of the two cells m and n sharing the edge: the finite-volume
+    ``K = E^T diag(l_e / d_e) E`` with E the signed edge-cell map, +1 on the
+    first and -1 on the second of the two cells of each edge
+    (``TriangleMesh.edge_cells``), ``l_e`` the edge length and ``d_e`` the
+    distance between the centroids of the two cells: the sum over the
+    edges of ``(l_e / d_e) (e_m - e_n)(e_m - e_n)^T``, the finite-volume
     Laplacian of the dual graph.  Against the patch Gram diag(areas) it
-    approximates the Laplace-Beltrami operator on the cells.  Constants are in
-    the kernel exactly up to rounding.
+    approximates the Laplace-Beltrami operator on the cells.  Constants
+    are in the kernel exactly up to rounding.
     """
-    edges = mesh.edges
-    cells = mesh.edge_cells
+    edges, cells = mesh.edges, mesh.edge_cells
     length = np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1)
     centroids = mesh.centroids
     dist = np.linalg.norm(centroids[cells[:, 1]] - centroids[cells[:, 0]], axis=1)
-    w = length / dist
-    m, n = cells[:, 0], cells[:, 1]
-    nc = mesh.num_triangles
-    return sp.coo_matrix(
-        (np.concatenate([w, w, -w, -w]), (np.concatenate([m, n, m, n]), np.concatenate([m, n, n, m]))),
-        shape=(nc, nc),
-    ).tocsr()
+    ne = len(edges)
+    signed = sp.csr_matrix(
+        (np.tile([1.0, -1.0], ne), cells.ravel(), np.arange(0, 2 * ne + 1, 2)),
+        shape=(ne, mesh.num_triangles),
+    )
+    return (signed.T @ sp.diags(length / dist) @ signed).tocsr()

@@ -280,10 +280,10 @@ def _surface_modes(solver, lap: sp.csr_matrix, gram: sp.csr_matrix, count: int) 
     the cut, and on the whole space the last mode is left out).  Only
     whole eigenspaces make the span, and so ``P_D A``, a smooth function
     of L and G: with the cluster of five at degree 10 cut after three, as
-    at subdivision 2, a last-bit change of L and G moved ``P_D A`` by
-    2.5e-2 of its largest entry, and with whole clusters by 4.1e-15.  So
-    the cell blocks take 37 modes at subdivision 1 (42 vertices), 123 at
-    subdivision 2 and 121 beyond.
+    at subdivision 2, rebuilding L and G in another rounding order moved
+    ``P_D A`` by 1.9e-2 of its largest entry, and with whole clusters by
+    3.1e-15.  So the cell blocks take 37 modes at subdivision 1 (42
+    vertices), 123 at subdivision 2 and 121 beyond.
     """
     n = lap.shape[0]
     block = _block_columns(count)

@@ -197,16 +197,17 @@ def test_hypersingular_products_copy_no_single_layer_array(sphere2, monkeypatch)
     # copied: N and the operands and results of one term take about 1.6
     # times the bytes of S, against 2.3 times with a copy of S
     outer = make_icosphere(2, 1.2)
-    curls = bem_ops.curl_coefficient_matrices
+    curls = TriangleMesh.curls.func
     start = []
 
     def curls_after_the_sweeps(mesh):
-        if not start:  # first call: the batches are done, the products follow
+        if not start:  # first read: the batches are done, the products follow
             tracemalloc.reset_peak()
             start.append(tracemalloc.get_traced_memory()[0])
         return curls(mesh)
 
-    monkeypatch.setattr(bem_ops, "curl_coefficient_matrices", curls_after_the_sweeps)
+    # a property, unlike the cached one, is read on every access
+    monkeypatch.setattr(TriangleMesh, "curls", property(curls_after_the_sweeps))
     for mesh_s in (sphere2, outer):
         start.clear()
         tracemalloc.start()

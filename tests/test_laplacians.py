@@ -1,8 +1,8 @@
 import numpy as np
+import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from symmbem.bem_ops import curl_coefficient_matrices
 from symmbem.geometry import TriangleMesh, make_icosphere
 from symmbem.laplacians import dual_laplacian, primal_laplace_beltrami
 from symmbem.oracle import sphere_laplace_beltrami_eigenvalue
@@ -47,10 +47,87 @@ def test_primal_is_the_curl_gram_of_the_hat_functions():
     # grad and curl of a hat differ by a quarter turn in the cell plane, so
     # sum_k C_k^T diag(A) C_k is the stiffness matrix as well
     mesh = make_icosphere(2, 1.0)
-    curls = curl_coefficient_matrices(mesh)
-    gram = sum(c.T @ sp.diags(mesh.areas) @ c for c in curls).toarray()
+    gram = sum(c.T @ sp.diags(mesh.areas) @ c for c in mesh.curls).toarray()
     lap = primal_laplace_beltrami(mesh).toarray()
     assert np.abs(gram - lap).max() <= 1e-14 * np.abs(lap).max()
+
+
+def _jittered_ellipsoid():
+    """Icosphere at subdivision 2 whose vertices move tangentially by 0.3
+    mean edge lengths in fixed random directions, then stretched to the
+    semi-axes 1, 0.8 and 0.6: cells of graded sizes, some obtuse."""
+    unit = make_icosphere(2, 1.0)
+    v = unit.vertices
+    h = np.linalg.norm(v[unit.edges[:, 0]] - v[unit.edges[:, 1]], axis=1).mean()
+    d = np.random.default_rng(2).standard_normal(v.shape)
+    d -= (d * v).sum(axis=1)[:, None] * v
+    moved = v + 0.3 * h * d / np.linalg.norm(d, axis=1)[:, None]
+    return TriangleMesh(moved * np.array([1.0, 0.8, 0.6]), unit.triangles)
+
+
+def _element_gram_p1(mesh):
+    """The pyramid Gram summed cell by cell: A/6 on and A/12 off the diagonal."""
+    t, a = mesh.triangles, mesh.areas
+    local = np.where(np.eye(3, dtype=bool), 1.0 / 6.0, 1.0 / 12.0) * a[:, None, None]
+    return _scatter(local, t, t, mesh.num_vertices)
+
+
+def _element_laplace_beltrami(mesh):
+    """The cotangent stiffness summed cell by cell: (e_i . e_j) / (4 A)."""
+    e = mesh.opposite_edges
+    local = np.einsum("tid,tjd->tij", e, e) / (4.0 * mesh.areas)[:, None, None]
+    return _scatter(local, mesh.triangles, mesh.triangles, mesh.num_vertices)
+
+
+def _element_dual_laplacian(mesh):
+    """The two-point-flux stiffness summed edge by edge: l/d times
+    [[1, -1], [-1, 1]] on the edge's two cells."""
+    edges, cells = mesh.edges, mesh.edge_cells
+    length = np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1)
+    c = mesh.centroids
+    w = length / np.linalg.norm(c[cells[:, 1]] - c[cells[:, 0]], axis=1)
+    local = np.array([[1.0, -1.0], [-1.0, 1.0]]) * w[:, None, None]
+    return _scatter(local, cells, cells, mesh.num_triangles)
+
+
+def _scatter(local, rows, cols, n):
+    """Sum of the element matrices ``local[e]`` at (rows[e], cols[e])."""
+    shape = local.shape
+    r = np.broadcast_to(rows[:, :, None], shape).ravel()
+    c = np.broadcast_to(cols[:, None, :], shape).ravel()
+    return sp.coo_matrix((local.ravel(), (r, c)), shape=(n, n)).tocsr()
+
+
+SURFACES = {f"sub{k}": (lambda k=k: make_icosphere(k, 1.0)) for k in range(4)}
+SURFACES["jittered-ellipsoid"] = _jittered_ellipsoid
+
+
+@pytest.mark.parametrize("name", SURFACES)
+@pytest.mark.parametrize(
+    "build, reference",
+    [
+        (lambda mesh: gram_p1(pyramid_space(mesh)), _element_gram_p1),
+        (primal_laplace_beltrami, _element_laplace_beltrami),
+        (dual_laplacian, _element_dual_laplacian),
+    ],
+    ids=["gram_p1", "primal", "dual"],
+)
+def test_grams_match_their_element_constructions_and_are_exactly_symmetric(build, reference, name):
+    # each matrix is a Gram of a map the mesh owns, B^T W B (plus a diagonal
+    # for the pyramid Gram): symmetric bit for bit, with the entries and the
+    # sparsity of the element-by-element sum
+    mesh = SURFACES[name]()
+    gram, expect = build(mesh), reference(mesh)
+    assert isinstance(gram, sp.csr_matrix)
+    gram.sort_indices()
+    assert np.array_equal(gram.indptr, expect.indptr)
+    assert np.array_equal(gram.indices, expect.indices)
+    assert np.abs(gram.data - expect.data).max() <= 1e-15 * np.abs(expect.data).max()
+    transpose = gram.T.tocsr()
+    transpose.sort_indices()
+    assert np.array_equal(transpose.indptr, gram.indptr)
+    assert np.array_equal(transpose.indices, gram.indices)
+    assert np.array_equal(transpose.data, gram.data)
 
 
 def test_dual_row_sums_vanish():

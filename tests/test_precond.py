@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -236,6 +237,23 @@ def test_build_factors_each_surface_once(shells1, monkeypatch):
     assert shapes == [(m.num_vertices + 1, m.num_vertices + 1) for m in meshes]
 
 
+def test_assembly_and_build_take_the_curls_of_each_mesh_once(monkeypatch):
+    # N's assembly and the cotangent Laplacian read the same cached maps
+    built = []
+    curls = TriangleMesh.curls.func
+
+    def counted(mesh):
+        built.append(mesh)
+        return curls(mesh)
+
+    spy = cached_property(counted)
+    spy.__set_name__(TriangleMesh, "curls")
+    monkeypatch.setattr(TriangleMesh, "curls", spy)
+    meshes = [make_icosphere(1, r) for r in RADII]
+    precond.build(_system(meshes), meshes)
+    assert sorted(map(id, built)) == sorted(map(id, meshes))
+
+
 @pytest.fixture(scope="module")
 def shells2():
     """Rescaled three-shell system at subdivision 2 with one dipole load."""
@@ -366,7 +384,7 @@ def test_the_coarse_space_follows_last_bit_changes_of_the_gram_smoothly(shells2,
     # the cell blocks take whole clusters of (L, G): a symmetric 1e-15
     # relative change of G turns W within its eigenspaces only, and P_D A
     # moves by rounding; cut inside the cluster of modes 118-122 it moved
-    # by 2.5e-2 of its largest entry
+    # by 1.4e-2 of its largest entry
     system, meshes = shells2
     before = _unpack(precond.build(system, meshes))[1]
     rng = np.random.default_rng(5)

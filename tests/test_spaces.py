@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from symmbem.bem_ops import curl_coefficient_matrices
 from symmbem.geometry import TriangleMesh, make_icosphere
 from symmbem.spaces import (
     gram_p0,
@@ -217,7 +216,7 @@ def test_corner_matrices_match_their_coo_constructions(name):
     incidence = sp.coo_matrix((np.ones(3 * nc), (cols, rows)), shape=(nv, nc)).tocsr()
     assert _same_csr(mesh.shared_vertex_counts, (incidence.T @ incidence).tocsr())
     curls = -mesh.opposite_edges / (2.0 * mesh.areas)[:, None, None]
-    for k, curl in enumerate(curl_coefficient_matrices(mesh)):
+    for k, curl in enumerate(mesh.curls):
         assert _same_csr(curl, coo(curls[:, :, k].ravel()))
     assert _same_csr(mixed_gram_p0_p1(mesh), coo(np.repeat(mesh.areas / 3.0, 3)))
 
