@@ -320,9 +320,10 @@ def _panel_integrals(x, nx, mesh, cells, want_d, want_ds):
 
     ``x`` (3, q, P) holds q points for each of the P triangles ``cells`` of
     ``mesh`` and ``nx`` (3, P) a unit normal per cell at those points,
-    read only for ``ds``.  Edge
-    k of a cell is the edge opposite corner k, from corner k + 1 to corner
-    k + 2.  The constants of each cell are taken from the mesh's caches:
+    read only for ``ds``.  Edge k of a cell is the edge opposite corner k,
+    from corner k + 1 to corner k + 2.  The constants of each cell are
+    derived here, batch by batch, from the cells' rows of the mesh's
+    ``opposite_edges``, ``normals`` and ``corners``:
     ``dirs`` (3 components x 7 x P) stacks the unit tangents of the three
     edges, their in-plane outward normals ``m_k = t_k x n`` and the unit
     normal n; ``origins`` (7 x P) holds each direction dotted with a corner

@@ -180,8 +180,9 @@ def _pair_blocks(layout: SystemLayout, i: int, j: int) -> tuple:
 def _dense_bytes(model: NestedModel) -> int:
     """Bytes of dense storage :func:`assemble_system` holds at once: the
     N x N system matrix plus the operator blocks (:func:`_pair_blocks`) of
-    the largest surface pair it assembles.  A self pair's ``Dstar`` is the
-    view ``D.T`` and costs nothing."""
+    the largest surface pair it assembles, with the products that form
+    ``N`` from ``S``: two n_v x n_c (one a C-ordered copy) and one n_v x
+    n_v.  A self pair's ``Dstar`` is the view ``D.T`` and costs nothing."""
     layout = system_layout(model)
     n = layout.total
     surfaces = model.surfaces
@@ -194,7 +195,8 @@ def _dense_bytes(model: NestedModel) -> int:
             "Dstar": (t.num_vertices, s.num_triangles),
             "N": (t.num_vertices, s.num_vertices),
         }
-        return sum(rows * cols for rows, cols in (shapes[b] for b in _pair_blocks(layout, i, j)))
+        forming_n = t.num_vertices * (2 * s.num_triangles + s.num_vertices)
+        return forming_n + sum(r * c for r, c in (shapes[b] for b in _pair_blocks(layout, i, j)))
 
     pairs = [(i, i) for i in range(len(surfaces))] + [(i, i + 1) for i in range(len(surfaces) - 1)]
     return 8 * (n * n + max(pair_bytes(i, j) for i, j in pairs))

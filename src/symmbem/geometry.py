@@ -4,10 +4,9 @@ A ``TriangleMesh`` derives its connectivity once, from one half-edge
 census (``TriangleMesh._half_edges``): the edge list, the two cells of
 each edge, the three edges of each cell and the manifold and orientation
 checks of :func:`validate` all read it.  The edge vectors opposite each
-corner (``opposite_edges``), the surface curls of the vertex hat
-functions (``curls``) and the shared-vertex counts of the triangle pairs
-are likewise derived once and cached on the mesh.  Every sparse matrix
-with one value per triangle corner comes from
+corner, the surface curls of the vertex hats and the shared-vertex counts
+of the triangle pairs are likewise derived once and cached on the mesh.
+Every sparse matrix with one value per triangle corner comes from
 ``TriangleMesh.corner_matrix``.
 """
 
@@ -182,11 +181,8 @@ class TriangleMesh:
 
     @cached_property
     def curls(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        """The surface curls of the vertex hat functions, one
-        :meth:`corner_matrix` per Cartesian component: the curl of hat i
-        on triangle t is ``-e_i / (2 A_t)``, ``e_i`` the edge opposite
-        vertex i.  The hypersingular operator and the cotangent Laplacian
-        are both Grams of these maps."""
+        """Surface curls of the vertex hats, a :meth:`corner_matrix` per
+        component: ``-e_i / (2 A_t)`` for hat i on triangle t."""
         curls = -self.opposite_edges / (2.0 * self.areas)[:, None, None]
         return tuple(self.corner_matrix(curls[:, :, k]) for k in range(3))
 

@@ -34,15 +34,14 @@ columns go where the small eigenvalues live: on the skull's cell
 head at subdivision 2.  With the modes of spherical degrees 0-6 (49) on
 each cell block, 78% of the eigenvector weight of the 40 lowest nonzero
 eigenvalues of ``P_D A`` (0.0098 to 0.0140) sits there.  So each cell
-block takes the modes of degrees 0-10 (121, and on to the end of the
-cluster the cut falls in: 123 at subdivision 2) and each vertex block
-those of degrees 0-2 (9), 272 columns in all: the 40 lowest eigenvalues
-rise to 0.0166-0.0219, their weight on the cell rows falls to 44%, and
-the median CG count over 16 dipoles falls from 60 to 42.5 steps.  Once
-``P_D A`` is formed, a coarse column costs build work only, not work per
-CG step.  W leaves out the gauge, so ``E = W^T A W`` is positive definite
-and one Cholesky factor ``E = L L^T`` makes W A-orthonormal
-(``W^T A W = I``) in place, beside ``U = A W``, so
+block takes the modes of degrees 0-10 (121, 123 in whole clusters) and
+each vertex block those of degrees 0-2 (9), 272 columns in all: the 40
+lowest eigenvalues rise to 0.0166-0.0219, their weight on the cell rows
+falls to 44%, and the median CG count over 16 dipoles falls from 60 to
+42.5 steps.  Once ``P_D A`` is formed, a coarse column costs build work
+only, not work per CG step.  W leaves out the gauge, so ``E = W^T A W``
+is positive definite and one Cholesky factor ``E = L L^T`` makes W
+A-orthonormal (``W^T A W = I``) in place, beside ``U = A W``, so
 ``P_D A = A - U U^T`` and the right-hand side is ``P_D c = c - U W^T c``;
 :func:`recover_solution` adds back the coarse component
 ``W (W^T c - U^T y)``.
@@ -236,15 +235,13 @@ def _dual_solver(mesh: TriangleMesh):
 
 
 def _block_columns(count: int) -> int:
-    """Columns of the inverse-iteration block for ``count`` modes: those up
-    to two spherical degrees past the ``count``-th."""
+    """Columns of the inverse-iteration block for ``count`` modes."""
     return (math.isqrt(count) + 2) ** 2
 
 
 def _surface_modes(solver, lap: sp.csr_matrix, gram: sp.csr_matrix, count: int) -> np.ndarray:
-    """The lowest eigenvectors of (L, G) on the vertices, about ``count`` of
-    them and whole clusters, in ascending order of eigenvalue, the constant
-    mode first.
+    """About the ``count`` lowest eigenvectors of (L, G) on the vertices, in
+    whole clusters and ascending order of eigenvalue, the constant first.
 
     Block inverse iteration with the surface's own primal ``solver``, the
     bordered LU of ``L + (beta/total) m m^T`` with ``m = G 1``, then one
@@ -253,37 +250,30 @@ def _surface_modes(solver, lap: sp.csr_matrix, gram: sp.csr_matrix, count: int) 
     shifted pencil has the same eigenvectors; only the constant's
     eigenvalue is lifted from 0 to beta (2/R^2 on a sphere of radius R).
     The Rayleigh-Ritz step on the unshifted pencil puts the constant
-    first again.  The block is sized to the modes the surface needs
-    (:func:`_block_columns`): when ``count`` is the number of modes up to
-    spherical degree l, ``(l+1)^2``, it holds the modes up to degree
-    l + 2, whole degenerate clusters as on the symmetric icosphere, and
-    each step shrinks the error of the lowest ``count`` by the eigenvalue
-    ratio ``l(l+1) / ((l+3)(l+4))``: 6/30 for the 9 modes of a surface
-    without cell rows (25 columns), 110/182 for the 121 of a surface with
-    them (169 columns).  A block of at least as many columns as the
-    surface has vertices spans it, so no step runs and Rayleigh-Ritz on
-    the whole space is exact: that is every surface with cell rows up to
-    subdivision 2 (162 vertices).  Beyond that the ``MODE_STEPS`` = 10
-    steps are not converged for the larger block: at subdivision 3 (642
-    vertices) they bring the 9 vertex modes to 4.3e-7 of the exact span of
-    (L, G), but leave the 121 cell modes 1.1e-2 off it (largest entry of
-    ``below - V V^T G below``; 1.0e-2 for the 116 modes below the top
-    cluster), where a dense ``eigh`` gives 4.3e-15.  The median CG count
-    over 16 dipoles on the three shells at subdivision 3 is 47 with these
-    modes against 46.5 with the exact ones.  The start block is fixed, so
-    every build returns the same vectors bit for bit.
+    first again.  The block is sized to the modes the surface needs: when
+    ``count`` is the number of modes up to spherical degree l, ``(l+1)^2``,
+    it holds the modes up to degree l + 2, whole degenerate clusters as on
+    the symmetric icosphere, and each step shrinks the error of the lowest
+    ``count`` by the eigenvalue ratio ``l(l+1) / ((l+3)(l+4))``: 6/30 for
+    the 9 modes of a surface without cell rows (25 columns), 110/182 for
+    the 121 of a surface with them (169 columns).  A block of at least as
+    many columns as the surface has vertices spans it, so no step runs and
+    Rayleigh-Ritz on the whole space is exact: that is every surface with
+    cell rows up to subdivision 2 (162 vertices).  Beyond that the
+    ``MODE_STEPS`` = 10 steps are not converged for the larger block: at
+    subdivision 3 (642 vertices) they bring the 9 vertex modes to 4.3e-7
+    of the exact span of (L, G), but leave the 121 cell modes 1.1e-2 off
+    it (largest entry of ``below - V V^T G below``; 1.0e-2 for the 116
+    modes below the top cluster), where a dense ``eigh`` gives 4.3e-15.
+    The median CG count over 16 dipoles on the three shells at
+    subdivision 3 is 47 with these modes against 46.5 with the exact ones.
+    The start block is fixed, so every build returns the same vectors bit
+    for bit.
 
-    The cut never splits a cluster of Ritz values that agree to the
-    rounding of the Rayleigh-Ritz solve, ``k eps`` times the largest of
-    the k values: it moves on to the end of the cluster, or back to its
-    start where that would keep all k values (at least one must lie above
-    the cut, and on the whole space the last mode is left out).  Only
-    whole eigenspaces make the span, and so ``P_D A``, a smooth function
-    of L and G: with the cluster of five at degree 10 cut after three, as
-    at subdivision 2, rebuilding L and G in another rounding order moved
-    ``P_D A`` by 1.9e-2 of its largest entry, and with whole clusters by
-    3.1e-15.  So the cell blocks take 37 modes at subdivision 1 (42
-    vertices), 123 at subdivision 2 and 121 beyond.
+    The cut moves on to the end of a cluster of Ritz values equal to the
+    solve's rounding (k eps times the largest of k), or back to its start
+    where it would keep them all: whole eigenspaces keep ``P_D A`` smooth
+    in L and G (rounding changes move it by 3.1e-15, not 1.9e-2).
     """
     n = lap.shape[0]
     block = _block_columns(count)
@@ -295,12 +285,9 @@ def _surface_modes(solver, lap: sp.csr_matrix, gram: sp.csr_matrix, count: int) 
         ritz = x @ ritz
     else:  # the block spans the surface: Rayleigh-Ritz on it is exact
         vals, ritz = eigh(lap.toarray(), gram.toarray())
-    # the cuts between clusters, of which the first at or above count wins
-    gaps = np.flatnonzero(np.diff(vals) > len(vals) * np.finfo(float).eps * vals[-1]) + 1
-    cut = min(count, len(vals) - 1)
-    later = gaps[gaps >= cut]
-    cut = later[0] if len(later) else gaps[gaps < cut][-1]
-    return ritz[:, :cut]
+    # the cuts between clusters: the first at or after count, else the last
+    cuts = np.flatnonzero(np.diff(vals) > len(vals) * np.finfo(float).eps * vals[-1]) + 1
+    return ritz[:, : cuts[min(np.searchsorted(cuts, count), len(cuts) - 1)]]
 
 
 def _mirror_lower(a: np.ndarray) -> None:
@@ -350,9 +337,8 @@ def _coarse_space(op: PrecondOperator, meshes, modes) -> tuple[np.ndarray, np.nd
     holding A.
 
     Each surface's vertex rows take its lowest ``VERTEX_MODES``
-    eigenmodes, its cell rows (when kept) the lowest ``CELL_MODES`` in
-    whole clusters (:func:`_surface_modes`), each averaged over a cell's
-    three corners: the thin skull's small
+    eigenmodes, its cell rows (when kept) the lowest ``CELL_MODES``, each
+    averaged over a cell's three corners: the thin skull's small
     eigenvalues weigh mostly on the cell rows, so they take the larger
     share of the columns.  ``modes`` holds for each surface as many modes
     as its blocks use.  The columns are pulled back through ``1/m_diag``.
@@ -393,9 +379,8 @@ def _build_bytes(layout) -> int:
     """Bytes :func:`build` allocates at most: W and ``A W`` (N x T), the
     T x T array ``W^T A W``, which its Cholesky factor overwrites, and four
     N x ``CHUNK`` temporaries, with T bounded by the modes each surface
-    has and, on the cell rows, by the Ritz vectors that
-    :func:`_surface_modes` cuts its clusters from.  Z is already
-    allocated, and the operator shares its array."""
+    has, and by the Ritz vectors the cell modes are cut from.  Z is
+    already allocated, and the operator shares its array."""
     n = layout.total
     t = sum(
         min(VERTEX_MODES, nv - 1) + (min(_block_columns(CELL_MODES), nv) - 1 if kept else 0)

@@ -1,9 +1,7 @@
 """Piecewise-constant and piecewise-linear spaces and their Gram matrices.
 
-The Gram builders return the scipy CSR matrix itself, a product of the
-sparse maps the mesh owns (its incidence, corner matrices and vertex
-masses): the symmetric ones are the Gram ``B^T W B`` of such a map plus a
-diagonal, exactly symmetric with no symmetrisation step.  No solver reads
+The Gram builders return the scipy CSR matrix itself, formed from the
+mesh's sparse maps; ``B^T W B`` is symmetric bit for bit.  No solver reads
 :func:`mixed_gram_dual`: it is the Gram of the dual functions in closed
 form on the primal mesh, kept only because the benchmark's probe of the
 sparse layers times it.
@@ -50,20 +48,16 @@ def gram_p0(space: FunctionSpace) -> sp.csr_matrix:
 
 
 def gram_p1(space: FunctionSpace) -> sp.csr_matrix:
-    """Consistent pyramid mass matrix: per triangle A/6 diagonal, A/12 off.
-
-    That is ``I^T diag(A/12) I + diag(m/4)``, with I the triangle-vertex
-    incidence (``TriangleMesh.incidence``) and m the vertex masses, a
-    third of the area of each incident triangle."""
+    """Consistent pyramid mass matrix, per triangle A/6 diagonal and A/12
+    off: ``I^T diag(A/12) I + diag(m/4)``, I the incidence, m the masses."""
     if space.kind is not Kind.PYRAMID:
         raise ValueError("gram_p1 expects a pyramid space")
     mesh = space.mesh
     areas = mesh.areas
     if np.any(areas <= 0):
         raise ValueError("mesh has a degenerate triangle")
-    incidence = mesh.incidence
-    corners = incidence.T @ sp.diags(areas / 12.0) @ incidence
-    return (corners + sp.diags(mesh.vertex_masses / 4.0)).tocsr()
+    pairs = mesh.incidence.T @ sp.diags(areas / 12.0) @ mesh.incidence
+    return (pairs + sp.diags(mesh.vertex_masses / 4.0)).tocsr()
 
 
 def mixed_gram_dual(mesh: TriangleMesh) -> sp.csr_matrix:

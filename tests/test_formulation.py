@@ -311,8 +311,9 @@ def test_assemble_system_refuses_dense_storage_beyond_memory(monkeypatch):
     model = _model("shells3-sub1")
     n = system_layout(model).total
     needed = formulation._dense_bytes(model)
-    # Z and the four blocks of one surface pair, 80 cells and 42 vertices each
-    assert needed == 8 * (n * n + (80 + 42) ** 2)
+    # Z and the four blocks of one surface pair, 80 cells and 42 vertices
+    # each, and the products that form N: two of 42 x 80 and one of 42 x 42
+    assert needed == 8 * (n * n + (80 + 42) ** 2 + 42 * (2 * 80 + 42))
 
     def assembly_started(*args, **kwargs):
         raise AssertionError("operator assembly started")
@@ -331,10 +332,30 @@ def test_assemble_system_refuses_dense_storage_beyond_memory(monkeypatch):
 
     small = NestedModel([make_icosphere(0, 1.0)], (1.0, 0.0))
     # the insulated sphere keeps no p block: Z on its 12 vertices, and S and
-    # N of its self pair, 20 cells and 12 vertices, without D
-    assert formulation._dense_bytes(small) == 8 * (12**2 + 20**2 + 12**2)
+    # N of its self pair, 20 cells and 12 vertices, without D, and the
+    # products that form N
+    assert formulation._dense_bytes(small) == 8 * (12**2 + 20**2 + 12**2 + 12 * (2 * 20 + 12))
     monkeypatch.setattr(formulation, "_available_memory", lambda: formulation._dense_bytes(small))
     assert assemble_system(small).size == 12
+
+
+def test_dense_bytes_bound_the_assembly_peak_at_a_small_batch_budget(monkeypatch):
+    # with batches of 2**14 point pairs the batches hold little, and the
+    # peak is the dense storage: Z, the blocks of the largest surface pair
+    # and the products that form N from S; without those products the
+    # count fell 10% short of the peak, and the rest (the sweep's own
+    # arrays and the last batch) is under 1% of it here
+    radii, sigma, _ = MODELS["shells3-sub1"]
+    model = NestedModel([make_icosphere(2, r) for r in radii], sigma)
+    assemble_system(model)  # the mesh caches, outside the trace
+    monkeypatch.setattr(bem_ops, "BATCH_POINT_PAIRS", 2**14)
+    tracemalloc.start()
+    try:
+        assemble_system(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.02 * formulation._dense_bytes(model)
 
 
 def test_available_memory_is_physical_memory_lowered_to_the_cgroup_limit(tmp_path, monkeypatch):
