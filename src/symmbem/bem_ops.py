@@ -104,7 +104,10 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 #: Kernel evaluations (point pairs) per batch.  Every batch holds as many
 #: triangle pairs as fit in this budget, at least one; the regular sweep
 #: also classifies its tiers in row blocks of at most this many triangle
-#: pairs.  Each batch allocates its own two float64 point-pair arrays of at
+#: pairs, and the hypersingular form is taken from the single layer in
+#: blocks of ``BATCH_POINT_PAIRS // n_cells_s`` vertex rows
+#: (:func:`_hypersingular`), whose products hold at most this many values
+#: each.  Each batch allocates its own two float64 point-pair arrays of at
 #: most this length (1 MB each) and shares none with another batch.  Beside
 #: them a tensor batch holds the 15 x pairs Gram array of its corner offsets
 #: (:func:`_tensor_batch`), at most 15 / ``MIN_PAIR_POINTS`` of one of them.
@@ -210,9 +213,12 @@ def assemble_operators(
       observation point), pyramid-tested with patch trial functions.
     - ``N``, the hypersingular form between pyramid spaces, through
       integration by parts: kernel integrals against the surface curls of
-      the hat functions (``TriangleMesh.curls``).  Symmetric positive
-      semi-definite on a single surface with the constants in its kernel;
-      the second-derivative kernel is never evaluated.
+      the hat functions (``TriangleMesh.curls``), formed from ``S`` in
+      blocks of vertex rows of the batch budget (:func:`_hypersingular`)
+      and, on a single surface, symmetrised in place in the same blocks.
+      Symmetric positive semi-definite on a single surface with the
+      constants in its kernel; the second-derivative kernel is never
+      evaluated.
 
     ``Dstar`` is the view ``.T`` of the reversed pair's C-ordered double
     layer (cells of ``mesh_s`` x vertices of ``mesh_t``).  On a single
@@ -240,23 +246,8 @@ def assemble_operators(
     batches = _regular_sweep(mesh_t, mesh_s, cfg, sweep, ig, dmat, adj)
     if same:
         batches = itertools.chain(batches, _singular_sweep(mesh_t, cfg, sweep))
-    # add each batch into the matrices; ``mirror`` also fills S's (col, row)
-    for rows, cols, vrows, vcols, mirror, s, d, ds in batches:
-        ig[rows, cols] += s
-        if mirror:
-            ig[cols, rows] += s
-        if d is not None:
-            np.add.at(dmat.reshape(-1), (rows[:, None] * nvs + vcols).ravel(), d.ravel())
-        if ds is not None:
-            np.add.at(reverse.reshape(-1), (cols[:, None] * nvt + vrows).ravel(), ds.ravel())
-
-    nmat = None
-    if "N" in blocks:
-        nmat = np.zeros((nvt, nvs))
-        for ct, cs in zip(mesh_t.curls, mesh_s.curls):  # sparse factors on the left: ig is not copied
-            nmat += (cs.T @ (ct.T @ ig).T).T
-        if same:
-            nmat = 0.5 * (nmat + nmat.T)
+    _accumulate(batches, ig, dmat, reverse)
+    nmat = _hypersingular(mesh_t, mesh_s, ig) if "N" in blocks else None
     parts = {
         "S": (ig, Kind.PATCH, Kind.PATCH),
         "D": (dmat, Kind.PATCH, Kind.PYRAMID),
@@ -264,6 +255,50 @@ def assemble_operators(
         "N": (nmat, Kind.PYRAMID, Kind.PYRAMID),
     }
     return {tag: KernelBlock(*parts[tag]) for tag in TAGS if tag in blocks}
+
+
+def _accumulate(batches, ig, dmat, reverse):
+    """Add each batch result into the single layer ``ig``, the double layer
+    ``dmat`` and ``reverse``, the reversed pair's double layer; ``mirror``
+    also fills S's (col, row) entries.  The last batch's arrays, and the
+    chart arrays its vertex ids view, go when this returns."""
+    for rows, cols, vrows, vcols, mirror, s, d, ds in batches:
+        ig[rows, cols] += s
+        if mirror:
+            ig[cols, rows] += s
+        if d is not None:
+            flat = (rows[:, None] * dmat.shape[1] + vcols).ravel()
+            np.add.at(dmat.reshape(-1), flat, d.ravel())
+        if ds is not None:
+            flat = (cols[:, None] * reverse.shape[1] + vrows).ravel()
+            np.add.at(reverse.reshape(-1), flat, ds.ravel())
+
+
+def _hypersingular(mesh_t, mesh_s, ig):
+    """``N = sum_k C_t,k^T S C_s,k`` from the single layer ``ig`` and the
+    surface curls ``C_k`` of both meshes (``TriangleMesh.curls``), in blocks
+    of vertex rows of ``mesh_t``, each ``BATCH_POINT_PAIRS // n_cells_s``
+    rows (at least one), so that no product spans all rows.  A block's term
+    is ``(C_s^T (C_t^T[rows] S)^T)^T``: the CSR row slice of ``C_t^T`` times
+    S, then ``C_s^T`` times that product's transpose, of which scipy makes a
+    C-ordered copy.  The sparse factor is on the left of both products, so
+    S is never copied.  On a single surface N is then symmetrised in place,
+    in the same row blocks, each entry to ``0.5 * (N_ij + N_ji)``."""
+    n_rows = mesh_t.num_vertices
+    block = max(1, BATCH_POINT_PAIRS // mesh_s.num_triangles)
+    nmat = np.zeros((n_rows, mesh_s.num_vertices))
+    rows_t, curls_s = [ct.T.tocsr() for ct in mesh_t.curls], mesh_s.curls
+    for r0 in range(0, n_rows, block):
+        for ct, cs in zip(rows_t, curls_s):
+            nmat[r0 : r0 + block] += (cs.T @ (ct[r0 : r0 + block] @ ig).T).T
+    if mesh_t is mesh_s:
+        for r0 in range(0, n_rows, block):
+            r1 = r0 + block
+            sym = nmat[r0:r1, r0:] + nmat[r0:, r0:r1].T
+            sym *= 0.5
+            nmat[r0:r1, r0:] = sym
+            nmat[r0:, r0:r1] = sym.T
+    return nmat
 
 
 def _pair_kernel(r2, tmp, w, w9, scale, h_xy, h_yx):

@@ -178,25 +178,43 @@ def _pair_blocks(layout: SystemLayout, i: int, j: int) -> tuple:
 
 
 def _dense_bytes(model: NestedModel) -> int:
-    """Bytes of dense storage :func:`assemble_system` holds at once: the
-    N x N system matrix plus the operator blocks (:func:`_pair_blocks`) of
-    the largest surface pair it assembles, with the products that form
-    ``N`` from ``S``: two n_v x n_c (one a C-ordered copy) and one n_v x
-    n_v.  A self pair's ``Dstar`` is the view ``D.T`` and costs nothing."""
+    """Bytes of storage :func:`assemble_system` holds at once: the N x N
+    system matrix plus what the largest surface pair holds beside it.
+
+    A pair holds its operator blocks (:func:`_pair_blocks`; a self pair's
+    ``Dstar`` is the view ``D.T`` and costs nothing), and while its
+    quadrature sweep runs, the sweep's own arrays, counted as 4 + 14 planes
+    of ``bem_ops.BATCH_POINT_PAIRS`` doubles with a double layer and 4 + 5
+    without: the 14 or 5 of a dense far block and, beside them, the
+    distances of its row block, their tier codes and masks and the far
+    block's scatter.  At the default budget the sweep held at most 17.2
+    planes with a double layer and 7.8 without, on the three shells and
+    the sphere at subdivision 3.
+
+    The sweep ends before ``N`` is formed (``bem_ops._hypersingular``), one
+    row block at a time: ``C_t^T S`` over b rows (b x n_c), the C-ordered
+    copy of its transpose that scipy's sparse product makes (n_c x b) and
+    the term itself (n_v x b), with b ``BATCH_POINT_PAIRS // n_c`` rows, at
+    least one and at most n_v.  Each block is scaled in place as it goes
+    into Z, so no scaled copy is counted."""
     layout = system_layout(model)
     n = layout.total
     surfaces = model.surfaces
+    budget = bem_ops.BATCH_POINT_PAIRS
 
     def pair_bytes(i, j):
         t, s = surfaces[i], surfaces[j]
+        blocks = _pair_blocks(layout, i, j)
         shapes = {
             "S": (t.num_triangles, s.num_triangles),
             "D": (t.num_triangles, s.num_vertices),
             "Dstar": (t.num_vertices, s.num_triangles),
-            "N": (t.num_vertices, s.num_vertices),
         }
-        forming_n = t.num_vertices * (2 * s.num_triangles + s.num_vertices)
-        return forming_n + sum(r * c for r, c in (shapes[b] for b in _pair_blocks(layout, i, j)))
+        held = sum(r * c for r, c in (shapes[b] for b in blocks if b != "N"))
+        sweep = (4 + (14 if "D" in blocks or "Dstar" in blocks else 5)) * budget
+        rows = min(t.num_vertices, max(1, budget // s.num_triangles))
+        forming_n = t.num_vertices * s.num_vertices + rows * (2 * s.num_triangles + s.num_vertices)
+        return held + max(sweep, forming_n)
 
     pairs = [(i, i) for i in range(len(surfaces))] + [(i, i + 1) for i in range(len(surfaces) - 1)]
     return 8 * (n * n + max(pair_bytes(i, j) for i, j in pairs))
@@ -214,8 +232,9 @@ def assemble_system(model: NestedModel) -> BlockSystem:
     an insulating exterior no double layer is assembled on the outermost
     surface and no adjoint onto it.  The double-layer blocks are calibrated
     to their exact constant-field row sums.  Each diagonal block is written
-    whole, each off-diagonal block once, below the diagonal, and each pair's
-    blocks are let go before the next pair is assembled.
+    whole, each off-diagonal block once, below the diagonal.  A block goes
+    into Z once, after its calibration, so it is scaled in place on its way
+    in, and each pair's blocks are let go before the next pair is assembled.
 
     Raises ``MemoryError`` (:func:`require_memory`) before allocating
     anything dense when :func:`_dense_bytes` exceeds the memory the process
@@ -233,7 +252,8 @@ def assemble_system(model: NestedModel) -> BlockSystem:
     def add(rows: slice | None, cols: slice | None, factor: float, mat: np.ndarray):
         if rows is None or cols is None:
             return
-        Z[rows, cols] += factor * mat
+        mat *= factor
+        Z[rows, cols] += mat
 
     for i in range(n):
         mesh = model.surfaces[i]

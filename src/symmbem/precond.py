@@ -379,8 +379,10 @@ def _build_bytes(layout) -> int:
     """Bytes :func:`build` allocates at most: W and ``A W`` (N x T), the
     T x T array ``W^T A W``, which its Cholesky factor overwrites, and four
     N x ``CHUNK`` temporaries, with T bounded by the modes each surface
-    has, and by the Ritz vectors the cell modes are cut from.  Z is
-    already allocated, and the operator shares its array."""
+    has, and by the Ritz vectors the cell modes are cut from.  Z is not
+    counted here: it is already allocated, and the operator shares its
+    array, but it is held throughout, so :func:`build` requires its bytes
+    beside these."""
     n = layout.total
     t = sum(
         min(VERTEX_MODES, nv - 1) + (min(_block_columns(CELL_MODES), nv) - 1 if kept else 0)
@@ -410,9 +412,10 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     Raises ``ValueError`` naming the interface when a mesh does not match
     the system's layout: its vertex count, and its cell count where its
     cell rows are kept.  Raises ``MemoryError``
-    (``formulation.require_memory``) before allocating anything when
-    :func:`_build_bytes` exceeds the memory the process can get, and
-    ``numpy.linalg.LinAlgError`` when ``W^T A W`` is singular (a zero system).
+    (``formulation.require_memory``) before allocating anything when Z's
+    bytes and :func:`_build_bytes` together exceed the memory the process
+    can get, and ``numpy.linalg.LinAlgError`` when ``W^T A W`` is singular
+    (a zero system).
     """
     layout = system.layout
     if len(meshes) != layout.num_interfaces:
@@ -427,7 +430,7 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
             )
     n = layout.total
     formulation.require_memory(
-        _build_bytes(layout),
+        system.matrix.nbytes + _build_bytes(layout),
         f"the coarse space of the preconditioner for N = {n}, over the memory available",
     )
 

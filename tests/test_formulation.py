@@ -311,9 +311,16 @@ def test_assemble_system_refuses_dense_storage_beyond_memory(monkeypatch):
     model = _model("shells3-sub1")
     n = system_layout(model).total
     needed = formulation._dense_bytes(model)
-    # Z and the four blocks of one surface pair, 80 cells and 42 vertices
-    # each, and the products that form N: two of 42 x 80 and one of 42 x 42
-    assert needed == 8 * (n * n + (80 + 42) ** 2 + 42 * (2 * 80 + 42))
+    # Z, and of the cross pair (0, 1), 80 cells and 42 vertices each, S, D
+    # and Dstar with the sweep's 4 + 14 planes of the batch budget, which
+    # outweigh N and its products here
+    held = 80**2 + 2 * 80 * 42
+    assert needed == 8 * (n * n + held + 18 * bem_ops.BATCH_POINT_PAIRS)
+    with monkeypatch.context() as patch:
+        # at a budget below one row of S, N is formed one vertex row at a
+        # time: N, C_t^T S over that row and its copy (80 each) and the term (42)
+        patch.setattr(bem_ops, "BATCH_POINT_PAIRS", 64)
+        assert formulation._dense_bytes(model) == 8 * (n * n + held + 42**2 + 2 * 80 + 42)
 
     def assembly_started(*args, **kwargs):
         raise AssertionError("operator assembly started")
@@ -331,31 +338,53 @@ def test_assemble_system_refuses_dense_storage_beyond_memory(monkeypatch):
     monkeypatch.undo()
 
     small = NestedModel([make_icosphere(0, 1.0)], (1.0, 0.0))
-    # the insulated sphere keeps no p block: Z on its 12 vertices, and S and
-    # N of its self pair, 20 cells and 12 vertices, without D, and the
-    # products that form N
-    assert formulation._dense_bytes(small) == 8 * (12**2 + 20**2 + 12**2 + 12 * (2 * 20 + 12))
+    # the insulated sphere keeps no p block: Z on its 12 vertices, and S of
+    # its self pair, 20 cells, with the 4 + 5 planes of a sweep without a
+    # double layer
+    assert formulation._dense_bytes(small) == 8 * (12**2 + 20**2 + 9 * bem_ops.BATCH_POINT_PAIRS)
     monkeypatch.setattr(formulation, "_available_memory", lambda: formulation._dense_bytes(small))
     assert assemble_system(small).size == 12
 
 
 def test_dense_bytes_bound_the_assembly_peak_at_a_small_batch_budget(monkeypatch):
-    # with batches of 2**14 point pairs the batches hold little, and the
-    # peak is the dense storage: Z, the blocks of the largest surface pair
-    # and the products that form N from S; without those products the
-    # count fell 10% short of the peak, and the rest (the sweep's own
-    # arrays and the last batch) is under 1% of it here
+    # with batches of 2**14 point pairs the sweep holds about 9 planes of
+    # the budget (the two point-pair arrays of a batch, the distances of
+    # its row block, the pair indices of a tier, the rules), 1.1 MiB beside
+    # Z and the S, D and Dstar blocks of the cross pair (0, 1), more than N
+    # and its row-block products.  At the default budget the sweep holds
+    # 7 MiB, and the peak was 1.47 times a count that left it out.
     radii, sigma, _ = MODELS["shells3-sub1"]
     model = NestedModel([make_icosphere(2, r) for r in radii], sigma)
     assemble_system(model)  # the mesh caches, outside the trace
-    monkeypatch.setattr(bem_ops, "BATCH_POINT_PAIRS", 2**14)
+    for budget in (2**14, bem_ops.BATCH_POINT_PAIRS):
+        monkeypatch.setattr(bem_ops, "BATCH_POINT_PAIRS", budget)
+        tracemalloc.start()
+        try:
+            assemble_system(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * formulation._dense_bytes(model), budget
+
+
+def test_the_insulated_sphere_assembles_in_z_s_n_and_eight_budget_planes():
+    # the sweep, whose dense far blocks hold five planes without a double
+    # layer, sets the peak: Z, S and about 8 planes of the batch budget.
+    # Forming N from S in whole products, symmetrising it through a copy
+    # and scaling it into Z through a copy took Z + S + N plus 16.0 MiB.
+    model = _model("sphere1-sub3")
+    assemble_system(model)  # the mesh caches, outside the trace
+    mesh = model.surfaces[0]
     tracemalloc.start()
     try:
-        assemble_system(model)
+        system = assemble_system(model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.02 * formulation._dense_bytes(model)
+    z_bytes, n_bytes = system.matrix.nbytes, 8 * mesh.num_vertices**2
+    s_bytes = 8 * mesh.num_triangles**2
+    assert peak <= z_bytes + s_bytes + n_bytes + 8 * 8 * bem_ops.BATCH_POINT_PAIRS
+    assert peak <= formulation._dense_bytes(model)
 
 
 def test_available_memory_is_physical_memory_lowered_to_the_cgroup_limit(tmp_path, monkeypatch):

@@ -186,9 +186,11 @@ def test_apply_is_one_symmetric_product(shells1, monkeypatch):
 
 
 def test_build_refuses_its_coarse_arrays_beyond_memory(shells1, monkeypatch):
+    # the build holds Z, which holds the operator too, beside its own arrays
     system, meshes, _ = shells1
     n = system.size
-    needed = precond._build_bytes(system.layout)  # Z, which holds the operator too, is not counted
+    needed = system.matrix.nbytes + precond._build_bytes(system.layout)
+    before = system.matrix.copy()
     monkeypatch.setattr(formulation, "_available_memory", lambda: needed - 1)
     tracemalloc.start()
     try:
@@ -198,6 +200,7 @@ def test_build_refuses_its_coarse_arrays_beyond_memory(shells1, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < needed / 10  # nothing was allocated
+    assert np.array_equal(system.matrix, before)
     monkeypatch.setattr(formulation, "_available_memory", lambda: needed)
     assert precond.build(system, meshes).matrix is system.matrix
 
