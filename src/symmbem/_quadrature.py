@@ -90,7 +90,6 @@ TRI_RULES["6x4"] = _composite_rule(*TRI_RULES[6], 1)
 TRI_RULES["6x16"] = _composite_rule(*TRI_RULES[6], 2)
 
 
-@lru_cache(maxsize=None)
 def tensor_pair_rule(rule):
     """Tensor product of ``TRI_RULES[rule]`` with itself as a rule for a
     disjoint pair, in the format of :func:`sauter_schwab_rule`:
@@ -187,7 +186,6 @@ def _vertex_maps(xi, e1, e2, e3):
 _MAPS = {COINCIDENT: _coincident_maps, EDGE: _edge_maps, VERTEX: _vertex_maps}
 
 
-@lru_cache(maxsize=None)
 def sauter_schwab_rule(category: str, order: int):
     """Tensorized rule for a touching pair in reference coordinates.
 

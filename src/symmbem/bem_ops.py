@@ -45,7 +45,7 @@ The regular sweep (its other disjoint pairs) and the singular sweep
 ``BATCH_POINT_PAIRS`` kernel evaluations, in an order fixed by the meshes
 alone.  Each batch is evaluated on the calling thread in arrays of its
 own, reading only the mesh caches and :class:`_Sweep`, and added into the
-matrices in that order.  A batch is dozens of small numpy calls, and a
+sweep's matrices in that order.  A batch is dozens of small numpy calls, and a
 pool of threads bought little for its memory: on a 2-core host with one
 BLAS thread, two threads assembled the three-shell head at subdivision 2
 no faster than one (0.69-0.80 s against 0.67-0.78 s) and at subdivision 3
@@ -58,8 +58,8 @@ transpose of the double layer.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,8 +112,7 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 #: them a tensor batch holds the 15 x pairs Gram array of its corner offsets
 #: (:func:`_tensor_batch`), at most 15 / ``MIN_PAIR_POINTS`` of one of them.
 #: A dense far block (:func:`_far_block`) spans one row block, so each of
-#: its arrays holds at most this many values per point pair plane; with
-#: both double layers it holds 14 such planes at once, 5 with neither.
+#: its arrays holds at most this many values (:func:`pair_bytes`).
 #: At 2**18 the sphere subdivision-3 assembly peaked 37 MB higher for no
 #: measurable speed; much smaller batches pay numpy's per-call overhead on
 #: too little work (a closed-form batch holds 32 pairs here).
@@ -233,45 +232,37 @@ def assemble_operators(
     if unknown:
         raise ValueError(f"unknown operator blocks {sorted(unknown)}; choose from {TAGS}")
     cfg = DEFAULT_QUADRATURE
-    same = mesh_t is mesh_s
-
-    nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
-    nvt, nvs = mesh_t.num_vertices, mesh_s.num_vertices
     sweep = _Sweep(mesh_t, mesh_s, blocks)
-    ig = np.zeros((nct, ncs))
-    dmat = np.zeros((nct, nvs)) if sweep.d else None
-    # the adjoint is stored as the reversed pair's D: on one surface, D itself
-    reverse = dmat if same else np.zeros((ncs, nvt)) if sweep.ds else None
-    adj = None if reverse is None else reverse.T
-    batches = _regular_sweep(mesh_t, mesh_s, cfg, sweep, ig, dmat, adj)
-    if same:
-        batches = itertools.chain(batches, _singular_sweep(mesh_t, cfg, sweep))
-    _accumulate(batches, ig, dmat, reverse)
-    nmat = _hypersingular(mesh_t, mesh_s, ig) if "N" in blocks else None
+    _regular_sweep(mesh_t, mesh_s, cfg, sweep)
+    if sweep.same:
+        _singular_sweep(mesh_t, cfg, sweep)
+    nmat = _hypersingular(mesh_t, mesh_s, sweep.ig) if "N" in blocks else None
     parts = {
-        "S": (ig, Kind.PATCH, Kind.PATCH),
-        "D": (dmat, Kind.PATCH, Kind.PYRAMID),
-        "Dstar": (adj, Kind.PYRAMID, Kind.PATCH),
+        "S": (sweep.ig, Kind.PATCH, Kind.PATCH),
+        "D": (sweep.dmat, Kind.PATCH, Kind.PYRAMID),
+        "Dstar": (sweep.adj, Kind.PYRAMID, Kind.PATCH),
         "N": (nmat, Kind.PYRAMID, Kind.PYRAMID),
     }
     return {tag: KernelBlock(*parts[tag]) for tag in TAGS if tag in blocks}
 
 
-def _accumulate(batches, ig, dmat, reverse):
-    """Add each batch result into the single layer ``ig``, the double layer
-    ``dmat`` and ``reverse``, the reversed pair's double layer; ``mirror``
-    also fills S's (col, row) entries.  The last batch's arrays, and the
-    chart arrays its vertex ids view, go when this returns."""
-    for rows, cols, vrows, vcols, mirror, s, d, ds in batches:
-        ig[rows, cols] += s
-        if mirror:
-            ig[cols, rows] += s
-        if d is not None:
-            flat = (rows[:, None] * dmat.shape[1] + vcols).ravel()
-            np.add.at(dmat.reshape(-1), flat, d.ravel())
-        if ds is not None:
-            flat = (cols[:, None] * reverse.shape[1] + vrows).ravel()
-            np.add.at(reverse.reshape(-1), flat, ds.ravel())
+def pair_bytes(mesh_t: TriangleMesh, mesh_s: TriangleMesh, blocks=TAGS) -> int:
+    """Bytes :func:`assemble_operators` holds at once for ``blocks``: the
+    matrices of its :class:`_Sweep`, plus the larger of two transients.
+    The sweeps hold 4 + 14 planes of ``BATCH_POINT_PAIRS`` doubles with a
+    double layer and 4 + 5 without (a dense far block's 14 or 5, its row
+    block's distances, tier codes and masks, and its scatter; at most 17.2
+    and 7.8 were seen at the default budget).  Then ``N`` is formed
+    (:func:`_hypersingular`): ``N`` and, per block of b rows, ``C_t^T S``
+    (b x n_c), its C-ordered transpose and the term (n_v x b)."""
+    d, ds = _Sweep.double_layers(mesh_t is mesh_s, blocks)
+    nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
+    nvt, nvs = mesh_t.num_vertices, mesh_s.num_vertices
+    held = nct * ncs + d * nct * nvs + (ds and mesh_t is not mesh_s) * ncs * nvt
+    sweeps = (4 + (14 if d or ds else 5)) * BATCH_POINT_PAIRS
+    rows = min(nvt, max(1, BATCH_POINT_PAIRS // ncs))
+    forming_n = nvt * nvs + rows * (2 * ncs + nvs) if "N" in blocks else 0
+    return 8 * (held + max(sweeps, forming_n))
 
 
 def _hypersingular(mesh_t, mesh_s, ig):
@@ -427,10 +418,14 @@ def _panel_integrals(x, nx, mesh, cells, want_d, want_ds):
     return s, w, d, ds
 
 
-def _pair_rule(bx, by, w, shared=0):
-    """A pair rule ``(bary_x, bary_y, weights)`` of :mod:`symmbem._quadrature`
-    as :func:`_tensor_batch` applies it to pairs whose charts share their
-    first ``shared`` corners (3 coincident, 2 edge, 1 vertex, 0 disjoint).
+@lru_cache(maxsize=None)
+def _pair_rule(category, order=None):
+    """A pair rule ``(bary_x, bary_y, weights)`` of :mod:`symmbem._quadrature`,
+    the touching ``category``'s at ``order`` or the tensor rule of the tier
+    ``TRI_RULES[category]``, as :func:`_tensor_batch` applies it to pairs
+    whose charts share their first ``shared`` corners (3 coincident, 2
+    edge, 1 vertex, 0 disjoint).  Taken once per process, it is no surface
+    pair's to build or hold.
 
     Over the pair's distinct corners, the row triangle's three and then the
     column triangle's last ``3 - shared``, the point map to ``x - y`` has the
@@ -442,6 +437,9 @@ def _pair_rule(bx, by, w, shared=0):
     ``n (n + 1) / 2`` pairs a <= b in row-major order.  Returns ``(C,
     weights, w9, shared)``, ``w9`` the moment weights of
     :func:`_pair_kernel`."""
+    shared = {quad.COINCIDENT: 3, quad.EDGE: 2, quad.VERTEX: 1}.get(category, 0)
+    rule = quad.sauter_schwab_rule(category, order) if shared else quad.tensor_pair_rule(category)
+    bx, by, w = rule
     c = np.concatenate([bx[:, :shared] - by[:, :shared], bx[:, shared:], -by[:, shared:]], axis=1)
     a, b = np.triu_indices(5 - shared)
     form = c[:, 1:][:, a] * c[:, 1:][:, b] * np.where(a == b, 1.0, 2.0)
@@ -458,26 +456,51 @@ def _batch_slices(n_pairs, n_points):
 
 
 class _Sweep:
-    """What the batches of one surface pair read besides their own arrays
-    and the mesh caches: the vertices of both meshes in one component-major
-    array, those of ``mesh_s`` after those of ``mesh_t`` unless they are one
-    mesh, the component-major cell normals and the cell areas of each,
-    whether the two are one surface (``same``), and which double layers
-    the batches integrate for ``blocks``: ``d`` the entries of ``D``, ``ds``
-    those of ``Dstar``.  On a single surface the adjoint entries of a pair
-    are the ``D`` entries of the mirrored pair, so the two go together.
-    Nothing here is written after construction."""
+    """One surface pair's assembly.  Its batches read, besides their own
+    arrays and the mesh caches, the vertices of both meshes in one
+    component-major array (those of ``mesh_s`` after those of ``mesh_t``
+    unless they are one mesh), the component-major cell normals and the
+    areas of each, ``same``, and which double layers to integrate
+    (:meth:`double_layers`).  Every integral is added where it is made
+    into the single layer ``ig``, the double layer ``dmat`` and the
+    reversed pair's double layer ``reverse``, whose transpose ``adj`` is
+    ``Dstar`` (on a single surface ``reverse`` is ``dmat``): batches
+    through :meth:`add`, dense far blocks directly."""
 
     def __init__(self, mesh_t, mesh_s, blocks):
         self.same = same = mesh_t is mesh_s
-        self.d = "D" in blocks or (same and "Dstar" in blocks)
-        self.ds = self.d if same else "Dstar" in blocks
+        self.d, self.ds = self.double_layers(same, blocks)
         self.offset = 0 if same else mesh_t.num_vertices
         vertices = mesh_t.vertices if same else np.concatenate([mesh_t.vertices, mesh_s.vertices])
         self.vertices = _component_major(vertices)
         self.normals_t = _component_major(mesh_t.normals)
         self.normals_s = self.normals_t if same else _component_major(mesh_s.normals)
         self.areas_t, self.areas_s = mesh_t.areas, mesh_s.areas
+        nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
+        self.ig = np.zeros((nct, ncs))
+        self.dmat = np.zeros((nct, mesh_s.num_vertices)) if self.d else None
+        reverse = self.dmat if same else np.zeros((ncs, mesh_t.num_vertices)) if self.ds else None
+        self.reverse, self.adj = reverse, None if reverse is None else reverse.T
+
+    @staticmethod
+    def double_layers(same, blocks):
+        """``(d, ds)``, whether ``blocks`` need the entries of ``D`` and of
+        ``Dstar``: on a single surface, where each is the other's mirror, both."""
+        d = "D" in blocks or (same and "Dstar" in blocks)
+        return d, d if same else "Dstar" in blocks
+
+    def add(self, rows, cols, vrows, vcols, mirror, s, d, ds):
+        """Add the results of the triangle pairs ``(rows, cols)``, of vertex
+        ids ``vrows`` and ``vcols``, ``s`` also at (cols, rows) if ``mirror``."""
+        self.ig[rows, cols] += s
+        if mirror:
+            self.ig[cols, rows] += s
+        if d is not None:
+            flat = (rows[:, None] * self.dmat.shape[1] + vcols).ravel()
+            np.add.at(self.dmat.reshape(-1), flat, d.ravel())
+        if ds is not None:
+            flat = (cols[:, None] * self.reverse.shape[1] + vrows).ravel()
+            np.add.at(self.reverse.reshape(-1), flat, ds.ravel())
 
 
 def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
@@ -496,8 +519,9 @@ def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
     form.  Merging the shared corners keeps the distances' relative
     accuracy as the points close in on a singularity.  When
     ``double_layer`` is set, the same offsets give the heights of
-    :func:`_pair_kernel` for the double layers the sweep integrates.
-    ``mirror`` asks the accumulation to fill the (column, row) entries too.
+    :func:`_pair_kernel` for the double layers the sweep integrates.  The
+    results are added into the sweep (:meth:`_Sweep.add`), with ``mirror``
+    into the (column, row) entries too.
     """
     form, w, w9, shared = rule
     e = np.take(sweep.vertices, np.concatenate([ca.T, cb[:, shared:].T + sweep.offset]), axis=1)
@@ -517,8 +541,7 @@ def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
     if double_layer and sweep.ds:
         h_ba = _heights(e[:, 3:], np.take(sweep.normals_t, pa, axis=1))
     scale = sweep.areas_t[pa] * sweep.areas_s[pb] / np.pi  # (2 A_a)(2 A_b) / (4 pi)
-    s, d, ds = _pair_kernel(r2, tmp, w, w9, scale, h_ab, h_ba)
-    return pa, pb, ca, cb, mirror, s, d, ds
+    sweep.add(pa, pb, ca, cb, mirror, *_pair_kernel(r2, tmp, w, w9, scale, h_ab, h_ba))
 
 
 def _tier_blocks(mesh_t, mesh_s, thresholds, same):
@@ -590,10 +613,10 @@ def _far_rule(rule, mesh_t, mesh_s):
     return bary, 0.25 * np.outer(w, w), points_t, points_s, maps, mesh_t.triangles
 
 
-def _far_block(sweep, far, r0, c0, mask, ig, dmat, adj):
+def _far_block(sweep, far, r0, c0, mask):
     """Add the far pairs ``mask`` of one row block of :func:`_tier_blocks`,
     integrated under the far tier's tensor rule (:func:`_far_rule`), into the
-    single layer ``ig``, the double layer ``dmat`` and the adjoint ``adj``.
+    single layer, the double layer and the adjoint of the sweep.
 
     Every array spans the block, rows ``r0 : r0 + rows`` and columns
     ``c0 :``, whatever the tier of its pairs, and the loop runs over the
@@ -619,7 +642,7 @@ def _far_block(sweep, far, r0, c0, mask, ig, dmat, adj):
     the row triangle's plane, sums over the row points.  Each corner of
     ``D`` goes to the vertices by one sparse product with its corner map;
     the adjoint's three corners go through one product with the map of the
-    block's row cells to their vertices.  ``adj`` is the view ``Dstar``,
+    block's row cells to their vertices, into the view ``sweep.adj``,
     ``dmat.T`` on a single surface, where each pair also fills its (s, t)
     entries: ``S`` mirrored, and the adjoint entries, which are the ``D``
     entries of pair (s, t).
@@ -668,15 +691,15 @@ def _far_block(sweep, far, r0, c0, mask, ig, dmat, adj):
     scale = np.multiply(sweep.areas_t[r0:r1, None], sweep.areas_s[c0:] / np.pi)
     scale *= mask
     s *= scale
-    ig[r0:r1, c0:] += s
+    sweep.ig[r0:r1, c0:] += s
     if sweep.same:
-        ig[c0:, r0:r1] += s.T
+        sweep.ig[c0:, r0:r1] += s.T
     corner_weights = bary / v2[:, None]
     if sweep.d:
         np.matmul(corner_weights.T, k.reshape(q, -1), out=diff.reshape(3, -1))
         diff *= scale
         for c in range(3):
-            dmat[r0:r1] += diff[c] @ maps[c][c0:]
+            sweep.dmat[r0:r1] += diff[c] @ maps[c][c0:]
         k = None
     if sweep.ds:  # the heights of the column points were taken as (x - y) . n_t
         np.matmul(-corner_weights.T, ks.reshape(q, -1), out=diff.reshape(3, -1))
@@ -686,13 +709,11 @@ def _far_block(sweep, far, r0, c0, mask, ig, dmat, adj):
             (np.ones(3 * rows), local.reshape(rows, 3).T.ravel(), np.arange(3 * rows + 1)),
             shape=(len(vertices), 3 * rows),
         )
-        adj[vertices, c0:] += gather @ diff.reshape(3 * rows, cols)
+        sweep.adj[vertices, c0:] += gather @ diff.reshape(3 * rows, cols)
 
 
-def _regular_sweep(mesh_t, mesh_s, cfg, sweep, ig, dmat, adj):
-    """Sweep over disjoint triangle pairs, as batch results; the far pairs
-    of the row blocks integrated densely are added into ``ig``, ``dmat``
-    and ``adj`` as the sweep reaches them.
+def _regular_sweep(mesh_t, mesh_s, cfg, sweep):
+    """Integrate the disjoint triangle pairs into ``sweep``.
 
     Tiers are classified in row blocks by :func:`_tier_blocks`.  A block
     whose far pairs are at least ``DENSE_FAR_SHARE`` of its pairs
@@ -713,7 +734,7 @@ def _regular_sweep(mesh_t, mesh_s, cfg, sweep, ig, dmat, adj):
     same = sweep.same
     tiers = [rule for _, rule in cfg.near_tiers] + [cfg.far_points]
     thresholds = [t for t, _ in cfg.near_tiers]
-    rules = {r: _pair_rule(*quad.tensor_pair_rule(r)) for r in tiers if r != CLOSED_FORM_TIER}
+    rules = {r: _pair_rule(r) for r in tiers if r != CLOSED_FORM_TIER}
     far = None  # the far rule's points and maps, taken at the first dense block
     tri_t, tri_s = mesh_t.triangles, mesh_s.triangles
     outer_bary, outer_w = quad.collapsed_rule(OUTER_ORDER)
@@ -726,7 +747,7 @@ def _regular_sweep(mesh_t, mesh_s, cfg, sweep, ig, dmat, adj):
         s = (outer_w @ s) * scale
         d = None if d is None else (np.matmul(outer_w, d) * scale).T
         ds = None if ds is None else (((outer_w[:, None] * outer_bary).T @ ds) * scale).T
-        return rows, cols, tri_t[rows], tri_s[cols], same, s, d, ds
+        sweep.add(rows, cols, tri_t[rows], tri_s[cols], same, s, d, ds)
 
     for r0, c0, codes in _tier_blocks(mesh_t, mesh_s, thresholds, same):
         far_pairs = codes == len(thresholds)
@@ -734,26 +755,24 @@ def _regular_sweep(mesh_t, mesh_s, cfg, sweep, ig, dmat, adj):
         if dense:
             if far is None:
                 far = _far_rule(cfg.far_points, mesh_t, mesh_s)
-            _far_block(sweep, far, r0, c0, far_pairs, ig, dmat, adj)
+            _far_block(sweep, far, r0, c0, far_pairs)
         for k, name in enumerate(tiers[:-1] if dense else tiers):
             ti, si = np.nonzero(codes == k)
             ti += r0
             si += c0
             if name == CLOSED_FORM_TIER:
                 for sl in _batch_slices(len(ti), len(outer_w) ** 2):
-                    yield closed_batch(ti[sl], si[sl])
+                    closed_batch(ti[sl], si[sl])
                 continue
             rule = rules[name]
             for sl in _batch_slices(len(ti), len(rule[1])):
                 rows, cols = ti[sl], si[sl]
-                yield _tensor_batch(
-                    sweep, rule, tri_t[rows], tri_s[cols], rows, cols, same, True,
-                )
+                _tensor_batch(sweep, rule, tri_t[rows], tri_s[cols], rows, cols, same, True)
 
 
 def _singular_sweep(mesh, cfg, sweep):
-    """Regularized quadrature over touching same-surface pairs, as batch
-    results of :func:`_tensor_batch`.
+    """Integrate the touching same-surface pairs into ``sweep`` under the
+    regularizing transforms, in batches of :func:`_tensor_batch`.
 
     Each unordered pair is visited once; the charts of ``_touching_pairs``
     put the shared vertex first, and the edge and vertex pairs fill both
@@ -767,10 +786,7 @@ def _singular_sweep(mesh, cfg, sweep):
         (quad.EDGE, edge_pairs, edge_charts),
         (quad.VERTEX, vertex_pairs, vertex_charts),
     ):
-        shared = {quad.COINCIDENT: 3, quad.EDGE: 2, quad.VERTEX: 1}[category]
-        rule = _pair_rule(*quad.sauter_schwab_rule(category, cfg.singular_order), shared)
+        rule = _pair_rule(category, cfg.singular_order)
         distinct = category != quad.COINCIDENT
         for sl in _batch_slices(len(pairs), len(rule[1])):
-            yield _tensor_batch(
-                sweep, rule, ca[sl], cb[sl], pairs[sl, 0], pairs[sl, 1], distinct, distinct,
-            )
+            _tensor_batch(sweep, rule, ca[sl], cb[sl], *pairs[sl].T, distinct, distinct)

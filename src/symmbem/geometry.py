@@ -316,7 +316,9 @@ def validate(mesh: TriangleMesh) -> list[MeshViolation]:
     """Check the closed-manifold invariants; violations are data, not errors.
 
     Returns an empty list iff the mesh has triangles and is watertight,
-    consistently oriented, free of degenerate triangles and connected.
+    consistently oriented with its normals outward, free of degenerate
+    triangles and connected.  Only without edge violations does the signed
+    volume tell the orientation, so only then is an inward one reported.
     """
     if mesh.num_triangles == 0:
         return [MeshViolation("empty", (), "mesh has no triangles")]
@@ -334,7 +336,8 @@ def validate(mesh: TriangleMesh) -> list[MeshViolation]:
     counts = np.bincount(ids)
     first, second = order[starts], order[starts + (counts > 1)]
     flipped = (counts == 2) & (directed[first, 0] == directed[second, 0])
-    for e in np.flatnonzero((counts != 2) | flipped):
+    bad_edges = np.flatnonzero((counts != 2) | flipped)
+    for e in bad_edges:
         edge = (int(mesh.edges[e, 0]), int(mesh.edges[e, 1]))
         if counts[e] != 2:
             kind = "open-edge" if counts[e] == 1 else "non-manifold-edge"
@@ -346,6 +349,8 @@ def validate(mesh: TriangleMesh) -> list[MeshViolation]:
                 f"{first[e] % mesh.num_triangles} and {second[e] % mesh.num_triangles}"
             )
         violations.append(MeshViolation(kind, edge, message))
+    if not len(bad_edges) and mesh.signed_volume < 0:
+        violations.append(MeshViolation("inward", (), "normals point inward: signed volume < 0"))
 
     if _connected_components(mesh) > 1:
         violations.append(
@@ -556,10 +561,17 @@ def read_off(path) -> TriangleMesh:
         raise error(rows[1][0], "negative count")
     if len(rows) < 2 + nv + nc:
         raise ValueError(f"{path}: truncated OFF file")
-    vertices = np.array([three(*row, float, "coordinates") for row in rows[2 : 2 + nv]])
+    vertices = np.empty((nv, 3))
+    for i, (number, tokens) in enumerate(rows[2 : 2 + nv]):
+        vertices[i] = three(number, tokens, float, "coordinates")
+        if not np.isfinite(vertices[i]).all():
+            raise error(number, f"non-finite coordinates {' '.join(tokens)!r}")
     triangles = np.empty((nc, 3), dtype=np.int64)
     for i, (number, tokens) in enumerate(rows[2 + nv : 2 + nv + nc]):
         if tokens[0] != "3":
             raise error(number, "non-triangle face")
         triangles[i] = three(number, tokens[1:4], int, "vertex indices")
+        if triangles[i].min() < 0 or triangles[i].max() >= nv:
+            indices = " ".join(tokens[1:4])
+            raise error(number, f"vertex indices out of range 0..{nv - 1}: {indices!r}")
     return TriangleMesh(vertices, triangles)

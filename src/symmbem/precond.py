@@ -513,7 +513,7 @@ def recover_solution(op: PrecondOperator, y: np.ndarray, tol: float = 1e-8):
     return x * op.system.scale_vector(), residual
 
 
-def solve(op: PrecondOperator, tol: float = 1e-8, maxit: int | None = None):
+def solve(op: PrecondOperator, tol: float = 1e-8):
     """Solve for the load on ``op.system.rhs`` with the built operator.
 
     CG on ``P_D A`` stops on the deflated residual, and the recovered
@@ -521,20 +521,20 @@ def solve(op: PrecondOperator, tol: float = 1e-8, maxit: int | None = None):
     a converged solve misses ``tol`` there, one correction solve takes the
     recovered residual ``b - Z x_s`` as its load and ``0.5 tol / (g
     residual)`` as its CG tolerance, as in iterative refinement (Moler 1967).
+    Each CG run keeps its own cap of 10 N steps.
 
     Returns ``(x, report, residual)``, x in unscaled physical variables.
     ``report`` is the first CG run's with the correction's steps and Ritz
     extremes merged in.  Raises ``RuntimeError`` beyond 10 x ``tol``, as
     :func:`recover_solution` does.
     """
-    y, report = krylov.conjugate_gradient(op.apply, op.preconditioned_rhs(), tol=tol, maxit=maxit)
+    y, report = krylov.conjugate_gradient(op.apply, op.preconditioned_rhs(), tol=tol)
     x, r, residual = _recover(op, y)
     if report.converged and residual > tol:
         g = residual / report.residuals[-1]
         fix = replace(op, system=replace(op.system, rhs=-r))
-        left = None if maxit is None else maxit - report.iterations
         dy, more = krylov.conjugate_gradient(
-            fix.apply, fix.preconditioned_rhs(), tol=0.5 * tol / (g * residual), maxit=left
+            fix.apply, fix.preconditioned_rhs(), tol=0.5 * tol / (g * residual)
         )
         # Z (x_s + dx_s) - b = Z dx_s + r, the residual of the correction
         dx, _, ratio = _recover(fix, dy)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -513,10 +514,10 @@ def test_far_blocks_stay_within_the_budget(sphere3, monkeypatch):
     far_block = bem_ops._far_block
     calls = []
 
-    def spy(sweep, rule, r0, c0, mask, *args):
+    def spy(sweep, rule, r0, c0, mask):
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        far_block(sweep, rule, r0, c0, mask, *args)
+        far_block(sweep, rule, r0, c0, mask)
         calls.append((r0, mask.size, tracemalloc.get_traced_memory()[1] - start))
 
     monkeypatch.setattr(bem_ops, "_far_block", spy)
@@ -561,12 +562,14 @@ def test_far_blocks_match_the_per_coordinate_reference(pair, shells1, sphere2, m
     far_block = bem_ops._far_block
     blocks = []
 
-    def spy(sweep, far, r0, c0, mask, ig, dmat, adj):
-        alone = [None if m is None else np.zeros(m.shape) for m in (ig, dmat, adj)]
-        if same and dmat is not None:
-            alone[2] = alone[1].T
-        far_block(sweep, far, r0, c0, mask, *alone)
-        far_block(sweep, far, r0, c0, mask, ig, dmat, adj)
+    def spy(sweep, far, r0, c0, mask):
+        # the block alone, added into zeroed copies of the sweep's matrices
+        block = copy.copy(sweep)
+        block.ig, block.dmat = np.zeros_like(sweep.ig), np.zeros_like(sweep.dmat)
+        block.adj = block.dmat.T if same else np.zeros_like(sweep.adj)
+        far_block(block, far, r0, c0, mask)
+        far_block(sweep, far, r0, c0, mask)
+        alone = [block.ig, block.dmat, block.adj]
         ti, si = np.nonzero(mask)
         ti += r0
         si += c0
@@ -827,7 +830,7 @@ def test_squared_distances_keep_their_relative_accuracy(sphere2, monkeypatch):
     vertices = mesh.vertices.astype(np.longdouble)
     eps = np.finfo(float).eps
     for name, shared, (bx, by, w) in _touching_rules() + _tensor_tier_rules():
-        rule = bem_ops._pair_rule(bx, by, w, shared)
+        rule = bem_ops._pair_rule(name, DEFAULT_QUADRATURE.singular_order if shared else None)
         bxl, byl = (b.astype(np.longdouble) for b in (bx, by))
         bxl, byl = bxl / bxl.sum(axis=1)[:, None], byl / byl.sum(axis=1)[:, None]
         pa, pb, ca, cb = pairs[name]
@@ -862,16 +865,20 @@ def test_tensor_batches_match_the_per_coordinate_reference(pair, shells1, sphere
     }[pair]
     rules = {len(r[2]): (name, r) for name, _, r in _touching_rules() + _tensor_tier_rules()}
     assert len(rules) == 6  # the point counts tell the rules apart
-    tensor_batch = bem_ops._tensor_batch
-    batches = []
+    tensor_batch, add = bem_ops._tensor_batch, bem_ops._Sweep.add
+    added, batches = [], []
+
+    def add_spy(sweep, *args):
+        added.append(args)
+        add(sweep, *args)
 
     def spy(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
-        out = tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer)
+        tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer)
         name, (bx, by, w) = rules[len(rule[1])]
         reference = _per_coordinate_batch(sweep, bx, by, w, ca, cb, pa, pb, double_layer)[1:]
-        batches.append((name, out[5:], reference))
-        return out
+        batches.append((name, added[-1][5:], reference))
 
+    monkeypatch.setattr(bem_ops._Sweep, "add", add_spy)
     monkeypatch.setattr(bem_ops, "_tensor_batch", spy)
     ops = assemble_operators(mesh_t, mesh_s)
     expected = {name for name, _, _ in _tensor_tier_rules()}

@@ -367,6 +367,36 @@ def test_dense_bytes_bound_the_assembly_peak_at_a_small_batch_budget(monkeypatch
         assert peak <= 1.02 * formulation._dense_bytes(model), budget
 
 
+@pytest.mark.parametrize("budget", [None, 2**11])
+@pytest.mark.parametrize("name", ["shells3-sub1", "shells3-sub1-conducting", "sphere1-sub3"])
+def test_pair_bytes_bound_the_peak_of_every_surface_pair(name, budget, monkeypatch):
+    # each pair against its own count, so that a count too low for one pair
+    # cannot hide behind a larger pair.  At 2**11 point pairs the pair rules
+    # a sweep built were most of a subdivision-1 self pair's peak, 1.7 to 3.0
+    # times its count, until they were taken once per process.
+    radii, sigma, subdivisions = MODELS[name.replace("-conducting", "")]
+    if name.endswith("-conducting"):
+        sigma = sigma[:-1] + (0.5,)
+    model = NestedModel([make_icosphere(subdivisions, r) for r in radii], sigma)
+    layout, surfaces = system_layout(model), model.surfaces
+    n = len(surfaces)
+    pairs = [(i, i) for i in range(n)] + [(i, i + 1) for i in range(n - 1)]
+    assemble_system(model)  # the mesh caches, outside the trace
+    if budget is not None:
+        monkeypatch.setattr(bem_ops, "BATCH_POINT_PAIRS", budget)
+    for i, j in pairs:
+        mesh_t, mesh_s = surfaces[i], surfaces[j]
+        blocks = formulation._pair_blocks(layout, i, j)
+        tracemalloc.start()
+        try:
+            bem_ops.assemble_operators(mesh_t, mesh_s, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = bem_ops.pair_bytes(mesh_t, mesh_s, blocks)
+        assert peak <= 1.02 * count, (i, j, peak / count)
+
+
 def test_the_insulated_sphere_assembles_in_z_s_n_and_eight_budget_planes():
     # the sweep, whose dense far blocks hold five planes without a double
     # layer, sets the peak: Z, S and about 8 planes of the batch budget.

@@ -174,6 +174,26 @@ def test_validate_flipped_triangle():
     assert any("7" in v.message for v in flagged)
 
 
+def test_nested_model_rejects_inward_oriented_surfaces():
+    # reversing every triangle passes every edge check; as the inner shell,
+    # it put the centre in compartment 2 instead of 1
+    shells = [make_icosphere(1, r) for r in (0.87, 0.92, 1.0)]
+    inner, sphere = shells[0], make_icosphere(2, 1.0)
+    inward = TriangleMesh(inner.vertices, inner.triangles[:, ::-1])
+    assert inward.signed_volume < 0
+    assert [v.kind for v in validate(inward)] == ["inward"]
+    for surfaces, sigma in (
+        ([inward] + shells[1:], (1.0, 1.0 / 80.0, 1.0, 0.0)),
+        ([TriangleMesh(sphere.vertices, sphere.triangles[:, ::-1])], (1.0, 0.0)),
+    ):
+        with pytest.raises(ValueError, match="surface 0: normals point inward: signed volume < 0"):
+            NestedModel(surfaces, sigma)
+    # with an edge violation the signed volume tells nothing, and is not read
+    tri = inward.triangles.copy()
+    tri[7] = inner.triangles[7]
+    assert {v.kind for v in validate(TriangleMesh(inner.vertices, tri))} == {"orientation"}
+
+
 def test_validate_missing_triangle():
     mesh = make_icosphere(1, 1.0)
     bad = TriangleMesh(mesh.vertices, mesh.triangles[1:])
@@ -268,6 +288,10 @@ def test_read_off_names_the_file_and_line_of_a_malformed_row(tmp_path):
         (3, "4 -1 0", "negative count"),
         (5, "1 0", "expected 3 coordinates, got 2"),
         (9, "3 0 1", "expected 3 vertex indices, got 2"),
+        (9, "3 0 1 4", "vertex indices out of range 0..3: '0 1 4'"),
+        (10, "3 0 -1 2", "vertex indices out of range 0..3: '0 -1 2'"),
+        (5, "1 nan 0", "non-finite coordinates '1 nan 0'"),
+        (7, "0 0 -inf", "non-finite coordinates '0 0 -inf'"),
     ]
     for line, text, message in cases:
         lines = list(_TETRAHEDRON_OFF)
