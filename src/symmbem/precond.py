@@ -19,8 +19,8 @@ simultaneous constant shift of all traces, and A is singular with kernel
 orthogonal to ``M^-1 k`` for every b, and CG on a consistent symmetric
 positive semidefinite system keeps its iterates in the operator's range
 (Kaasschieter 1988).  The gauge component of a solution is an arbitrary
-additive constant, and only the recovered residual drops its component
-along k, which no solution can reduce.
+additive constant, and no solution can reduce a load's component along
+k, which the load and the recovered residual both drop.
 
 A keeps its condition number flat under refinement, but a thin resistive
 layer (the skull) leaves a cluster of small eigenvalues at low spherical
@@ -65,9 +65,8 @@ diagonals times x (:meth:`PrecondOperator.apply`), where applying the
 factors one by one would take two products with Z, the sparse Laplacian
 maps and the coarse products.
 
-:func:`solve` runs CG on a built operator and recovers the solution; a
-recovered residual above ``tol`` takes one correction solve on that
-residual, as in iterative refinement, and CG never restarts from zero.
+:func:`solve` runs CG once on a built operator, stopped on the recovered
+residual, and recovers the solution.
 """
 
 from __future__ import annotations
@@ -108,8 +107,8 @@ class PrecondOperator:
     ``matrix`` is the system's array, with ``P_D A`` strictly above its
     diagonal and Z on and below it; ``diagonal`` is the diagonal of
     ``P_D A``.  ``deflation`` is the kernel of the rescaled Z as one unit
-    column, the potential gauge, which :func:`recover_solution` removes
-    from the residual; it has no column when the exterior conducts.
+    column, the potential gauge, which the load and the recovered residual
+    drop; it has no column when the exterior conducts.
     ``M^-1 deflation`` spans the kernel of A.  ``coarse`` is the
     A-orthonormal coarse basis W and ``coarse_image`` is ``U = A W``, so
     the spectral operator A is ``P_D A + U U^T``; with empty coarse arrays
@@ -163,8 +162,12 @@ class PrecondOperator:
         return y
 
     def spectral_rhs(self) -> np.ndarray:
-        """``c = M Z P b``, the right-hand side of ``A y = c``, which lies in
-        A's range for every b.
+        """``c = M Z P (b - k k^T b)``, the right-hand side of ``A y = c``,
+        which lies in A's range for every b.
+
+        The load drops its component along the gauge k (``deflation``):
+        left in, it would leave the residual of ``A y = c`` along
+        ``P^-1 k``, where no CG step reduces the recovered residual.
 
         :meth:`preconditioned_rhs` and :func:`recover_solution` both need
         c, so it is formed once per right-hand side array and kept; the
@@ -174,7 +177,8 @@ class PrecondOperator:
         if rhs is None:
             raise ValueError("system has no right-hand side")
         if self._load is None or self._load[0] is not rhs:
-            y = self.system.matvec(self.apply_p(rhs))
+            k = self.deflation
+            y = self.system.matvec(self.apply_p(rhs - k @ (k.T @ rhs)))
             self._load = (rhs, self.m_diag * y)
         return self._load[1]
 
@@ -516,34 +520,18 @@ def recover_solution(op: PrecondOperator, y: np.ndarray, tol: float = 1e-8):
 def solve(op: PrecondOperator, tol: float = 1e-8):
     """Solve for the load on ``op.system.rhs`` with the built operator.
 
-    CG on ``P_D A`` stops on the deflated residual, and the recovered
-    residual (:func:`recover_solution`) can sit a factor g above it.  When
-    a converged solve misses ``tol`` there, one correction solve takes the
-    recovered residual ``b - Z x_s`` as its load and ``0.5 tol / (g
-    residual)`` as its CG tolerance, as in iterative refinement (Moler 1967).
-    Each CG run keeps its own cap of 10 N steps.
+    One CG run on ``P_D A`` stops on the recovered residual
+    (:func:`recover_solution`), which can sit a factor g above the
+    deflated one CG iterates on; the run checks it about log2 g times
+    (:func:`krylov.conjugate_gradient`).
 
     Returns ``(x, report, residual)``, x in unscaled physical variables.
-    ``report`` is the first CG run's with the correction's steps and Ritz
-    extremes merged in.  Raises ``RuntimeError`` beyond 10 x ``tol``, as
+    Raises ``RuntimeError`` beyond 10 x ``tol``, as
     :func:`recover_solution` does.
     """
-    y, report = krylov.conjugate_gradient(op.apply, op.preconditioned_rhs(), tol=tol)
-    x, r, residual = _recover(op, y)
-    if report.converged and residual > tol:
-        g = residual / report.residuals[-1]
-        fix = replace(op, system=replace(op.system, rhs=-r))
-        dy, more = krylov.conjugate_gradient(
-            fix.apply, fix.preconditioned_rhs(), tol=0.5 * tol / (g * residual)
-        )
-        # Z (x_s + dx_s) - b = Z dx_s + r, the residual of the correction
-        dx, _, ratio = _recover(fix, dy)
-        x += dx
-        residual *= ratio
-        report.iterations += more.iterations
-        report.converged = more.converged
-        if more.iterations:  # Ritz values of the same operator
-            report.ritz_min = min(report.ritz_min, more.ritz_min)
-            report.ritz_max = max(report.ritz_max, more.ritz_max)
+    y, report = krylov.conjugate_gradient(
+        op.apply, op.preconditioned_rhs(), tol=tol, residual=lambda y: _recover(op, y)[2]
+    )
+    x, _, residual = _recover(op, y)
     _check(residual, tol)
     return x * op.system.scale_vector(), report, residual

@@ -30,7 +30,7 @@ def test_cg_matches_dense_solve():
     m = rng.standard_normal((50, 50))
     A = m @ m.T + 50 * np.eye(50)
     b = rng.standard_normal(50)
-    x, report = conjugate_gradient(A, b, tol=1e-12, maxit=500)
+    x, report = conjugate_gradient(A, b, tol=1e-12)
     assert report.converged
     assert np.linalg.norm(x - np.linalg.solve(A, b)) / np.linalg.norm(x) < 1e-8
 
@@ -52,9 +52,50 @@ def test_cg_breakdown_on_indefinite():
 
 def test_cg_breaks_down_at_step_1_on_a_nan_load():
     # the NaN curvature fails the positivity test at once, where CG used to
-    # run to maxit and fail in the Ritz tridiagonal
+    # run to its 10 N cap and fail in the Ritz tridiagonal
     with pytest.raises(BreakdownError, match="= nan is not positive at iteration 1$"):
         conjugate_gradient(np.eye(3), np.array([np.nan, 1.0, 1.0]))
+
+
+def _spd(n, seed):
+    """A dense SPD matrix, eigenvalues 1e-3 to 1, and a load."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.geomspace(1e-3, 1.0, n)) @ q.T, rng.standard_normal(n)
+
+
+def test_cg_stops_at_the_first_check_the_callers_residual_meets():
+    # a caller residual 30 times the true one: the run checks it where the
+    # recurrence crosses tol, then at each halving, until it meets tol
+    a, b = _spd(80, 3)
+    checks = []
+
+    def residual(x):
+        checks.append(30.0 * np.linalg.norm(b - a @ x) / np.linalg.norm(b))
+        return checks[-1]
+
+    _, report = conjugate_gradient(a, b, tol=1e-8, residual=residual)
+    assert report.converged
+    assert len(checks) >= 2
+    assert all(c > 1e-8 for c in checks[:-1]) and checks[-1] <= 1e-8
+    assert report.residuals[-1] == checks[-1]
+
+
+def test_cg_ends_unconverged_when_the_callers_residual_stops_falling():
+    # a residual that never falls used to run on until a breakdown; the
+    # second check is not below the first, so the run ends there
+    a, b = _spd(80, 4)
+    checks = []
+
+    def residual(x):
+        checks.append(1.0)
+        return 1.0
+
+    _, report = conjugate_gradient(a, b, tol=1e-8, residual=residual)
+    assert not report.converged
+    assert len(checks) == 2
+    assert report.residuals[-1] == 1.0
+    assert report.iterations == len(report.residuals) < 10 * b.size
 
 
 def test_cg_ritz_extremes_approximate_spectrum():

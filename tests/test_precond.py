@@ -529,21 +529,43 @@ def test_no_load_reaches_the_gauge_the_spectral_operator_annihilates(subdivision
         assert abs(q @ c) <= 1e-14 * np.linalg.norm(c)
 
 
-def test_loads_with_a_gauge_component_solve(shells1):
+def _spy_runs(monkeypatch):
+    """The loads of the CG runs made from now on, one entry per run."""
+    loads = []
+    cg = krylov.conjugate_gradient
+
+    def spied(apply, b, **kwargs):
+        loads.append(b)
+        return cg(apply, b, **kwargs)
+
+    monkeypatch.setattr(krylov, "conjugate_gradient", spied)
+    return loads
+
+
+def test_loads_with_a_gauge_component_solve(shells1, monkeypatch):
     # no solution reduces a load's component along the gauge k, so the
-    # recovered residual drops it; left in, it breaks down the correction
-    # solve of both loads
+    # recovered residual drops it.  Left in the load, it would leave
+    # Z P (Z x - b) = 0 with a residual along P^-1 k, not along k, which
+    # no CG step removes; projected off k, Z x = b - k k^T b is consistent
     system, meshes, _ = shells1
     op = precond.build(system, meshes)
+    runs = _spy_runs(monkeypatch)
     electrode = np.eye(op.size)[system.layout.v_slice(len(meshes) - 1).start]
     _, report, residual = precond.solve(_with_load(op, electrode))
     assert report.converged and residual <= 1e-8
+    assert len(runs) == 1
+    assert report.iterations <= 40  # 33; 71 for a first run and a correction
     b = system.rhs
-    x, _, _ = precond.solve(op)
+    x, plain, _ = precond.solve(op)
     shifted = _with_load(op, b + 0.5 * np.linalg.norm(b) * op.deflation[:, 0])
     y, report, residual = precond.solve(shifted)
     assert report.converged and residual <= 1e-8
-    # apart from their gauge components the solutions agree to 1.05e-8
+    assert len(runs) == 3
+    # the shift is projected off before P: the same load and the same run
+    c = op.spectral_rhs()
+    assert np.linalg.norm(shifted.spectral_rhs() - c) <= 1e-14 * np.linalg.norm(c)
+    assert report.iterations == plain.iterations
+    # apart from their gauge components the solutions agree, to 1.5e-15
     x, y = _without_gauge(op, x), _without_gauge(op, y)
     assert np.linalg.norm(y - x) <= 1e-7 * np.linalg.norm(x)
 
@@ -582,10 +604,11 @@ def test_graded_inner_shell_is_nested_and_solves_to_the_layered_sphere_series():
     assert abs(mag - 1.0) < 0.2
 
 
-def test_solve_corrects_on_the_recovered_residual_of_the_insulated_sphere(monkeypatch):
-    # CG meets 1e-8 on the deflated system, but the recovered residual of
-    # this source is 1.3e-8; rerunning CG from zero at a tighter tolerance
-    # left it there, one correction solve on that residual does not
+def test_solve_stops_on_the_recovered_residual_of_the_insulated_sphere(monkeypatch):
+    # CG meets 1e-8 on the deflated system in 16 steps, but the recovered
+    # residual of this source is 1.3e-8; one run that stops on the
+    # recovered residual takes 17 steps, where the first run and a
+    # correction run from zero on the recovered residual took 16 + 3
     mesh = make_icosphere(3, 1.0)
     dipole = DipoleSource([-0.16, -0.18, 0.62], [0.94, 0.34, -0.04])
     op = precond.build(_system([mesh], (1.0, 0.0), dipole), [mesh])
@@ -593,25 +616,16 @@ def test_solve_corrects_on_the_recovered_residual_of_the_insulated_sphere(monkey
     _, missed = precond.recover_solution(op, y)
     assert first.converged and missed > 1e-8
 
-    loads = []
-    cg = krylov.conjugate_gradient
-
-    def spied(apply, b, **kwargs):
-        loads.append(b)
-        return cg(apply, b, **kwargs)
-
     def unexpected(*args):
         raise AssertionError("solve built an operator")
 
-    monkeypatch.setattr(krylov, "conjugate_gradient", spied)
+    runs = _spy_runs(monkeypatch)
     monkeypatch.setattr(precond, "build", unexpected)
     x, report, residual = precond.solve(op)
     assert report.converged and residual <= 1e-8
-    # the second solve is the correction, its load the small residual
-    assert len(loads) == 2
-    assert np.linalg.norm(loads[1]) <= 1e-6 * np.linalg.norm(loads[0])
-    assert report.iterations > first.iterations
-    assert report.ritz_min <= first.ritz_min and report.ritz_max >= first.ritz_max
+    assert len(runs) == 1
+    assert report.iterations < first.iterations + 3
+    assert report.residuals[-1] == residual
     ref = precond.recover_solution(op, y)[0]
     assert np.linalg.norm(x - ref) <= 1e-7 * np.linalg.norm(ref)
 
