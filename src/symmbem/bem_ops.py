@@ -88,10 +88,14 @@ class QuadratureConfig:
     ``CLOSED_FORM_TIER`` (``"6x16"``, under 0.9 diameters) is integrated
     otherwise: its pairs, across thin conductor gaps, integrate the inner
     triangle in closed form under an ``OUTER_ORDER`` x ``OUTER_ORDER``
-    collapsed Gauss rule on the row triangle.  The tier keeps the name, and ``TRI_RULES`` the rule, of the
-    composite tensor rule it replaced, so that the pair census reads the
-    same tiers.  The near tiers keep nearly touching pairs as accurate as
-    the far field.
+    collapsed Gauss rule on the row triangle.  The tier keeps the name,
+    and ``TRI_RULES`` the rule, of the composite tensor rule it replaced,
+    so that the pair census reads the same tiers.  Likewise the ``"6x4"``
+    tier (under 2.5 diameters) keeps the name of the 6-point rule on four
+    subtriangles, 24 points, that it once was; it is now Dunavant's
+    19-point rule of degree 9, 361 point pairs per pair instead of 576,
+    and no less accurate on the pairs it takes.  The near tiers keep
+    nearly touching pairs as accurate as the far field.
     """
 
     far_points: int | str = 3
@@ -270,17 +274,17 @@ def _hypersingular(mesh_t, mesh_s, ig):
     surface curls ``C_k`` of both meshes (``TriangleMesh.curls``), in blocks
     of vertex rows of ``mesh_t``, each ``BATCH_POINT_PAIRS // n_cells_s``
     rows (at least one), so that no product spans all rows.  A block's term
-    is ``(C_s^T (C_t^T[rows] S)^T)^T``: the CSR row slice of ``C_t^T`` times
-    S, then ``C_s^T`` times that product's transpose, of which scipy makes a
-    C-ordered copy.  The sparse factor is on the left of both products, so
-    S is never copied.  On a single surface N is then symmetrised in place,
-    in the same row blocks, each entry to ``0.5 * (N_ij + N_ji)``."""
+    is ``(C_s^T (C_t^T[rows] S)^T)^T``: the CSR row slice of ``C_t^T``
+    (``TriangleMesh.transposed_curls``) times S, then ``C_s^T`` times that
+    product's transpose, of which scipy makes a C-ordered copy.  The
+    sparse factor is on the left of both products, so S is never copied.
+    On a single surface N is then symmetrised in place, in the same row
+    blocks, each entry to ``0.5 * (N_ij + N_ji)``."""
     n_rows = mesh_t.num_vertices
     block = max(1, BATCH_POINT_PAIRS // mesh_s.num_triangles)
     nmat = np.zeros((n_rows, mesh_s.num_vertices))
-    rows_t, curls_s = [ct.T.tocsr() for ct in mesh_t.curls], mesh_s.curls
     for r0 in range(0, n_rows, block):
-        for ct, cs in zip(rows_t, curls_s):
+        for ct, cs in zip(mesh_t.transposed_curls, mesh_s.curls):
             nmat[r0 : r0 + block] += (cs.T @ (ct[r0 : r0 + block] @ ig).T).T
     if mesh_t is mesh_s:
         for r0 in range(0, n_rows, block):

@@ -24,7 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import bem_ops
-from .geometry import QUADRATURE_RULE, NestedModel, TriangleMesh, dot3, point_surface_distance
+from .geometry import (
+    QUADRATURE_RULE,
+    NestedModel,
+    SystemLayout,
+    TriangleMesh,
+    dot3,
+    point_surface_distance,
+)
 from ._quadrature import TRI_RULES
 from .krylov import symmetric_matvec
 
@@ -48,43 +55,10 @@ class DipoleSource:
             raise ValueError("position and moment must be finite")
 
 
-@dataclass(frozen=True)
-class SystemLayout:
-    """Offsets of the stacked unknown vector [V-blocks, then p-blocks]."""
-
-    v_sizes: tuple
-    p_sizes: tuple
-    p_kept: tuple
-
-    @property
-    def num_interfaces(self) -> int:
-        return len(self.v_sizes)
-
-    @property
-    def total(self) -> int:
-        return sum(self.v_sizes) + sum(s for s, k in zip(self.p_sizes, self.p_kept) if k)
-
-    def v_slice(self, i: int) -> slice:
-        start = sum(self.v_sizes[:i])
-        return slice(start, start + self.v_sizes[i])
-
-    def p_slice(self, i: int) -> slice | None:
-        if not self.p_kept[i]:
-            return None
-        start = sum(self.v_sizes) + sum(s for s, k in zip(self.p_sizes[:i], self.p_kept) if k)
-        return slice(start, start + self.p_sizes[i])
-
-
 def system_layout(model: NestedModel) -> SystemLayout:
-    n = model.num_interfaces
-    p_kept = [True] * n
-    if model.insulating_exterior:
-        p_kept[-1] = False
-    return SystemLayout(
-        tuple(m.num_vertices for m in model.surfaces),
-        tuple(m.num_triangles for m in model.surfaces),
-        tuple(p_kept),
-    )
+    """The layout of the model's unknowns, :attr:`NestedModel.layout`,
+    built once per model."""
+    return model.layout
 
 
 @dataclass
@@ -260,21 +234,43 @@ def assemble_system(model: NestedModel) -> BlockSystem:
     return BlockSystem(Z, layout, np.asarray(sigma, dtype=float))
 
 
-def _source_field(sources, points):
-    """Local potential v and its gradient for unit-conductivity free space."""
-    v = np.zeros(points.shape[0])
-    grad = np.zeros_like(points)
+def _add_source_field(sources, mesh: TriangleMesh, v: np.ndarray, dn: np.ndarray) -> None:
+    """Add to ``v`` and ``dn`` the local potential of the dipoles in
+    unit-conductivity free space and its derivative along the triangle's
+    normal, at the mesh's quadrature points, shape (n_points, n_triangles).
+
+    With ``d = x - r0`` and ``r = |d|``, a dipole of moment q gives
+    ``v = (q.d) / (4 pi r^3)`` and ``dv/dn = (q.n - 3 (q.d)(d.n) / r^2) /
+    (4 pi r^3)``, n the triangle's normal: every step runs on whole rows of
+    the component-major points, and no gradient is formed.
+    """
+    points = mesh.quadrature_points.reshape(3, *v.shape)
+    normals = np.ascontiguousarray(mesh.normals.T)
+    d = np.empty_like(points)
+    r2, dd, tmp = (np.empty(v.shape) for _ in range(3))
     for s in sources:
-        d = points - s.position
-        dist2 = dot3(d, d)
-        dist = np.sqrt(dist2)
-        proj = d @ s.moment
-        v += proj / (FOUR_PI * dist2 * dist)
-        grad += (
-            s.moment[None, :] / (FOUR_PI * dist2 * dist)[:, None]
-            - (3.0 * proj / (FOUR_PI * dist2 * dist2 * dist))[:, None] * d
-        )
-    return v, grad
+        np.subtract(points, s.position[:, None, None], out=d)
+        qd = (s.moment @ d.reshape(3, -1)).reshape(v.shape)
+        np.multiply(d[0], d[0], out=r2)
+        r2 += np.multiply(d[1], d[1], out=tmp)
+        r2 += np.multiply(d[2], d[2], out=tmp)
+        np.multiply(d[0], normals[0], out=dd)
+        dd += np.multiply(d[1], normals[1], out=tmp)
+        dd += np.multiply(d[2], normals[2], out=tmp)
+        # tmp = 1 / (4 pi r^3)
+        np.sqrt(r2, out=tmp)
+        tmp *= r2
+        tmp *= FOUR_PI
+        np.divide(1.0, tmp, out=tmp)
+        # dd = dv/dn
+        dd *= qd
+        dd /= r2
+        dd *= -3.0
+        dd += s.moment @ normals
+        dd *= tmp
+        dn += dd
+        qd *= tmp
+        v += qd
 
 
 def _on_surface(point: np.ndarray, mesh: TriangleMesh, eps: float) -> bool:
@@ -297,13 +293,21 @@ def assemble_rhs(model: NestedModel, sources) -> np.ndarray:
 
     Each source radiates its free-space field onto the interfaces bounding
     its compartment; integrals use the Gauss rule of
-    ``TriangleMesh.quadrature_points`` per triangle (the integrand is
-    analytic since sources are strictly interior).
+    ``TriangleMesh.quadrature_points`` and ``quadrature_weights`` per
+    triangle (the integrand is analytic since sources are strictly
+    interior).  The sources of one compartment add their potential and
+    normal derivative into one array pair per interface
+    (:func:`_add_source_field`); the pyramid rows then take the
+    derivative through the rule's barycentric weights, one ``bincount``
+    over the triangles' corners, and the patch rows the potential.  What
+    does not depend on the sources, the layout, the surfaces' length scale
+    and the rule's points and weights, is read from the model and its
+    meshes, which keep it.
     """
     layout = system_layout(model)
     rhs = np.zeros(layout.total)
-    bary, weights = TRI_RULES[QUADRATURE_RULE]
-    h = min(np.mean(m.diameters) for m in model.surfaces)
+    bary, _ = TRI_RULES[QUADRATURE_RULE]
+    h = min(m.mean_diameter for m in model.surfaces)
 
     by_compartment: dict[int, list[DipoleSource]] = {}
     for s in sources:
@@ -322,20 +326,19 @@ def assemble_rhs(model: NestedModel, sources) -> np.ndarray:
             if iface < 0 or iface >= model.num_interfaces:
                 continue
             mesh = model.surfaces[iface]
-            v, grad = _source_field(comp_sources, mesh.quadrature_points)
-            v = v.reshape(mesh.num_triangles, -1)
-            dn = dot3(grad.reshape(mesh.num_triangles, -1, 3), mesh.normals[:, None, :])
-            wts = weights[None, :] * mesh.areas[:, None]
+            wts = mesh.quadrature_weights
+            v, dn = np.zeros(wts.shape), np.zeros(wts.shape)
+            _add_source_field(comp_sources, mesh, v, dn)
             # pyramid-tested rows: +- (lambda, dv/dn)
-            contrib = (wts * dn) @ bary
-            b = np.zeros(mesh.num_vertices)
-            np.add.at(b, mesh.triangles.ravel(), contrib.ravel())
+            dn *= wts
+            corner = dn.T @ bary  # (n_triangles, 3), in the order of mesh.triangles
+            b = np.bincount(mesh.triangles.ravel(), corner.ravel(), mesh.num_vertices)
             rhs[layout.v_slice(iface)] += orient * b
             # patch-tested rows: -+ (pi, v) / sigma_s
             ps = layout.p_slice(iface)
             if ps is not None:
-                c = (wts * v).sum(axis=1)
-                rhs[ps] += -orient * c / sigma_s
+                v *= wts
+                rhs[ps] += -orient * v.sum(axis=0) / sigma_s
 
     # Net dipole flux through every closed interface vanishes exactly; the
     # Gauss rule meets that only approximately.  Remove the defect as a

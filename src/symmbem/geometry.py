@@ -4,8 +4,10 @@ A ``TriangleMesh`` derives its connectivity once, from one half-edge
 census (``TriangleMesh._half_edges``): the edge list, the two cells of
 each edge, the three edges of each cell and the manifold and orientation
 checks of :func:`validate` all read it.  The edge vectors opposite each
-corner, the surface curls of the vertex hats and the shared-vertex counts
-of the triangle pairs are likewise derived once and cached on the mesh.
+corner, the surface curls of the vertex hats and their transposes, the
+shared-vertex counts of the triangle pairs and the points and weights of
+the load's quadrature rule are likewise derived once and cached on the
+mesh, and a :class:`NestedModel` keeps the layout of its unknowns.
 Every sparse matrix with one value per triangle corner comes from
 ``TriangleMesh.corner_matrix``.
 """
@@ -187,6 +189,12 @@ class TriangleMesh:
         return tuple(self.corner_matrix(curls[:, :, k]) for k in range(3))
 
     @cached_property
+    def transposed_curls(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+        """The transposes of :attr:`curls` (n_vertices x n_triangles), each
+        in CSR form, so that a block of vertex rows is a row slice."""
+        return tuple(c.T.tocsr() for c in self.curls)
+
+    @cached_property
     def shared_vertex_counts(self) -> sp.csr_matrix:
         """Sparse (n_triangles x n_triangles) count of the vertices two
         triangles share: 3 on the diagonal, 2 for edge and 1 for vertex
@@ -207,9 +215,26 @@ class TriangleMesh:
     @cached_property
     def quadrature_points(self) -> np.ndarray:
         """Points of the rule ``TRI_RULES[QUADRATURE_RULE]`` on every triangle,
-        triangle by triangle, shape (n_triangles * n_points, 3)."""
+        component-major, shape (3, n_points * n_triangles): row k holds the
+        k-th coordinate of every point, rule point by rule point, so that
+        point j of triangle t is column ``j * n_triangles + t``.  Viewed as
+        (3, n_points, n_triangles), a value per triangle broadcasts along
+        contiguous rows."""
         bary, _ = TRI_RULES[QUADRATURE_RULE]
-        return (bary @ self.corners).reshape(-1, 3)
+        points = bary @ self.corners  # (n_triangles, n_points, 3)
+        return np.ascontiguousarray(points.transpose(2, 1, 0)).reshape(3, -1)
+
+    @cached_property
+    def quadrature_weights(self) -> np.ndarray:
+        """Weights of :attr:`quadrature_points` on the surface, the rule's
+        weight times the triangle's area, shape (n_points, n_triangles)."""
+        _, weights = TRI_RULES[QUADRATURE_RULE]
+        return weights[:, None] * self.areas[None, :]
+
+    @cached_property
+    def mean_diameter(self) -> float:
+        """Mean of :attr:`diameters`, the surface's length scale."""
+        return float(np.mean(self.diameters))
 
     @cached_property
     def vertex_triangle_count(self) -> np.ndarray:
@@ -429,6 +454,33 @@ def point_surface_distance(point: np.ndarray, corners: np.ndarray, normals: np.n
     return float(min(best, np.sqrt(dot3(gap, gap).min())))
 
 
+@dataclass(frozen=True)
+class SystemLayout:
+    """Offsets of the stacked unknown vector [V-blocks, then p-blocks]."""
+
+    v_sizes: tuple
+    p_sizes: tuple
+    p_kept: tuple
+
+    @property
+    def num_interfaces(self) -> int:
+        return len(self.v_sizes)
+
+    @property
+    def total(self) -> int:
+        return sum(self.v_sizes) + sum(s for s, k in zip(self.p_sizes, self.p_kept) if k)
+
+    def v_slice(self, i: int) -> slice:
+        start = sum(self.v_sizes[:i])
+        return slice(start, start + self.v_sizes[i])
+
+    def p_slice(self, i: int) -> slice | None:
+        if not self.p_kept[i]:
+            return None
+        start = sum(self.v_sizes) + sum(s for s, k in zip(self.p_sizes[:i], self.p_kept) if k)
+        return slice(start, start + self.p_sizes[i])
+
+
 @dataclass
 class NestedModel:
     """Ordered nested closed surfaces with per-compartment conductivities.
@@ -455,6 +507,22 @@ class NestedModel:
     @property
     def insulating_exterior(self) -> bool:
         return self.conductivities[-1] == 0.0
+
+    @cached_property
+    def layout(self) -> SystemLayout:
+        """Offsets of the unknowns of the model's transmission system: per
+        surface its vertex block, then per surface its cell block, the
+        outermost one dropped with an insulating exterior, where no current
+        crosses it.  Built once: the model is checked at construction and
+        is not to change after it."""
+        p_kept = [True] * self.num_interfaces
+        if self.insulating_exterior:
+            p_kept[-1] = False
+        return SystemLayout(
+            tuple(m.num_vertices for m in self.surfaces),
+            tuple(m.num_triangles for m in self.surfaces),
+            tuple(p_kept),
+        )
 
     def validate(self) -> list[MeshViolation]:
         """Surface invariants plus nesting and conductivity checks."""

@@ -1,18 +1,19 @@
 """Iterative solvers for symmetric operators.
 
-CG also returns the extreme Ritz values of its Lanczos tridiagonal, an
-estimate of the operator's extreme eigenvalues.  All routines accept
-either a dense symmetric matrix or a callable ``x -> A @ x``; a dense
-matrix is multiplied with :func:`symmetric_matvec`, which reads it on and
-below the diagonal.  Dot products use numpy's sequential reductions, so
-iteration counts are reproducible run to run.
+CG's report also gives the extreme Ritz values of its Lanczos tridiagonal,
+an estimate of the operator's extreme eigenvalues, computed when first
+read.  All routines accept either a dense symmetric matrix or a callable
+``x -> A @ x``; a dense matrix is multiplied with
+:func:`symmetric_matvec`, which reads it on and below the diagonal.  Dot
+products use numpy's sequential reductions, so iteration counts are
+reproducible run to run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -25,13 +26,31 @@ class BreakdownError(RuntimeError):
 
 @dataclass
 class SolveReport:
-    """Convergence record of one Krylov solve."""
+    """Convergence record of one Krylov solve.
+
+    CG also keeps its step lengths ``alphas`` and ``betas``, the Lanczos
+    tridiagonal in another form; :attr:`ritz_min` and :attr:`ritz_max`,
+    its extreme eigenvalues, are computed from them at the first read of
+    either and kept.  Without steps, as from MINRES, both are ``None``.
+    """
 
     iterations: int
     residuals: list[float] = field(default_factory=list)
     converged: bool = False
-    ritz_min: float | None = None
-    ritz_max: float | None = None
+    alphas: list[float] = field(default_factory=list, repr=False)
+    betas: list[float] = field(default_factory=list, repr=False)
+
+    @cached_property
+    def _ritz_extremes(self) -> tuple[float | None, float | None]:
+        return _cg_ritz_extremes(self.alphas, self.betas)
+
+    @property
+    def ritz_min(self) -> float | None:
+        return self._ritz_extremes[0]
+
+    @property
+    def ritz_max(self) -> float | None:
+        return self._ritz_extremes[1]
 
 
 def symmetric_matvec(matrix: np.ndarray, x: np.ndarray, upper: bool = False) -> np.ndarray:
@@ -65,9 +84,10 @@ def conjugate_gradient(A, b, tol: float = 1e-8, residual=None):
     """Conjugate gradients for a symmetric positive semi-definite operator.
 
     Returns ``(x, SolveReport)`` with the relative residual recorded at
-    every iteration and the extreme Ritz values of the underlying Lanczos
-    tridiagonal.  Nonpositive or NaN curvature raises :class:`BreakdownError`,
-    which falsifies the PSD assumption rather than being a solver failure.
+    every iteration and the step lengths, from which the report gives the
+    extreme Ritz values of the underlying Lanczos tridiagonal.  Nonpositive
+    or NaN curvature raises :class:`BreakdownError`, which falsifies the
+    PSD assumption rather than being a solver failure.
 
     The run stops on the caller's ``residual(x)``, ``|b - A x| / |b|`` by
     default (Arioli, Numer. Math. 2004), within 10 N steps.  It is checked,
@@ -125,9 +145,7 @@ def conjugate_gradient(A, b, tol: float = 1e-8, residual=None):
         p *= beta
         p += r
 
-    report = SolveReport(it, history, converged)
-    report.ritz_min, report.ritz_max = _cg_ritz_extremes(alphas, betas)
-    return x, report
+    return x, SolveReport(it, history, converged, alphas, betas)
 
 
 def _cg_ritz_extremes(alphas, betas):

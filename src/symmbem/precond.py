@@ -523,15 +523,26 @@ def solve(op: PrecondOperator, tol: float = 1e-8):
     One CG run on ``P_D A`` stops on the recovered residual
     (:func:`recover_solution`), which can sit a factor g above the
     deflated one CG iterates on; the run checks it about log2 g times
-    (:func:`krylov.conjugate_gradient`).
+    (:func:`krylov.conjugate_gradient`).  A run ends on a check, unless
+    it reaches the step cap, so the solution is the one the last check
+    recovered; only a run that ended between checks is recovered anew.
 
     Returns ``(x, report, residual)``, x in unscaled physical variables.
     Raises ``RuntimeError`` beyond 10 x ``tol``, as
     :func:`recover_solution` does.
     """
+    last = None  # the latest check: a copy of its y and what _recover made of it
+
+    def recovered_residual(y):
+        nonlocal last
+        last = (y.copy(), _recover(op, y))
+        return last[1][2]
+
     y, report = krylov.conjugate_gradient(
-        op.apply, op.preconditioned_rhs(), tol=tol, residual=lambda y: _recover(op, y)[2]
+        op.apply, op.preconditioned_rhs(), tol=tol, residual=recovered_residual
     )
-    x, _, residual = _recover(op, y)
+    if last is None or not np.array_equal(last[0], y):  # the run ended between checks
+        last = (y, _recover(op, y))
+    x, _, residual = last[1]
     _check(residual, tol)
     return x * op.system.scale_vector(), report, residual

@@ -676,9 +676,10 @@ def test_regular_tiers_match_per_pair_double_loop(pair):
     # and Dstar entry sums the pairs around its vertex, all of them regular,
     # and is compared against the sum of the magnitudes of those pairs.
     # The tensor tiers take their pair values from the plain double loop;
-    # the closed-form tier takes them from the pair assembled on its own,
-    # and its sampled pair is checked against independent references, no
-    # less accurately than the composite tensor rule it replaced.
+    # the closed-form tier takes them from the pair assembled on its own.
+    # The sampled pairs of the closed-form and the 6x4 tier are checked
+    # against independent references, no less accurate than the composite
+    # tensor rules they replaced.
     inner, middle = (make_icosphere(2, r) for r in SHELL_RADII[:2])
     mesh_t, mesh_s = (_merged([inner, middle]),) * 2 if pair == "self" else (inner, middle)
     same = mesh_t is mesh_s
@@ -728,13 +729,15 @@ def test_regular_tiers_match_per_pair_double_loop(pair):
                 checked += 1
         return checked
 
-    def check_closed_form_accuracy(t, s):
+    def check_accuracy(t, s, baseline, label):
+        """Pair (t, s) no less accurate, against independent references,
+        than under the tensor product of the ``baseline`` triangle rule."""
         ct, cs = mesh_t.corners[t], mesh_s.corners[s]
-        tensor = regular_pair_integrals(ct, cs, quad.TRI_RULES["6x16"])
+        tensor = regular_pair_integrals(ct, cs, baseline)
         references = (galerkin_single_layer_entry(ct, cs), *pair_double_layer_reference(ct, cs))
         for name, value, old, ref in zip(TAGS, oracle(t, s), tensor, references):
             error, old_error = _relative_error(value, ref), _relative_error(old, ref)
-            print(f"{pair} {t}, {s}: {name} error {error:.2e}, 6x16 tensor rule {old_error:.2e}")
+            print(f"{pair} {t}, {s}: {name} error {error:.2e}, {label} {old_error:.2e}")
             assert error <= old_error, name
 
     rng = np.random.default_rng(7)
@@ -748,7 +751,9 @@ def test_regular_tiers_match_per_pair_double_loop(pair):
             checked += check_entries(s, t)
         assert checked > 0, rule
         if rule == bem_ops.CLOSED_FORM_TIER:
-            check_closed_form_accuracy(t, s)
+            check_accuracy(t, s, quad.TRI_RULES["6x16"], "6x16 tensor rule")
+        if rule == "6x4":  # against the 6-point rule on four subtriangles it replaced
+            check_accuracy(t, s, quad._composite_rule(*quad.TRI_RULES[6], 1), "composite 6x4 rule")
 
 
 def _touching_rules():

@@ -256,6 +256,21 @@ def test_rhs_matches_einsum_reference(position):
     assert np.abs(rhs - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
+@pytest.mark.parametrize(
+    "positions",
+    [
+        ([0.1, -0.2, 0.35], [0.0, 0.0, 0.9]),  # one in each of two compartments
+        ([0.1, -0.2, 0.35], [-0.3, 0.2, 0.1]),  # both in the innermost one
+    ],
+)
+def test_a_load_of_two_sources_is_the_sum_of_their_loads(positions):
+    model = _model("shells3-sub1")
+    sources = [DipoleSource(p, m) for p, m in zip(positions, ([0.6, -0.3, 0.8], [-0.2, 0.9, 0.4]))]
+    expected = sum(assemble_rhs(model, [s]) for s in sources)
+    rhs = assemble_rhs(model, sources)
+    assert np.abs(rhs - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 def test_rhs_rejects_sources_on_an_interface():
     model = _model("shells3-sub1")
     mesh = model.surfaces[1]

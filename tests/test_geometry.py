@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symmbem._quadrature import TRI_RULES
 from symmbem.geometry import (
     _ICO_FACES,
     _ICO_VERTICES,
     MAX_SUBDIVISIONS,
+    QUADRATURE_RULE,
     NestedModel,
     TriangleMesh,
     make_icosphere,
@@ -420,3 +422,21 @@ def test_inscribed_radius_is_0_when_the_vertex_mean_lies_outside():
     points = np.array([[1.5, 0.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.1, 0.0], [1.5, 2.0, 0.0]])
     assert [both.contains(p) for p in points] == list(_winding_verdict(both, points))
     assert [both.contains(p) for p in points] == [False, True, True, False]
+
+
+def test_quadrature_points_are_component_major_rule_point_by_rule_point():
+    mesh = make_icosphere(1, 0.9)
+    bary, weights = TRI_RULES[QUADRATURE_RULE]
+    points, q = mesh.quadrature_points, len(weights)
+    assert points.shape == (3, q * mesh.num_triangles) and points.flags.c_contiguous
+    for j, t in [(0, 0), (q - 1, 5), (2, mesh.num_triangles - 1)]:
+        assert np.array_equal(points[:, j * mesh.num_triangles + t], bary[j] @ mesh.corners[t])
+        assert mesh.quadrature_weights[j, t] == weights[j] * mesh.areas[t]
+    # the 6-point rule's weights are given to 15 digits
+    assert abs(mesh.quadrature_weights.sum() - mesh.total_area) <= 1e-14 * mesh.total_area
+
+
+def test_transposed_curls_are_the_csr_transposes_of_the_curls():
+    mesh = make_icosphere(1, 1.0)
+    for ct, c in zip(mesh.transposed_curls, mesh.curls):
+        assert ct.format == "csr" and (ct != c.T).nnz == 0

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import eigh_tridiagonal
+
+from symmbem import krylov
 from symmbem.krylov import (
     BreakdownError,
+    SolveReport,
     _as_matvec,
     conjugate_gradient,
     minres,
@@ -105,10 +109,25 @@ def test_cg_ritz_extremes_approximate_spectrum():
     assert abs(report.ritz_max - 16.0) < 1e-8
 
 
+def _reference_ritz_extremes(alphas, betas):
+    """The extreme Ritz values as CG once formed them at the end of every
+    run, from its step lengths."""
+    m = len(alphas)
+    diag = np.empty(m)
+    off = np.empty(max(m - 1, 0))
+    diag[0] = 1.0 / alphas[0]
+    for k in range(1, m):
+        diag[k] = 1.0 / alphas[k] + betas[k - 1] / alphas[k - 1]
+        off[k - 1] = np.sqrt(betas[k - 1]) / alphas[k - 1]
+    vals = eigh_tridiagonal(diag, off, eigvals_only=True)
+    return float(vals[0]), float(vals[-1])
+
+
 def _reference_cg(A, b, tol):
     """The CG loop as it was before it ran in place: three fresh N-vectors
-    per step and ``np.sqrt`` on the residual norm.  Kept as the reference
-    the in-place loop must reproduce bit for bit."""
+    per step and ``np.sqrt`` on the residual norm, and the extreme Ritz
+    values formed at the end of the run.  Kept as the reference the
+    in-place loop must reproduce bit for bit."""
     matvec = _as_matvec(A)
     norm_b = float(np.linalg.norm(b))
     x = np.zeros(b.size)
@@ -116,6 +135,7 @@ def _reference_cg(A, b, tol):
     p = r.copy()
     rho = float(r @ r)
     history = []
+    alphas, betas = [], []
     it = 0
     while it < 10 * b.size:
         q = matvec(p)
@@ -124,6 +144,8 @@ def _reference_cg(A, b, tol):
         r -= alpha * q
         rho_new = float(r @ r)
         beta = rho_new / rho
+        alphas.append(alpha)
+        betas.append(beta)
         rho = rho_new
         it += 1
         rel = np.sqrt(rho) / norm_b
@@ -134,23 +156,50 @@ def _reference_cg(A, b, tol):
             if true_rel <= tol:
                 break
         p = r + beta * p
-    return x, history, it
+    return x, history, it, _reference_ritz_extremes(alphas, betas)
 
 
-def test_cg_in_place_loop_reproduces_the_allocating_loop_bit_for_bit():
-    # eigenvalues from 1e-4 to 1: a few hundred steps, long enough for
-    # rounding to separate two loops that differ in any operation
+def _spread_spectrum_system():
+    """A symmetric 300 x 300 matrix with eigenvalues from 1e-4 to 1 and a
+    load: a few hundred CG steps, long enough for rounding to separate two
+    loops that differ in any operation."""
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
     a = (q * np.geomspace(1e-4, 1.0, 300)) @ q.T
-    a = np.tril(a) + np.tril(a, -1).T
-    b = rng.standard_normal(300)
+    return np.tril(a) + np.tril(a, -1).T, rng.standard_normal(300)
+
+
+def test_cg_in_place_loop_reproduces_the_allocating_loop_bit_for_bit():
+    a, b = _spread_spectrum_system()
     x, report = conjugate_gradient(a, b, tol=1e-10)
-    x_ref, history_ref, iterations_ref = _reference_cg(a, b, tol=1e-10)
+    x_ref, history_ref, iterations_ref, _ = _reference_cg(a, b, tol=1e-10)
     assert report.converged
     assert report.iterations == iterations_ref > 100
     assert report.residuals == history_ref
     assert np.array_equal(x, x_ref)
+
+
+def test_ritz_extremes_are_the_eager_values_formed_once_on_first_read(monkeypatch):
+    a, b = _spread_spectrum_system()
+    calls = []
+    extremes = krylov._cg_ritz_extremes
+
+    def counted(alphas, betas):
+        calls.append(len(alphas))
+        return extremes(alphas, betas)
+
+    monkeypatch.setattr(krylov, "_cg_ritz_extremes", counted)
+    _, report = conjugate_gradient(a, b, tol=1e-10)
+    assert not calls  # a run that nobody asks for them forms none
+    ritz = _reference_cg(a, b, tol=1e-10)[3]
+    for _ in range(3):
+        assert (report.ritz_min, report.ritz_max) == ritz
+    assert calls == [report.iterations]
+
+
+def test_a_report_without_steps_has_no_ritz_values():
+    report = SolveReport(3, [1.0] * 3, False)
+    assert report.ritz_min is None and report.ritz_max is None
 
 
 def test_minres_indefinite_diagonal():

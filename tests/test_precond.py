@@ -630,6 +630,56 @@ def test_solve_stops_on_the_recovered_residual_of_the_insulated_sphere(monkeypat
     assert np.linalg.norm(x - ref) <= 1e-7 * np.linalg.norm(ref)
 
 
+def test_solve_keeps_the_solution_of_its_last_check(shells1, monkeypatch):
+    # a run ends on a check of the recovered residual, which has just
+    # recovered the solution: beside the Z product that forms the load,
+    # every Z product is a check's, and the solution is bitwise the one a
+    # recovery after the run gives
+    system, meshes, _ = shells1
+    op = precond.build(system, meshes)
+    y, _ = krylov.conjugate_gradient(
+        op.apply, op.preconditioned_rhs(), residual=lambda y: precond._recover(op, y)[2]
+    )
+    expected, _, expected_residual = precond._recover(op, y)
+    expected = expected * system.scale_vector()
+
+    products, checks = [], []
+    matvec, cg = formulation.BlockSystem.matvec, krylov.conjugate_gradient
+
+    def counted_matvec(self, x):
+        products.append(x.shape)
+        return matvec(self, x)
+
+    def counted_cg(apply, b, residual=None, **kwargs):
+        def counted_residual(y):
+            checks.append(1)
+            return residual(y)
+
+        return cg(apply, b, residual=counted_residual, **kwargs)
+
+    monkeypatch.setattr(formulation.BlockSystem, "matvec", counted_matvec)
+    monkeypatch.setattr(krylov, "conjugate_gradient", counted_cg)
+    x, report, residual = precond.solve(_with_load(op, system.rhs))
+    assert report.converged and len(checks) >= 1
+    assert len(products) == 1 + len(checks)
+    assert np.array_equal(x, expected) and residual == expected_residual
+
+    # a run that ended between checks, here one that stops on its own
+    # residual and makes none, is recovered anew
+    runs = []
+
+    def unchecked_cg(apply, b, **kwargs):
+        runs.append(cg(apply, b))
+        return runs[-1]
+
+    monkeypatch.setattr(krylov, "conjugate_gradient", unchecked_cg)
+    products.clear()
+    x, _, residual = precond.solve(_with_load(op, system.rhs))
+    assert len(products) == 2
+    expected, _, expected_residual = precond._recover(op, runs[0][0])
+    assert np.array_equal(x, expected * system.scale_vector()) and residual == expected_residual
+
+
 def test_a_zero_load_recovers_with_residual_0(shells1):
     # the relative residual used to divide 0 by 0; RuntimeWarnings are
     # errors in the test configuration

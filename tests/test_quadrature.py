@@ -31,7 +31,8 @@ def test_triangle_rules_integrate_constants():
 
 
 def test_triangle_rules_polynomial_degree():
-    # the 3-point rule is exact to degree 2, the 6-point rule to degree 4
+    # the 3-point rule is exact to degree 2, the 6-point rule to degree 4,
+    # the 19-point rule of the 6x4 tier to degree 9
     def moment(rule, f):
         pts, w = TRI_RULES[rule]
         x = pts[:, 1]
@@ -49,6 +50,11 @@ def test_triangle_rules_polynomial_degree():
         assert abs(moment(3, lambda x, y: x**a * y**b) - exact(a, b)) < 1e-14
     for a, b in [(4, 0), (2, 2), (3, 1)]:
         assert abs(moment(6, lambda x, y: x**a * y**b) - exact(a, b)) < 1e-14
+    for degree in range(10):
+        for a in range(degree + 1):
+            value = moment("6x4", lambda x, y: x**a * y ** (degree - a))
+            assert abs(value - exact(a, degree - a)) < 1e-15
+    assert abs(moment("6x4", lambda x, y: x**10) - exact(10, 0)) > 1e-12
     # the collapsed n x n rule is exact to degree 2n - 1, and no further
     for n in (6, 8):
         pts, w = collapsed_rule(n)
@@ -69,17 +75,21 @@ def test_transform_measures():
 def test_tensor_pair_rules_integrate_polynomial_products():
     # each tier's pair rule integrates the product of a polynomial on x and
     # one on y, each up to the degree of the tier's triangle rule, exactly
-    # over the pair of reference simplices, as the transforms do
+    # over the pair of reference simplices, as the transforms do; the 6x4
+    # tier's 19-point rule is of degree 9
     def exact(a, b):  # integral of x1^a x2^b over the reference simplex
         return factorial(a) * factorial(b) / factorial(a + b + 2)
 
-    for rule, degree in ((3, 2), (6, 4), ("6x4", 4), ("6x16", 4)):
+    for rule, degree in ((3, 2), (6, 4), ("6x4", 9), ("6x16", 4)):
         bx, by, w = tensor_pair_rule(rule)
         assert len(w) == len(TRI_RULES[rule][1]) ** 2 and abs(w.sum() - 0.25) < 1e-15
         monomials = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
         for (a, b), (c, d) in itertools.product(monomials, repeat=2):
             value = (w * bx[:, 1] ** a * bx[:, 2] ** b * by[:, 1] ** c * by[:, 2] ** d).sum()
             assert abs(value - exact(a, b) * exact(c, d)) < 1e-15, (rule, a, b, c, d)
+        # and no further
+        value = (w * bx[:, 1] ** (degree + 1)).sum()
+        assert abs(value - exact(degree + 1, 0) * exact(0, 0)) > 1e-12, rule
 
 
 def _brute_reference(f, n=32):
