@@ -7,10 +7,9 @@ All four share one quadrature pass per surface pair: the pure kernel
 integrals feed the single layer directly and the hypersingular operator
 through its integration-by-parts rewrite, while the kernel gradient feeds
 both double layers.  The caller names the blocks it needs: the kernel
-integrals are always taken, since ``N`` is formed from ``S``, but the
-double-layer work of a block not asked for (its corner heights, the
-``1/r^3`` moments, its contractions and scatters, its dense matrix) is not
-done.
+integrals are always taken, since ``N`` is formed from them, but ``S`` is
+held, and the double-layer work done (corner heights, ``1/r^3`` moments,
+contractions, scatters, dense matrix), only for a block asked for.
 
 Every triangle pair integrated under a pair rule of
 :mod:`symmbem._quadrature` goes through one batch function,
@@ -29,31 +28,33 @@ and of the kernel gradient are taken in closed form (Wilton et al. 1984;
 de Munck 1992) at the points of a collapsed Gauss rule on the row
 triangle, one pass of :func:`_panel_integrals` per batch.
 
-The regular sweep classifies the disjoint pairs in row blocks of at most
-``BATCH_POINT_PAIRS`` pairs.  In a block whose far pairs are at least
-``DENSE_FAR_SHARE`` of its pairs, as on finely meshed surfaces, the far
-tier is integrated in dense arrays spanning the block's rows and the
-columns it visits (:func:`_far_block`): the points of the far rule are
-taken once per surface pair, every triangle pair of the block is
-evaluated with no gather, and the result is masked to the far pairs and
-added straight into the matrices, the double layers through one sparse
-product per corner.  Such a row block is also the shape of block that
-adaptive cross approximation compresses.
+One loop over row blocks of at most ``BATCH_POINT_PAIRS`` triangle pairs
+integrates every pair of its row cells (:func:`_row_sweep`).  In a
+block whose far pairs are at least ``DENSE_FAR_SHARE`` of its pairs, as on
+finely meshed surfaces, the far tier is integrated in dense arrays
+spanning the block's rows and the columns it visits (:func:`_far_block`):
+the points of the far rule are taken once per surface pair, every
+triangle pair of the block is evaluated with no gather, and the result is
+masked to the far pairs and added straight into the sweep, the double
+layers through one sparse product per corner.  Such a row block is also
+the shape of block that adaptive cross approximation compresses.  A
+block's single layer goes into a row buffer, which one flush per block
+(:meth:`_Sweep.flush`) adds into ``S``, if asked for, and through the
+surface curls into ``N``.  On a single surface each unordered triangle
+pair is integrated once, at (t, s) with t <= s: ``S = V + V^T`` and ``N =
+M + M^T`` are exactly symmetric, and the adjoint double layer is the exact
+transpose of the double layer.
 
-The regular sweep (its other disjoint pairs) and the singular sweep
-(touching pairs) cut their triangle pairs into batches of at most
+The other tiers and the touching pairs are cut into batches of at most
 ``BATCH_POINT_PAIRS`` kernel evaluations, in an order fixed by the meshes
 alone.  Each batch is evaluated on the calling thread in arrays of its
 own, reading only the mesh caches and :class:`_Sweep`, and added into the
-sweep's matrices in that order.  A batch is dozens of small numpy calls, and a
-pool of threads bought little for its memory: on a 2-core host with one
+sweep in that order.  A batch is dozens of small numpy calls, and a pool
+of threads bought little for its memory: on a 2-core host with one
 BLAS thread, two threads assembled the three-shell head at subdivision 2
 no faster than one (0.69-0.80 s against 0.67-0.78 s) and at subdivision 3
 in 4.9 s against 5.9 s, while the second thread's malloc arena raised the
-peak resident memory by 8-9 MB.  On a single surface each unordered
-triangle pair is integrated once and fills both orientations: the single
-layer is exactly symmetric and the adjoint double layer is the exact
-transpose of the double layer.
+peak resident memory by 8-9 MB.
 """
 
 from __future__ import annotations
@@ -106,15 +107,12 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 #: Kernel evaluations (point pairs) per batch.  Every batch holds as many
-#: triangle pairs as fit in this budget, at least one; the regular sweep
-#: also classifies its tiers in row blocks of at most this many triangle
-#: pairs, and the hypersingular form is taken from the single layer in
-#: blocks of ``BATCH_POINT_PAIRS // n_cells_s`` vertex rows
-#: (:func:`_hypersingular`), whose products hold at most this many values
-#: each.  Each batch allocates its own two float64 point-pair arrays of at
-#: most this length (1 MB each) and shares none with another batch.  Beside
-#: them a tensor batch holds the 15 x pairs Gram array of its corner offsets
-#: (:func:`_tensor_batch`), at most 15 / ``MIN_PAIR_POINTS`` of one of them.
+#: triangle pairs as fit in this budget, at least one; the sweep runs in row
+#: blocks of at most this many triangle pairs, whose single layer fills a row
+#: buffer (:class:`_Sweep`).  Each batch allocates its own two float64
+#: point-pair arrays of at most this length (1 MB each) and shares none.
+#: Beside them a tensor batch holds the 15 x pairs Gram array of its corner
+#: offsets (:func:`_tensor_batch`), at most 15 / ``MIN_PAIR_POINTS`` of one.
 #: A dense far block (:func:`_far_block`) spans one row block, so each of
 #: its arrays holds at most this many values (:func:`pair_bytes`).
 #: At 2**18 the sphere subdivision-3 assembly peaked 37 MB higher for no
@@ -140,7 +138,7 @@ MIN_PAIR_POINTS = 36
 #: 31-48% of the pairs, where it was most accurate.
 CLOSED_FORM_TIER = "6x16"
 OUTER_ORDER = 8
-#: A row block of the regular sweep whose far pairs are at least this share
+#: A row block of the sweep whose far pairs are at least this share
 #: of its pairs integrates them densely (:func:`_far_block`), every pair of
 #: the block evaluated, instead of batching them like the near tiers.  On
 #: one BLAS thread the two cost the same at a share of 0.37-0.57 (from the
@@ -216,9 +214,8 @@ def assemble_operators(
       observation point), pyramid-tested with patch trial functions.
     - ``N``, the hypersingular form between pyramid spaces, through
       integration by parts: kernel integrals against the surface curls of
-      the hat functions (``TriangleMesh.curls``), formed from ``S`` in
-      blocks of vertex rows of the batch budget (:func:`_hypersingular`)
-      and, on a single surface, symmetrised in place in the same blocks.
+      the hat functions (``TriangleMesh.curls``), added into ``N`` from the
+      single layer of each finished row block (:meth:`_Sweep.flush`).
       Symmetric positive semi-definite on a single surface with the
       constants in its kernel; the second-derivative kernel is never
       evaluated.
@@ -226,74 +223,48 @@ def assemble_operators(
     ``Dstar`` is the view ``.T`` of the reversed pair's C-ordered double
     layer (cells of ``mesh_s`` x vertices of ``mesh_t``).  On a single
     surface every unordered triangle pair is integrated once for both
-    orientations, so ``S`` is exactly symmetric and ``Dstar`` is ``D.T``:
-    either one costs the double-layer work of both.  Between two surfaces
-    ``D`` and ``Dstar`` each cost their own.  A requested block holds the
-    same bits whatever else is requested.  The quadrature is
+    orientations, so ``S`` and ``N`` are exactly symmetric and ``Dstar`` is
+    ``D.T``: either one costs the double-layer work of both.  Between two
+    surfaces ``D`` and ``Dstar`` each cost their own.  A requested block
+    holds the same bits whatever else is requested.  The quadrature is
     ``DEFAULT_QUADRATURE``, read at call time.
     """
     unknown = set(blocks) - set(TAGS)
     if unknown:
         raise ValueError(f"unknown operator blocks {sorted(unknown)}; choose from {TAGS}")
-    cfg = DEFAULT_QUADRATURE
-    sweep = _Sweep(mesh_t, mesh_s, blocks)
-    _regular_sweep(mesh_t, mesh_s, cfg, sweep)
-    if sweep.same:
-        _singular_sweep(mesh_t, cfg, sweep)
-    nmat = _hypersingular(mesh_t, mesh_s, sweep.ig) if "N" in blocks else None
+    sweep = _row_sweep(mesh_t, mesh_s, DEFAULT_QUADRATURE, blocks)
     parts = {
         "S": (sweep.ig, Kind.PATCH, Kind.PATCH),
         "D": (sweep.dmat, Kind.PATCH, Kind.PYRAMID),
         "Dstar": (sweep.adj, Kind.PYRAMID, Kind.PATCH),
-        "N": (nmat, Kind.PYRAMID, Kind.PYRAMID),
+        "N": (sweep.nmat, Kind.PYRAMID, Kind.PYRAMID),
     }
     return {tag: KernelBlock(*parts[tag]) for tag in TAGS if tag in blocks}
 
 
 def pair_bytes(mesh_t: TriangleMesh, mesh_s: TriangleMesh, blocks=TAGS) -> int:
     """Bytes :func:`assemble_operators` holds at once for ``blocks``: the
-    matrices of its :class:`_Sweep`, plus the larger of two transients.
-    The sweeps hold 4 + 14 planes of ``BATCH_POINT_PAIRS`` doubles with a
-    double layer and 4 + 5 without (a dense far block's 14 or 5, its row
-    block's distances, tier codes and masks, and its scatter; at most 17.2
-    and 7.8 were seen at the default budget).  Then ``N`` is formed
-    (:func:`_hypersingular`): ``N`` and, per block of b rows, ``C_t^T S``
-    (b x n_c), its C-ordered transpose and the term (n_v x b)."""
-    d, ds = _Sweep.double_layers(mesh_t is mesh_s, blocks)
+    matrices and row buffer of its :class:`_Sweep`, the touching pairs of a
+    single surface (8 indices a pair), at most 24 values per cell of the
+    geometry it copies, 4 planes of ``BATCH_POINT_PAIRS`` doubles for a row
+    block's distances, codes, masks and pair indices, and the larger of a
+    dense far block's 14 planes with a double layer or 5 without (17.2 and
+    7.8 in all at most were seen) and a flush of b rows (:meth:`_Sweep.flush`),
+    which holds a curl product of b x n_v and its copy, three terms of
+    ``N``'s rows on the vertices of the block's cells, and sparse slices of
+    the curls, at most 2 values per corner of ``mesh_t``."""
+    same = mesh_t is mesh_s
+    d, ds = _Sweep.double_layers(same, blocks)
     nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
     nvt, nvs = mesh_t.num_vertices, mesh_s.num_vertices
-    held = nct * ncs + d * nct * nvs + (ds and mesh_t is not mesh_s) * ncs * nvt
-    sweeps = (4 + (14 if d or ds else 5)) * BATCH_POINT_PAIRS
-    rows = min(nvt, max(1, BATCH_POINT_PAIRS // ncs))
-    forming_n = nvt * nvs + rows * (2 * ncs + nvs) if "N" in blocks else 0
-    return 8 * (held + max(sweeps, forming_n))
-
-
-def _hypersingular(mesh_t, mesh_s, ig):
-    """``N = sum_k C_t,k^T S C_s,k`` from the single layer ``ig`` and the
-    surface curls ``C_k`` of both meshes (``TriangleMesh.curls``), in blocks
-    of vertex rows of ``mesh_t``, each ``BATCH_POINT_PAIRS // n_cells_s``
-    rows (at least one), so that no product spans all rows.  A block's term
-    is ``(C_s^T (C_t^T[rows] S)^T)^T``: the CSR row slice of ``C_t^T``
-    (``TriangleMesh.transposed_curls``) times S, then ``C_s^T`` times that
-    product's transpose, of which scipy makes a C-ordered copy.  The
-    sparse factor is on the left of both products, so S is never copied.
-    On a single surface N is then symmetrised in place, in the same row
-    blocks, each entry to ``0.5 * (N_ij + N_ji)``."""
-    n_rows = mesh_t.num_vertices
-    block = max(1, BATCH_POINT_PAIRS // mesh_s.num_triangles)
-    nmat = np.zeros((n_rows, mesh_s.num_vertices))
-    for r0 in range(0, n_rows, block):
-        for ct, cs in zip(mesh_t.transposed_curls, mesh_s.curls):
-            nmat[r0 : r0 + block] += (cs.T @ (ct[r0 : r0 + block] @ ig).T).T
-    if mesh_t is mesh_s:
-        for r0 in range(0, n_rows, block):
-            r1 = r0 + block
-            sym = nmat[r0:r1, r0:] + nmat[r0:, r0:r1].T
-            sym *= 0.5
-            nmat[r0:r1, r0:] = sym
-            nmat[r0:, r0:r1] = sym.T
-    return nmat
+    rows = min(nct, max(1, BATCH_POINT_PAIRS // ncs))
+    held = ncs * rows + d * nct * nvs + (ds and not same) * ncs * nvt + 24 * (nct + ncs)
+    held += ("S" in blocks) * nct * ncs + ("N" in blocks) * nvt * nvs
+    held += same * 4 * (mesh_t.shared_vertex_counts.nnz + nct)
+    verts = max(len(np.unique(mesh_t.triangles[r : r + rows])) for r in range(0, nct, rows))
+    flush = (2 * rows + 3 * verts) * nvs + 6 * nct if "N" in blocks else 0
+    transient = 4 * BATCH_POINT_PAIRS + max((14 if d or ds else 5) * BATCH_POINT_PAIRS, flush)
+    return 8 * (held + transient)
 
 
 def _pair_kernel(r2, tmp, w, w9, scale, h_xy, h_yx):
@@ -440,10 +411,12 @@ def _pair_rule(category, order=None):
     with ``C[q, ab] = c_a c_b``, doubled off the diagonal, over the
     ``n (n + 1) / 2`` pairs a <= b in row-major order.  Returns ``(C,
     weights, w9, shared)``, ``w9`` the moment weights of
-    :func:`_pair_kernel`."""
+    :func:`_pair_kernel`.  A coincident pair, its own mirror, is added once
+    into ``V`` of ``S = V + V^T`` (:class:`_Sweep`) at exactly half weight."""
     shared = {quad.COINCIDENT: 3, quad.EDGE: 2, quad.VERTEX: 1}.get(category, 0)
     rule = quad.sauter_schwab_rule(category, order) if shared else quad.tensor_pair_rule(category)
     bx, by, w = rule
+    w = 0.5 * w if shared == 3 else w
     c = np.concatenate([bx[:, :shared] - by[:, :shared], bx[:, shared:], -by[:, shared:]], axis=1)
     a, b = np.triu_indices(5 - shared)
     form = c[:, 1:][:, a] * c[:, 1:][:, b] * np.where(a == b, 1.0, 2.0)
@@ -451,11 +424,15 @@ def _pair_rule(category, order=None):
     return np.ascontiguousarray(form), w, w9, shared
 
 
+def _batch_size(n_points):
+    """Triangle pairs per batch of at most ``BATCH_POINT_PAIRS`` point pairs,
+    at least one, a pair counting as ``max(n_points, MIN_PAIR_POINTS)``."""
+    return max(1, BATCH_POINT_PAIRS // max(n_points, MIN_PAIR_POINTS))
+
+
 def _batch_slices(n_pairs, n_points):
-    """Consecutive slices of triangle pairs, each of at most
-    ``BATCH_POINT_PAIRS`` point pairs, a pair of ``n_points`` counting as at
-    least ``MIN_PAIR_POINTS`` of them."""
-    per = max(1, BATCH_POINT_PAIRS // max(n_points, MIN_PAIR_POINTS))
+    """Consecutive slices of triangle pairs, each of :func:`_batch_size`."""
+    per = _batch_size(n_points)
     return [slice(b, b + per) for b in range(0, n_pairs, per)]
 
 
@@ -465,23 +442,26 @@ class _Sweep:
     component-major array (those of ``mesh_s`` after those of ``mesh_t``
     unless they are one mesh), the component-major cell normals and the
     areas of each, ``same``, and which double layers to integrate
-    (:meth:`double_layers`).  Every integral is added where it is made
-    into the single layer ``ig``, the double layer ``dmat`` and the
-    reversed pair's double layer ``reverse``, whose transpose ``adj`` is
-    ``Dstar`` (on a single surface ``reverse`` is ``dmat``): batches
-    through :meth:`add`, dense far blocks directly."""
+    (:meth:`double_layers`).  Every integral is added where it is made into
+    the double layer ``dmat``, the reversed pair's double layer ``reverse``,
+    whose transpose ``adj`` is ``Dstar`` (on a single surface ``reverse`` is
+    ``dmat``), and the (column cells x b) row buffer ``v`` of the b rows
+    from ``r0``, which :meth:`flush` takes into ``ig`` (``S``, if asked for)
+    and ``nmat`` (``N``): batches through :meth:`add`, far blocks directly."""
 
     def __init__(self, mesh_t, mesh_s, blocks):
+        self.mesh_t, self.mesh_s = mesh_t, mesh_s
         self.same = same = mesh_t is mesh_s
         self.d, self.ds = self.double_layers(same, blocks)
         self.offset = 0 if same else mesh_t.num_vertices
         vertices = mesh_t.vertices if same else np.concatenate([mesh_t.vertices, mesh_s.vertices])
         self.vertices = _component_major(vertices)
-        self.normals_t = _component_major(mesh_t.normals)
-        self.normals_s = self.normals_t if same else _component_major(mesh_s.normals)
+        self.normals_t, self.normals_s = mesh_t.normals_by_component, mesh_s.normals_by_component
         self.areas_t, self.areas_s = mesh_t.areas, mesh_s.areas
         nct, ncs = mesh_t.num_triangles, mesh_s.num_triangles
-        self.ig = np.zeros((nct, ncs))
+        self.ig = np.zeros((nct, ncs)) if "S" in blocks else None
+        self.nmat = np.zeros((mesh_t.num_vertices, mesh_s.num_vertices)) if "N" in blocks else None
+        self.r0, self.buffer, self.v, self.held = 0, None, None, []  # buffer: at the first block
         self.dmat = np.zeros((nct, mesh_s.num_vertices)) if self.d else None
         reverse = self.dmat if same else np.zeros((ncs, mesh_t.num_vertices)) if self.ds else None
         self.reverse, self.adj = reverse, None if reverse is None else reverse.T
@@ -493,21 +473,65 @@ class _Sweep:
         d = "D" in blocks or (same and "Dstar" in blocks)
         return d, d if same else "Dstar" in blocks
 
-    def add(self, rows, cols, vrows, vcols, mirror, s, d, ds):
+    def start(self, r0, rows):
+        """Open the row block of ``rows`` row cells from ``r0`` on the zeroed
+        buffer, with the single layer :meth:`add` held for its rows."""
+        if self.buffer is None:
+            self.buffer = np.zeros(self.mesh_s.num_triangles * rows)
+        self.r0, self.v = r0, self.buffer[: self.mesh_s.num_triangles * rows].reshape(-1, rows)
+        held, self.held = self.held, []
+        for cells, cols, s in held:
+            self.add(cells, cols, None, None, s, None, None)
+
+    def add(self, rows, cols, vrows, vcols, s, d, ds):
         """Add the results of the triangle pairs ``(rows, cols)``, of vertex
-        ids ``vrows`` and ``vcols``, ``s`` also at (cols, rows) if ``mirror``."""
-        self.ig[rows, cols] += s
-        if mirror:
-            self.ig[cols, rows] += s
+        ids ``vrows`` and ``vcols``, none in rows before the open block; the
+        single layer of rows after it is held for their block."""
         if d is not None:
             flat = (rows[:, None] * self.dmat.shape[1] + vcols).ravel()
             np.add.at(self.dmat.reshape(-1), flat, d.ravel())
         if ds is not None:
             flat = (cols[:, None] * self.reverse.shape[1] + vrows).ravel()
             np.add.at(self.reverse.reshape(-1), flat, ds.ravel())
+        later = rows >= self.r0 + self.v.shape[1]
+        if later.any():
+            self.held.append((rows[later], cols[later], s[later]))
+            rows, cols, s = rows[~later], cols[~later], s[~later]
+        self.v[cols, rows - self.r0] += s
+
+    def flush(self, c0):
+        """Take the finished row block's single layer ``V`` (columns ``c0 :``)
+        into ``S``, its rows and on a single surface its columns, where an
+        entry is one pair's value or two exact halves, and into ``N`` (``M``
+        of ``N = M + M^T`` on a single surface) as ``sum_k C_t,k[rows]^T V
+        C_s,k`` over the vertices of the row cells, sparse curls
+        (``TriangleMesh.transposed_curls``) on the left of both products.
+        Then zero the buffer."""
+        v, r0, rows = self.v, self.r0, self.v.shape[1]
+        if self.ig is not None:
+            self.ig[r0 : r0 + rows, c0:] += v[c0:].T
+            if self.same:
+                self.ig[c0:, r0 : r0 + rows] += v[c0:]
+        if self.nmat is not None:
+            verts = np.unique(self.mesh_t.triangles[r0 : r0 + rows])
+            curls = zip(self.mesh_t.transposed_curls, self.mesh_s.transposed_curls)
+            self.nmat[verts] += sum(ct[verts][:, r0 : r0 + rows] @ (cs @ v).T for ct, cs in curls)
+        v.fill(0.0)
+
+    def finish(self):
+        """Let the buffer go; on a single surface set ``N = M + M^T`` in place."""
+        self.buffer = self.v = None
+        if not self.same or self.nmat is None:
+            return
+        nmat, block = self.nmat, max(1, BATCH_POINT_PAIRS // self.mesh_s.num_triangles)
+        for r0 in range(0, len(nmat), block):
+            r1 = r0 + block
+            sym = nmat[r0:r1, r0:] + nmat[r0:, r0:r1].T
+            nmat[r0:r1, r0:] = sym
+            nmat[r0:, r0:r1] = sym.T
 
 
-def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
+def _tensor_batch(sweep, rule, ca, cb, pa, pb, double_layer):
     """Galerkin integrals of a batch of triangle pairs under one pair rule
     (:func:`_pair_rule`): a tier's tensor Gauss rule or a regularizing
     transform of touching pairs.
@@ -524,8 +548,7 @@ def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
     accuracy as the points close in on a singularity.  When
     ``double_layer`` is set, the same offsets give the heights of
     :func:`_pair_kernel` for the double layers the sweep integrates.  The
-    results are added into the sweep (:meth:`_Sweep.add`), with ``mirror``
-    into the (column, row) entries too.
+    results are added into the sweep (:meth:`_Sweep.add`).
     """
     form, w, w9, shared = rule
     e = np.take(sweep.vertices, np.concatenate([ca.T, cb[:, shared:].T + sweep.offset]), axis=1)
@@ -545,7 +568,7 @@ def _tensor_batch(sweep, rule, ca, cb, pa, pb, mirror, double_layer):
     if double_layer and sweep.ds:
         h_ba = _heights(e[:, 3:], np.take(sweep.normals_t, pa, axis=1))
     scale = sweep.areas_t[pa] * sweep.areas_s[pb] / np.pi  # (2 A_a)(2 A_b) / (4 pi)
-    sweep.add(pa, pb, ca, cb, mirror, *_pair_kernel(r2, tmp, w, w9, scale, h_ab, h_ba))
+    sweep.add(pa, pb, ca, cb, *_pair_kernel(r2, tmp, w, w9, scale, h_ab, h_ba))
 
 
 def _tier_blocks(mesh_t, mesh_s, thresholds, same):
@@ -620,7 +643,7 @@ def _far_rule(rule, mesh_t, mesh_s):
 def _far_block(sweep, far, r0, c0, mask):
     """Add the far pairs ``mask`` of one row block of :func:`_tier_blocks`,
     integrated under the far tier's tensor rule (:func:`_far_rule`), into the
-    single layer, the double layer and the adjoint of the sweep.
+    row buffer, the double layer and the adjoint of the sweep.
 
     Every array spans the block, rows ``r0 : r0 + rows`` and columns
     ``c0 :``, whatever the tier of its pairs, and the loop runs over the
@@ -648,8 +671,7 @@ def _far_block(sweep, far, r0, c0, mask):
     the adjoint's three corners go through one product with the map of the
     block's row cells to their vertices, into the view ``sweep.adj``,
     ``dmat.T`` on a single surface, where each pair also fills its (s, t)
-    entries: ``S`` mirrored, and the adjoint entries, which are the ``D``
-    entries of pair (s, t).
+    adjoint entries, which are the ``D`` entries of pair (s, t).
     """
     bary, weights, points_t, points_s, maps, triangles_t = far
     rows, cols = mask.shape
@@ -695,9 +717,7 @@ def _far_block(sweep, far, r0, c0, mask):
     scale = np.multiply(sweep.areas_t[r0:r1, None], sweep.areas_s[c0:] / np.pi)
     scale *= mask
     s *= scale
-    sweep.ig[r0:r1, c0:] += s
-    if sweep.same:
-        sweep.ig[c0:, r0:r1] += s.T
+    sweep.v[c0:] += s.T
     corner_weights = bary / v2[:, None]
     if sweep.d:
         np.matmul(corner_weights.T, k.reshape(q, -1), out=diff.reshape(3, -1))
@@ -716,32 +736,52 @@ def _far_block(sweep, far, r0, c0, mask):
         sweep.adj[vertices, c0:] += gather @ diff.reshape(3 * rows, cols)
 
 
-def _regular_sweep(mesh_t, mesh_s, cfg, sweep):
-    """Integrate the disjoint triangle pairs into ``sweep``.
+def _row_sweep(mesh_t, mesh_s, cfg, blocks):
+    """The :class:`_Sweep` of ``blocks`` with every triangle pair integrated.
 
-    Tiers are classified in row blocks by :func:`_tier_blocks`.  A block
-    whose far pairs are at least ``DENSE_FAR_SHARE`` of its pairs
-    integrates them in arrays spanning the block (:func:`_far_block`); in
-    any other block the far tier is batched like the near tiers.  Each
-    batched tier's pairs in a block are found in row-major order by
-    ``np.nonzero`` on its code, and they are cut into batches by
-    :func:`_batch_slices`.  The tensor tiers go through
-    :func:`_tensor_batch` with the tensor product of their triangle rule
-    (``quad.tensor_pair_rule``).  The ``CLOSED_FORM_TIER`` pairs integrate
-    the inner triangle in closed form (:func:`_panel_integrals`) at the
-    points of the outer rule of ``OUTER_ORDER`` on the row triangle, and
-    count as the tensor product of that rule with itself.  On a single
-    surface only pairs t < s that share no vertex are visited, and each
-    fills both orientations; the touching pairs are left to the singular
-    sweep.
+    Tiers are classified in row blocks by :func:`_tier_blocks`, and a block
+    carries every pair whose row cell lies in it.  A block whose far pairs
+    are at least ``DENSE_FAR_SHARE`` of its pairs integrates them in arrays
+    spanning the block (:func:`_far_block`); in any other block the far
+    tier is batched like the near tiers.  Each batched tier's pairs in a
+    block are found in row-major order by ``np.nonzero`` on its code, and
+    they are cut into batches by :func:`_batch_slices`.  The tensor tiers go
+    through :func:`_tensor_batch` with the tensor product of their triangle
+    rule (``quad.tensor_pair_rule``).  The ``CLOSED_FORM_TIER`` pairs
+    integrate the inner triangle in closed form (:func:`_panel_integrals`)
+    at the points of the outer rule of ``OUTER_ORDER`` on the row triangle,
+    and count as the tensor product of that rule with itself.
+
+    On a single surface only the disjoint pairs t < s are classified, and a
+    block also takes its touching pairs (``_touching_pairs``, row-sorted
+    with t < s, the shared vertices first) under the regularizing
+    transforms; coincident pairs carry no double layer, whose kernel
+    vanishes on a flat panel.  As a pair's single layer depends in its last
+    bits on its place in the batch (through the BLAS product with the
+    weights), they are batched over the whole surface, and a block takes
+    the batches that start in it; the sweep holds their values for later
+    rows.  A finished block is flushed (:meth:`_Sweep.flush`).
     """
-    same = sweep.same
+    same = mesh_t is mesh_s
     tiers = [rule for _, rule in cfg.near_tiers] + [cfg.far_points]
     thresholds = [t for t, _ in cfg.near_tiers]
     rules = {r: _pair_rule(r) for r in tiers if r != CLOSED_FORM_TIER}
     far = None  # the far rule's points and maps, taken at the first dense block
     tri_t, tri_s = mesh_t.triangles, mesh_s.triangles
     outer_bary, outer_w = quad.collapsed_rule(OUTER_ORDER)
+    touching = []  # per category: rule, pairs, both charts, double layer, batch size
+    if same:
+        cells = np.arange(mesh_t.num_triangles)
+        edge_pairs, edge_charts, vertex_pairs, vertex_charts = _touching_pairs(mesh_t)
+        for category, pairs, charts in (
+            (quad.COINCIDENT, np.stack([cells, cells], axis=1), (tri_t, tri_t)),
+            (quad.EDGE, edge_pairs, edge_charts),
+            (quad.VERTEX, vertex_pairs, vertex_charts),
+        ):
+            rule = _pair_rule(category, cfg.singular_order)
+            per = _batch_size(len(rule[1]))
+            touching.append((rule, pairs, *charts, category != quad.COINCIDENT, per))
+    sweep = _Sweep(mesh_t, mesh_s, blocks)  # allocated once the touching pairs are classified
 
     def closed_batch(rows, cols):
         x = outer_bary @ np.take(sweep.vertices, tri_t[rows].T, axis=1)  # (3, q, pairs)
@@ -751,9 +791,10 @@ def _regular_sweep(mesh_t, mesh_s, cfg, sweep):
         s = (outer_w @ s) * scale
         d = None if d is None else (np.matmul(outer_w, d) * scale).T
         ds = None if ds is None else (((outer_w[:, None] * outer_bary).T @ ds) * scale).T
-        sweep.add(rows, cols, tri_t[rows], tri_s[cols], same, s, d, ds)
+        sweep.add(rows, cols, tri_t[rows], tri_s[cols], s, d, ds)
 
     for r0, c0, codes in _tier_blocks(mesh_t, mesh_s, thresholds, same):
+        sweep.start(r0, len(codes))
         far_pairs = codes == len(thresholds)
         dense = np.count_nonzero(far_pairs) >= DENSE_FAR_SHARE * far_pairs.size
         if dense:
@@ -771,26 +812,12 @@ def _regular_sweep(mesh_t, mesh_s, cfg, sweep):
             rule = rules[name]
             for sl in _batch_slices(len(ti), len(rule[1])):
                 rows, cols = ti[sl], si[sl]
-                _tensor_batch(sweep, rule, tri_t[rows], tri_s[cols], rows, cols, same, True)
-
-
-def _singular_sweep(mesh, cfg, sweep):
-    """Integrate the touching same-surface pairs into ``sweep`` under the
-    regularizing transforms, in batches of :func:`_tensor_batch`.
-
-    Each unordered pair is visited once; the charts of ``_touching_pairs``
-    put the shared vertex first, and the edge and vertex pairs fill both
-    orientations.  Coincident pairs carry no double layer, whose kernel
-    vanishes on a flat panel.
-    """
-    cells = np.arange(mesh.num_triangles)
-    edge_pairs, edge_charts, vertex_pairs, vertex_charts = _touching_pairs(mesh)
-    for category, pairs, (ca, cb) in (
-        (quad.COINCIDENT, np.stack([cells, cells], axis=1), (mesh.triangles,) * 2),
-        (quad.EDGE, edge_pairs, edge_charts),
-        (quad.VERTEX, vertex_pairs, vertex_charts),
-    ):
-        rule = _pair_rule(category, cfg.singular_order)
-        distinct = category != quad.COINCIDENT
-        for sl in _batch_slices(len(pairs), len(rule[1])):
-            _tensor_batch(sweep, rule, ca[sl], cb[sl], *pairs[sl].T, distinct, distinct)
+                _tensor_batch(sweep, rule, tri_t[rows], tri_s[cols], rows, cols, True)
+        ti = si = None  # freed before the flush allocates
+        for rule, pairs, ca, cb, double_layer, per in touching:
+            lo, hi = np.searchsorted(pairs[::per, 0], (r0, r0 + len(codes)))
+            for sl in (slice(b, b + per) for b in range(lo * per, hi * per, per)):
+                _tensor_batch(sweep, rule, ca[sl], cb[sl], *pairs[sl].T, double_layer)
+        sweep.flush(c0)
+    sweep.finish()
+    return sweep

@@ -29,7 +29,6 @@ from .geometry import (
     NestedModel,
     SystemLayout,
     TriangleMesh,
-    dot3,
     point_surface_distance,
 )
 from ._quadrature import TRI_RULES
@@ -53,12 +52,6 @@ class DipoleSource:
             raise ValueError("position and moment must be 3-vectors")
         if not (np.isfinite(self.position).all() and np.isfinite(self.moment).all()):
             raise ValueError("position and moment must be finite")
-
-
-def system_layout(model: NestedModel) -> SystemLayout:
-    """The layout of the model's unknowns, :attr:`NestedModel.layout`,
-    built once per model."""
-    return model.layout
 
 
 @dataclass
@@ -138,12 +131,14 @@ def require_memory(needed: int, what: str) -> None:
 
 def _pair_blocks(layout: SystemLayout, i: int, j: int) -> tuple:
     """The operator blocks :func:`assemble_system` asks of surface pair
-    ``(i, j)``, ``j`` being ``i`` or ``i + 1``: ``S`` and ``N`` always (``N``
-    is formed from ``S``), ``D`` where the cells of surface i keep their
-    unknowns, and on a cross pair ``Dstar`` where those of surface j do.
+    ``(i, j)``, ``j`` being ``i`` or ``i + 1``: ``N`` always, ``S`` where
+    the cells of both surfaces keep their unknowns, ``D`` where those of
+    surface i do, and on a cross pair ``Dstar`` where those of surface j do.
     A block whose every entry would land in a dropped p block is not asked
-    for."""
-    blocks = ("S", "N")
+    for, and so never allocated."""
+    blocks = ("N",)
+    if layout.p_kept[i] and layout.p_kept[j]:
+        blocks += ("S",)
     if layout.p_kept[i]:
         blocks += ("D",)
     if i != j and layout.p_kept[j]:
@@ -154,10 +149,10 @@ def _pair_blocks(layout: SystemLayout, i: int, j: int) -> tuple:
 def _dense_bytes(model: NestedModel) -> int:
     """Bytes of storage :func:`assemble_system` holds at once: the N x N
     system matrix plus the count of the largest surface pair
-    (:func:`symmbem.bem_ops.pair_bytes` of its :func:`_pair_blocks`).  Each
-    block is scaled in place as it goes into Z, so no scaled copy is
-    counted."""
-    layout = system_layout(model)
+    (:func:`symmbem.bem_ops.pair_bytes` of its :func:`_pair_blocks`), which
+    counts ``S`` only where Z keeps it.  Each block is scaled in place as it
+    goes into Z, so no scaled copy is counted."""
+    layout = model.layout
     surfaces = model.surfaces
     pairs = [(i, i) for i in range(len(surfaces))] + [(i, i + 1) for i in range(len(surfaces) - 1)]
     return 8 * layout.total**2 + max(
@@ -171,12 +166,12 @@ def assemble_system(model: NestedModel) -> BlockSystem:
     Only neighbouring interfaces couple; blocks for surface pairs further
     apart are identically zero.  The operator blocks of a pair come from
     one shared quadrature sweep, which assembles only those that Z keeps
-    (:func:`_pair_blocks`): self pair i asks for ``S``, ``N`` and, where
-    surface i keeps its p block, ``D``; cross pair (i, j) asks for ``S``,
-    ``D``, ``N`` and, where surface j keeps its p block, ``Dstar``.  So with
-    an insulating exterior no double layer is assembled on the outermost
-    surface and no adjoint onto it.  The double-layer blocks are calibrated
-    to their exact constant-field row sums.  Each diagonal block is written
+    (:func:`_pair_blocks`): self pair i asks for ``N`` and, where surface i
+    keeps its p block, ``S`` and ``D``; cross pair (i, j) asks for ``D``,
+    ``N`` and, where surface j keeps its p block, ``S`` and ``Dstar``.  So
+    with an insulating exterior no single or double layer is assembled on
+    the outermost surface and no adjoint onto it.  The double layers are
+    calibrated to their exact constant-field row sums.  Each diagonal block is written
     whole, each off-diagonal block once, below the diagonal.  A block goes
     into Z once, after its calibration, so it is scaled in place on its way
     in, and each pair's blocks are let go before the next pair is assembled.
@@ -186,7 +181,7 @@ def assemble_system(model: NestedModel) -> BlockSystem:
     can get: a system matrix too large for memory would otherwise be
     allocated lazily and the process killed part way through assembly.
     """
-    layout = system_layout(model)
+    layout = model.layout
     require_memory(
         _dense_bytes(model), f"dense storage for N = {layout.total} exceeds the memory available"
     )
@@ -220,7 +215,8 @@ def assemble_system(model: NestedModel) -> BlockSystem:
         vi, pi = layout.v_slice(i), layout.p_slice(i)
         vj, pj = layout.v_slice(j), layout.p_slice(j)
         add(vj, vi, s_btw, ops["N"].matrix.T)
-        add(pj, pi, -1.0 / s_btw, ops["S"].matrix.T)
+        if pi is not None and pj is not None:
+            add(pj, pi, -1.0 / s_btw, ops["S"].matrix.T)
         # surface i lies inside surface j: constants map to -1 seen from i,
         # to 0 seen from j (applied to the transpose through Dstar columns)
         if pi is not None:
@@ -245,7 +241,7 @@ def _add_source_field(sources, mesh: TriangleMesh, v: np.ndarray, dn: np.ndarray
     the component-major points, and no gradient is formed.
     """
     points = mesh.quadrature_points.reshape(3, *v.shape)
-    normals = np.ascontiguousarray(mesh.normals.T)
+    normals = mesh.normals_by_component
     d = np.empty_like(points)
     r2, dd, tmp = (np.empty(v.shape) for _ in range(3))
     for s in sources:
@@ -279,9 +275,10 @@ def _on_surface(point: np.ndarray, mesh: TriangleMesh, eps: float) -> bool:
     A point is never closer to a triangle than to the triangle's plane, so
     only the triangles whose plane passes within ``2 eps`` take the exact
     point-triangle test.  The factor 2 keeps rounding in the two tests from
-    changing the verdict of an exact test over all triangles.
+    changing the verdict of an exact test over all triangles.  The plane
+    heights are ``dot3``'s, on the mesh's component-major arrays.
     """
-    height = dot3(point - mesh.corners[:, 0], mesh.normals)
+    height = ((point[:, None] - mesh.first_corners_by_component) * mesh.normals_by_component).sum(0)
     near = np.abs(height) <= 2.0 * eps
     if not near.any():
         return False
@@ -304,7 +301,7 @@ def assemble_rhs(model: NestedModel, sources) -> np.ndarray:
     and the rule's points and weights, is read from the model and its
     meshes, which keep it.
     """
-    layout = system_layout(model)
+    layout = model.layout
     rhs = np.zeros(layout.total)
     bary, _ = TRI_RULES[QUADRATURE_RULE]
     h = min(m.mean_diameter for m in model.surfaces)

@@ -104,6 +104,16 @@ class TriangleMesh:
         return self._cross / np.where(n > 0, n, 1.0)[:, None]
 
     @cached_property
+    def normals_by_component(self) -> np.ndarray:
+        """:attr:`normals` component-major, shape (3, n_triangles)."""
+        return np.ascontiguousarray(self.normals.T)
+
+    @cached_property
+    def first_corners_by_component(self) -> np.ndarray:
+        """Corner 0 of every triangle, component-major, shape (3, n_triangles)."""
+        return np.ascontiguousarray(self.corners[:, 0].T)
+
+    @cached_property
     def centroids(self) -> np.ndarray:
         return self.corners.mean(axis=1)
 

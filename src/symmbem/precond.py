@@ -125,7 +125,7 @@ class PrecondOperator:
     diagonal: np.ndarray
     # diagonal minus the array's, which holds Z's
     _shift: np.ndarray = field(init=False, repr=False, compare=False)
-    # c with the right-hand side array it was formed from
+    # c and W^T c with the right-hand side array they were formed from
     _load: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -170,22 +170,27 @@ class PrecondOperator:
         ``P^-1 k``, where no CG step reduces the recovered residual.
 
         :meth:`preconditioned_rhs` and :func:`recover_solution` both need
-        c, so it is formed once per right-hand side array and kept; the
-        returned array is shared and must not be modified.
+        c and ``W^T c`` (:meth:`coarse_rhs`), so both are formed once per
+        right-hand side array and kept; the returned arrays are shared and
+        must not be modified.
         """
         rhs = self.system.rhs
         if rhs is None:
             raise ValueError("system has no right-hand side")
         if self._load is None or self._load[0] is not rhs:
             k = self.deflation
-            y = self.system.matvec(self.apply_p(rhs - k @ (k.T @ rhs)))
-            self._load = (rhs, self.m_diag * y)
+            c = self.m_diag * self.system.matvec(self.apply_p(rhs - k @ (k.T @ rhs)))
+            self._load = (rhs, c, c @ self.coarse)
         return self._load[1]
+
+    def coarse_rhs(self) -> np.ndarray:
+        """``W^T c``, formed and kept with c (:meth:`spectral_rhs`)."""
+        self.spectral_rhs()
+        return self._load[2]
 
     def preconditioned_rhs(self) -> np.ndarray:
         """``P_D c = c - U W^T c``, the right-hand side CG solves with."""
-        c = self.spectral_rhs()
-        return c - self.coarse_image @ (c @ self.coarse)
+        return self.spectral_rhs() - self.coarse_image @ self.coarse_rhs()
 
 
 def _primal_solver(mesh: TriangleMesh, lap: sp.csr_matrix):
@@ -400,7 +405,7 @@ def build(system: BlockSystem, meshes: list[TriangleMesh]) -> PrecondOperator:
     maps, the gauge basis and the coarse space for a (rescaled) system, and
     form ``P_D A`` strictly above the diagonal of ``system.matrix``,
     replacing whatever operator an earlier build left there.  The system
-    has a gauge when :func:`formulation.system_layout` keeps no cell rows
+    has a gauge when its layout (:attr:`NestedModel.layout`) keeps no cell rows
     on its outermost surface, that is when the exterior insulates.
 
     Each surface takes one sparse factorization, the bordered LU of its
@@ -485,7 +490,7 @@ def _recover(op: PrecondOperator, y: np.ndarray):
     component along the exact kernel, and ``|r| / |b|`` (``|r|`` for a
     zero load)."""
     system = op.system
-    y = y + op.coarse @ (op.spectral_rhs() @ op.coarse - y @ op.coarse_image)
+    y = y + op.coarse @ (op.coarse_rhs() - y @ op.coarse_image)
     x = op.m_diag * y
     r = system.matvec(x) - system.rhs
     # no solution can reduce the load component along the exact kernel

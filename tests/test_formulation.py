@@ -1,3 +1,4 @@
+import hashlib
 import os
 import tracemalloc
 
@@ -13,7 +14,6 @@ from symmbem.formulation import (
     assemble_rhs,
     assemble_system,
     conductivity_rescale,
-    system_layout,
 )
 from symmbem.geometry import NestedModel, make_icosphere, point_surface_distance
 
@@ -104,12 +104,14 @@ def _requested_blocks(model, monkeypatch):
 
 def test_insulated_outer_surface_takes_no_double_layer_and_no_adjoint(monkeypatch):
     model = _model("shells3-sub1")
+    # nor a single layer: the outermost surface keeps no cell rows, so Z
+    # keeps neither its S nor the S between it and the middle surface
     assert _requested_blocks(model, monkeypatch) == {
         (0, 0): {"S", "D", "N"},
         (1, 1): {"S", "D", "N"},
-        (2, 2): {"S", "N"},
+        (2, 2): {"N"},
         (0, 1): {"S", "D", "Dstar", "N"},
-        (1, 2): {"S", "D", "N"},
+        (1, 2): {"D", "N"},
     }
     # a conducting exterior keeps every p block, so every pair's double
     # layers, and assembly still writes Z into its lower triangle
@@ -153,7 +155,7 @@ def test_assembly_lets_each_pair_go_before_the_next(monkeypatch):
     # else, never the blocks of the pair before
     model = _model("shells3-sub1")
     assemble_system(model)  # the mesh caches are filled outside the trace
-    n = system_layout(model).total
+    n = model.layout.total
     entries = []
     full = bem_ops.assemble_operators
 
@@ -212,7 +214,7 @@ def test_matvec_is_the_symmetric_product_without_a_copy(rescaled):
 
 def _einsum_rhs(model, source, quadrature_points=6):
     """Reference right-hand side: the same Galerkin sums, written as einsums."""
-    layout = system_layout(model)
+    layout = model.layout
     rhs = np.zeros(layout.total)
     bary, weights = TRI_RULES[quadrature_points]
     comp = model.compartment_of(source.position)
@@ -324,18 +326,24 @@ def test_on_surface_matches_the_exact_scan_of_every_triangle():
 
 def test_assemble_system_refuses_dense_storage_beyond_memory(monkeypatch):
     model = _model("shells3-sub1")
-    n = system_layout(model).total
+    n = model.layout.total
     needed = formulation._dense_bytes(model)
-    # Z, and of the cross pair (0, 1), 80 cells and 42 vertices each, S, D
-    # and Dstar with the sweep's 4 + 14 planes of the batch budget, which
-    # outweigh N and its products here
-    held = 80**2 + 2 * 80 * 42
-    assert needed == 8 * (n * n + held + 18 * bem_ops.BATCH_POINT_PAIRS)
+    # Z, and of the self pair 0, 80 cells and 42 vertices, S, D, N and the
+    # row buffer (one block of 80 rows), the geometry the sweep copies (24
+    # values a cell of each mesh) and its touching pairs with their charts
+    # (4 indices for each of the 980 entries of shared_vertex_counts and for
+    # each cell), with the sweep's 4 + 14 planes of the batch budget, which
+    # outweigh a flush here
+    held = 80**2 + 80 * 42 + 42**2 + 24 * 160 + 4 * (980 + 80)
+    assert needed == 8 * (n * n + held + 80**2 + 18 * bem_ops.BATCH_POINT_PAIRS)
     with monkeypatch.context() as patch:
-        # at a budget below one row of S, N is formed one vertex row at a
-        # time: N, C_t^T S over that row and its copy (80 each) and the term (42)
+        # at a budget below one row of S the row blocks hold one row each,
+        # and a flush, with a curl product of one row and its copy, three
+        # terms of N's rows on the row cell's 3 vertices and the curl slices
+        # (6 values a cell), outweighs the 14 planes of a far block
         patch.setattr(bem_ops, "BATCH_POINT_PAIRS", 64)
-        assert formulation._dense_bytes(model) == 8 * (n * n + held + 42**2 + 2 * 80 + 42)
+        flush = (2 + 3 * 3) * 42 + 6 * 80
+        assert formulation._dense_bytes(model) == 8 * (n * n + held + 80 + 4 * 64 + flush)
 
     def assembly_started(*args, **kwargs):
         raise AssertionError("operator assembly started")
@@ -353,10 +361,14 @@ def test_assemble_system_refuses_dense_storage_beyond_memory(monkeypatch):
     monkeypatch.undo()
 
     small = NestedModel([make_icosphere(0, 1.0)], (1.0, 0.0))
-    # the insulated sphere keeps no p block: Z on its 12 vertices, and S of
-    # its self pair, 20 cells, with the 4 + 5 planes of a sweep without a
+    # the insulated sphere keeps no p block: Z on its 12 vertices, and of
+    # its self pair, 20 cells, no S but N, the row buffer, the geometry and
+    # the 200 touching entries, with the 4 + 5 planes of a sweep without a
     # double layer
-    assert formulation._dense_bytes(small) == 8 * (12**2 + 20**2 + 9 * bem_ops.BATCH_POINT_PAIRS)
+    held = 12**2 + 20**2 + 24 * 40 + 4 * (200 + 20)
+    assert formulation._dense_bytes(small) == 8 * (
+        12**2 + held + 9 * bem_ops.BATCH_POINT_PAIRS
+    )
     monkeypatch.setattr(formulation, "_available_memory", lambda: formulation._dense_bytes(small))
     assert assemble_system(small).size == 12
 
@@ -382,6 +394,80 @@ def test_dense_bytes_bound_the_assembly_peak_at_a_small_batch_budget(monkeypatch
         assert peak <= 1.02 * formulation._dense_bytes(model), budget
 
 
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def _blas_probe():
+    """Digest of the two BLAS products a batch forms, a row of weights
+    times the kernel values and the quadratic form times the Gram array, on
+    seeded data: BLAS kernels that round these alike round S alike."""
+    rng = np.random.default_rng(35)
+    w, values = rng.random(1536), rng.random((1536, 85))
+    form, gram = rng.random((81, 15)), rng.random((15, 85))
+    return _digest(np.concatenate([w @ values, (form @ gram).ravel()]))
+
+
+#: Digests of S on every surface pair as assembled when each pair held its
+#: whole single layer and formed N from it afterwards, keyed by the
+#: :func:`_blas_probe` of the BLAS kernels that made them: OpenBLAS 0.3.31 on
+#: its SkylakeX and on its Haswell kernels, one thread.
+S_DIGESTS = {
+    "30d5b3dea4f9f28e": {
+        "shells3-sub2": {(0, 0): "0fef88a13b25123d", (1, 1): "1214f9acf07638a5",
+                         (2, 2): "0503214067d1324d", (0, 1): "c2f19316e769672f",
+                         (1, 2): "e6b449b46f71c151"},
+        "sphere1-sub3": {(0, 0): "a5cd74598c9cca98"},
+        "shells3-sub1": {(0, 0): "8a2f6a38360a3f9a", (1, 1): "23e0ae32308a4a39",
+                         (2, 2): "4a9538e236a8d8e6", (0, 1): "75cb5ac309ba59d3",
+                         (1, 2): "fddcc0096699b21d"},
+    },
+    "9e1451041290f0e6": {
+        "shells3-sub2": {(0, 0): "985cb75a486fd21c", (1, 1): "f765dfb21923d8bd",
+                         (2, 2): "87efefc77d0bb21d", (0, 1): "f351442f3a69c35d",
+                         (1, 2): "665f04073993f690"},
+        "sphere1-sub3": {(0, 0): "f137798f9fdd0143"},
+        "shells3-sub1": {(0, 0): "f9bb2f5a6245ca77", (1, 1): "b5beb1e650cbf578",
+                         (2, 2): "b4a2187651abc054", (0, 1): "f358ed6b458d0bbb",
+                         (1, 2): "b15dd36d217f04a4"},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, sigma, subdivisions",
+    [
+        ("shells3-sub2", (1.0, 1.0 / 80.0, 1.0, 0.0), 2),
+        ("sphere1-sub3", (1.0, 0.0), 3),
+        ("shells3-sub1", (1.0, 1.0 / 80.0, 1.0, 0.5), 1),
+    ],
+)
+def test_a_kept_single_layer_is_symmetric_and_keeps_its_bits(name, sigma, subdivisions):
+    # S streams through the sweep's row buffer and is added into its rows
+    # and, on one surface, its columns once a row block finishes; every
+    # entry is one pair's value, or two exact halves on the diagonal, so S
+    # keeps the bits it had when it was held whole.  Each pair is asked for
+    # the blocks Z keeps and S besides; on the subdivision-3 sphere, where Z
+    # keeps no S, the touching pairs' batches cross its 13 row blocks.
+    digests = S_DIGESTS.get(_blas_probe())
+    if digests is None:
+        pytest.skip("no S digests recorded for the BLAS kernels of this host")
+    radii = (1.0,) if len(sigma) == 2 else (0.87, 0.92, 1.0)
+    model = NestedModel([make_icosphere(subdivisions, r) for r in radii], sigma)
+    surfaces = model.surfaces
+    pairs = [(i, i) for i in range(len(surfaces))] + [(i, i + 1) for i in range(len(surfaces) - 1)]
+    kept = 0
+    for i, j in pairs:
+        blocks = formulation._pair_blocks(model.layout, i, j)
+        kept += "S" in blocks
+        ops = bem_ops.assemble_operators(surfaces[i], surfaces[j], blocks + ("S",))
+        s = ops["S"].matrix
+        assert _digest(s) == digests[name][i, j], (i, j)
+        if i == j:
+            assert np.array_equal(s, s.T), i
+    assert kept == {"shells3-sub2": 3, "sphere1-sub3": 0, "shells3-sub1": 5}[name]
+
+
 @pytest.mark.parametrize("budget", [None, 2**11])
 @pytest.mark.parametrize("name", ["shells3-sub1", "shells3-sub1-conducting", "sphere1-sub3"])
 def test_pair_bytes_bound_the_peak_of_every_surface_pair(name, budget, monkeypatch):
@@ -393,7 +479,7 @@ def test_pair_bytes_bound_the_peak_of_every_surface_pair(name, budget, monkeypat
     if name.endswith("-conducting"):
         sigma = sigma[:-1] + (0.5,)
     model = NestedModel([make_icosphere(subdivisions, r) for r in radii], sigma)
-    layout, surfaces = system_layout(model), model.surfaces
+    layout, surfaces = model.layout, model.surfaces
     n = len(surfaces)
     pairs = [(i, i) for i in range(n)] + [(i, i + 1) for i in range(n - 1)]
     assemble_system(model)  # the mesh caches, outside the trace
@@ -412,11 +498,14 @@ def test_pair_bytes_bound_the_peak_of_every_surface_pair(name, budget, monkeypat
         assert peak <= 1.02 * count, (i, j, peak / count)
 
 
-def test_the_insulated_sphere_assembles_in_z_s_n_and_eight_budget_planes():
-    # the sweep, whose dense far blocks hold five planes without a double
-    # layer, sets the peak: Z, S and about 8 planes of the batch budget.
-    # Forming N from S in whole products, symmetrising it through a copy
-    # and scaling it into Z through a copy took Z + S + N plus 16.0 MiB.
+def test_the_insulated_sphere_assembles_in_z_n_and_ten_budget_planes():
+    # Z keeps no S of the insulated sphere, and the sweep forms N from each
+    # row block's single layer as the block finishes, so S is never held:
+    # the peak is Z, N, the row buffer, the sweep's arrays (the dense far
+    # blocks hold five planes without a double layer) and the touching
+    # pairs and geometry it reads, 9.0 planes of the batch budget beside Z
+    # and N.  Holding S whole to form N from it took Z + S + 7.7 planes,
+    # 23.3 MiB against 15.3 MiB.
     model = _model("sphere1-sub3")
     assemble_system(model)  # the mesh caches, outside the trace
     mesh = model.surfaces[0]
@@ -428,7 +517,8 @@ def test_the_insulated_sphere_assembles_in_z_s_n_and_eight_budget_planes():
         tracemalloc.stop()
     z_bytes, n_bytes = system.matrix.nbytes, 8 * mesh.num_vertices**2
     s_bytes = 8 * mesh.num_triangles**2
-    assert peak <= z_bytes + s_bytes + n_bytes + 8 * 8 * bem_ops.BATCH_POINT_PAIRS
+    assert peak <= z_bytes + n_bytes + 10 * 8 * bem_ops.BATCH_POINT_PAIRS
+    assert peak < z_bytes + s_bytes
     assert peak <= formulation._dense_bytes(model)
 
 

@@ -13,7 +13,6 @@ from symmbem.formulation import (
     assemble_rhs,
     assemble_system,
     conductivity_rescale,
-    system_layout,
 )
 from symmbem.geometry import NestedModel, TriangleMesh, make_icosphere, read_off, write_off
 from symmbem.laplacians import dual_laplacian, primal_laplace_beltrami
@@ -209,7 +208,7 @@ def test_build_fits_in_the_memory_assembly_needs(monkeypatch):
     meshes = _shells(2)
     model = NestedModel(meshes, SIGMA)
     needed = formulation._dense_bytes(model)
-    n = system_layout(model).total
+    n = model.layout.total
     monkeypatch.setattr(formulation, "_available_memory", lambda: needed - 1)
     tracemalloc.start()
     try:
@@ -449,7 +448,7 @@ def test_build_on_a_zero_system_raises_and_leaves_z():
     # no curvature in any coarse direction: W^T A W = 0 has no Cholesky
     # factor, and the build fails before the coarse correction
     meshes = [make_icosphere(1, r) for r in RADII]
-    layout = system_layout(NestedModel(meshes, SIGMA))
+    layout = NestedModel(meshes, SIGMA).layout
     system = BlockSystem(np.zeros((layout.total, layout.total)), layout, np.array(SIGMA))
     z = system.matrix.copy()
     with pytest.raises(np.linalg.LinAlgError):
@@ -678,6 +677,34 @@ def test_solve_keeps_the_solution_of_its_last_check(shells1, monkeypatch):
     assert len(products) == 2
     expected, _, expected_residual = precond._recover(op, runs[0][0])
     assert np.array_equal(x, expected * system.scale_vector()) and residual == expected_residual
+
+
+class _CountedCoarse(np.ndarray):
+    """A coarse basis W that counts the products ``v @ W`` of a vector with it."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[1] is self and np.ndim(inputs[0]) == 1:
+            self.products.append(1)
+        inputs = tuple(np.asarray(a) if isinstance(a, _CountedCoarse) else a for a in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_a_load_takes_one_coarse_product(shells1):
+    # W^T c is kept with c: CG's load and every recovery, at each check of
+    # the run and after it, read the one product, and the solution keeps
+    # its bits
+    system, meshes, _ = shells1
+    op = precond.build(system, meshes)
+    x, report, residual = precond.solve(op)
+    w = op.coarse.view(_CountedCoarse)
+    w.products = []
+    counted = dataclasses.replace(op, coarse=w)
+    y, again, again_residual = precond.solve(counted)
+    assert len(w.products) == 1
+    assert again.iterations == report.iterations > 0
+    assert np.array_equal(x, y) and again_residual == residual
+    precond.solve(_with_load(counted, 2.0 * system.rhs))
+    assert len(w.products) == 2
 
 
 def test_a_zero_load_recovers_with_residual_0(shells1):
