@@ -7,15 +7,18 @@ spherical-harmonic degree l are ``1/(2l+1)`` for the single layer,
 ``-1/(2(2l+1))`` for both double layers (principal value, outward normal),
 ``l(l+1)/(2l+1)`` for the hypersingular form assembled here (positive,
 integration-by-parts convention) and ``l(l+1)`` for the surface Laplacian.
+
+The series carry the associated Legendre functions from one degree to the
+next by their three-term recurrence, one step per degree, in numpy only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 from math import factorial
 
 import numpy as np
-from scipy.special import lpmv
 
 from .bem_ops import KernelBlock
 from .formulation import DipoleSource
@@ -61,9 +64,29 @@ class SphereSpec:
         object.__setattr__(self, "conductivities", cond)
 
 
-def _assoc_legendre(m: int, l: int, x):
-    """Associated Legendre without the Condon-Shortley phase."""
-    return ((-1.0) ** m) * lpmv(m, l, x)
+def _associated_legendre(x, max_order: int):
+    """Yield, for l = 0, 1, 2, ..., the associated Legendre functions
+    ``P_l^m(x)`` without the Condon-Shortley phase, row m of a
+    (min(l, max_order) + 1, len(x)) array for the orders m <= l, max_order.
+
+    Each degree takes one step of the upward recurrence at fixed order,
+    ``(l+1-m) P_{l+1}^m = (2l+1) x P_l^m - (l+m) P_{l-1}^m`` (with
+    ``P_{l-1}^l = 0``), and opens order l + 1 with
+    ``P_{l+1}^{l+1} = (2l+1) sqrt(1-x^2) P_l^l``."""
+    x = np.asarray(x, dtype=float)
+    sine = np.sqrt((1.0 - x) * (1.0 + x))
+    prev, cur = np.zeros((0, len(x))), np.ones((1, len(x)))
+    for l in count():
+        yield cur
+        k = len(cur)
+        m = np.arange(k)[:, None]
+        nxt = np.empty((min(l + 1, max_order) + 1, len(x)))
+        nxt[:k] = (2 * l + 1) * x * cur
+        nxt[: len(prev)] -= (l + m[: len(prev)]) * prev
+        nxt[:k] /= l + 1 - m
+        if k < len(nxt):
+            nxt[k] = (2 * l + 1) * sine * cur[l]
+        prev, cur = cur, nxt
 
 
 def _canonical_frame(position, moment):
@@ -223,7 +246,8 @@ def layered_sphere_potential(
     total = np.zeros(len(pts))
     running_max = 0.0
     small_streak = 0
-    for l in range(1, _MAX_DEGREE + 1):
+    legendre = islice(_associated_legendre(cos_theta, 1), 1, None)
+    for l, (p0, p1) in zip(range(1, _MAX_DEGREE + 1), legendre):
         s_rad, s_tan = _source_coefficients(l, z0, spec.radii[0], q_r, q_t, sigma1)
         if s_rad == 0.0 and s_tan == 0.0:
             if z0 == 0.0 and l > 1:
@@ -232,9 +256,9 @@ def layered_sphere_potential(
         response = _outer_response(spec, l)
         term = np.zeros(len(pts))
         if s_rad != 0.0:
-            term += (s_rad * response) * lpmv(0, l, cos_theta)
+            term += (s_rad * response) * p0
         if s_tan != 0.0:
-            term += (s_tan * response) * _assoc_legendre(1, l, cos_theta) * np.cos(phi)
+            term += (s_tan * response) * p1 * np.cos(phi)
         total += term
         running_max = max(running_max, float(np.max(np.abs(total))))
         if running_max > 0 and float(np.max(np.abs(term))) < rtol * running_max:
@@ -265,12 +289,13 @@ def single_sphere_insulated_potential(
     total = np.zeros(len(pts))
     running_max = 0.0
     small_streak = 0
-    for l in range(1, _MAX_DEGREE + 1):
+    legendre = islice(_associated_legendre(cos_theta, 1), 1, None)
+    for l, (p0, p1) in zip(range(1, _MAX_DEGREE + 1), legendre):
         s_rad, s_tan = _source_coefficients(l, z0, radius, q_r, q_t, sigma)
         gain = (2 * l + 1) / l
-        term = (s_rad * gain) * lpmv(0, l, cos_theta)
+        term = (s_rad * gain) * p0
         if s_tan != 0.0:
-            term = term + (s_tan * gain) * _assoc_legendre(1, l, cos_theta) * np.cos(phi)
+            term = term + (s_tan * gain) * p1 * np.cos(phi)
         total += term
         if z0 == 0.0:
             return total
@@ -308,10 +333,10 @@ def real_spherical_harmonics(l: int, points) -> np.ndarray:
     unit = pts / r[:, None]
     ct = np.clip(unit[:, 2], -1.0, 1.0)
     phi = np.arctan2(unit[:, 1], unit[:, 0])
+    orders = next(islice(_associated_legendre(ct, l), l, None))
     rows = []
-    for m in range(0, l + 1):
+    for m, plm in enumerate(orders):
         norm = np.sqrt((2 * l + 1) / (4 * np.pi) * factorial(l - m) / factorial(l + m))
-        plm = _assoc_legendre(m, l, ct)
         if m == 0:
             rows.append(norm * plm)
         else:

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from itertools import islice
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import lpmv
 
+from symmbem import geometry, oracle
 from symmbem.formulation import DipoleSource
 from symmbem.oracle import (
     SphereSpec,
@@ -137,3 +145,97 @@ def test_analytic_eigenvalue_tables():
     assert sphere_double_layer_eigenvalue(0) == -0.5
     assert sphere_hypersingular_eigenvalue(0) == 0.0
     assert abs(sphere_hypersingular_eigenvalue(1) - 2.0 / 3.0) < 1e-15
+
+
+# a grid on [-1, 1] that holds both poles exactly
+LEGENDRE_GRID = np.linspace(-1.0, 1.0, 201)
+
+
+def lpmv_orders(l, orders, x):
+    """Associated Legendre functions of degree l without the Condon-Shortley
+    phase, one row per order, from scipy's lpmv."""
+    return np.array([(-1.0) ** m * lpmv(m, l, x) for m in orders])
+
+
+def assert_degree_close(got, want, rtol=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def test_legendre_recurrence_matches_lpmv_low_orders():
+    assert LEGENDRE_GRID[0] == -1.0 and LEGENDRE_GRID[-1] == 1.0
+    for l, p in zip(range(401), oracle._associated_legendre(LEGENDRE_GRID, 3)):
+        assert_degree_close(p, lpmv_orders(l, range(min(l, 3) + 1), LEGENDRE_GRID))
+
+
+def test_legendre_recurrence_matches_lpmv_every_order():
+    # every order of a degree, as the spherical harmonics take them; lpmv
+    # overflows at the top orders from l = 86
+    for l, p in zip(range(81), oracle._associated_legendre(LEGENDRE_GRID, 80)):
+        assert_degree_close(p, lpmv_orders(l, range(l + 1), LEGENDRE_GRID))
+    for l in (0, 1, 7, 40):
+        top = next(islice(oracle._associated_legendre(LEGENDRE_GRID, l), l, None))
+        assert_degree_close(top, lpmv_orders(l, range(l + 1), LEGENDRE_GRID))
+
+
+def test_oracle_import_leaves_scipy_special_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, symmbem.oracle; print('scipy.special' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def lpmv_series(points, dipole, radius, r1, sigma, gain, rtol):
+    """The oracle's series with lpmv evaluated afresh at each degree: the
+    source coefficients times ``gain(l)``, on the sphere of ``radius``,
+    under the oracle's stopping rule."""
+    z0, q_r, q_t, rot = oracle._canonical_frame(dipole.position, dipole.moment)
+    local = points @ rot.T
+    ct = np.clip(local[:, 2] / radius, -1.0, 1.0)
+    phi = np.arctan2(local[:, 1], local[:, 0])
+    total = np.zeros(len(points))
+    running_max, small_streak = 0.0, 0
+    for l in range(1, oracle._MAX_DEGREE + 1):
+        s_rad, s_tan = oracle._source_coefficients(l, z0, r1, q_r, q_t, sigma)
+        g = gain(l)
+        term = (s_rad * g) * lpmv(0, l, ct) - (s_tan * g) * lpmv(1, l, ct) * np.cos(phi)
+        total += term
+        running_max = max(running_max, float(np.max(np.abs(total))))
+        if float(np.max(np.abs(term))) < rtol * running_max:
+            small_streak += 1
+            if small_streak >= 2 and l > 2:
+                return total
+        else:
+            small_streak = 0
+    raise AssertionError("reference series did not converge")
+
+
+@pytest.mark.parametrize("eccentricity", [0.5, 0.8, 0.95, 0.98])
+def test_series_equal_lpmv_series(eccentricity, monkeypatch):
+    def no_lpmv(*args):
+        raise AssertionError("the oracle's series evaluate no lpmv")
+
+    monkeypatch.setattr(oracle, "lpmv", no_lpmv, raising=False)
+    rng = np.random.default_rng(int(100 * eccentricity))
+    direction = rng.standard_normal(3)
+    direction /= np.linalg.norm(direction)
+    moment = rng.standard_normal(3)
+    pts = geometry.make_icosphere(2, 1.0).vertices
+
+    spec = SphereSpec((0.87, 0.92, 1.0), (1.0, 1 / 80, 1.0, 0.0))
+    dip = DipoleSource(eccentricity * spec.radii[0] * direction, moment)
+    got = layered_sphere_potential(spec, dip, pts)
+    want = lpmv_series(pts, dip, 1.0, spec.radii[0], 1.0, lambda l: oracle._outer_response(spec, l), 1e-10)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    if eccentricity < 0.98:  # at 0.98 the single sphere's series needs > 800 degrees
+        dip = DipoleSource(eccentricity * direction, moment)
+        got = single_sphere_insulated_potential(1.0, 2.0, dip, pts)
+        want = lpmv_series(pts, dip, 1.0, 1.0, 2.0, lambda l: (2 * l + 1) / l, 1e-12)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
