@@ -505,10 +505,8 @@ class _Sweep:
         entry is one pair's value or two exact halves, and into ``N`` (``M``
         of ``N = M + M^T`` on a single surface) as ``sum_k C_t,k[rows]^T V
         C_s,k`` over the vertices of the row cells, sparse curls
-        (``TriangleMesh.transposed_curls``) on the left of both products; on
-        a single surface, where the buffer's first ``c0`` rows are zero, only
-        the rest meets the curls' columns from ``c0``, sliced from their CSC
-        transposes one at a time.  Then zero the buffer."""
+        (``TriangleMesh.transposed_curls``) on the left of both products.
+        Then zero the buffer."""
         v, r0, rows = self.v, self.r0, self.v.shape[1]
         if self.ig is not None:
             self.ig[r0 : r0 + rows, c0:] += v[c0:].T
@@ -516,9 +514,8 @@ class _Sweep:
                 self.ig[c0:, r0 : r0 + rows] += v[c0:]
         if self.nmat is not None:
             verts = np.unique(self.mesh_t.triangles[r0 : r0 + rows])
-            sources = (c.T[:, c0:] for c in self.mesh_s.curls) if c0 else self.mesh_s.transposed_curls
-            curls = zip(self.mesh_t.transposed_curls, sources)
-            self.nmat[verts] += sum(ct[verts][:, r0 : r0 + rows] @ (cs @ v[c0:]).T for ct, cs in curls)
+            curls = zip(self.mesh_t.transposed_curls, self.mesh_s.transposed_curls)
+            self.nmat[verts] += sum(ct[verts][:, r0 : r0 + rows] @ (cs @ v).T for ct, cs in curls)
         v.fill(0.0)
 
     def finish(self):
