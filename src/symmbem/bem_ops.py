@@ -67,7 +67,6 @@ import scipy.sparse as sp
 
 from . import _quadrature as quad
 from .geometry import TriangleMesh
-from .spaces import Kind
 
 FOUR_PI = 4.0 * np.pi
 TAGS = ("S", "D", "Dstar", "N")
@@ -150,11 +149,10 @@ DENSE_FAR_SHARE = 0.5
 
 @dataclass
 class KernelBlock:
-    """Dense Galerkin block of one boundary operator between two surfaces."""
+    """Dense Galerkin block of one boundary operator between two surfaces,
+    named by its tag (a key of ``TAGS``)."""
 
     matrix: np.ndarray
-    row_kind: Kind
-    col_kind: Kind
 
 
 def _touching_pairs(mesh: TriangleMesh):
@@ -233,13 +231,8 @@ def assemble_operators(
     if unknown:
         raise ValueError(f"unknown operator blocks {sorted(unknown)}; choose from {TAGS}")
     sweep = _row_sweep(mesh_t, mesh_s, DEFAULT_QUADRATURE, blocks)
-    parts = {
-        "S": (sweep.ig, Kind.PATCH, Kind.PATCH),
-        "D": (sweep.dmat, Kind.PATCH, Kind.PYRAMID),
-        "Dstar": (sweep.adj, Kind.PYRAMID, Kind.PATCH),
-        "N": (sweep.nmat, Kind.PYRAMID, Kind.PYRAMID),
-    }
-    return {tag: KernelBlock(*parts[tag]) for tag in TAGS if tag in blocks}
+    parts = {"S": sweep.ig, "D": sweep.dmat, "Dstar": sweep.adj, "N": sweep.nmat}
+    return {tag: KernelBlock(parts[tag]) for tag in TAGS if tag in blocks}
 
 
 def pair_bytes(mesh_t: TriangleMesh, mesh_s: TriangleMesh, blocks=TAGS) -> int:

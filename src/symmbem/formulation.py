@@ -129,34 +129,46 @@ def require_memory(needed: int, what: str) -> None:
         )
 
 
-def _pair_blocks(layout: SystemLayout, i: int, j: int) -> tuple:
-    """The operator blocks :func:`assemble_system` asks of surface pair
-    ``(i, j)``, ``j`` being ``i`` or ``i + 1``: ``N`` always, ``S`` where
-    the cells of both surfaces keep their unknowns, ``D`` where those of
-    surface i do, and on a cross pair ``Dstar`` where those of surface j do.
-    A block whose every entry would land in a dropped p block is not asked
-    for, and so never allocated."""
-    blocks = ("N",)
-    if layout.p_kept[i] and layout.p_kept[j]:
-        blocks += ("S",)
-    if layout.p_kept[i]:
-        blocks += ("D",)
-    if i != j and layout.p_kept[j]:
-        blocks += ("Dstar",)
-    return blocks
+def _z_blocks(layout: SystemLayout, sigma) -> dict:
+    """The blocks Z stores, by surface pair: the self pairs ``(i, i)``, then
+    the cross pairs ``(i, i + 1)``, each with a list of ``(tag, rows, cols,
+    factor, transposed)``.  The operator block ``tag`` of the pair, times
+    ``factor``, fills ``Z[rows, cols]``; a cross pair's ``N``, ``S`` and
+    ``Dstar`` go in transposed, below the diagonal.  A block is listed only
+    where its rows and columns are kept, so with an insulating exterior the
+    outermost surface lists no ``S`` or ``D`` and no adjoint onto it.
+    Every conductivity factor of Z is written here, and nowhere else."""
+    n = layout.num_interfaces
+    table = {}
+    for i in range(n):
+        vi, pi = layout.v_slice(i), layout.p_slice(i)
+        table[i, i] = [("N", vi, vi, -(sigma[i] + sigma[i + 1]), False)]
+        if pi is not None:
+            table[i, i] += [("S", pi, pi, 1.0 / sigma[i] + 1.0 / sigma[i + 1], False),
+                            ("D", pi, vi, -2.0, False)]
+    for i in range(n - 1):
+        j = i + 1  # sigma[j] is the conductivity between the two surfaces
+        vi, pi, vj, pj = layout.v_slice(i), layout.p_slice(i), layout.v_slice(j), layout.p_slice(j)
+        blocks = [("N", vj, vi, sigma[j], True), ("S", pj, pi, -1.0 / sigma[j], True),
+                  ("D", pi, vj, 1.0, False), ("Dstar", pj, vi, 1.0, True)]
+        table[i, j] = [b for b in blocks if b[1] is not None and b[2] is not None]
+    return table
+
+
+def _tags(blocks: list) -> tuple:
+    return tuple(tag for tag, *_ in blocks)
 
 
 def _dense_bytes(model: NestedModel) -> int:
     """Bytes of storage :func:`assemble_system` holds at once: the N x N
     system matrix plus the count of the largest surface pair
-    (:func:`symmbem.bem_ops.pair_bytes` of its :func:`_pair_blocks`), which
-    counts ``S`` only where Z keeps it.  Each block is scaled in place as it
-    goes into Z, so no scaled copy is counted."""
-    layout = model.layout
-    surfaces = model.surfaces
-    pairs = [(i, i) for i in range(len(surfaces))] + [(i, i + 1) for i in range(len(surfaces) - 1)]
+    (:func:`symmbem.bem_ops.pair_bytes` of the blocks :func:`_z_blocks`
+    lists for it), which counts ``S`` only where Z keeps it.  Each block is
+    scaled in place as it goes into Z, so no scaled copy is counted."""
+    surfaces, layout = model.surfaces, model.layout
     return 8 * layout.total**2 + max(
-        bem_ops.pair_bytes(surfaces[i], surfaces[j], _pair_blocks(layout, i, j)) for i, j in pairs
+        bem_ops.pair_bytes(surfaces[i], surfaces[j], _tags(blocks))
+        for (i, j), blocks in _z_blocks(layout, model.conductivities).items()
     )
 
 
@@ -166,15 +178,13 @@ def assemble_system(model: NestedModel) -> BlockSystem:
     Only neighbouring interfaces couple; blocks for surface pairs further
     apart are identically zero.  The operator blocks of a pair come from
     one shared quadrature sweep, which assembles only those that Z keeps
-    (:func:`_pair_blocks`): self pair i asks for ``N`` and, where surface i
-    keeps its p block, ``S`` and ``D``; cross pair (i, j) asks for ``D``,
-    ``N`` and, where surface j keeps its p block, ``S`` and ``Dstar``.  So
-    with an insulating exterior no single or double layer is assembled on
-    the outermost surface and no adjoint onto it.  The double layers are
-    calibrated to their exact constant-field row sums.  Each diagonal block is written
-    whole, each off-diagonal block once, below the diagonal.  A block goes
-    into Z once, after its calibration, so it is scaled in place on its way
-    in, and each pair's blocks are let go before the next pair is assembled.
+    (:func:`_z_blocks`), so with an insulating exterior no single or double
+    layer is assembled on the outermost surface and no adjoint onto it.
+    The double layers are calibrated to their exact constant-field row
+    sums.  Each diagonal block is written whole, each off-diagonal block
+    once, below the diagonal.  A block goes into Z once, after its
+    calibration, so it is scaled in place on its way in, and each pair's
+    blocks are let go before the next pair is assembled.
 
     Raises ``MemoryError`` (:func:`require_memory`) before allocating
     anything dense when :func:`_dense_bytes` exceeds the memory the process
@@ -185,49 +195,23 @@ def assemble_system(model: NestedModel) -> BlockSystem:
     require_memory(
         _dense_bytes(model), f"dense storage for N = {layout.total} exceeds the memory available"
     )
-    sigma = model.conductivities
-    n = model.num_interfaces
     Z = np.zeros((layout.total, layout.total))
-
-    def add(rows: slice | None, cols: slice | None, factor: float, mat: np.ndarray):
-        if rows is None or cols is None:
-            return
-        mat *= factor
-        Z[rows, cols] += mat
-
-    for i in range(n):
-        mesh = model.surfaces[i]
-        ops = bem_ops.assemble_operators(mesh, mesh, _pair_blocks(layout, i, i))
-        s_in, s_out = sigma[i], sigma[i + 1]
-        vi, pi = layout.v_slice(i), layout.p_slice(i)
-        add(vi, vi, -(s_in + s_out), ops["N"].matrix)
-        if pi is not None:
-            _calibrate_rows(ops["D"].matrix, mesh.triangles, -0.5 * mesh.areas)
-            add(pi, vi, -2.0, ops["D"].matrix)
-            add(pi, pi, 1.0 / s_in + 1.0 / s_out, ops["S"].matrix)
-        del ops
-
-    for i in range(n - 1):
-        j = i + 1
-        s_btw = sigma[j]  # conductivity of the compartment between the surfaces
-        inner, outer = model.surfaces[i], model.surfaces[j]
-        ops = bem_ops.assemble_operators(inner, outer, _pair_blocks(layout, i, j))
-        vi, pi = layout.v_slice(i), layout.p_slice(i)
-        vj, pj = layout.v_slice(j), layout.p_slice(j)
-        add(vj, vi, s_btw, ops["N"].matrix.T)
-        if pi is not None and pj is not None:
-            add(pj, pi, -1.0 / s_btw, ops["S"].matrix.T)
-        # surface i lies inside surface j: constants map to -1 seen from i,
-        # to 0 seen from j (applied to the transpose through Dstar columns)
-        if pi is not None:
-            _calibrate_rows(ops["D"].matrix, inner.triangles, -inner.areas)
-            add(pi, vj, 1.0, ops["D"].matrix)
-        if pj is not None:  # Dstar.T is C-ordered and calibrated in place
-            _calibrate_rows(ops["Dstar"].matrix.T, outer.triangles, np.zeros(outer.num_triangles))
-            add(pj, vi, 1.0, ops["Dstar"].matrix.T)
-        del ops
-
-    return BlockSystem(Z, layout, np.asarray(sigma, dtype=float))
+    for (i, j), blocks in _z_blocks(layout, model.conductivities).items():
+        mesh_t, mesh_s = model.surfaces[i], model.surfaces[j]
+        ops = bem_ops.assemble_operators(mesh_t, mesh_s, _tags(blocks))
+        for tag, rows, cols, factor, transposed in blocks:
+            mat = ops[tag].matrix.T if transposed else ops[tag].matrix
+            if tag in ("D", "Dstar"):
+                # a double layer on the constants, seen from its row cells:
+                # -1/2 on its own surface, -1 inside it (D of the cross pair)
+                # and 0 outside it (Dstar, its C-ordered .T calibrated in place)
+                mesh = mesh_s if transposed else mesh_t
+                seen = -0.5 if i == j else (0.0 if transposed else -1.0)
+                _calibrate_rows(mat, mesh.triangles, seen * mesh.areas)
+            mat *= factor
+            Z[rows, cols] += mat
+        del ops, mat
+    return BlockSystem(Z, layout, np.asarray(model.conductivities, dtype=float))
 
 
 def _add_source_field(sources, mesh: TriangleMesh, v: np.ndarray, dn: np.ndarray) -> None:
@@ -351,10 +335,11 @@ def assemble_rhs(model: NestedModel, sources) -> np.ndarray:
 def conductivity_rescale(system: BlockSystem) -> BlockSystem:
     """Symmetric two-sided diagonal block scaling against conductivity spread.
 
-    V blocks scale by (sigma_in + sigma_out)^-1/2 and p blocks by
-    (1/sigma_in + 1/sigma_out)^-1/2, removing the conductivity content of
-    the diagonal blocks.  The record allows exact back-substitution, so the
-    solution of the rescaled system maps to the original one.
+    Each unknown block scales by ``|factor|^-1/2`` of its diagonal block
+    in :func:`_z_blocks`, the ``N`` block of a V block and the ``S`` block
+    of a p block, which removes the conductivity content of the diagonal
+    blocks.  The record allows exact back-substitution, so the solution of
+    the rescaled system maps to the original one.
 
     Z is scaled in place on and below its diagonal blocks: every stored
     entry of row block a and column block b by the one scalar ``w_a w_b``,
@@ -364,14 +349,12 @@ def conductivity_rescale(system: BlockSystem) -> BlockSystem:
     """
     if system.scale is not None:
         raise ValueError("system is already rescaled")
-    sigma, layout = system.conductivities, system.layout
-    n = layout.num_interfaces
-    blocks = [(layout.v_slice(i), sigma[i] + sigma[i + 1]) for i in range(n)]
-    blocks += [(layout.p_slice(i), 1.0 / sigma[i] + 1.0 / sigma[i + 1])
-               for i in range(n) if layout.p_kept[i]]
+    layout = system.layout
+    blocks = [(rows, factor) for pair in _z_blocks(layout, system.conductivities).values()
+              for _, rows, cols, factor, _ in pair if rows == cols]
     w = np.empty(layout.total)
     for rows, c in blocks:
-        w[rows] = 1.0 / np.sqrt(c)
+        w[rows] = 1.0 / np.sqrt(abs(c))
     if np.any(~np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("non-positive scale factor")
     for rows, _ in blocks:

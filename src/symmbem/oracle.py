@@ -16,18 +16,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice
-from math import factorial
+from math import ceil, factorial, log
 
 import numpy as np
 
-from .bem_ops import KernelBlock
 from .formulation import DipoleSource
 from .geometry import TriangleMesh
 from .spaces import Kind, gram_p0, gram_p1, mixed_gram_p0_p1, patch_space, pyramid_space
 
 FOUR_PI = 4.0 * np.pi
 
-_MAX_DEGREE = 800
+
+def _degree_cap(eccentricity: float, rtol: float) -> int:
+    """Degree by which a series whose terms fall like ``l e^l`` in the
+    source's eccentricity e has converged to ``rtol``: ten past the degree
+    where ``e^l`` reaches ``rtol^2``, so that ``l e^l < rtol / 10`` there for
+    any degree below ``1 / (10 rtol)``.  A centred source (e = 0) stops
+    within the ten."""
+    return 10 + (ceil(2.0 * log(rtol) / log(eccentricity)) if eccentricity > 0 else 0)
 
 
 def dipole_unbounded(q, r0, sigma: float, r) -> np.ndarray | float:
@@ -228,7 +234,8 @@ def layered_sphere_potential(
     The dipole must lie strictly inside the innermost sphere.  Truncation:
     the series stops once a degree's contribution falls below ``rtol``
     relative to the largest magnitude seen, which the geometric decay in
-    (eccentricity / r_1) guarantees eventually.
+    (eccentricity / r_1) guarantees by :func:`_degree_cap`; a series still
+    running there raises ``RuntimeError``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r_out = spec.radii[-1]
@@ -247,7 +254,8 @@ def layered_sphere_potential(
     running_max = 0.0
     small_streak = 0
     legendre = islice(_associated_legendre(cos_theta, 1), 1, None)
-    for l, (p0, p1) in zip(range(1, _MAX_DEGREE + 1), legendre):
+    cap = _degree_cap(z0 / spec.radii[0], rtol)
+    for l, (p0, p1) in zip(range(1, cap + 1), legendre):
         s_rad, s_tan = _source_coefficients(l, z0, spec.radii[0], q_r, q_t, sigma1)
         if s_rad == 0.0 and s_tan == 0.0:
             if z0 == 0.0 and l > 1:
@@ -268,7 +276,7 @@ def layered_sphere_potential(
         else:
             small_streak = 0
     raise RuntimeError(
-        f"layered-sphere series did not converge within {_MAX_DEGREE} degrees "
+        f"layered-sphere series did not converge within {cap} degrees "
         "(dipole too close to an interface?)"
     )
 
@@ -278,8 +286,12 @@ def single_sphere_insulated_potential(
 ) -> np.ndarray:
     """Closed-form series for one insulated sphere: per-degree gain (2l+1)/l
     on the free-space coefficients.  Independent of the layered transfer
-    solve; pins its degenerate (contrast-one) case."""
+    solve; pins its degenerate (contrast-one) case.  The points must lie on
+    the sphere, and the series stops as :func:`layered_sphere_potential`'s
+    does."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if np.any(np.abs(np.linalg.norm(pts, axis=1) - radius) > 1e-6 * radius):
+        raise ValueError("evaluation points must lie on the sphere")
     z0, q_r, q_t, rot = _canonical_frame(dipole.position, dipole.moment)
     if z0 >= radius:
         raise ValueError("dipole must be inside the sphere")
@@ -290,7 +302,8 @@ def single_sphere_insulated_potential(
     running_max = 0.0
     small_streak = 0
     legendre = islice(_associated_legendre(cos_theta, 1), 1, None)
-    for l, (p0, p1) in zip(range(1, _MAX_DEGREE + 1), legendre):
+    cap = _degree_cap(z0 / radius, rtol)
+    for l, (p0, p1) in zip(range(1, cap + 1), legendre):
         s_rad, s_tan = _source_coefficients(l, z0, radius, q_r, q_t, sigma)
         gain = (2 * l + 1) / l
         term = (s_rad * gain) * p0
@@ -306,7 +319,7 @@ def single_sphere_insulated_potential(
                 return total
         else:
             small_streak = 0
-    raise RuntimeError("single-sphere series did not converge")
+    raise RuntimeError(f"single-sphere series did not converge within {cap} degrees")
 
 
 def sphere_single_layer_eigenvalue(l: int) -> float:
@@ -345,39 +358,37 @@ def real_spherical_harmonics(l: int, points) -> np.ndarray:
     return np.stack(rows)
 
 
-def sphere_operator_eigenvalue(block: KernelBlock, mesh: TriangleMesh, l: int) -> float:
-    """Mean Gram-normalized Rayleigh quotient of a block over degree-l modes.
+#: The spaces of the rows and columns of each operator block, by tag.
+_BLOCK_KINDS = {"S": (Kind.PATCH, Kind.PATCH), "D": (Kind.PATCH, Kind.PYRAMID),
+                "Dstar": (Kind.PYRAMID, Kind.PATCH), "N": (Kind.PYRAMID, Kind.PYRAMID)}
+
+
+def sphere_operator_eigenvalue(tag: str, matrix: np.ndarray, mesh: TriangleMesh, l: int) -> float:
+    """Mean Gram-normalized Rayleigh quotient of the operator block ``tag``
+    (``S``, ``D``, ``Dstar`` or ``N``), given as ``matrix``, over degree-l
+    modes.
 
     The degree-l subspace is sampled at mesh vertices (pyramid dofs) or cell
     centroids (patch dofs); mixed blocks use the patch/pyramid cross Gram.
     """
-    samples: dict[Kind, np.ndarray] = {}
+    row_kind, col_kind = _BLOCK_KINDS[tag]
 
-    def mode_values(kind: Kind) -> np.ndarray:
-        if kind not in samples:
-            pts = mesh.centroids if kind is Kind.PATCH else mesh.vertices
-            samples[kind] = real_spherical_harmonics(l, pts)
-        return samples[kind]
+    def modes(kind: Kind) -> np.ndarray:
+        return real_spherical_harmonics(l, mesh.centroids if kind is Kind.PATCH else mesh.vertices)
 
-    rows = mode_values(block.row_kind)
-    cols = mode_values(block.col_kind)
-    if block.row_kind is block.col_kind:
-        gram = (
-            gram_p0(patch_space(mesh))
-            if block.row_kind is Kind.PATCH
-            else gram_p1(pyramid_space(mesh))
-        )
-    elif block.row_kind is Kind.PATCH:
+    def gram_of(kind: Kind):
+        return gram_p0(patch_space(mesh)) if kind is Kind.PATCH else gram_p1(pyramid_space(mesh))
+
+    rows, cols = modes(row_kind), modes(col_kind)
+    if row_kind is col_kind:
+        gram = gram_of(row_kind)
+    elif row_kind is Kind.PATCH:
         gram = mixed_gram_p0_p1(mesh)
     else:
         gram = mixed_gram_p0_p1(mesh).T
 
     # resolution guard: sampled modes must stay independent in the Gram
-    g_col = (
-        gram_p1(pyramid_space(mesh))
-        if block.col_kind is Kind.PYRAMID
-        else gram_p0(patch_space(mesh))
-    )
+    g_col = gram_of(col_kind)
     mode_gram = cols @ (g_col @ cols.T)
     ev = np.linalg.eigvalsh(mode_gram)
     if ev[0] <= 1e-3 * ev[-1]:
@@ -386,5 +397,5 @@ def sphere_operator_eigenvalue(block: KernelBlock, mesh: TriangleMesh, l: int) -
     quotients = []
     for u, y in zip(rows, cols):
         denom = float(u @ (gram @ y))
-        quotients.append(float(u @ (block.matrix @ y)) / denom)
+        quotients.append(float(u @ (matrix @ y)) / denom)
     return float(np.mean(quotients))

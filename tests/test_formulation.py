@@ -125,6 +125,48 @@ def test_insulated_outer_surface_takes_no_double_layer_and_no_adjoint(monkeypatc
     _assert_z_in_lower_triangle(system.matrix, system.layout)
 
 
+@pytest.mark.parametrize(
+    "radii, sigma, subdivisions",
+    [
+        ((0.87, 0.92, 1.0), (1.0, 1.0 / 80.0, 1.0, 0.0), 1),
+        ((0.87, 0.92, 1.0), (1.0, 1.0 / 80.0, 1.0, 0.5), 1),
+        ((1.0,), (1.0, 0.0), 2),
+        ((0.8, 0.85, 0.92, 1.0), (0.33, 1.0, 1.0 / 80.0, 1.0, 0.0), 1),
+    ],
+    ids=["shells3-sub1", "shells3-sub1-conducting", "sphere1-sub2", "head4-sub1"],
+)
+def test_the_block_table_places_every_block_z_stores(radii, sigma, subdivisions, monkeypatch):
+    model = NestedModel([make_icosphere(subdivisions, r) for r in radii], sigma)
+    layout, n = model.layout, model.num_interfaces
+    table = formulation._z_blocks(layout, model.conductivities)
+    assert list(table) == [(i, i) for i in range(n)] + [(i, i + 1) for i in range(n - 1)]
+    # the listed blocks are disjoint and lie on or below the diagonal
+    owner = np.full((layout.total, layout.total), -1)
+    for k, (tag, rows, cols, _, _) in enumerate(b for listed in table.values() for b in listed):
+        assert rows == cols or rows.start >= cols.stop, tag
+        assert (owner[rows, cols] == -1).all(), tag
+        owner[rows, cols] = k
+    # each pair is asked for exactly the blocks the table lists
+    assert _requested_blocks(model, monkeypatch) == {
+        pair: set(formulation._tags(listed)) for pair, listed in table.items()
+    }
+    # every nonzero of Z's lower triangle lies in a listed block
+    monkeypatch.undo()
+    system = assemble_system(model)
+    assert (owner[np.tril(system.matrix) != 0] >= 0).all()
+    # the scale is |factor|^-1/2 of the diagonal N and S blocks: the V block
+    # of surface i scales by (sigma_in + sigma_out)^-1/2 and its p block by
+    # (1/sigma_in + 1/sigma_out)^-1/2
+    scale = conductivity_rescale(system).scale
+    s = np.asarray(sigma)
+    diagonal = [(tag, i, rows, factor) for (i, j), listed in table.items()
+                for tag, rows, cols, factor, _ in listed if rows == cols]
+    assert sorted(tag for tag, *_ in diagonal) == ["N"] * n + ["S"] * sum(layout.p_kept)
+    for tag, i, rows, factor in diagonal:
+        c = s[i] + s[i + 1] if tag == "N" else 1.0 / s[i] + 1.0 / s[i + 1]
+        assert abs(factor) == c and (scale[rows] == 1.0 / np.sqrt(c)).all(), (tag, i)
+
+
 def test_a_cross_pair_adjoint_is_calibrated_in_the_returned_block(monkeypatch):
     # the adjoint is stored as the reversed pair's double layer, so
     # Dstar.T is C-ordered and assembly calibrates it without a copy
@@ -455,10 +497,9 @@ def test_a_kept_single_layer_is_symmetric_and_keeps_its_bits(name, sigma, subdiv
     radii = (1.0,) if len(sigma) == 2 else (0.87, 0.92, 1.0)
     model = NestedModel([make_icosphere(subdivisions, r) for r in radii], sigma)
     surfaces = model.surfaces
-    pairs = [(i, i) for i in range(len(surfaces))] + [(i, i + 1) for i in range(len(surfaces) - 1)]
     kept = 0
-    for i, j in pairs:
-        blocks = formulation._pair_blocks(model.layout, i, j)
+    for (i, j), listed in formulation._z_blocks(model.layout, model.conductivities).items():
+        blocks = formulation._tags(listed)
         kept += "S" in blocks
         ops = bem_ops.assemble_operators(surfaces[i], surfaces[j], blocks + ("S",))
         s = ops["S"].matrix
@@ -479,15 +520,13 @@ def test_pair_bytes_bound_the_peak_of_every_surface_pair(name, budget, monkeypat
     if name.endswith("-conducting"):
         sigma = sigma[:-1] + (0.5,)
     model = NestedModel([make_icosphere(subdivisions, r) for r in radii], sigma)
-    layout, surfaces = model.layout, model.surfaces
-    n = len(surfaces)
-    pairs = [(i, i) for i in range(n)] + [(i, i + 1) for i in range(n - 1)]
+    surfaces = model.surfaces
     assemble_system(model)  # the mesh caches, outside the trace
     if budget is not None:
         monkeypatch.setattr(bem_ops, "BATCH_POINT_PAIRS", budget)
-    for i, j in pairs:
+    for (i, j), listed in formulation._z_blocks(model.layout, model.conductivities).items():
         mesh_t, mesh_s = surfaces[i], surfaces[j]
-        blocks = formulation._pair_blocks(layout, i, j)
+        blocks = formulation._tags(listed)
         tracemalloc.start()
         try:
             bem_ops.assemble_operators(mesh_t, mesh_s, blocks)
